@@ -24,7 +24,6 @@ from .multipullback import (
     SlotFunctional,
     extend,
     is_member,
-    project,
     sample_kernel_intersection,
     verify_freeness,
     witness_TmI,
@@ -55,7 +54,6 @@ from .tensor_gluing import (
     cocycle_check,
     diagonal_coaction,
     embed_toeplitz,
-    flip,
     kernel_image_check,
     lift_circle,
     phi,

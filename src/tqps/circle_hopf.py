@@ -75,6 +75,9 @@ class Scalar:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        # A real Scalar equals its int or Fraction, so it must hash like one.
+        if self.im == 0:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __repr__(self):
@@ -303,18 +306,3 @@ class CircleTensor:
     def __repr__(self):
         return "CircleTensor(%r)" % {k: (c.re, c.im) for k, c in sorted(self.terms.items())}
 
-
-def mul(f, g):
-    return f * g
-
-
-def antipode(f):
-    return f.antipode()
-
-
-def comul(f):
-    return f.comul()
-
-
-def counit(f):
-    return f.counit()

@@ -26,11 +26,10 @@ import itertools
 
 from .order_lattice import AntichainForm, check_freeness_criterion
 from .tensor_gluing import slot_for
-from .util import derived_rng
+from .util import DEFAULT_SEED, derived_rng
 
 MEMBERSHIP_TOL = 1e-12
 TRANSITION_TOL = 1e-10
-DEFAULT_SEED = 0x5EED
 
 
 def probe_point(a, n):

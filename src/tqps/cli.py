@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import classical_cpn, multipullback, order_lattice, sampling, tensor_gluing
-from .util import canonical_json, derived_rng, parallel_map
+from .util import DEFAULT_SEED, canonical_json, derived_rng
 
 MAX_N = 3
 MAX_GENERATORS = 5
@@ -29,11 +29,14 @@ _SUITES = [
 ]
 
 
-def _positive(kind, cap):
+def _count(kind, low, high=None):
+    """Argparse type for an integer count in [low, high] (no upper cap if None)."""
+
     def parse(text):
         value = int(text)
-        if not 1 <= value <= cap:
-            raise argparse.ArgumentTypeError("%s must be between 1 and %d" % (kind, cap))
+        if value < low or (high is not None and value > high):
+            bound = "at least %d" % low if high is None else "between %d and %d" % (low, high)
+            raise argparse.ArgumentTypeError("%s must be %s" % (kind, bound))
         return value
 
     return parse
@@ -65,7 +68,7 @@ def build_parser():
     )
     fdl_enum = fdl.add_parser("enumerate", help="enumerate elements")
     fdl_enum.add_argument(
-        "--generators", type=_positive("generators", MAX_GENERATORS), required=True
+        "--generators", type=_count("generators", 1, MAX_GENERATORS), required=True
     )
     fdl_enum.add_argument("--format", choices=["json", "text"], default="text")
 
@@ -73,36 +76,36 @@ def build_parser():
         dest="subcommand"
     )
     roundtrip = birkhoff.add_parser("roundtrip", help="poset recovery through the transform")
-    roundtrip.add_argument("--poset-size", type=_positive("poset size", MAX_POSET), required=True)
-    roundtrip.add_argument("--trials", type=int, default=100)
-    roundtrip.add_argument("--seed", type=int, default=sampling.DEFAULT_SEED)
+    roundtrip.add_argument("--poset-size", type=_count("poset size", 1, MAX_POSET), required=True)
+    roundtrip.add_argument("--trials", type=_count("trials", 1), default=100)
+    roundtrip.add_argument("--seed", type=int, default=DEFAULT_SEED)
     roundtrip.add_argument("--format", choices=["json", "text"], default="text")
 
     verify = sub.add_parser("verify", help="verification suites").add_subparsers(
         dest="subcommand"
     )
     v_psi = verify.add_parser("psi", help="gluing involution")
-    v_psi.add_argument("--n", type=_positive("n", MAX_N), required=True)
-    v_psi.add_argument("--samples", type=int, default=1000)
-    v_psi.add_argument("--seed", type=int, default=tensor_gluing.DEFAULT_SEED)
+    v_psi.add_argument("--n", type=_count("n", 1, MAX_N), required=True)
+    v_psi.add_argument("--samples", type=_count("samples", 0), default=1000)
+    v_psi.add_argument("--seed", type=int, default=DEFAULT_SEED)
     v_psi.add_argument("--format", choices=["json", "text"], default="text")
 
     v_coc = verify.add_parser("cocycle", help="transition cocycle")
-    v_coc.add_argument("--n", type=_positive("n", MAX_N), required=True)
-    v_coc.add_argument("--samples", type=int, default=100)
-    v_coc.add_argument("--seed", type=int, default=tensor_gluing.DEFAULT_SEED)
+    v_coc.add_argument("--n", type=_count("n", 1, MAX_N), required=True)
+    v_coc.add_argument("--samples", type=_count("samples", 1), default=100)
+    v_coc.add_argument("--seed", type=int, default=DEFAULT_SEED)
     v_coc.add_argument("--format", choices=["json", "text"], default="text")
 
     v_ker = verify.add_parser("kernel-images", help="kernel image exchange")
-    v_ker.add_argument("--n", type=_positive("n", MAX_N), required=True)
-    v_ker.add_argument("--samples", type=int, default=50)
-    v_ker.add_argument("--seed", type=int, default=tensor_gluing.DEFAULT_SEED)
+    v_ker.add_argument("--n", type=_count("n", 1, MAX_N), required=True)
+    v_ker.add_argument("--samples", type=_count("samples", 1), default=50)
+    v_ker.add_argument("--seed", type=int, default=DEFAULT_SEED)
     v_ker.add_argument("--format", choices=["json", "text"], default="text")
 
     v_free = verify.add_parser("freeness", help="kernel lattice freeness")
-    v_free.add_argument("--n", type=_positive("n", MAX_N), required=True)
+    v_free.add_argument("--n", type=_count("n", 1, MAX_N), required=True)
     v_free.add_argument("--seed", type=int, default=0)
-    v_free.add_argument("--samples", type=int, default=200)
+    v_free.add_argument("--samples", type=_count("samples", 0), default=200)
     v_free.add_argument(
         "--generator-map",
         type=_generator_map,
@@ -115,23 +118,23 @@ def build_parser():
         dest="subcommand"
     )
     c_lat = classical.add_parser("lattice", help="generated covering lattice")
-    c_lat.add_argument("--n", type=_positive("n", MAX_N), required=True)
+    c_lat.add_argument("--n", type=_count("n", 1, MAX_N), required=True)
     c_lat.add_argument("--format", choices=["json", "text"], default="text")
 
     c_tr = classical.add_parser("transitions", help="chart transition agreement")
-    c_tr.add_argument("--n", type=_positive("n", MAX_N), required=True)
-    c_tr.add_argument("--trials", type=int, default=1000)
-    c_tr.add_argument("--seed", type=int, default=classical_cpn.DEFAULT_SEED)
+    c_tr.add_argument("--n", type=_count("n", 1, MAX_N), required=True)
+    c_tr.add_argument("--trials", type=_count("trials", 1), default=1000)
+    c_tr.add_argument("--seed", type=int, default=DEFAULT_SEED)
     c_tr.add_argument("--format", choices=["json", "text"], default="text")
 
     export = sub.add_parser("export", help="diagram exports").add_subparsers(dest="subcommand")
     hasse = export.add_parser("hasse", help="Hasse diagram of a lattice")
     hasse.add_argument("--target", choices=["fdl", "classical", "kernels"], required=True)
     hasse.add_argument(
-        "--generators", type=_positive("generators", 4), default=2, help="fdl target only"
+        "--generators", type=_count("generators", 1, 4), default=2, help="fdl target only"
     )
     hasse.add_argument(
-        "--n", type=_positive("n", MAX_N), default=1, help="classical and kernels targets"
+        "--n", type=_count("n", 1, MAX_N), default=1, help="classical and kernels targets"
     )
     hasse.add_argument("--format", choices=["dot", "json", "text"], default="dot")
 
@@ -225,12 +228,10 @@ def _cmd_verify_kernel_images(args):
         for k in range(args.n + 1)
         if len({i, j, k}) == 3
     ]
-    reports = parallel_map(
-        lambda t: tensor_gluing.kernel_image_check(
-            args.n, *t, samples=args.samples, seed=args.seed
-        ),
-        triples,
-    )
+    reports = [
+        tensor_gluing.kernel_image_check(args.n, *t, samples=args.samples, seed=args.seed)
+        for t in triples
+    ]
     payload = {
         "schema": 1,
         "check": "kernel-image-exchange",
@@ -354,6 +355,9 @@ def main(argv=None):
     handler = _HANDLERS.get((args.command, subcommand))
     if handler is None:
         parser.error("missing subcommand for %r" % args.command)
+    for k, v in (getattr(args, "generator_map", None) or {}).items():
+        if not (0 <= k <= args.n and 0 <= v <= args.n):
+            parser.error("generator map entry %d=%d is outside 0..%d" % (k, v, args.n))
     if (args.command, subcommand) == ("export", "hasse"):
         code, _ = handler(args)
         return code

@@ -38,7 +38,6 @@ from .order_lattice import (
     meet_irreducibles,
 )
 from .tensor_gluing import (
-    DEFAULT_SEED,
     TensorElement,
     lift_circle,
     project_slots,
@@ -48,7 +47,7 @@ from .tensor_gluing import (
     slot_for,
     slot_symbol,
 )
-from .util import derived_rng
+from .util import DEFAULT_SEED, derived_rng
 
 
 class IncompatiblePartialFamily(ValueError):
@@ -150,11 +149,6 @@ def is_member(p):
     return not compatibility_failures(p)
 
 
-def project(p, i):
-    """Chart component i of a pullback element."""
-    return p.components[i]
-
-
 def _constraints_for(comps, m, n):
     """Gluing constraints on the missing chart m from the known components.
 
@@ -232,6 +226,8 @@ def witness_xI(zero_charts, n, x=None, seed=DEFAULT_SEED):
     slotwise symbols vanish, so placing it on the remaining charts and
     zero on `zero_charts` satisfies every gluing constraint.  The result
     lies in the kernel of each listed chart projection and in no other.
+    Without x, one is drawn from the seed, redrawing while the drawn terms
+    cancel to zero.
     """
     zero_charts = frozenset(zero_charts)
     if not all(0 <= c <= n for c in zero_charts):
@@ -239,6 +235,8 @@ def witness_xI(zero_charts, n, x=None, seed=DEFAULT_SEED):
     if x is None:
         rng = derived_rng(seed, "compact-witness", n, sorted(zero_charts))
         x = random_tensor_element(rng, n, compact_only=True)
+        while x.is_zero():
+            x = random_tensor_element(rng, n, compact_only=True)
     if x.n_slots != n or x.circle_slot is not None or x.is_zero():
         raise ValueError("witness must be a nonzero n-slot Toeplitz tensor")
     for atoms in x.terms:

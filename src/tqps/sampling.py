@@ -11,8 +11,7 @@ from fractions import Fraction
 from .circle_hopf import CirclePoly, Scalar
 from .toeplitz_core import CompactPart, ToeplitzElement
 from .order_lattice import AntichainForm, Poset
-
-DEFAULT_SEED = 0x5EED
+from .util import DEFAULT_SEED  # noqa: F401  (re-exported for callers)
 
 
 def random_scalar(rng, bound=3):

@@ -21,16 +21,19 @@ quotient classes modulo two slot kernels are canonicalized by dropping
 every term with a matrix unit in a killed slot.  phi composes symbol,
 gluing and section into the transition between two quotient charts; the
 cocycle and kernel-image checks sample it.
+
+On pure atom tensors each of these maps (chi, psi, the symbol, its
+section, the projection and the coaction) only rewrites term keys, and
+injectively, so all of them go through one relocation primitive,
+_rewrite, which builds the result without validating it again.
 """
 
 from functools import lru_cache
 
 from .circle_hopf import ONE, ZERO, Scalar
 from .toeplitz_core import ToeplitzElement
-from .util import derived_rng
+from .util import DEFAULT_SEED, derived_rng
 from . import sampling
-
-DEFAULT_SEED = 0x5EED
 
 
 def atom_degree(atom):
@@ -255,29 +258,52 @@ def embed_toeplitz(elements):
     return TensorElement(n, None, terms)
 
 
+def _rewrite(x, n_slots, circle_slot, row):
+    """Tensor of the given shape whose terms are those of x with each key
+    replaced by row(key); a row of None drops the term.
+
+    The result is built directly, without __init__, so the caller owns the
+    condition that makes that sound: row is injective on the keys it keeps
+    and sends every valid key of x to a valid key of the new shape.  Then no
+    two coefficients merge, each stays nonzero, and nothing needs to be
+    validated again.  This is the only place a TensorElement is built
+    without __init__.
+    """
+    terms = {}
+    for atoms, c in x.terms.items():
+        key = row(atoms)
+        if key is not None:
+            terms[key] = c
+    out = object.__new__(TensorElement)
+    out.n_slots = n_slots
+    out.circle_slot = circle_slot
+    out.terms = terms
+    return out
+
+
 def diagonal_coaction(x):
     """Append a circle slot carrying the total gauge degree of each term."""
     if x.circle_slot is not None:
         raise ValueError("diagonal coaction expects pure Toeplitz slots")
-    terms = {}
-    for atoms, c in x.terms.items():
-        row = atoms + (("u", x.term_degree(atoms)),)
-        terms[row] = c
-    return TensorElement(x.n_slots + 1, x.n_slots + 1, terms)
+    n = x.n_slots + 1
+    return _rewrite(x, n, n, lambda atoms: atoms + (("u", x.term_degree(atoms)),))
 
 
-def flip(x, inverse=False):
-    """Move the circle slot from the front to the back (inverse: back to front)."""
-    n = x.n_slots
-    if not inverse:
-        if x.circle_slot != 1:
-            raise ValueError("flip expects the circle slot in front")
-        terms = {atoms[1:] + (atoms[0],): c for atoms, c in x.terms.items()}
-        return TensorElement(n, n, terms)
-    if x.circle_slot != n:
-        raise ValueError("inverse flip expects the circle slot at the back")
-    terms = {(atoms[-1],) + atoms[:-1]: c for atoms, c in x.terms.items()}
-    return TensorElement(n, 1, terms)
+def _move_circle(x, src, dst, reflect):
+    """Move the circle atom from slot src to slot dst, keeping Toeplitz order.
+
+    With reflect, the circle exponent h becomes -(d + h), d the total degree
+    of the other slots; for a fixed Toeplitz part that is a bijection of h.
+    """
+
+    def row(atoms):
+        rest = atoms[: src - 1] + atoms[src:]
+        circle = atoms[src - 1]
+        if reflect:
+            circle = ("u", -(sum(atom_degree(a) for a in rest) + circle[1]))
+        return rest[: dst - 1] + (circle,) + rest[dst - 1 :]
+
+    return _rewrite(x, x.n_slots, dst, row)
 
 
 def chi(x, j):
@@ -287,23 +313,14 @@ def chi(x, j):
         raise ValueError("chi expects the circle slot at the back")
     if not 1 <= j <= n:
         raise ValueError("target slot %r out of range" % j)
-    terms = {}
-    for atoms, c in x.terms.items():
-        row = atoms[: j - 1] + (atoms[-1],) + atoms[j - 1 : -1]
-        terms[row] = c
-    return TensorElement(n, j, terms)
+    return _move_circle(x, n, j, reflect=False)
 
 
 def chi_inv(x, j):
     """Relocate the circle slot from position j back to the end."""
-    n = x.n_slots
     if x.circle_slot != j:
         raise ValueError("chi_inv expects the circle slot at position %r" % j)
-    terms = {}
-    for atoms, c in x.terms.items():
-        row = atoms[: j - 1] + atoms[j:] + (atoms[j - 1],)
-        terms[row] = c
-    return TensorElement(n, n, terms)
+    return _move_circle(x, j, x.n_slots, reflect=False)
 
 
 def psi(x):
@@ -315,13 +332,7 @@ def psi(x):
     n = x.n_slots
     if x.circle_slot != n:
         raise ValueError("psi expects the circle slot at the back")
-    terms = {}
-    for atoms, c in x.terms.items():
-        d = sum(atom_degree(a) for a in atoms[:-1])
-        h = atoms[-1][1]
-        row = atoms[:-1] + (("u", -(d + h)),)
-        terms[row] = c
-    return TensorElement(n, n, terms)
+    return _move_circle(x, n, n, reflect=True)
 
 
 def psi_ij(x, i, j):
@@ -344,14 +355,14 @@ def slot_symbol(x, k):
         raise ValueError("slot_symbol expects pure Toeplitz slots")
     if not 1 <= k <= x.n_slots:
         raise ValueError("slot %r out of range" % k)
-    terms = {}
-    for atoms, c in x.terms.items():
+
+    def row(atoms):
         atom = atoms[k - 1]
         if atom[0] == "E":
-            continue
-        row = atoms[: k - 1] + (("u", atom[1]),) + atoms[k:]
-        terms[row] = terms.get(row, ZERO) + c
-    return TensorElement(x.n_slots, k, terms)
+            return None
+        return atoms[: k - 1] + (("u", atom[1]),) + atoms[k:]
+
+    return _rewrite(x, x.n_slots, k, row)
 
 
 def lift_circle(x):
@@ -359,11 +370,9 @@ def lift_circle(x):
     k = x.circle_slot
     if k is None:
         raise ValueError("lift_circle expects a circle slot")
-    terms = {}
-    for atoms, c in x.terms.items():
-        row = atoms[: k - 1] + (("T", atoms[k - 1][1]),) + atoms[k:]
-        terms[row] = c
-    return TensorElement(x.n_slots, None, terms)
+    return _rewrite(
+        x, x.n_slots, None, lambda atoms: atoms[: k - 1] + (("T", atoms[k - 1][1]),) + atoms[k:]
+    )
 
 
 def project_slots(x, slots):
@@ -377,12 +386,12 @@ def project_slots(x, slots):
     for s in slots:
         if not 1 <= s <= x.n_slots or s == x.circle_slot:
             raise ValueError("cannot project slot %r" % s)
-    terms = {}
-    for atoms, c in x.terms.items():
-        if any(atoms[s - 1][0] == "E" for s in slots):
-            continue
-        terms[atoms] = c
-    return TensorElement(x.n_slots, x.circle_slot, terms)
+    return _rewrite(
+        x,
+        x.n_slots,
+        x.circle_slot,
+        lambda atoms: None if any(atoms[s - 1][0] == "E" for s in slots) else atoms,
+    )
 
 
 def slot_for(side, idx):

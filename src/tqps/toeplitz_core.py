@@ -255,14 +255,6 @@ def _compact_times_shift(k_part, g):
     return CompactPart(out)
 
 
-def mul(x, y):
-    return x * y
-
-
-def adjoint(x):
-    return x.adjoint()
-
-
 def symbol_map(x):
     """Quotient onto the circle algebra: kill the finite-rank part."""
     return x.symbol

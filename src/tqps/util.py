@@ -1,9 +1,9 @@
-"""Shared runtime helpers: canonical JSON, derived RNGs, bounded parallelism."""
+"""Shared runtime helpers: the default seed, canonical JSON, derived RNGs."""
 
 import json
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
+
+DEFAULT_SEED = 0x5EED
 
 
 def canonical_json(obj):
@@ -19,27 +19,3 @@ def derived_rng(seed, *path):
     """
     key = str(seed) + "".join("/" + str(p) for p in path)
     return random.Random(key)
-
-
-def thread_count():
-    """Worker cap from TQPS_THREADS, defaulting to 1."""
-    raw = os.environ.get("TQPS_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return n if n >= 1 else 1
-
-
-def parallel_map(fn, items):
-    """Map preserving order, parallel only when TQPS_THREADS asks for it.
-
-    Work items must be independent; results are collected in input order so
-    output never depends on scheduling.
-    """
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))

@@ -179,10 +179,23 @@ def test_bad_arguments_exit_two(capsys):
     capsys.readouterr()
 
 
-def test_threaded_kernel_images_match_serial(capsys, monkeypatch):
-    argv = ["verify", "kernel-images", "--n", "2", "--samples", "3", "--format", "json"]
-    monkeypatch.setenv("TQPS_THREADS", "1")
-    serial = run(capsys, argv)
-    monkeypatch.setenv("TQPS_THREADS", "4")
-    threaded = run(capsys, argv)
-    assert serial == threaded
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "psi", "--n", "2", "--samples", "-1"],
+        ["verify", "freeness", "--n", "2", "--samples", "-3"],
+        ["classical", "transitions", "--n", "2", "--trials", "-3"],
+        ["verify", "cocycle", "--n", "2", "--samples", "0"],
+        ["verify", "kernel-images", "--n", "2", "--samples", "0"],
+        ["classical", "transitions", "--n", "2", "--trials", "0"],
+        ["birkhoff", "roundtrip", "--poset-size", "4", "--trials", "0"],
+        ["verify", "freeness", "--n", "2", "--generator-map", "7=0"],
+        ["verify", "freeness", "--n", "2", "--generator-map", "1=3"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_counts_that_check_nothing_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

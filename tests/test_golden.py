@@ -1,0 +1,50 @@
+"""Golden outputs: the canonical JSON of every CLI suite, pinned by sha256.
+
+Each case runs one suite at a small size with its default seed.  A refactor
+that changes no behaviour leaves every hash in place; a change that alters a
+report on purpose updates the hash here and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from tqps.cli import main
+
+GOLDEN = [
+    (["fdl", "enumerate", "--generators", "4"], 0,
+     "10958729f40d195bba262f3b0b3fbffbc91e3cd0e446093223e3a2a49299cfac"),
+    (["birkhoff", "roundtrip", "--poset-size", "7"], 0,
+     "bf52a2eb5eb33b3a341b47a6739e989560525ea7fa443e2d4a47750668b0f53d"),
+    (["verify", "psi", "--n", "3"], 0,
+     "9023e76db8caebbdf76064b70308741b0927d590c025fad82481372114a28579"),
+    (["verify", "cocycle", "--n", "3"], 0,
+     "e976827ca55ef24435af1874108a0c1b049a73a941fe2478a0db214bf465b9dd"),
+    (["verify", "kernel-images", "--n", "3"], 0,
+     "58711694f6a028c2de4ed0d4765308e1bce67afc80d42b3282999532510d9acf"),
+    (["verify", "freeness", "--n", "2"], 0,
+     "db6060e3f3368eb8a8ae68d680ed2bacdc026d68b615e09ed1725d50f4f9801a"),
+    (["verify", "freeness", "--n", "3", "--samples", "5"], 0,
+     "923ad8da8bcaffbe890ac18572ae68332640ec59cb3c2524502038d5e8865643"),
+    (["verify", "freeness", "--n", "2", "--generator-map", "1=0"], 1,
+     "e54aa1b6ea6c14ea3c8235817e0b5fea7d51617e7fa5b238f39ab1a76fa949be"),
+    (["classical", "lattice", "--n", "3"], 0,
+     "b3c2db18008cd96ce3ebfa81bb1b4c1a4bcd5a54ddb1cfed911457eb9d456db6"),
+    (["classical", "transitions", "--n", "3"], 0,
+     "456d013db75887a1246d68a3e34ce61a5c765cdf6fb366c14a0ade8668aa51fd"),
+    (["export", "hasse", "--target", "fdl", "--generators", "3"], 0,
+     "d31a40ac21fcbe4e65c09424e1431ca5b972510b3c86bb01a1a43d2aa642e87c"),
+    (["export", "hasse", "--target", "classical", "--n", "2"], 0,
+     "f19b33c9000535fe8588862a75e84982ee9c1ee4278b26e6045f58ffdda28d0a"),
+    (["export", "hasse", "--target", "kernels", "--n", "2"], 0,
+     "eab2f47cd979d82e8e87730160271b4a6d058b3bd5cb3bcd75f5ebd4f5e88371"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", GOLDEN, ids=[" ".join(argv) for argv, _, _ in GOLDEN]
+)
+def test_canonical_json_is_unchanged(capsys, argv, code, digest):
+    assert main(argv + ["--format", "json"]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -12,7 +12,6 @@ from tqps.tensor_gluing import (
     cocycle_check,
     diagonal_coaction,
     embed_toeplitz,
-    flip,
     kernel_image_check,
     lift_circle,
     phi,
@@ -95,7 +94,7 @@ def test_coaction_rejects_circle_input():
         diagonal_coaction(TensorElement.one(2, circle_slot=1))
 
 
-def test_flip_and_chi_roundtrips():
+def test_chi_roundtrips():
     rng = rng_for("chi")
     for _ in range(30):
         n = int(rng.randint(2, 4))
@@ -103,9 +102,36 @@ def test_flip_and_chi_roundtrips():
         assert chi(x, n) == x
         for j in range(1, n + 1):
             assert chi_inv(chi(x, j), j) == x
-        front = flip(x, inverse=True)
-        assert front.circle_slot == 1
-        assert flip(front) == x
+        # at slot 1, chi moves the circle from the back to the front
+        front = chi(x, 1)
+        assert front == TensorElement(n, 1, {a[-1:] + a[:-1]: c for a, c in x.terms.items()})
+        assert chi_inv(front, 1) == x
+
+
+def test_relocation_maps_build_canonical_tensors():
+    # every relocation map builds its result without __init__; rebuilding it
+    # through the validating constructor must change nothing
+    rng = rng_for("relocation")
+
+    def canonical(y):
+        assert y == TensorElement(y.n_slots, y.circle_slot, y.terms)
+        return y
+
+    for _ in range(40):
+        n = int(rng.randint(1, 4))
+        x = random_tensor_element(rng, n, max_terms=4)
+        canonical(diagonal_coaction(x))
+        canonical(project_slots(x, {int(rng.randint(1, n))}))
+        k = int(rng.randint(1, n))
+        w = canonical(slot_symbol(x, k))
+        canonical(lift_circle(w))
+        t = random_tensor_element(rng, n, circle_slot=n, max_terms=4)
+        canonical(psi(t))
+        j = int(rng.randint(1, n))
+        canonical(chi_inv(canonical(chi(t, j)), j))
+        i = int(rng.randint(0, n - 1))
+        c = random_tensor_element(rng, n, circle_slot=i + 1, max_terms=4)
+        canonical(psi_ij_inv(canonical(psi_ij(c, i, n)), i, n))
 
 
 def test_psi_matches_stepwise_oracle():
