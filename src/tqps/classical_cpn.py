@@ -3,14 +3,17 @@
 Points are homogeneous coordinate tuples.  The basic covering sets are
 V_a = {x : |x_i| is maximal for every i in a}, one per nonempty index set
 a; the chartwise sets V_{i} generate the lattice under union and
-intersection.  A covering set is stored canonically as the family of all
-index sets a whose test point (coordinate 1 on a, 1/2 off a) it contains,
-which is the upper closure of any defining family; the canonical family
-is computed numerically through those membership tests.
+intersection.  A covering set is the family of all index sets a whose
+test point (coordinate 1 on a, 1/2 off a) it contains: an up-set of the
+index sets on n + 1 points, stored as one int in the encoding that
+order_lattice.UpSet shares with free-lattice elements.  Union is `|`,
+intersection is `&`, and a point lies in the set when the index set where
+its coordinates peak is a member.
 
 lattice_R reads an antichain form as a join of meets of chartwise sets
-and produces the covering set; lattice_L returns the minimal members,
-recovering the form exactly.
+and produces the covering set by floating-point membership tests of the
+test points, the commutative cross-check; lattice_L returns the minimal
+members, recovering the form exactly.
 
 Chart overlaps carry closed-disc coordinates with one unit-modulus slot;
 slot s of the chart at index i tracks the homogeneous index shared with
@@ -23,8 +26,9 @@ agreement at 1e-10.
 
 import cmath
 import itertools
+import operator
 
-from .order_lattice import AntichainForm, check_freeness_criterion
+from .order_lattice import AntichainForm, UpSet, check_freeness_criterion, fdl_enumerate
 from .tensor_gluing import slot_for
 from .util import DEFAULT_SEED, derived_rng
 
@@ -44,35 +48,30 @@ def max_index_set(x, tol=MEMBERSHIP_TOL):
     return frozenset(i for i, v in enumerate(mags) if v >= m - tol)
 
 
-def _point_in_family(x, family, tol=MEMBERSHIP_TOL):
-    big = max_index_set(x, tol)
-    return any(a <= big for a in family)
+def _peak_mask(x, tol=MEMBERSHIP_TOL):
+    return sum(1 << i for i in max_index_set(x, tol))
 
 
-class CoveringSet:
-    """Finite union of basic covering sets, canonicalized by test points."""
+class CoveringSet(UpSet):
+    """Finite union of basic covering sets, as the up-set of its members."""
 
-    __slots__ = ("n", "members")
+    __slots__ = ()
 
     def __init__(self, n, members):
-        members = frozenset(frozenset(a) for a in members)
-        for a in members:
-            if not a or not all(0 <= i <= n for i in a):
-                raise ValueError("bad index set %r" % (a,))
-        self.n = n
-        self.members = members
+        masks = self._masks(n + 1, members)
+        super().__init__(n + 1, masks)
+        if self.up.bit_count() != len(masks):
+            raise ValueError("members are not closed upward")
 
     @classmethod
     def from_family(cls, n, family):
-        family = [frozenset(a) for a in family]
-        for a in family:
-            if not a or not all(0 <= i <= n for i in a):
-                raise ValueError("bad index set %r" % (a,))
+        family = cls._masks(n + 1, family)
         members = []
         for r in range(1, n + 2):
             for a in itertools.combinations(range(n + 1), r):
-                if _point_in_family(probe_point(a, n), family):
-                    members.append(frozenset(a))
+                peak = _peak_mask(probe_point(a, n))
+                if any(not t & ~peak for t in family):
+                    members.append(a)
         return cls(n, members)
 
     @classmethod
@@ -83,40 +82,28 @@ class CoveringSet:
     def empty(cls, n):
         return cls(n, [])
 
+    @property
+    def n(self):
+        return self.k - 1
+
+    @property
+    def members(self):
+        return frozenset(frozenset(s) for s in self._index_sets(self.up))
+
     def contains_point(self, x, tol=MEMBERSHIP_TOL):
-        if len(x) != self.n + 1:
+        if len(x) != self.k:
             raise ValueError("point has wrong length")
-        return _point_in_family(x, self.members, tol)
-
-    def union(self, other):
-        self._check(other)
-        return CoveringSet(self.n, self.members | other.members)
-
-    def intersect(self, other):
-        self._check(other)
-        return CoveringSet(self.n, self.members & other.members)
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("mixed projective dimensions")
-
-    def __eq__(self, other):
-        if not isinstance(other, CoveringSet):
-            return NotImplemented
-        return self.n == other.n and self.members == other.members
-
-    def __hash__(self):
-        return hash((self.n, self.members))
+        return bool(self.up >> _peak_mask(x, tol) & 1)
 
     def __repr__(self):
         return "CoveringSet(n=%d, %s)" % (self.n, self.render())
 
     def render(self):
-        parts = sorted((tuple(sorted(a)) for a in self.members), key=lambda a: (len(a), a))
+        parts = sorted(self._index_sets(self.up), key=lambda a: (len(a), a))
         return "{" + ", ".join("V" + "".join(str(i) for i in a) for a in parts) + "}"
 
     def to_json(self):
-        return sorted(sorted(a) for a in self.members)
+        return [list(a) for a in self._index_sets(self.up)]
 
 
 def lattice_R(form):
@@ -126,8 +113,7 @@ def lattice_R(form):
 
 def lattice_L(cov):
     """Antichain form of a covering set: its minimal members."""
-    minimal = [a for a in cov.members if not any(b < a for b in cov.members)]
-    return AntichainForm(cov.n + 1, minimal)
+    return AntichainForm(cov.k, cov.minimal_sets())
 
 
 class ChartPoint:
@@ -254,6 +240,8 @@ def transition_agreement(n, trials=1000, seed=DEFAULT_SEED):
     report records the worst coordinate deviation, the inverse roundtrip
     error, and any trial beyond tolerance.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     failures = []
     worst = 0.0
     for i in range(n + 1):
@@ -290,16 +278,9 @@ def covering_generators(n):
 def classical_freeness(n):
     """Freeness of the chartwise covering sets under union and intersection."""
     gens = covering_generators(n)
-    return check_freeness_criterion(
-        gens,
-        lambda a, b: a.union(b),
-        lambda a, b: a.intersect(b),
-        lambda a, b: a == b,
-    )
+    return check_freeness_criterion(gens, operator.or_, operator.and_, operator.eq)
 
 
 def covering_lattice(n):
     """All covering sets generated by the charts, as canonical families."""
-    from .order_lattice import fdl_enumerate
-
     return [lattice_R(form) for form in fdl_enumerate(n + 1)]

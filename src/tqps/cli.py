@@ -1,13 +1,16 @@
 """Command line front end for the verification suites and lattice exports.
 
 Exit codes: 0 when every check passes, 1 when a verification fails (the
-counterexample is serialized in the report), 2 for usage errors.  JSON
-output is canonical: sorted keys, fixed separators, byte-identical for
+counterexample is serialized in the report), 2 for usage errors, and 3
+when a suite crashes (the traceback goes to stderr, nothing to stdout).
+JSON output is canonical: sorted keys, fixed separators, byte-identical for
 identical inputs.
 """
 
 import argparse
+import operator
 import sys
+import traceback
 
 from . import classical_cpn, multipullback, order_lattice, sampling, tensor_gluing
 from .util import DEFAULT_SEED, canonical_json, derived_rng
@@ -253,9 +256,7 @@ def _cmd_verify_freeness(args):
 
 def _cmd_classical_lattice(args):
     covers = classical_cpn.covering_lattice(args.n)
-    lat = order_lattice.FiniteDistributiveLattice.from_elements(
-        covers, lambda a, b: a.union(b), lambda a, b: a.intersect(b)
-    )
+    lat = order_lattice.FiniteDistributiveLattice.from_elements(covers, operator.or_, operator.and_)
     lat.validate()
     mirr = order_lattice.meet_irreducibles(lat)
     expected_size = order_lattice.antichain_count(args.n + 1) - 2
@@ -280,51 +281,33 @@ def _cmd_classical_transitions(args):
 
 
 def _cmd_export_hasse(args):
-    if args.target == "fdl":
-        forms = order_lattice.fdl_enumerate(args.generators)
-        lat = order_lattice.FiniteDistributiveLattice.from_elements(
-            forms, order_lattice.fdl_join, order_lattice.fdl_meet
-        )
-        name = "fdl%d" % args.generators
-    elif args.target == "classical":
-        covers = classical_cpn.covering_lattice(args.n)
-        lat = order_lattice.FiniteDistributiveLattice.from_elements(
-            covers, lambda a, b: a.union(b), lambda a, b: a.intersect(b)
-        )
-        name = "classical%d" % args.n
+    if args.target == "classical":
+        elements, name = classical_cpn.covering_lattice(args.n), "classical%d" % args.n
+    elif args.target == "fdl":
+        elements, name = order_lattice.fdl_enumerate(args.generators), "fdl%d" % args.generators
     else:
-        forms = order_lattice.fdl_enumerate(args.n + 1)
-        lat = order_lattice.FiniteDistributiveLattice.from_elements(
-            forms, order_lattice.fdl_join, order_lattice.fdl_meet
-        )
-        name = "kernels%d" % args.n
+        elements, name = order_lattice.fdl_enumerate(args.n + 1), "kernels%d" % args.n
+    lat = order_lattice.FiniteDistributiveLattice.from_elements(
+        elements, operator.or_, operator.and_
+    )
     if args.format == "dot":
+        label = None
         if args.target == "kernels":
             label = lambda i: _kernel_label(lat.elements[i])
-        else:
-            label = None
         print(lat.to_dot(name=name, label_fn=label))
         return 0, None
-    poset = lat.order_poset()
     payload = {
         "schema": 1,
         "target": args.target,
         "size": lat.n,
-        "covers": sorted(poset.covers()),
-        "elements": [
-            e.to_json() if hasattr(e, "to_json") else str(e) for e in lat.elements
-        ],
+        "covers": sorted(lat.order_poset().covers()),
+        "elements": [e.to_json() for e in lat.elements],
     }
-    if args.format == "json":
-        print(canonical_json(payload))
-    else:
-        for line in _text_lines(payload):
-            print(line)
-    return 0, None
+    return 0, payload
 
 
 def _kernel_label(form):
-    parts = sorted(tuple(sorted(s)) for s in form.antichain)
+    parts = form.minimal_sets()
     return " + ".join("(" + "&".join("ker%d" % i for i in s) + ")" for s in parts)
 
 
@@ -358,11 +341,13 @@ def main(argv=None):
     for k, v in (getattr(args, "generator_map", None) or {}).items():
         if not (0 <= k <= args.n and 0 <= v <= args.n):
             parser.error("generator map entry %d=%d is outside 0..%d" % (k, v, args.n))
-    if (args.command, subcommand) == ("export", "hasse"):
-        code, _ = handler(args)
-        return code
-    code, payload = handler(args)
-    _emit(payload, args.format)
+    try:
+        code, payload = handler(args)
+    except Exception:
+        traceback.print_exc()
+        return 3
+    if payload is not None:
+        _emit(payload, args.format)
     return code
 
 

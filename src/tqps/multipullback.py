@@ -27,6 +27,7 @@ NOT_FREE with the violating pair.
 import itertools
 
 from .order_lattice import (
+    MAX_TABLE_ELEMENTS,
     AntichainForm,
     FiniteDistributiveLattice,
     Poset,
@@ -378,12 +379,15 @@ def verify_freeness(n, seed=0, samples=200, generator_map=None):
     freeness criterion, and stage four confirms that the resulting lattice
     matches the free one via the upper-set transform.
 
+    n is at most 3, since stage four needs explicit join and meet tables.
     generator_map reassigns generator i to chart generator_map[i]; a
     non-injective assignment is the intended control and comes back
     NOT_FREE with an order witness.
     """
     if n < 1:
         raise ValueError("need at least two charts")
+    if n > 3:  # stage four would tabulate the 7579 elements of the free lattice at n = 4
+        raise ValueError("n = %d is past the %d-element table cap" % (n, MAX_TABLE_ELEMENTS))
     gen_count = n + 1
     gmap = list(range(gen_count))
     if generator_map:
@@ -430,19 +434,18 @@ def verify_freeness(n, seed=0, samples=200, generator_map=None):
         contain_cache[key] = result
         return result
 
-    def is_pure(form):
-        return all(len(s) == 1 for s in form.antichain)
-
     def pure_indices(form):
-        return frozenset(next(iter(s)) for s in form.antichain)
+        """Generator indices of a pure join, None for any other form."""
+        sets = form.minimal_sets()
+        if all(len(s) == 1 for s in sets):
+            return frozenset(s[0] for s in sets)
+        return None
 
     def eq(a, b):
         if a == b:
             return True
-        if is_pure(a) and is_pure(b):
-            I, J = pure_indices(a), pure_indices(b)
-            return contains(I, J) and contains(J, I)
-        return False
+        I, J = pure_indices(a), pure_indices(b)
+        return I is not None and J is not None and contains(I, J) and contains(J, I)
 
     def prover(I):
         D = frozenset(gmap[i] for i in I)
@@ -509,11 +512,7 @@ def verify_freeness(n, seed=0, samples=200, generator_map=None):
         result = birkhoff_transform(lat)
         subsets = Poset.subsets(gen_count, nonempty=True, proper=True)
         iso = result.poset.isomorphic(subsets)
-        pure_sets = set()
-        for c in mirr:
-            form = forms[c]
-            if all(len(s) == 1 for s in form.antichain):
-                pure_sets.add(frozenset(next(iter(s)) for s in form.antichain))
+        pure_sets = {pure_indices(forms[c]) for c in mirr} - {None}
         expected = {
             frozenset(c)
             for r in range(1, gen_count)

@@ -7,17 +7,21 @@ and lattice join lands on intersection while lattice meet lands on union.
 The upper-set lattice constructor adopts the same pairing (join is
 intersection) so the two directions invert each other on the nose.
 
-The free distributive lattice on generators g_0..g_{n-1} is modelled by
-antichains of nonempty index sets, read as joins of meets.  Joins keep the
-minimal sets of the union; meets keep the minimal pairwise unions.  A
-finitely generated distributive lattice is free on its generators exactly
-when every join over a nonempty proper generator subset is meet
-irreducible and the order between such joins is index-set inclusion;
-check_freeness_criterion runs that test through caller-supplied join,
-meet and equality callbacks so it applies to ideal lattices and covering
-lattices alike.
+By Birkhoff's theorem an element of the free distributive lattice on
+generators g_0..g_{n-1} is an up-set of the Boolean lattice of index sets:
+the join over its minimal index sets of the meets over each set.  UpSet
+stores such an up-set on k points as one 2^k-bit int, bit t standing for
+the index set with mask t, so join is `|`, meet is `&` and the order is a
+subset test.  AntichainForm (k = n) is that element; the covering sets of
+classical_cpn (k = n + 1) share the encoding.  A finitely generated
+distributive lattice is free on its generators exactly when every join
+over a nonempty proper generator subset is meet irreducible and the order
+between such joins is index-set inclusion; check_freeness_criterion runs
+that test through caller-supplied join, meet and equality callbacks so it
+applies to ideal lattices and covering lattices alike.
 """
 
+import functools
 import itertools
 
 # Antichain counts over all subsets of an n-point set, n = 0..8.  Used only
@@ -25,22 +29,19 @@ import itertools
 # ones independently in antichain_count.
 _DEDEKIND = [2, 3, 6, 20, 168, 7581, 7828354, 2414682040998, 56130437228687557907788]
 
+# Largest element list FiniteDistributiveLattice.from_elements tabulates.
+MAX_TABLE_ELEMENTS = 1200
+
 
 class LatticeError(ValueError):
     """A lattice axiom or the distributive law failed to hold."""
 
 
-def _popcount(x):
-    return bin(x).count("1")
-
-
 def _bits(mask):
-    i = 0
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Poset:
@@ -144,14 +145,14 @@ class Poset:
 
     def linear_extension(self):
         """Element indices, minimal elements first."""
-        return sorted(range(self.n), key=lambda i: (-_popcount(self.up[i]), i))
+        return sorted(range(self.n), key=lambda i: (-self.up[i].bit_count(), i))
 
     def _profiles(self):
         down = [0] * self.n
         for i in range(self.n):
             for j in _bits(self.up[i]):
                 down[j] |= 1 << i
-        base = [(_popcount(self.up[i]), _popcount(down[i])) for i in range(self.n)]
+        base = [(self.up[i].bit_count(), down[i].bit_count()) for i in range(self.n)]
         refined = []
         for i in range(self.n):
             ups = tuple(sorted(base[j] for j in _bits(self.up[i] & ~(1 << i))))
@@ -249,7 +250,7 @@ def upper_set_masks(poset, limit=1 << 14):
             rec(pos + 1, mask | (1 << i))
 
     rec(0, 0)
-    out.sort(key=lambda m: (_popcount(m), m))
+    out.sort(key=lambda m: (m.bit_count(), m))
     return out
 
 
@@ -291,7 +292,7 @@ class FiniteDistributiveLattice:
     def from_elements(cls, elements, join_fn, meet_fn):
         """Tables from callables; elements must be hashable and closed."""
         elements = list(elements)
-        if len(elements) > 1200:
+        if len(elements) > MAX_TABLE_ELEMENTS:
             raise ValueError("too many elements for explicit tables")
         pos = {}
         for i, e in enumerate(elements):
@@ -447,32 +448,105 @@ def birkhoff_transform(lat):
     return BirkhoffResult(poset, mirr, mapping)
 
 
-class AntichainForm:
-    """Join of meets over indexed generators, in minimal antichain form.
+@functools.lru_cache(maxsize=None)
+def _lacking(k):
+    """(2^i, bits of the masks lacking point i) for each point i < k: 2^i ones
+    then 2^i zeros, repeated, which is (2^(2^k) - 1) / (2^(2^i) + 1)."""
+    full = (1 << (1 << k)) - 1
+    return tuple((1 << i, full // ((1 << (1 << i)) + 1)) for i in range(k))
+
+
+class UpSet:
+    """Up-set of the Boolean lattice of index sets on k points, as one int.
+
+    Bit t of `up` stands for the index set with mask t.  Join is union
+    (`|`), meet is intersection (`&`) and the order is inclusion (`<=`);
+    equality and hashing read (type, k, up) only.  Subclasses validate a
+    family in their constructors and read it back through minimal_sets().
+    """
+
+    __slots__ = ("k", "up")
+
+    def __init__(self, k, masks):
+        """Up-closure of a set of distinct masks on k points."""
+        up = sum(1 << t for t in masks)
+        for step, lacking in _lacking(k):
+            up |= (up & lacking) << step
+        self.k, self.up = k, up
+
+    @staticmethod
+    def _masks(k, family):
+        """Distinct masks of the index sets in family, each nonempty on k points."""
+        masks = set()
+        for s in family:
+            s = frozenset(s)
+            if not s or not all(0 <= i < k for i in s):
+                raise LatticeError("bad index set %r" % (s,))
+            masks.add(sum(1 << i for i in s))
+        return masks
+
+    @classmethod
+    def _from_up(cls, k, up):
+        out = object.__new__(cls)
+        out.k, out.up = k, up
+        return out
+
+    @staticmethod
+    def _index_sets(bits):
+        """Sorted index tuples of the masks set in bits."""
+        return sorted(tuple(_bits(t)) for t in _bits(bits))
+
+    def minimal_sets(self):
+        """Sorted index tuples of the members with no member one point smaller."""
+        covered = 0
+        for step, lacking in _lacking(self.k):
+            covered |= (self.up & lacking) << step
+        return self._index_sets(self.up & ~covered)
+
+    def _check(self, other):
+        if type(other) is not type(self) or self.k != other.k:
+            raise ValueError("cannot combine %r with %r" % (self, other))
+
+    def __or__(self, other):
+        self._check(other)
+        return self._from_up(self.k, self.up | other.up)
+
+    def __and__(self, other):
+        self._check(other)
+        return self._from_up(self.k, self.up & other.up)
+
+    def __le__(self, other):
+        self._check(other)
+        return not self.up & ~other.up
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.k == other.k and self.up == other.up
+
+    def __hash__(self):
+        return hash((self.k, self.up))
+
+
+class AntichainForm(UpSet):
+    """Join of meets over indexed generators, stored as its up-set.
 
     The antichain is a set of nonempty, pairwise incomparable index sets;
     the element it denotes is the join over the family of the meets over
-    each set.  Two forms are equal exactly when they denote the same
+    each set, and the up-set on n_generators points is everything above
+    the family.  Two forms are equal exactly when they denote the same
     element of the free distributive lattice.
     """
 
-    __slots__ = ("n_generators", "antichain")
+    __slots__ = ()
 
     def __init__(self, n_generators, family):
-        family = frozenset(frozenset(s) for s in family)
-        if not family:
+        masks = self._masks(n_generators, family)
+        if not masks:
             raise LatticeError("empty families are not elements here")
-        for s in family:
-            if not s:
-                raise LatticeError("index sets must be nonempty")
-            if not all(0 <= i < n_generators for i in s):
-                raise LatticeError("index out of range in %r" % (s,))
-        for s in family:
-            for t in family:
-                if s != t and s <= t:
-                    raise LatticeError("family is not an antichain: %r <= %r" % (s, t))
-        self.n_generators = n_generators
-        self.antichain = family
+        super().__init__(n_generators, masks)
+        if len(self.minimal_sets()) != len(masks):
+            raise LatticeError("family is not an antichain")
 
     @classmethod
     def generator(cls, i, n_generators):
@@ -482,88 +556,65 @@ class AntichainForm:
     def pure_join(cls, indices, n_generators):
         return cls(n_generators, [frozenset([i]) for i in indices])
 
-    def __eq__(self, other):
-        if not isinstance(other, AntichainForm):
-            return NotImplemented
-        return self.n_generators == other.n_generators and self.antichain == other.antichain
+    @property
+    def n_generators(self):
+        return self.k
 
-    def __hash__(self):
-        return hash((self.n_generators, self.antichain))
+    @property
+    def antichain(self):
+        return frozenset(frozenset(s) for s in self.minimal_sets())
 
     def render(self):
-        parts = sorted(tuple(sorted(s)) for s in self.antichain)
+        parts = self.minimal_sets()
         return " v ".join("^".join("g%d" % i for i in s) for s in parts)
 
     def __repr__(self):
-        return "AntichainForm(%d, %s)" % (self.n_generators, self.render())
+        return "AntichainForm(%d, %s)" % (self.k, self.render())
 
     def to_json(self):
-        return sorted(sorted(s) for s in self.antichain)
-
-
-def _minimal(family):
-    return frozenset(s for s in family if not any(t < s for t in family))
+        return [list(s) for s in self.minimal_sets()]
 
 
 def fdl_join(x, y):
-    if x.n_generators != y.n_generators:
-        raise ValueError("mixed generator counts")
-    return AntichainForm(x.n_generators, _minimal(x.antichain | y.antichain))
+    return x | y
 
 
 def fdl_meet(x, y):
-    if x.n_generators != y.n_generators:
-        raise ValueError("mixed generator counts")
-    family = {a | b for a in x.antichain for b in y.antichain}
-    return AntichainForm(x.n_generators, _minimal(family))
+    return x & y
 
 
 def fdl_leq(x, y):
-    return fdl_join(x, y) == y
+    return x <= y
 
 
-def _antichain_nodes(masks):
-    """Yield every antichain (as a list of masks) of the given subset masks."""
-    n = len(masks)
-    incomparable = []
-    for i in range(n):
-        row = []
-        for j in range(i + 1, n):
-            a, b = masks[i], masks[j]
-            if a & b != a and a & b != b:
-                row.append(j)
-        incomparable.append(row)
-
-    def rec(chosen, candidates):
-        yield chosen
-        for pos, i in enumerate(candidates):
-            allowed = set(incomparable[i])
-            new_candidates = [j for j in candidates[pos + 1 :] if j in allowed]
-            yield from rec(chosen + [i], new_candidates)
-
-    yield from rec([], list(range(n)))
+def _boolean_poset(n):
+    """All subsets of an n-point set by inclusion; a subset's index is its mask."""
+    pairs = [(t, t | 1 << i) for t in range(1 << n) for i in range(n)]
+    return Poset(range(1 << n), pairs, close=True)
 
 
 def antichain_count(n):
-    """Number of antichains of subsets of an n-point set, empty ones included."""
-    masks = list(range(1 << n))
-    return sum(1 for _ in _antichain_nodes(masks))
+    """Number of antichains of subsets of an n-point set, empty ones included.
+
+    Antichains correspond to their up-sets, which are counted here.
+    """
+    return len(upper_set_masks(_boolean_poset(n)))
 
 
 def fdl_enumerate(n):
     """All elements of the free distributive lattice on n generators.
 
-    Antichains of nonempty subsets, excluding the empty family; the list is
-    sorted canonically and has antichain_count(n) - 2 entries.
+    The up-sets of the subset lattice other than the empty one and the one
+    holding the empty set; the list is sorted canonically by antichain and
+    has antichain_count(n) - 2 entries.
     """
-    masks = sorted(range(1, 1 << n), key=lambda m: (_popcount(m), m))
-    out = []
-    for node in _antichain_nodes(masks):
-        if not node:
-            continue
-        out.append(AntichainForm(n, [frozenset(_bits(masks[i])) for i in node]))
-    out.sort(key=lambda f: sorted(tuple(sorted(s)) for s in f.antichain))
-    return out
+    forms = [
+        AntichainForm._from_up(n, up)
+        for up in upper_set_masks(_boolean_poset(n))
+        if up and not up & 1
+    ]
+    forms.sort(key=AntichainForm.minimal_sets)
+    return forms
 
 
 class FreenessReport:
@@ -592,10 +643,6 @@ class FreenessReport:
         return "FreenessReport(%s)" % self.verdict
 
 
-def _subset_key(indices):
-    return tuple(sorted(indices))
-
-
 def check_freeness_criterion(generators, join, meet, eq, irreducibility=None, max_size=None):
     """Decide whether the generators generate freely, via callbacks.
 
@@ -605,8 +652,9 @@ def check_freeness_criterion(generators, join, meet, eq, irreducibility=None, ma
     `irreducibility` callback the caller supplies that evidence (signature
     irreducibility(index_set) -> (ok, info)), otherwise the sublattice is
     closed off explicitly and irreducibility is read from its meet table.
-    A distributivity spot check guards the closure; a broken law yields
-    INCONSISTENT rather than a freeness verdict.
+    The closure keys a dict by element, so it needs hashable elements for
+    which `eq` is `==`.  A distributivity spot check guards the closure; a
+    broken law yields INCONSISTENT rather than a freeness verdict.
     """
     gens = list(generators)
     n = len(gens)
@@ -677,37 +725,15 @@ def check_freeness_criterion(generators, join, meet, eq, irreducibility=None, ma
         cap = (_DEDEKIND[n] if n < len(_DEDEKIND) else antichain_count(n)) - 2
 
     elements = []
-    buckets = {}
-
-    # Hashable elements are pre-bucketed by hash, with eq deciding inside a
-    # bucket.  Callers whose eq is coarser than hashing must provide the
-    # irreducibility callback instead of relying on this closure.
-    def locate(e):
-        try:
-            h = hash(e)
-        except TypeError:
-            for k, known in enumerate(elements):
-                if eq(known, e):
-                    return k
-            return None
-        for k in buckets.get(h, ()):
-            if eq(elements[k], e):
-                return k
-        return None
+    pos = {}
 
     def add(e):
-        k = locate(e)
+        k = pos.get(e)
         if k is None:
+            k = pos[e] = len(elements)
             elements.append(e)
-            try:
-                buckets.setdefault(hash(e), []).append(len(elements) - 1)
-            except TypeError:
-                pass
             if len(elements) > cap:
-                raise LatticeError(
-                    "sublattice closure exceeds the free size %d" % cap
-                )
-            return len(elements) - 1
+                raise LatticeError("sublattice closure exceeds the free size %d" % cap)
         return k
 
     try:
@@ -728,12 +754,12 @@ def check_freeness_criterion(generators, join, meet, eq, irreducibility=None, ma
         )
 
     size = len(elements)
-    pure_pos = {I: locate(pure[I]) for I in index_sets}
+    pure_pos = {I: pos[pure[I]] for I in index_sets}
 
     reducible = set()
     for a in range(size):
         for b in range(a + 1, size):
-            m = locate(meet(elements[a], elements[b]))
+            m = pos.get(meet(elements[a], elements[b]))
             if m is not None and m != a and m != b:
                 reducible.add(m)
 

@@ -522,6 +522,8 @@ def psi_involution_check(n, samples=1000, seed=DEFAULT_SEED, max_degree=3, max_i
     Works on tensors with n - 1 Toeplitz slots and a trailing circle slot,
     matching the gluing domain for the n-chart construction.
     """
+    if samples < 0:
+        raise ValueError("samples must be at least 0")
     failures = []
     checked = 0
 
@@ -582,6 +584,8 @@ def kernel_image_check(n, i, j, k, samples=50, seed=DEFAULT_SEED):
     """
     if len({i, j, k}) != 3 or any(not 0 <= t <= n for t in (i, j, k)):
         raise ValueError("need three distinct chart indices within range")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     a, b = min(i, j), max(i, j)
     predicted_slot = slot_for(a, k)
     failures = []
@@ -628,6 +632,8 @@ def cocycle_check(n, samples=100, seed=DEFAULT_SEED, extra_triples=2):
     kernel term, which certifies that class output does not depend on the
     choice of representative.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     triples = []
     idx = list(range(n + 1))
     for i in idx:

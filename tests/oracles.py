@@ -3,8 +3,9 @@
 Each oracle recomputes a quantity through a different representation than
 the library uses: operator products through truncated matrices, coactions
 and gluings through stepwise single-slot arithmetic, order-theoretic
-counts through exhaustive filters.  Keeping these routes separate from the
-library is the point; do not fold them into src.
+counts through exhaustive filters, free-lattice join and meet through
+frozensets of index sets instead of up-set bitmasks.  Keeping these routes
+separate from the library is the point; do not fold them into src.
 """
 
 from tqps.circle_hopf import CirclePoly, ZERO
@@ -163,3 +164,23 @@ def naive_antichain_count(n):
         if ok:
             count += 1
     return count
+
+
+def minimal_sets(family):
+    """The sets of family that contain no other set of family."""
+    return frozenset(s for s in family if not any(t < s for t in family))
+
+
+def antichain_join(x, y):
+    """Join of two antichains of index sets: the minimal sets of the union."""
+    return minimal_sets(x | y)
+
+
+def antichain_meet(x, y):
+    """Meet of two antichains of index sets: the minimal pairwise unions."""
+    return minimal_sets({a | b for a in x for b in y})
+
+
+def antichain_leq(x, y):
+    """x below y: every set of x contains some set of y."""
+    return all(any(b <= a for b in y) for a in x)

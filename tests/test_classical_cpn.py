@@ -62,15 +62,22 @@ def test_covering_set_validation():
     with pytest.raises(ValueError):
         CoveringSet.from_family(2, [{5}])
     with pytest.raises(ValueError):
-        CoveringSet.basic(2, 0).union(CoveringSet.basic(3, 0))
+        CoveringSet.basic(2, 0) | CoveringSet.basic(3, 0)
+
+
+def test_covering_set_rejects_members_not_closed_upward():
+    with pytest.raises(ValueError, match="closed upward"):
+        CoveringSet(2, [{0}])
+    members = [{0}, {0, 1}, {0, 2}, {0, 1, 2}]
+    assert CoveringSet(2, members) == CoveringSet.basic(2, 0)
 
 
 def test_covering_set_operations_match_point_membership():
     rng = rng_for("points")
     n = 2
     sets = [CoveringSet.basic(n, i) for i in range(n + 1)]
-    a = sets[0].union(sets[1])
-    b = sets[1].intersect(sets[2])
+    a = sets[0] | sets[1]
+    b = sets[1] & sets[2]
     for _ in range(200):
         x = tuple(
             rng.uniform(0.1, 1.0) * cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))
@@ -111,8 +118,8 @@ def test_lattice_maps_intertwine_the_operations():
     for _ in range(100):
         f = forms[rng.randrange(len(forms))]
         g = forms[rng.randrange(len(forms))]
-        assert lattice_R(fdl_join(f, g)) == lattice_R(f).union(lattice_R(g))
-        assert lattice_R(fdl_meet(f, g)) == lattice_R(f).intersect(lattice_R(g))
+        assert lattice_R(fdl_join(f, g)) == lattice_R(f) | lattice_R(g)
+        assert lattice_R(fdl_meet(f, g)) == lattice_R(f) & lattice_R(g)
 
 
 def test_covering_lattice_sizes():

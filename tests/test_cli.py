@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tqps import cli
 from tqps.cli import main
 
 
@@ -199,3 +200,16 @@ def test_counts_that_check_nothing_are_usage_errors(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_a_crashing_suite_is_not_a_refuted_claim(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("suite crashed")
+
+    monkeypatch.setitem(cli._HANDLERS, ("verify", "cocycle"), crash)
+    code = main(["verify", "cocycle", "--n", "2", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    assert "RuntimeError: suite crashed" in captured.err

@@ -2,6 +2,7 @@
 
 import pytest
 
+from tqps import multipullback
 from tqps.multipullback import (
     ExtensionError,
     IncompatiblePartialFamily,
@@ -186,6 +187,17 @@ def test_freeness_verdicts():
     two = verify_freeness(2, samples=25)
     assert two.bundle["lattice"]["free_size"] == 18
     assert two.bundle["lattice"]["meet_irreducibles"] == 6
+
+
+def test_freeness_rejects_n_past_the_table_cap_up_front(monkeypatch):
+    def no_proof_stage(*args, **kwargs):
+        raise AssertionError("a proof stage ran")
+
+    monkeypatch.setattr(multipullback, "witness_xI", no_proof_stage)
+    monkeypatch.setattr(multipullback, "witness_TmI", no_proof_stage)
+    for n in (4, 5):
+        with pytest.raises(ValueError, match="1200-element table cap"):
+            verify_freeness(n, samples=0)
 
 
 def test_duplicated_generator_is_caught():

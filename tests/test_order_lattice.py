@@ -3,7 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_upper_sets, naive_antichain_count
+from oracles import (
+    antichain_join,
+    antichain_leq,
+    antichain_meet,
+    brute_upper_sets,
+    minimal_sets,
+    naive_antichain_count,
+)
 from tqps.order_lattice import (
     AntichainForm,
     FiniteDistributiveLattice,
@@ -208,6 +215,32 @@ def test_fdl_leq_is_an_order(x, y):
         assert x == y
     assert fdl_leq(x, fdl_join(x, y))
     assert fdl_leq(fdl_meet(x, y), x)
+
+
+def _assert_operations_match_oracle(x, y):
+    a, b = x.antichain, y.antichain
+    assert fdl_join(x, y).antichain == antichain_join(a, b)
+    assert fdl_meet(x, y).antichain == antichain_meet(a, b)
+    assert fdl_leq(x, y) == antichain_leq(a, b)
+
+
+def test_fdl_operations_match_the_antichain_oracle_exhaustively():
+    forms = fdl_enumerate(3)
+    for x in forms:
+        for y in forms:
+            _assert_operations_match_oracle(x, y)
+
+
+def test_fdl_operations_match_the_antichain_oracle_on_samples():
+    rng = rng_for("antichain-oracle")
+    n = 4
+    subsets = [frozenset(i for i in range(n) if t >> i & 1) for t in range(1, 1 << n)]
+
+    def draw():
+        return AntichainForm(n, minimal_sets(rng.sample(subsets, rng.randint(1, 6))))
+
+    for _ in range(500):
+        _assert_operations_match_oracle(draw(), draw())
 
 
 def test_free_lattice_sizes():

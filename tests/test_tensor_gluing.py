@@ -3,6 +3,7 @@
 import pytest
 
 from oracles import stepwise_coaction, stepwise_psi
+from tqps.classical_cpn import transition_agreement
 from tqps.sampling import DEFAULT_SEED, random_toeplitz_element
 from tqps.tensor_gluing import (
     TensorElement,
@@ -301,6 +302,24 @@ def test_cocycle_check_report():
     assert report["passed"] is True
     assert report["failures"] == []
     assert [0, 2, 1] in [list(t) for t in report["triples"]]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: cocycle_check(2, samples=0), id="cocycle samples=0"),
+        pytest.param(lambda: cocycle_check(2, samples=-3), id="cocycle samples=-3"),
+        pytest.param(
+            lambda: kernel_image_check(2, 0, 1, 2, samples=0), id="kernel-image samples=0"
+        ),
+        pytest.param(lambda: transition_agreement(2, trials=0), id="transitions trials=0"),
+        pytest.param(lambda: transition_agreement(2, trials=-3), id="transitions trials=-3"),
+        pytest.param(lambda: psi_involution_check(2, samples=-1), id="psi samples=-1"),
+    ],
+)
+def test_counts_that_check_nothing_are_refused(call):
+    with pytest.raises(ValueError, match="must be at least"):
+        call()
 
 
 def test_random_tensor_element_shapes():
