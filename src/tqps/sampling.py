@@ -6,11 +6,9 @@ reproducibility; derived_rng in util builds independent streams from a
 seed and a label path.
 """
 
-from fractions import Fraction
-
 from .circle_hopf import CirclePoly, Scalar
 from .toeplitz_core import CompactPart, ToeplitzElement
-from .order_lattice import AntichainForm, Poset
+from .order_lattice import AntichainForm, Poset, UpSet
 from .util import DEFAULT_SEED  # noqa: F401  (re-exported for callers)
 
 
@@ -24,12 +22,6 @@ def random_nonzero_scalar(rng, bound=3):
         s = random_scalar(rng, bound)
         if s:
             return s
-
-
-def random_rational_scalar(rng, num_bound=6, den_bound=4):
-    re = Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
-    im = Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
-    return Scalar(re, im)
 
 
 def random_circle_poly(rng, max_degree=5, min_terms=1, max_terms=3):
@@ -72,10 +64,11 @@ def random_poset(rng, size, density=0.35):
 
 
 def random_antichain_form(rng, n_generators, max_sets=3):
-    """Random join of meets over the given generators."""
+    """Random join of meets over the given generators: the minimal sets of
+    a randomly drawn family of index sets."""
     universe = list(range(n_generators))
-    family = []
+    masks = set()
     for _ in range(rng.randint(1, max_sets)):
         k = rng.randint(1, n_generators)
-        family.append(frozenset(rng.sample(universe, k)))
-    return AntichainForm(n_generators, family)
+        masks.add(sum(1 << i for i in rng.sample(universe, k)))
+    return AntichainForm(n_generators, UpSet(n_generators, masks).minimal_sets())

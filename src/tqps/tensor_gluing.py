@@ -30,7 +30,7 @@ _rewrite, which builds the result without validating it again.
 
 from functools import lru_cache
 
-from .circle_hopf import ONE, ZERO, Scalar
+from .circle_hopf import ONE, Scalar, Terms, collect
 from .toeplitz_core import ToeplitzElement
 from .util import DEFAULT_SEED, derived_rng
 from . import sampling
@@ -81,35 +81,39 @@ def _mul_toeplitz_atoms(a, b):
     return tuple(prod.atoms())
 
 
-class TensorElement:
+class TensorElement(Terms):
     """Exact linear combination of pure atom tensors of a fixed shape.
 
-    n_slots counts all slots, circle_slot is the 1-based position of the
-    distinguished circle slot or None.  Zero coefficients are dropped, so
-    equality of the term maps is equality of elements.
+    The shape is (n_slots, circle_slot): n_slots counts all slots,
+    circle_slot is the 1-based position of the distinguished circle slot or
+    None.  Every key is an atom tuple that fits the shape.
     """
 
-    __slots__ = ("n_slots", "circle_slot", "terms")
+    __slots__ = ()
 
     def __init__(self, n_slots, circle_slot=None, terms=None):
         if n_slots < 1:
             raise ValueError("need at least one slot")
         if circle_slot is not None and not 1 <= circle_slot <= n_slots:
             raise ValueError("circle slot %r out of range" % circle_slot)
-        self.n_slots = n_slots
-        self.circle_slot = circle_slot
-        clean = {}
-        if terms:
-            for atoms, c in terms.items():
-                atoms = tuple(atoms)
-                if len(atoms) != n_slots:
-                    raise ValueError("term %r does not match %d slots" % (atoms, n_slots))
-                for pos, atom in enumerate(atoms, start=1):
-                    _validate_atom(atom, pos == circle_slot)
-                c = Scalar.coerce(c)
-                if c:
-                    clean[atoms] = clean.get(atoms, ZERO) + c
-        self.terms = {a: c for a, c in clean.items() if c}
+        super().__init__(terms, (n_slots, circle_slot))
+
+    def _key(self, atoms):
+        n_slots, circle_slot = self.shape
+        atoms = tuple(atoms)
+        if len(atoms) != n_slots:
+            raise ValueError("term %r does not match %d slots" % (atoms, n_slots))
+        for pos, atom in enumerate(atoms, start=1):
+            _validate_atom(atom, pos == circle_slot)
+        return atoms
+
+    @property
+    def n_slots(self):
+        return self.shape[0]
+
+    @property
+    def circle_slot(self):
+        return self.shape[1]
 
     @classmethod
     def zero(cls, n_slots, circle_slot=None):
@@ -125,46 +129,18 @@ class TensorElement:
     @classmethod
     def pure(cls, atoms, circle_slot=None, coeff=1):
         atoms = tuple(atoms)
-        return cls(len(atoms), circle_slot, {atoms: Scalar.coerce(coeff)})
-
-    def _same_shape(self, other):
-        return self.n_slots == other.n_slots and self.circle_slot == other.circle_slot
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if not self._same_shape(other):
-            raise ValueError("shape mismatch in tensor sum")
-        out = dict(self.terms)
-        for atoms, c in other.terms.items():
-            out[atoms] = out.get(atoms, ZERO) + c
-        return TensorElement(self.n_slots, self.circle_slot, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement(
-            self.n_slots, self.circle_slot, {a: -c for a, c in self.terms.items()}
-        )
-
-    def scale(self, scalar):
-        scalar = Scalar.coerce(scalar)
-        return TensorElement(
-            self.n_slots, self.circle_slot, {a: c * scalar for a, c in self.terms.items()}
-        )
+        return cls(len(atoms), circle_slot, {atoms: coeff})
 
     def __mul__(self, other):
         """Slotwise product; Toeplitz slots expand through atom corrections."""
-        if not self._same_shape(other):
-            raise ValueError("shape mismatch in tensor product")
-        out = {}
-        circle_index = None if self.circle_slot is None else self.circle_slot - 1
+        self._check(other)
+        n_slots, circle_slot = self.shape
+        circle_index = None if circle_slot is None else circle_slot - 1
+        pairs = []
         for t1, c1 in self.terms.items():
             for t2, c2 in other.terms.items():
                 alternatives = [((), c1 * c2)]
-                for s in range(self.n_slots):
+                for s in range(n_slots):
                     a, b = t1[s], t2[s]
                     if s == circle_index:
                         slot_terms = ((("u", a[1] + b[1]), ONE),)
@@ -175,21 +151,11 @@ class TensorElement:
                         for prefix, c in alternatives
                         for atom, ac in slot_terms
                     ]
-                for atoms, c in alternatives:
-                    out[atoms] = out.get(atoms, ZERO) + c
-        return TensorElement(self.n_slots, self.circle_slot, out)
+                pairs.extend(alternatives)
+        return TensorElement._trusted(collect(pairs), self.shape)
 
     def term_degree(self, atoms):
         return sum(atom_degree(a) for a in atoms)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (
-            self.n_slots == other.n_slots
-            and self.circle_slot == other.circle_slot
-            and self.terms == other.terms
-        )
 
     __hash__ = None
 
@@ -244,41 +210,31 @@ def _render_atom(atom):
 
 def embed_toeplitz(elements):
     """Pure tensor of ToeplitzElements as a TensorElement (distributing atoms)."""
-    n = len(elements)
-    out = TensorElement.zero(n)
     combos = [((), ONE)]
     for x in elements:
         expansion = list(x.atoms())
         combos = [
             (prefix + (atom,), c * ac) for prefix, c in combos for atom, ac in expansion
         ]
-    terms = {}
-    for atoms, c in combos:
-        terms[atoms] = terms.get(atoms, ZERO) + c
-    return TensorElement(n, None, terms)
+    return TensorElement(len(elements), None, collect(combos))
 
 
 def _rewrite(x, n_slots, circle_slot, row):
     """Tensor of the given shape whose terms are those of x with each key
     replaced by row(key); a row of None drops the term.
 
-    The result is built directly, without __init__, so the caller owns the
-    condition that makes that sound: row is injective on the keys it keeps
-    and sends every valid key of x to a valid key of the new shape.  Then no
-    two coefficients merge, each stays nonzero, and nothing needs to be
-    validated again.  This is the only place a TensorElement is built
-    without __init__.
+    The result is built through TensorElement._trusted, so the caller owns
+    the condition that makes that sound: row is injective on the keys it
+    keeps and sends every valid key of x to a valid key of the new shape.
+    Then no two coefficients merge, each stays nonzero, and nothing needs to
+    be validated again.
     """
     terms = {}
     for atoms, c in x.terms.items():
         key = row(atoms)
         if key is not None:
             terms[key] = c
-    out = object.__new__(TensorElement)
-    out.n_slots = n_slots
-    out.circle_slot = circle_slot
-    out.terms = terms
-    return out
+    return TensorElement._trusted(terms, (n_slots, circle_slot))
 
 
 def diagonal_coaction(x):
@@ -487,7 +443,7 @@ def random_tensor_element(
     compact_slots forces a matrix unit in those slots of every term.
     """
     compact_slots = set(compact_slots)
-    terms = {}
+    pairs = []
     for _ in range(rng.randint(min_terms, max_terms)):
         atoms = []
         for pos in range(1, n_slots + 1):
@@ -500,10 +456,8 @@ def random_tensor_element(
                     atoms.append(("T", rng.randint(-max_degree, max_degree)))
                 else:
                     atoms.append(("E", rng.randint(0, max_index), rng.randint(0, max_index)))
-        atoms = tuple(atoms)
-        c = sampling.random_nonzero_scalar(rng)
-        terms[atoms] = terms.get(atoms, ZERO) + c
-    return TensorElement(n_slots, circle_slot, terms)
+        pairs.append((tuple(atoms), sampling.random_nonzero_scalar(rng)))
+    return TensorElement(n_slots, circle_slot, collect(pairs))
 
 
 def _enumerate_atoms(max_degree, max_index, circle):

@@ -18,24 +18,19 @@ has degree j - k, and the coaction tags each homogeneous piece with the
 matching circle monomial.
 """
 
-from .circle_hopf import ZERO, CirclePoly, Scalar
+from .circle_hopf import CirclePoly, Scalar, Terms, collect
 
 
-class CompactPart:
-    """Finite-rank matrix, a map (row, col) -> Scalar over non-negative indices."""
+class CompactPart(Terms):
+    """Finite-rank matrix, a (row, col) -> Scalar term map over non-negative indices."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries=None):
-        clean = {}
-        if entries:
-            for (j, k), c in entries.items():
-                if j < 0 or k < 0:
-                    raise ValueError("matrix unit indices must be non-negative")
-                c = Scalar.coerce(c)
-                if c:
-                    clean[(int(j), int(k))] = c
-        self.entries = clean
+    def _key(self, key):
+        j, k = key
+        if j < 0 or k < 0:
+            raise ValueError("matrix unit indices must be non-negative")
+        return (int(j), int(k))
 
     @classmethod
     def zero(cls):
@@ -43,55 +38,26 @@ class CompactPart:
 
     @classmethod
     def unit(cls, j, k, coeff=1):
-        return cls({(j, k): Scalar.coerce(coeff)})
-
-    def is_zero(self):
-        return not self.entries
-
-    def __add__(self, other):
-        out = dict(self.entries)
-        for key, c in other.entries.items():
-            out[key] = out.get(key, ZERO) + c
-        return CompactPart(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return CompactPart({key: -c for key, c in self.entries.items()})
-
-    def scale(self, scalar):
-        scalar = Scalar.coerce(scalar)
-        return CompactPart({key: c * scalar for key, c in self.entries.items()})
+        return cls({(j, k): coeff})
 
     def matmul(self, other):
-        out = {}
-        for (j, l), c1 in self.entries.items():
-            for (l2, k), c2 in other.entries.items():
-                if l == l2:
-                    key = (j, k)
-                    out[key] = out.get(key, ZERO) + c1 * c2
-        return CompactPart(out)
+        return CompactPart._trusted(
+            collect(
+                ((j, k), c1 * c2)
+                for (j, l), c1 in self.terms.items()
+                for (l2, k), c2 in other.terms.items()
+                if l == l2
+            )
+        )
 
     def adjoint(self):
-        return CompactPart({(k, j): c.conjugate() for (j, k), c in self.entries.items()})
+        return CompactPart._trusted({(k, j): c.conjugate() for (j, k), c in self.terms.items()})
 
     def support_bound(self):
         """Smallest d with all entries inside the top-left d x d block."""
-        if not self.entries:
+        if not self.terms:
             return 0
-        return 1 + max(max(j, k) for j, k in self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, CompactPart):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(frozenset(self.entries.items()))
-
-    def __repr__(self):
-        return "CompactPart(%r)" % {k: (c.re, c.im) for k, c in sorted(self.entries.items())}
+        return 1 + max(max(j, k) for j, k in self.terms)
 
 
 class ToeplitzElement:
@@ -161,9 +127,9 @@ class ToeplitzElement:
 
         Yields (atom, Scalar) pairs with atoms encoded ("T", a) or ("E", j, k).
         """
-        for deg, c in sorted(self.symbol.coeffs.items()):
+        for deg, c in sorted(self.symbol.terms.items()):
             yield ("T", deg), c
-        for (j, k), c in sorted(self.compact.entries.items()):
+        for (j, k), c in sorted(self.compact.terms.items()):
             yield ("E", j, k), c
 
     def homogeneous_parts(self):
@@ -207,7 +173,7 @@ class ToeplitzElement:
     def to_json(self):
         return {
             "symbol": self.symbol.to_json(),
-            "compact": [[j, k, c.to_json()] for (j, k), c in sorted(self.compact.entries.items())],
+            "compact": [[j, k, c.to_json()] for (j, k), c in sorted(self.compact.terms.items())],
         }
 
     @classmethod
@@ -223,36 +189,38 @@ def _hankel_correction(f, g):
     H[j, k] = - sum over l <= -1 of f_{j-l} g_{l-k}; for monomial degrees
     a, b the index l runs over max(-a, b) <= l <= -1.
     """
-    out = {}
-    for a, ca in f.coeffs.items():
-        for b, cb in g.coeffs.items():
-            lo = max(-a, b)
-            for l in range(lo, 0):
-                key = (a + l, l - b)
-                out[key] = out.get(key, ZERO) - ca * cb
-    return CompactPart(out)
+    return CompactPart._trusted(
+        collect(
+            ((a + l, l - b), -(ca * cb))
+            for a, ca in f.terms.items()
+            for b, cb in g.terms.items()
+            for l in range(max(-a, b), 0)
+        )
+    )
 
 
 def _shift_times_compact(f, k_part):
     """T(f) K: the shift moves rows, entries falling off the top vanish."""
-    out = {}
-    for a, ca in f.coeffs.items():
-        for (j, k), c in k_part.entries.items():
-            if j + a >= 0:
-                key = (j + a, k)
-                out[key] = out.get(key, ZERO) + ca * c
-    return CompactPart(out)
+    return CompactPart._trusted(
+        collect(
+            ((j + a, k), ca * c)
+            for a, ca in f.terms.items()
+            for (j, k), c in k_part.terms.items()
+            if j + a >= 0
+        )
+    )
 
 
 def _compact_times_shift(k_part, g):
     """K T(g): the shift moves columns, entries falling off the left vanish."""
-    out = {}
-    for (j, k), c in k_part.entries.items():
-        for b, cb in g.coeffs.items():
-            if k - b >= 0:
-                key = (j, k - b)
-                out[key] = out.get(key, ZERO) + c * cb
-    return CompactPart(out)
+    return CompactPart._trusted(
+        collect(
+            ((j, k - b), c * cb)
+            for (j, k), c in k_part.terms.items()
+            for b, cb in g.terms.items()
+            if k - b >= 0
+        )
+    )
 
 
 def symbol_map(x):

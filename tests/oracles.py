@@ -18,7 +18,7 @@ def element_band(x):
     b = 0
     for d in x.symbol.degrees():
         b = max(b, abs(d))
-    for (j, k) in x.compact.entries:
+    for (j, k) in x.compact.terms:
         b = max(b, j + 1, k + 1)
     return b
 
@@ -26,7 +26,7 @@ def element_band(x):
 def toeplitz_matrix(x, d):
     """Truncation of x to the upper-left d by d corner."""
     return [
-        [x.symbol.coeff(j - k) + x.compact.entries.get((j, k), ZERO) for k in range(d)]
+        [x.symbol.coeff(j - k) + x.compact.terms.get((j, k), ZERO) for k in range(d)]
         for j in range(d)
     ]
 

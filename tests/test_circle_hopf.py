@@ -12,7 +12,10 @@ from tqps.circle_hopf import (
     CirclePoly,
     CircleTensor,
     Scalar,
+    collect,
 )
+from tqps.tensor_gluing import TensorElement
+from tqps.toeplitz_core import CompactPart
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 scalars = st.builds(Scalar, fracs, fracs)
@@ -46,6 +49,18 @@ def test_scalar_basics():
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
     assert Scalar(Fraction(1, 3)) + Scalar(Fraction(1, 6)) == Scalar(Fraction(1, 2))
+
+
+def test_scalar_arithmetic_on_gaussian_integers_stays_int():
+    a, b = Scalar(3, -2), Scalar(-1, 4)
+    for s in (a + b, a - b, a * b, -a, a.conjugate()):
+        assert type(s.re) is int and type(s.im) is int
+    assert Scalar(1) / Scalar(2) == Scalar(Fraction(1, 2))
+    q = Scalar(1, 1) / Scalar(0, 2)
+    assert isinstance(q.re, Fraction) and isinstance(q.im, Fraction)
+    assert q == Scalar(Fraction(1, 2), Fraction(-1, 2))
+    assert Scalar(0.5).re == Fraction(1, 2)
+    assert type(Scalar(True).re) is Fraction
 
 
 def test_scalar_hash_agrees_with_eq():
@@ -155,3 +170,43 @@ def test_tensor_leg_operations():
         t.apply_antipode(2)
     with pytest.raises(ValueError):
         t.counit_leg(-1)
+
+
+def test_collect_sums_repeated_keys_and_drops_zeros():
+    assert collect([("a", ONE), ("b", I), ("a", ONE), ("c", ZERO)]) == {"a": Scalar(2), "b": I}
+    assert collect([("a", I), ("a", -I)]) == {}
+
+
+# (constructor from a term map, two distinct keys, an element of another type
+# or shape, whether the class is hashable)
+TERM_MAPS = [
+    pytest.param(CirclePoly, 2, -1, CompactPart(), True, id="CirclePoly"),
+    pytest.param(CompactPart, (0, 1), (2, 0), CirclePoly(), True, id="CompactPart"),
+    pytest.param(CircleTensor, (1, -1), (0, 2), CirclePoly(), False, id="CircleTensor"),
+    pytest.param(
+        lambda terms: TensorElement(2, 2, terms),
+        (("T", 1), ("u", 0)),
+        (("E", 0, 1), ("u", 3)),
+        TensorElement(2, 1),
+        False,
+        id="TensorElement",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, a, b, other, hashable", TERM_MAPS)
+def test_term_maps_are_canonical(make, a, b, other, hashable):
+    x = make({a: Scalar(1, 2), b: 3})
+    assert x + x == make({a: Scalar(2, 4), b: 6}) == x.scale(2)
+    assert (x + make({b: -3})).terms == {a: Scalar(1, 2)}
+    assert (x - x).is_zero() and x.scale(0).is_zero() and make({a: 0}).is_zero()
+    assert -(-x) == x
+    y = make({b: Scalar(3), a: Scalar(1, 2)})
+    assert x == y and x != x + x
+    if hashable:
+        assert hash(x) == hash(y)
+    else:
+        with pytest.raises(TypeError):
+            hash(x)
+    with pytest.raises(ValueError):
+        x + other

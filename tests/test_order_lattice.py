@@ -27,7 +27,7 @@ from tqps.order_lattice import (
     meet_irreducibles,
     upper_sets,
 )
-from tqps.sampling import DEFAULT_SEED, random_poset
+from tqps.sampling import DEFAULT_SEED, random_antichain_form, random_poset
 from tqps.util import derived_rng
 
 
@@ -331,6 +331,18 @@ def test_random_poset_sampler_is_valid():
         p = random_poset(rng, 6)
         for a, b in p.strict_pairs():
             assert p.leq(a, b) and not p.leq(b, a)
+
+
+def test_random_antichain_form_keeps_the_minimal_sets_of_its_draw():
+    # a replayed stream redraws the family; no draw may raise
+    rng, replay = rng_for("antichain-sampler"), rng_for("antichain-sampler")
+    for _ in range(1000):
+        form = random_antichain_form(rng, 4)
+        family = [
+            frozenset(replay.sample(range(4), replay.randint(1, 4)))
+            for _ in range(replay.randint(1, 3))
+        ]
+        assert form.antichain == minimal_sets(family)
 
 
 def test_poset_serialization():
