@@ -19,7 +19,6 @@ from .multipullback import (
     ExtensionError,
     FreenessEvidence,
     IncompatiblePartialFamily,
-    KernelIdeal,
     PullbackElement,
     SlotFunctional,
     extend,

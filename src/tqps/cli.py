@@ -196,7 +196,6 @@ def _cmd_birkhoff_roundtrip(args):
         except ValueError:
             skipped.append(t)
             continue
-        lat.validate()
         result = order_lattice.birkhoff_transform(lat)
         if not result.poset.isomorphic(poset):
             failures.append({"trial": t, "poset": poset.to_json()})
@@ -257,8 +256,7 @@ def _cmd_verify_freeness(args):
 def _cmd_classical_lattice(args):
     covers = classical_cpn.covering_lattice(args.n)
     lat = order_lattice.FiniteDistributiveLattice.from_elements(covers, operator.or_, operator.and_)
-    lat.validate()
-    mirr = order_lattice.meet_irreducibles(lat)
+    mirr = order_lattice.birkhoff_transform(lat).irreducibles
     expected_size = order_lattice.antichain_count(args.n + 1) - 2
     expected_mirr = 2 ** (args.n + 1) - 2
     payload = {

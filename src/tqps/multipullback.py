@@ -36,7 +36,6 @@ from .order_lattice import (
     fdl_enumerate,
     fdl_join,
     fdl_meet,
-    meet_irreducibles,
 )
 from .tensor_gluing import (
     TensorElement,
@@ -167,7 +166,7 @@ def _constraints_for(comps, m, n):
     return out
 
 
-def extend(partial, n, empty="zero"):
+def extend(partial, n):
     """Complete a compatible partial family to a full pullback member.
 
     The completion has minimal support: each missing component carries
@@ -186,11 +185,7 @@ def extend(partial, n, empty="zero"):
             raise ValueError("component %r must be a pure Toeplitz tensor with %d slots" % (k, n))
         comps[k] = v
     if not comps:
-        if empty == "zero":
-            return PullbackElement.zero(n)
-        if empty == "unit":
-            return PullbackElement.unit(n)
-        raise ValueError("empty completion must be 'zero' or 'unit'")
+        return PullbackElement.zero(n)
     failures = compatibility_failures(comps)
     if failures:
         raise IncompatiblePartialFamily(failures)
@@ -300,24 +295,6 @@ def witness_TmI(m, charts, n):
             sigma_slots.add(s)
     T = TensorElement.pure(tuple(atoms))
     return T, SlotFunctional(n, sigma_slots)
-
-
-class KernelIdeal:
-    """Joint kernel of the projections to a set of charts."""
-
-    __slots__ = ("n", "charts")
-
-    def __init__(self, n, charts):
-        self.n = n
-        self.charts = frozenset(charts)
-        if not all(0 <= c <= n for c in self.charts):
-            raise ValueError("chart index out of range")
-
-    def contains(self, p):
-        return all(p.components[c].is_zero() for c in self.charts)
-
-    def sample(self, rng):
-        return sample_kernel_intersection(rng, self.n, self.charts)
 
 
 def sample_kernel_intersection(rng, n, charts):
@@ -507,9 +484,8 @@ def verify_freeness(n, seed=0, samples=200, generator_map=None):
     if report.free:
         forms = fdl_enumerate(gen_count)
         lat = FiniteDistributiveLattice.from_elements(forms, fdl_join, fdl_meet)
-        lat.validate()
-        mirr = meet_irreducibles(lat)
         result = birkhoff_transform(lat)
+        mirr = result.irreducibles
         subsets = Poset.subsets(gen_count, nonempty=True, proper=True)
         iso = result.poset.isomorphic(subsets)
         pure_sets = {pure_indices(forms[c]) for c in mirr} - {None}

@@ -5,7 +5,10 @@ Conventions.  The transform sends a lattice element to the set of meet
 irreducibles above it; those sets are upper sets of the irreducible poset,
 and lattice join lands on intersection while lattice meet lands on union.
 The upper-set lattice constructor adopts the same pairing (join is
-intersection) so the two directions invert each other on the nose.
+intersection) so the two directions invert each other on the nose.  The
+transform is also the one lattice check: it verifies on every pair that
+the map is injective and a homomorphism onto the upper sets, which by
+itself proves every lattice law and distributivity on every triple.
 
 By Birkhoff's theorem an element of the free distributive lattice on
 generators g_0..g_{n-1} is an up-set of the Boolean lattice of index sets:
@@ -265,8 +268,8 @@ class FiniteDistributiveLattice:
     """Finite lattice with explicit join and meet tables.
 
     Elements are arbitrary distinct values; tables hold element indices.
-    validate() checks the lattice axioms and the distributive law,
-    exhaustively for small sizes and on a deterministic sample beyond.
+    validate() checks the lattice axioms and the distributive law on every
+    table, whatever its size, through Birkhoff's embedding.
     """
 
     __slots__ = ("elements", "join_table", "meet_table")
@@ -323,38 +326,14 @@ class FiniteDistributiveLattice:
                 return i
         raise LatticeError("no top element")
 
-    def bottom(self):
-        for i in range(self.n):
-            if all(self.leq(i, j) for j in range(self.n)):
-                return i
-        raise LatticeError("no bottom element")
-
     def validate(self):
-        n = self.n
-        jt, mt = self.join_table, self.meet_table
-        for i in range(n):
-            if jt[i][i] != i or mt[i][i] != i:
-                raise LatticeError("idempotence fails at %d" % i)
-            for j in range(n):
-                if jt[i][j] != jt[j][i] or mt[i][j] != mt[j][i]:
-                    raise LatticeError("commutativity fails at (%d, %d)" % (i, j))
-                if mt[i][jt[i][j]] != i or jt[i][mt[i][j]] != i:
-                    raise LatticeError("absorption fails at (%d, %d)" % (i, j))
-        triples = itertools.product(range(n), repeat=3)
-        if n > 40:
-            import random as _random
+        """Check the lattice laws and distributivity through birkhoff_transform.
 
-            rng = _random.Random("lattice-validate/%d" % n)
-            triples = (
-                tuple(rng.randrange(n) for _ in range(3)) for _ in range(5000)
-            )
-        for i, j, k in triples:
-            if jt[jt[i][j]][k] != jt[i][jt[j][k]]:
-                raise LatticeError("join associativity fails at (%d, %d, %d)" % (i, j, k))
-            if mt[mt[i][j]][k] != mt[i][mt[j][k]]:
-                raise LatticeError("meet associativity fails at (%d, %d, %d)" % (i, j, k))
-            if mt[i][jt[j][k]] != jt[mt[i][j]][mt[i][k]]:
-                raise LatticeError("distributivity fails at (%d, %d, %d)" % (i, j, k))
+        The image check there runs on every pair of elements of every
+        lattice, and passing it proves every law on every triple; a failure
+        raises LatticeError.
+        """
+        birkhoff_transform(self)
 
     def order_poset(self):
         pairs = [
@@ -416,35 +395,35 @@ def birkhoff_transform(lat):
     """Map each element to the set of meet irreducibles above it.
 
     Returns the poset of meet irreducibles (labelled by their positions in
-    the irreducible list) together with the image sets, after verifying
-    that the map is injective, turns joins into intersections and meets
-    into unions, and lands exactly on the upper sets of that poset.  Any
-    failure means the lattice is not distributive.
+    the irreducible list) together with the images, each an int mask over
+    irreducible positions as upper_set_masks encodes them.  On every lattice
+    it first verifies that the map is injective, turns joins into
+    intersections and meets into unions on every pair, and lands exactly on
+    the upper sets of that poset.  An injective map with those two
+    properties makes the tables a family of sets closed under intersection
+    and union, so passing proves every lattice law and distributivity;
+    any failure raises LatticeError.
     """
     mirr = meet_irreducibles(lat)
-    k = len(mirr)
-    pairs = [
-        (x, y)
-        for x in range(k)
-        for y in range(k)
-        if x != y and lat.leq(mirr[x], mirr[y])
-    ]
-    poset = Poset(range(k), pairs)
-    mapping = []
-    for a in range(lat.n):
-        mapping.append(frozenset(x for x in range(k) if lat.leq(a, mirr[x])))
+    jt, mt = lat.join_table, lat.meet_table
+    mapping = [sum(1 << x for x, c in enumerate(mirr) if row[c] == c) for row in jt]
+    pairs = [(x, y) for x, c in enumerate(mirr) for y in _bits(mapping[c]) if x != y]
+    poset = Poset(range(len(mirr)), pairs)
     if len(set(mapping)) != lat.n:
         raise LatticeError("transform not injective; lattice is not distributive")
-    for a in range(lat.n):
-        for b in range(lat.n):
-            if mapping[lat.join_table[a][b]] != mapping[a] & mapping[b]:
+    for a, fa in enumerate(mapping):
+        ja, ma = jt[a], mt[a]
+        for b, fb in enumerate(mapping):
+            if mapping[ja[b]] != fa & fb:
                 raise LatticeError("join does not map to intersection at (%d, %d)" % (a, b))
-            if mapping[lat.meet_table[a][b]] != mapping[a] | mapping[b]:
+            if mapping[ma[b]] != fa | fb:
                 raise LatticeError("meet does not map to union at (%d, %d)" % (a, b))
-    if k <= 20:
-        image = {frozenset(_bits(m)) for m in upper_set_masks(poset)}
-        if set(mapping) != image:
-            raise LatticeError("image is not the full upper set family")
+    try:
+        onto = set(mapping) == set(upper_set_masks(poset, limit=lat.n))
+    except ValueError:
+        onto = False
+    if not onto:
+        raise LatticeError("image is not the full upper set family")
     return BirkhoffResult(poset, mirr, mapping)
 
 

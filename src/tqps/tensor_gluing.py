@@ -460,17 +460,16 @@ def random_tensor_element(
     return TensorElement(n_slots, circle_slot, collect(pairs))
 
 
-def _enumerate_atoms(max_degree, max_index, circle):
-    if circle:
-        return [("u", h) for h in range(-max_degree, max_degree + 1)]
-    atoms = [("T", a) for a in range(-max_degree, max_degree + 1)]
-    atoms += [
-        ("E", j, k) for j in range(max_index + 1) for k in range(max_index + 1)
-    ]
-    return atoms
+# The psi sweep's range: shift and circle degrees in [-3, 3] and matrix unit
+# indices in [0, 3], so it covers 23^(n-1) * 7 atoms.
+PSI_MAX_DEGREE = 3
+PSI_MAX_INDEX = 3
+
+# Non-ordered triples the cocycle check also runs through the inverse branch.
+COCYCLE_SPOT_TRIPLES = 2
 
 
-def psi_involution_check(n, samples=1000, seed=DEFAULT_SEED, max_degree=3, max_index=3):
+def psi_involution_check(n, samples=1000, seed=DEFAULT_SEED):
     """Exhaustive atom sweep plus seeded random sweep of psi o psi = id.
 
     Works on tensors with n - 1 Toeplitz slots and a trailing circle slot,
@@ -488,19 +487,23 @@ def psi_involution_check(n, samples=1000, seed=DEFAULT_SEED, max_degree=3, max_i
             failures.append(x.to_json())
 
     slots = n - 1
+    degrees = range(-PSI_MAX_DEGREE, PSI_MAX_DEGREE + 1)
+    atoms = [("T", a) for a in degrees] + [
+        ("E", j, k) for j in range(PSI_MAX_INDEX + 1) for k in range(PSI_MAX_INDEX + 1)
+    ]
 
     def sweep(prefix):
         if len(prefix) == slots:
-            for h in range(-max_degree, max_degree + 1):
+            for h in degrees:
                 check(TensorElement.pure(tuple(prefix) + (("u", h),), circle_slot=n))
             return
-        for atom in _enumerate_atoms(max_degree, max_index, circle=False):
+        for atom in atoms:
             sweep(prefix + [atom])
 
     sweep([])
     rng = derived_rng(seed, "psi", n)
     for _ in range(samples):
-        check(random_tensor_element(rng, n, circle_slot=n, max_degree=max_degree))
+        check(random_tensor_element(rng, n, circle_slot=n, max_degree=PSI_MAX_DEGREE))
     return {
         "schema": 1,
         "check": "gluing-involution",
@@ -576,7 +579,7 @@ def kernel_image_check(n, i, j, k, samples=50, seed=DEFAULT_SEED):
     }
 
 
-def cocycle_check(n, samples=100, seed=DEFAULT_SEED, extra_triples=2):
+def cocycle_check(n, samples=100, seed=DEFAULT_SEED):
     """Sampled check of the transition cocycle on quotient classes.
 
     For each ordered triple i < k < j the identity phi_ij = phi_ik o phi_kj
@@ -599,7 +602,7 @@ def cocycle_check(n, samples=100, seed=DEFAULT_SEED, extra_triples=2):
     for i in idx:
         for j in idx:
             for k in idx:
-                if len({i, j, k}) == 3 and not (i < k < j) and len(spot) < extra_triples:
+                if len({i, j, k}) == 3 and not (i < k < j) and len(spot) < COCYCLE_SPOT_TRIPLES:
                     spot.append((i, j, k))
     failures = []
     for i, j, k in triples + spot:

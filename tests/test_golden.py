@@ -16,6 +16,8 @@ GOLDEN = [
      "10958729f40d195bba262f3b0b3fbffbc91e3cd0e446093223e3a2a49299cfac"),
     (["birkhoff", "roundtrip", "--poset-size", "7"], 0,
      "bf52a2eb5eb33b3a341b47a6739e989560525ea7fa443e2d4a47750668b0f53d"),
+    (["birkhoff", "roundtrip", "--poset-size", "12"], 0,
+     "5b57f6e135dcd025940e8fa83f843770daef66341e8e5d127f5f87cee3d4297a"),
     (["verify", "psi", "--n", "3"], 0,
      "9023e76db8caebbdf76064b70308741b0927d590c025fad82481372114a28579"),
     (["verify", "cocycle", "--n", "3"], 0,

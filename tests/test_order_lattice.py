@@ -160,12 +160,83 @@ def _m3():
     )
 
 
+def _n5():
+    # the five-element pentagon 0 < a < b < 1, 0 < c < 1: not modular
+    labels = ["0", "a", "b", "c", "1"]
+    up = {"0": set(labels), "a": {"a", "b", "1"}, "b": {"b", "1"}, "c": {"c", "1"}, "1": {"1"}}
+
+    def least(bounds):
+        return next(z for z in bounds if all(w in up[z] for w in bounds))
+
+    def greatest(bounds):
+        return next(z for z in bounds if all(z in up[w] for w in bounds))
+
+    return FiniteDistributiveLattice.from_elements(
+        labels,
+        lambda x, y: least([z for z in labels if z in up[x] & up[y]]),
+        lambda x, y: greatest([z for z in labels if x in up[z] and y in up[z]]),
+    )
+
+
+def _chain_under_m3(length):
+    # a chain of `length` elements whose top is the bottom of M3, so
+    # length + 4 elements; every non-distributive triple sits in M3
+    m3_join, m3_meet = _m3_tables()
+    chain = list(range(length - 1))
+
+    def join_fn(x, y):
+        if isinstance(x, int) and isinstance(y, int):
+            return max(x, y)
+        if isinstance(x, int) or isinstance(y, int):
+            return y if isinstance(x, int) else x
+        return m3_join(x, y)
+
+    def meet_fn(x, y):
+        if isinstance(x, int) and isinstance(y, int):
+            return min(x, y)
+        if isinstance(x, int) or isinstance(y, int):
+            return x if isinstance(x, int) else y
+        return m3_meet(x, y)
+
+    return FiniteDistributiveLattice.from_elements(
+        chain + ["0", "a", "b", "c", "1"], join_fn, meet_fn
+    )
+
+
+def _two_element(join, meet):
+    return FiniteDistributiveLattice(["0", "1"], join, meet)
+
+
 def test_non_distributive_lattice_is_rejected():
-    lat = _m3()
+    # M3 and N5, then two-element tables that break idempotence,
+    # commutativity and absorption: laws with no loop of their own
+    for lat in (
+        _m3(),
+        _n5(),
+        _two_element([[1, 1], [1, 1]], [[0, 0], [0, 1]]),
+        _two_element([[0, 1], [0, 1]], [[0, 0], [0, 1]]),
+        _two_element([[0, 1], [1, 1]], [[0, 1], [1, 1]]),
+    ):
+        with pytest.raises(LatticeError):
+            lat.validate()
+        with pytest.raises(LatticeError):
+            birkhoff_transform(lat)
+
+
+@pytest.mark.parametrize("length, size", [(37, 41), (300, 304)])
+def test_large_non_distributive_lattice_is_rejected(length, size):
+    # past 40 elements every pair is still checked: no triple is sampled
+    lat = _chain_under_m3(length)
+    assert lat.n == size
     with pytest.raises(LatticeError):
         lat.validate()
     with pytest.raises(LatticeError):
         birkhoff_transform(lat)
+
+
+def test_empty_tables_are_rejected():
+    with pytest.raises(LatticeError):
+        FiniteDistributiveLattice([], [], []).validate()
 
 
 def test_antichain_form_validation():
