@@ -41,6 +41,7 @@ from .order_lattice import (
     fdl_join,
     fdl_leq,
     fdl_meet,
+    freeness_by_types,
     join_irreducibles,
     meet_irreducibles,
     upper_sets,

@@ -16,6 +16,7 @@ from . import classical_cpn, multipullback, order_lattice, sampling, tensor_glui
 from .util import DEFAULT_SEED, canonical_json, derived_rng
 
 MAX_N = 3
+MAX_FREENESS_N = 4  # verify_freeness lists the free lattice on n + 1 generators
 MAX_GENERATORS = 5
 MAX_POSET = 20
 
@@ -106,7 +107,7 @@ def build_parser():
     v_ker.add_argument("--format", choices=["json", "text"], default="text")
 
     v_free = verify.add_parser("freeness", help="kernel lattice freeness")
-    v_free.add_argument("--n", type=_count("n", 1, MAX_N), required=True)
+    v_free.add_argument("--n", type=_count("n", 1, MAX_FREENESS_N), required=True)
     v_free.add_argument("--seed", type=int, default=0)
     v_free.add_argument("--samples", type=_count("samples", 0), default=200)
     v_free.add_argument(

@@ -16,21 +16,22 @@ the join over its minimal index sets of the meets over each set.  UpSet
 stores such an up-set on k points as one 2^k-bit int, bit t standing for
 the index set with mask t, so join is `|`, meet is `&` and the order is a
 subset test.  AntichainForm (k = n) is that element; the covering sets of
-classical_cpn (k = n + 1) share the encoding.  A finitely generated
-distributive lattice is free on its generators exactly when every join
-over a nonempty proper generator subset is meet irreducible and the order
-between such joins is index-set inclusion; check_freeness_criterion runs
-that test through caller-supplied join, meet and equality callbacks so it
-applies to ideal lattices and covering lattices alike.
+classical_cpn (k = n + 1) share the encoding.
+
+Two freeness tests follow from the theorem.  Sets G_0..G_{k-1} generate
+a free distributive lattice exactly when every nonempty proper index set
+is the type {i : x in G_i} of some point x (freeness_by_types): the
+evaluation map sending an up-set U to {x : type(x) in U} is then
+injective.  A lattice known only through join, meet and equality
+callbacks is free on its generators exactly when every join over a
+nonempty proper generator subset is meet irreducible and the order
+between such joins is index-set inclusion; check_freeness_criterion
+checks the order itself and takes the irreducibility evidence from the
+caller, as the kernel lattice of multipullback supplies it.
 """
 
 import functools
 import itertools
-
-# Antichain counts over all subsets of an n-point set, n = 0..8.  Used only
-# as a safety cap on sublattice closures; the library recomputes the small
-# ones independently in antichain_count.
-_DEDEKIND = [2, 3, 6, 20, 168, 7581, 7828354, 2414682040998, 56130437228687557907788]
 
 # Largest element list FiniteDistributiveLattice.from_elements tabulates.
 MAX_TABLE_ELEMENTS = 1200
@@ -539,6 +540,18 @@ class AntichainForm(UpSet):
     def n_generators(self):
         return self.k
 
+    def is_meet_irreducible(self):
+        """True when the element has exactly one upper cover in the free lattice.
+
+        An upper cover adds one nonempty index set outside the up-set whose
+        one-point-larger supersets all lie inside it, so the element is
+        meet irreducible exactly when there is one such set.
+        """
+        outside = ((1 << (1 << self.k)) - 2) & ~self.up
+        for step, lacking in _lacking(self.k):
+            outside &= (self.up >> step) | ~lacking
+        return outside.bit_count() == 1
+
     @property
     def antichain(self):
         return frozenset(frozenset(s) for s in self.minimal_sets())
@@ -622,18 +635,33 @@ class FreenessReport:
         return "FreenessReport(%s)" % self.verdict
 
 
-def check_freeness_criterion(generators, join, meet, eq, irreducibility=None, max_size=None):
+def freeness_by_types(k, types):
+    """Decide whether k sets generate a free distributive lattice, by types.
+
+    types holds the type of every point x of the universe, as the mask
+    with bit i set when x lies in G_i.  By Birkhoff's theorem the sets are free exactly when every
+    nonempty proper index set occurs as a type; otherwise the missing set S
+    is the witness, as the up-sets above S with and without S itself then
+    evaluate to the same set.
+    """
+    if k < 1:
+        raise ValueError("need at least one generator")
+    seen = set(types)
+    for mask in range(1, (1 << k) - 1):
+        if mask not in seen:
+            return FreenessReport("NOT_FREE", witness={"clause": "type", "I": list(_bits(mask))})
+    return FreenessReport("FREE")
+
+
+def check_freeness_criterion(generators, join, meet, eq, irreducibility):
     """Decide whether the generators generate freely, via callbacks.
 
     The test has two halves.  First, joins over nonempty proper index sets
     must be ordered exactly by inclusion of the index sets.  Second, each
-    such join must be meet irreducible in the generated sublattice; with an
-    `irreducibility` callback the caller supplies that evidence (signature
-    irreducibility(index_set) -> (ok, info)), otherwise the sublattice is
-    closed off explicitly and irreducibility is read from its meet table.
-    The closure keys a dict by element, so it needs hashable elements for
-    which `eq` is `==`.  A distributivity spot check guards the closure; a
-    broken law yields INCONSISTENT rather than a freeness verdict.
+    such join must be meet irreducible in the generated lattice; the
+    caller supplies that evidence through irreducibility(index_set) ->
+    (ok, info).  A distributivity spot check on the generators comes
+    first; a broken law yields INCONSISTENT rather than a freeness verdict.
     """
     gens = list(generators)
     n = len(gens)
@@ -683,81 +711,17 @@ def check_freeness_criterion(generators, join, meet, eq, irreducibility=None, ma
                     details={"pure_joins": len(index_sets)},
                 )
 
-    if irreducibility is not None:
-        evidence = []
-        for I in index_sets:
-            ok, info = irreducibility(I)
-            evidence.append({"I": sorted(I), "ok": bool(ok), "info": info})
-            if not ok:
-                return FreenessReport(
-                    "NOT_FREE",
-                    witness={"clause": "irreducibility", "I": sorted(I), "info": info},
-                    details={"irreducibility": evidence},
-                )
-        return FreenessReport(
-            "FREE",
-            details={"pure_joins": len(index_sets), "irreducibility": evidence},
-        )
-
-    cap = max_size
-    if cap is None:
-        cap = (_DEDEKIND[n] if n < len(_DEDEKIND) else antichain_count(n)) - 2
-
-    elements = []
-    pos = {}
-
-    def add(e):
-        k = pos.get(e)
-        if k is None:
-            k = pos[e] = len(elements)
-            elements.append(e)
-            if len(elements) > cap:
-                raise LatticeError("sublattice closure exceeds the free size %d" % cap)
-        return k
-
-    try:
-        for g in gens:
-            add(g)
-        frontier = list(range(len(elements)))
-        while frontier:
-            snapshot = len(elements)
-            for i in frontier:
-                for j in range(snapshot):
-                    add(join(elements[i], elements[j]))
-                    add(meet(elements[i], elements[j]))
-            frontier = list(range(snapshot, len(elements)))
-    except LatticeError:
-        return FreenessReport(
-            "INCONSISTENT",
-            witness={"law": "closure", "note": "sublattice exceeds the free size %d" % cap},
-        )
-
-    size = len(elements)
-    pure_pos = {I: pos[pure[I]] for I in index_sets}
-
-    reducible = set()
-    for a in range(size):
-        for b in range(a + 1, size):
-            m = pos.get(meet(elements[a], elements[b]))
-            if m is not None and m != a and m != b:
-                reducible.add(m)
-
+    evidence = []
     for I in index_sets:
-        c = pure_pos[I]
-        if c in reducible:
+        ok, info = irreducibility(I)
+        evidence.append({"I": sorted(I), "ok": bool(ok), "info": info})
+        if not ok:
             return FreenessReport(
                 "NOT_FREE",
-                witness={"clause": "irreducibility", "I": sorted(I)},
-                details={"sublattice_size": size},
+                witness={"clause": "irreducibility", "I": sorted(I), "info": info},
+                details={"irreducibility": evidence},
             )
-        if not any(not leq(g, elements[c]) for g in gens):
-            return FreenessReport(
-                "NOT_FREE",
-                witness={"clause": "irreducibility", "I": sorted(I), "note": "top"},
-                details={"sublattice_size": size},
-            )
-
     return FreenessReport(
         "FREE",
-        details={"pure_joins": len(index_sets), "sublattice_size": size, "cap": cap},
+        details={"pure_joins": len(index_sets), "irreducibility": evidence},
     )

@@ -427,35 +427,38 @@ def phi(cls, i, j, k):
     return QuotientClass(y, (slot_for(i, j), slot_for(i, k)))
 
 
+# Largest |degree| and matrix unit index that random_tensor_element draws.
+RANDOM_BOUND = 3
+
+
 def random_tensor_element(
     rng,
     n_slots,
     circle_slot=None,
     min_terms=1,
     max_terms=3,
-    max_degree=3,
-    max_index=3,
     compact_slots=(),
     compact_only=False,
 ):
-    """Seeded random element: uniform degrees in [-max_degree, max_degree],
-    matrix unit indices in [0, max_index]^2, 1..3 terms by default.
+    """Seeded random element: uniform degrees in [-RANDOM_BOUND, RANDOM_BOUND],
+    matrix unit indices in [0, RANDOM_BOUND]^2, 1..3 terms by default.
     compact_slots forces a matrix unit in those slots of every term.
     """
+    b = RANDOM_BOUND
     compact_slots = set(compact_slots)
     pairs = []
     for _ in range(rng.randint(min_terms, max_terms)):
         atoms = []
         for pos in range(1, n_slots + 1):
             if pos == circle_slot:
-                atoms.append(("u", rng.randint(-max_degree, max_degree)))
+                atoms.append(("u", rng.randint(-b, b)))
             elif compact_only or pos in compact_slots:
-                atoms.append(("E", rng.randint(0, max_index), rng.randint(0, max_index)))
+                atoms.append(("E", rng.randint(0, b), rng.randint(0, b)))
             else:
                 if rng.random() < 0.5:
-                    atoms.append(("T", rng.randint(-max_degree, max_degree)))
+                    atoms.append(("T", rng.randint(-b, b)))
                 else:
-                    atoms.append(("E", rng.randint(0, max_index), rng.randint(0, max_index)))
+                    atoms.append(("E", rng.randint(0, b), rng.randint(0, b)))
         pairs.append((tuple(atoms), sampling.random_nonzero_scalar(rng)))
     return TensorElement(n_slots, circle_slot, collect(pairs))
 
@@ -503,7 +506,7 @@ def psi_involution_check(n, samples=1000, seed=DEFAULT_SEED):
     sweep([])
     rng = derived_rng(seed, "psi", n)
     for _ in range(samples):
-        check(random_tensor_element(rng, n, circle_slot=n, max_degree=PSI_MAX_DEGREE))
+        check(random_tensor_element(rng, n, circle_slot=n))
     return {
         "schema": 1,
         "check": "gluing-involution",

@@ -4,9 +4,13 @@ Each oracle recomputes a quantity through a different representation than
 the library uses: operator products through truncated matrices, coactions
 and gluings through stepwise single-slot arithmetic, order-theoretic
 counts through exhaustive filters, free-lattice join and meet through
-frozensets of index sets instead of up-set bitmasks.  Keeping these routes
-separate from the library is the point; do not fold them into src.
+frozensets of index sets instead of up-set bitmasks, and freeness of a set
+family through the size of its closure instead of point types.  Keeping
+these routes separate from the library is the point; do not fold them into
+src.
 """
+
+from operator import and_, or_
 
 from tqps.circle_hopf import CirclePoly, ZERO
 from tqps.tensor_gluing import TensorElement
@@ -184,3 +188,20 @@ def antichain_meet(x, y):
 def antichain_leq(x, y):
     """x below y: every set of x contains some set of y."""
     return all(any(b <= a for b in y) for a in x)
+
+
+def closure_size(family):
+    """Number of sets in the closure of family under pairwise union and
+    intersection, combining each new set with every set found so far.
+    Sets of ints are held as bitmasks over their members.
+
+    Sets G_0..G_{k-1} generate a free distributive lattice exactly when this
+    is antichain_count(k) - 2, since the generated lattice is always an
+    image of the free one.
+    """
+    sets = {sum(1 << x for x in s) for s in family}
+    frontier = sets
+    while frontier:
+        frontier = {op(a, b) for a in frontier for b in sets for op in (or_, and_)} - sets
+        sets |= frontier
+    return len(sets)

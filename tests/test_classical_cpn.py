@@ -124,9 +124,15 @@ def test_covering_lattice_sizes():
 
 
 def test_classical_freeness_verdicts():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         report = classical_freeness(n)
         assert report.free, report.witness
+        assert report.details == {
+            "probes": 2 ** (n + 1) - 2,
+            "sublattice_size": [4, 18, 166, 7579][n - 1],
+        }
+    with pytest.raises(ValueError):
+        classical_freeness(5)
 
 
 def test_chart_point_validation():

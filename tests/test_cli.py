@@ -100,6 +100,19 @@ def test_verify_freeness(capsys):
     assert payload["verdict"] == "FREE"
 
 
+def test_verify_freeness_reaches_four_charts(capsys):
+    code, payload = run_json(capsys, ["verify", "freeness", "--n", "4", "--samples", "1"])
+    assert code == 0
+    assert payload["lattice"]["free_size"] == 7579
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "freeness", "--n", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "psi", "--n", "4"])  # the other suites stay at MAX_N
+    assert exc.value.code == 2
+
+
 def test_verify_freeness_control_fails(capsys):
     code, payload = run_json(
         capsys,

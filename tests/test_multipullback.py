@@ -184,14 +184,28 @@ def test_freeness_verdicts():
     assert two.bundle["lattice"]["meet_irreducibles"] == 6
 
 
-def test_freeness_rejects_n_past_the_table_cap_up_front(monkeypatch):
+def test_freeness_at_four_charts_past_the_tables():
+    evidence = verify_freeness(4, samples=1)
+    assert evidence.verdict == "FREE", evidence.bundle["witness"]
+    assert evidence.bundle["lattice"] == {
+        "free_size": 7579,
+        "meet_irreducibles": 30,
+        "irreducible_poset_matches_proper_subsets": True,
+        "irreducibles_are_pure_joins": True,
+    }
+    control = verify_freeness(4, samples=1, generator_map={1: 0})
+    assert control.verdict == "NOT_FREE"
+    assert control.bundle["witness"]["clause"] == "order"
+
+
+def test_freeness_rejects_n_past_four_up_front(monkeypatch):
     def no_proof_stage(*args, **kwargs):
         raise AssertionError("a proof stage ran")
 
     monkeypatch.setattr(multipullback, "witness_xI", no_proof_stage)
     monkeypatch.setattr(multipullback, "witness_TmI", no_proof_stage)
-    for n in (4, 5):
-        with pytest.raises(ValueError, match="1200-element table cap"):
+    for n in (5, 6):
+        with pytest.raises(ValueError, match="past 4, where stage four lists the free lattice"):
             verify_freeness(n, samples=0)
 
 

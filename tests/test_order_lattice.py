@@ -8,6 +8,7 @@ from oracles import (
     antichain_leq,
     antichain_meet,
     brute_upper_sets,
+    closure_size,
     minimal_sets,
     naive_antichain_count,
 )
@@ -23,6 +24,7 @@ from tqps.order_lattice import (
     fdl_join,
     fdl_leq,
     fdl_meet,
+    freeness_by_types,
     join_irreducibles,
     meet_irreducibles,
     upper_sets,
@@ -338,6 +340,7 @@ def test_free_lattice_irreducibles_are_pure_joins(n):
     lat.validate()
     mirr = meet_irreducibles(lat)
     assert len(mirr) == 2 ** n - 2
+    assert [c for c, form in enumerate(forms) if form.is_meet_irreducible()] == mirr
     found = {}
     for c in mirr:
         form = forms[c]
@@ -358,18 +361,39 @@ def test_free_lattice_order_poset_matches_subsets(n):
 
 
 def test_criterion_accepts_free_generators():
+    # g_i = {T : i in T} over the index sets T: the point T has type T
     for n in (2, 3):
         gens = [AntichainForm.generator(i, n) for i in range(n)]
-        report = check_freeness_criterion(gens, fdl_join, fdl_meet, lambda a, b: a == b)
+        types = [sum(1 << i for i, g in enumerate(gens) if g.up >> t & 1) for t in range(1 << n)]
+        report = freeness_by_types(n, types)
         assert report.free
         assert report.verdict == "FREE"
+
+
+def test_type_criterion_matches_the_closure_oracle():
+    rng = rng_for("type-criterion")
+    verdicts = {}
+    for _ in range(400):
+        k = rng.randint(2, 4)
+        points = range(rng.randint(4, 4 << k))
+        family = [frozenset(x for x in points if rng.random() < 0.5) for _ in range(k)]
+        types = [sum(1 << i for i, g in enumerate(family) if x in g) for x in points]
+        report = freeness_by_types(k, types)
+        free = closure_size(family) == antichain_count(k) - 2
+        assert report.free == free
+        if not free:
+            assert report.witness["clause"] == "type"
+            I = report.witness["I"]
+            assert 0 < len(I) < k and sum(1 << i for i in I) not in types
+        verdicts[k, free] = verdicts.get((k, free), 0) + 1
+    assert len(verdicts) == 6 and min(verdicts.values()) > 20
 
 
 def test_criterion_rejects_a_chain():
     # two comparable generators: the order stage must object
     gens = [frozenset({0}), frozenset({0, 1})]
     report = check_freeness_criterion(
-        gens, lambda a, b: a | b, lambda a, b: a & b, lambda a, b: a == b
+        gens, lambda a, b: a | b, lambda a, b: a & b, lambda a, b: a == b, _no_evidence
     )
     assert report.verdict == "NOT_FREE"
     assert report.witness["clause"] == "order"
@@ -380,20 +404,16 @@ def test_criterion_rejects_a_chain():
 def test_criterion_flags_non_distributive_operations():
     join_fn, meet_fn = _m3_tables()
     report = check_freeness_criterion(
-        ["a", "b", "c"], join_fn, meet_fn, lambda x, y: x == y
+        ["a", "b", "c"], join_fn, meet_fn, lambda x, y: x == y, _no_evidence
     )
     assert report.verdict == "INCONSISTENT"
     assert report.witness["law"] == "distributivity"
     assert not report.free
 
 
-def test_criterion_size_cap():
-    gens = [AntichainForm.generator(i, 3) for i in range(3)]
-    report = check_freeness_criterion(
-        gens, fdl_join, fdl_meet, lambda a, b: a == b, max_size=5
-    )
-    assert report.verdict == "INCONSISTENT"
-    assert report.witness["law"] == "closure"
+def _no_evidence(index_set):
+    # both criterion tests above fail before irreducibility is asked for
+    return True, None
 
 
 def test_random_poset_sampler_is_valid():
