@@ -127,17 +127,19 @@ def compatibility_failures(components):
         comps = dict(enumerate(components.components))
     else:
         comps = dict(components)
+    return _pair_failures(comps, itertools.combinations(sorted(comps), 2))
+
+
+def _pair_failures(comps, pairs):
+    """Violated gluing constraints among the given chart pairs i < j."""
     out = []
-    for i in sorted(comps):
-        for j in sorted(comps):
-            if not i < j:
-                continue
-            lhs = slot_symbol(comps[i], j)
-            rhs = psi_ij(slot_symbol(comps[j], i + 1), i, j)
-            if lhs != rhs:
-                out.append(
-                    {"pair": [i, j], "from_low": lhs.to_json(), "from_high": rhs.to_json()}
-                )
+    for i, j in pairs:
+        lhs = slot_symbol(comps[i], j)
+        rhs = psi_ij(slot_symbol(comps[j], i + 1), i, j)
+        if lhs != rhs:
+            out.append(
+                {"pair": [i, j], "from_low": lhs.to_json(), "from_high": rhs.to_json()}
+            )
     return out
 
 
@@ -171,6 +173,11 @@ def extend(partial, n):
     coefficient zero.  Raises IncompatiblePartialFamily if the given
     components already disagree, ExtensionError if the constraints cannot
     be merged.  An empty family completes to the zero member.
+
+    Each chart pair is checked once.  The pairs of given components are
+    checked up front; the final membership check runs only the pairs with
+    at least one built component, so it runs nothing when the family was
+    already complete.
     """
     comps = {}
     for k, v in dict(partial).items():
@@ -184,9 +191,8 @@ def extend(partial, n):
     failures = compatibility_failures(comps)
     if failures:
         raise IncompatiblePartialFamily(failures)
-    for m in range(n + 1):
-        if m in comps:
-            continue
+    built = [m for m in range(n + 1) if m not in comps]
+    for m in built:
         constraints = _constraints_for(comps, m, n)
         terms = {}
         for s, value in constraints.items():
@@ -204,10 +210,12 @@ def extend(partial, n):
                     "no completion matches the constraint of chart %d at slot %d" % (m, s)
                 )
         comps[m] = candidate
-    p = PullbackElement([comps[i] for i in range(n + 1)])
-    if not is_member(p):
+    new_pairs = [
+        (i, j) for i, j in itertools.combinations(range(n + 1), 2) if i in built or j in built
+    ]
+    if _pair_failures(comps, new_pairs):
         raise ExtensionError("completion failed the final membership check")
-    return p
+    return PullbackElement([comps[i] for i in range(n + 1)])
 
 
 def witness_xI(zero_charts, n, x=None, seed=DEFAULT_SEED):
@@ -235,7 +243,8 @@ def witness_xI(zero_charts, n, x=None, seed=DEFAULT_SEED):
             raise ValueError("witness must carry a matrix unit in every slot")
     zero = TensorElement.zero(n)
     p = PullbackElement([zero if i in zero_charts else x for i in range(n + 1)])
-    assert is_member(p)
+    if not is_member(p):
+        raise ValueError("witness on charts %s fails a gluing constraint" % sorted(zero_charts))
     return p
 
 
@@ -309,7 +318,8 @@ def sample_kernel_intersection(rng, n, charts):
     partial = {c: TensorElement.zero(n) for c in charts}
     partial[m0] = y
     p = extend(partial, n)
-    assert all(p.components[c].is_zero() for c in charts)
+    if not all(p.components[c].is_zero() for c in charts):
+        raise ExtensionError("completion does not vanish on charts %s" % sorted(charts))
     return p
 
 

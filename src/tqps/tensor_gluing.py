@@ -14,15 +14,16 @@ circle exponent h with -(d + h) where d is the total degree of the other
 slots.  That closed form makes psi an exact involution, which is the
 unipotence property the verification suites exercise.
 
-chi relocates the circle slot; psi_ij conjugates psi by relocations and is
-the slot-accurate gluing between two chart indices.  The slotwise symbol
-map turns a Toeplitz slot into a circle slot by killing matrix units, and
-quotient classes modulo two slot kernels are canonicalized by dropping
-every term with a matrix unit in a killed slot.  phi composes symbol,
-gluing and section into the transition between two quotient charts; the
-cocycle and kernel-image checks sample it.
+chi relocates the circle slot.  psi_ij, the slot-accurate gluing between
+two chart indices, is psi conjugated by relocations, chi(psi(chi_inv(x))),
+done as one move that relocates the circle slot and reflects its exponent.
+The slotwise symbol map turns a Toeplitz slot into a circle slot by killing
+matrix units, and quotient classes modulo two slot kernels are
+canonicalized by dropping every term with a matrix unit in a killed slot.
+phi composes symbol, gluing and section into the transition between two
+quotient charts; the cocycle and kernel-image checks sample it.
 
-On pure atom tensors each of these maps (chi, psi, the symbol, its
+On pure atom tensors each of these maps (chi, psi, psi_ij, the symbol, its
 section, the projection and the coaction) only rewrites term keys, and
 injectively, so all of them go through one relocation primitive,
 _rewrite, which builds the result without validating it again.
@@ -292,17 +293,27 @@ def psi(x):
 
 
 def psi_ij(x, i, j):
-    """Gluing between chart indices i < j: circle slot moves from i+1 to j."""
+    """Gluing between chart indices i < j: the circle slot moves from i+1 to
+    j and its exponent is reflected, in one move.
+
+    This equals chi(psi(chi_inv(x, i + 1)), j): the reflection reads only the
+    total degree of the Toeplitz slots, which no relocation changes.
+    """
     if not 0 <= i < j <= x.n_slots:
         raise ValueError("need 0 <= i < j <= slot count")
-    return chi(psi(chi_inv(x, i + 1)), j)
+    if x.circle_slot != i + 1:
+        raise ValueError("psi_ij expects the circle slot at position %r" % (i + 1))
+    return _move_circle(x, i + 1, j, reflect=True)
 
 
 def psi_ij_inv(x, i, j):
-    """Inverse of psi_ij: circle slot moves from j back to i+1."""
+    """Inverse of psi_ij: the circle slot moves from j back to i+1 and its
+    exponent is reflected again, in one move."""
     if not 0 <= i < j <= x.n_slots:
         raise ValueError("need 0 <= i < j <= slot count")
-    return chi(psi(chi_inv(x, j)), i + 1)
+    if x.circle_slot != j:
+        raise ValueError("psi_ij_inv expects the circle slot at position %r" % j)
+    return _move_circle(x, j, i + 1, reflect=True)
 
 
 def slot_symbol(x, k):

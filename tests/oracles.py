@@ -3,7 +3,8 @@
 Each oracle recomputes a quantity through a different representation than
 the library uses: operator products through truncated matrices, coactions
 and gluings through stepwise single-slot arithmetic, order-theoretic
-counts through exhaustive filters, free-lattice join and meet through
+counts through exhaustive filters, chart gluings through three
+relocations instead of one, free-lattice join and meet through
 frozensets of index sets instead of up-set bitmasks, and freeness of a set
 family through the size of its closure instead of point types.  Keeping
 these routes separate from the library is the point; do not fold them into
@@ -13,7 +14,7 @@ src.
 from operator import and_, or_
 
 from tqps.circle_hopf import CirclePoly, ZERO
-from tqps.tensor_gluing import TensorElement
+from tqps.tensor_gluing import TensorElement, chi, chi_inv, psi
 from tqps.toeplitz_core import ToeplitzElement
 
 
@@ -116,6 +117,12 @@ def stepwise_psi(x):
         row = atoms[:-1] + (("u", deg),)
         out[row] = out.get(row, ZERO) + c
     return TensorElement(x.n_slots, x.n_slots, out)
+
+
+def stepwise_psi_ij(x, src, dst):
+    """Chart gluing as three rewrites: move the circle slot from src to the
+    back, reflect it there by psi, then move it to dst."""
+    return chi(psi(chi_inv(x, src)), dst)
 
 
 def brute_upper_sets(poset):

@@ -28,6 +28,8 @@ GOLDEN = [
      "db6060e3f3368eb8a8ae68d680ed2bacdc026d68b615e09ed1725d50f4f9801a"),
     (["verify", "freeness", "--n", "3", "--samples", "5"], 0,
      "923ad8da8bcaffbe890ac18572ae68332640ec59cb3c2524502038d5e8865643"),
+    (["verify", "freeness", "--n", "4", "--samples", "1"], 0,
+     "0c7b1f824502e6bd64da4b106275b9ffd1f6a36fecf1773904a4cb19396199da"),
     (["verify", "freeness", "--n", "2", "--generator-map", "1=0"], 1,
      "e54aa1b6ea6c14ea3c8235817e0b5fea7d51617e7fa5b238f39ab1a76fa949be"),
     (["classical", "lattice", "--n", "3"], 0,

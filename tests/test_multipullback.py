@@ -95,6 +95,22 @@ def test_incompatible_family_is_rejected():
         extend({0: z, 1: z}, 1)
     assert exc.value.failures[0]["pair"] == [0, 1]
     assert not is_member(PullbackElement([z, z]))
+    # a complete family builds no component: the up-front check is the only one
+    zz = tensor_z(2)
+    with pytest.raises(IncompatiblePartialFamily) as exc:
+        extend({0: zz, 1: zz, 2: zz}, 2)
+    assert [f["pair"] for f in exc.value.failures] == [[0, 1], [0, 2], [1, 2]]
+
+
+def test_final_check_runs_on_built_components(monkeypatch):
+    # a doubled gluing inverse is still linear, so the built component meets
+    # its own constraint; only the final check against chart 0 can see it
+    doubled = multipullback.psi_ij_inv
+    monkeypatch.setattr(
+        multipullback, "psi_ij_inv", lambda x, i, j: doubled(x, i, j).scale(2)
+    )
+    with pytest.raises(ExtensionError, match="final membership check"):
+        extend({0: tensor_z(1)}, 1)
 
 
 def test_compatibility_failures_are_symmetric_in_presence():
@@ -128,6 +144,12 @@ def test_compact_witness_redraws_a_cancelling_draw():
     # the first compact-only draw for this seed cancels to zero
     evidence = verify_freeness(2, seed=250339240, samples=1)
     assert evidence.verdict == "FREE"
+
+
+def test_compact_witness_fails_loudly_off_the_pullback(monkeypatch):
+    monkeypatch.setattr(multipullback, "is_member", lambda p: False)
+    with pytest.raises(ValueError, match="fails a gluing constraint"):
+        witness_xI({0}, 2)
 
 
 def test_compact_witness_validates_input():
@@ -167,6 +189,15 @@ def test_kernel_ideal_sampling():
             assert all(p.components[c].is_zero() for c in charts)
             assert is_member(p)
     assert sample_kernel_intersection(rng, 2, {0, 1, 2}).is_zero()
+
+
+def test_kernel_sample_fails_loudly_when_it_does_not_vanish(monkeypatch):
+    def completion_without_zeros(partial, n):
+        return PullbackElement.unit(n)
+
+    monkeypatch.setattr(multipullback, "extend", completion_without_zeros)
+    with pytest.raises(ExtensionError, match="does not vanish on charts"):
+        sample_kernel_intersection(rng_for("loud"), 2, {0})
 
 
 def test_freeness_verdicts():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles import stepwise_coaction, stepwise_psi
+from oracles import stepwise_coaction, stepwise_psi, stepwise_psi_ij
 from tqps.classical_cpn import transition_agreement
 from tqps.sampling import DEFAULT_SEED, random_toeplitz_element
 from tqps.tensor_gluing import (
@@ -179,6 +179,26 @@ def test_psi_ij_inverts():
                     assert psi_ij_inv(y, i, j) == x
                     w = random_tensor_element(rng, n, circle_slot=j)
                     assert psi_ij(psi_ij_inv(w, i, j), i, j) == w
+
+
+def test_psi_ij_matches_the_three_rewrite_composite():
+    rng = rng_for("psi-ij-oracle")
+    for n in (1, 2, 3, 4):
+        for i in range(n):
+            for j in range(i + 1, n + 1):
+                for _ in range(5):
+                    x = random_tensor_element(rng, n, circle_slot=i + 1, max_terms=4)
+                    assert psi_ij(x, i, j) == stepwise_psi_ij(x, i + 1, j)
+                    w = random_tensor_element(rng, n, circle_slot=j, max_terms=4)
+                    assert psi_ij_inv(w, i, j) == stepwise_psi_ij(w, j, i + 1)
+
+
+def test_psi_ij_rejects_a_misplaced_circle_slot():
+    x = TensorElement.pure((("T", 1), ("u", 1), ("T", 0)), circle_slot=2)
+    with pytest.raises(ValueError, match="psi_ij expects the circle slot at position 1"):
+        psi_ij(x, 0, 3)
+    with pytest.raises(ValueError, match="psi_ij_inv expects the circle slot at position 3"):
+        psi_ij_inv(x, 0, 3)
 
 
 def test_slot_symbol_is_an_algebra_map():
