@@ -2,7 +2,7 @@
 complex projective space and its covering lattice.
 """
 
-from .circle_hopf import CirclePoly, CircleTensor, Scalar
+from .circle_hopf import CirclePoly, Scalar
 from .classical_cpn import (
     ChartPoint,
     CoveringSet,
@@ -13,7 +13,6 @@ from .classical_cpn import (
     lattice_R,
     transition,
     transition_agreement,
-    transition_inverse,
 )
 from .multipullback import (
     ExtensionError,
@@ -42,7 +41,6 @@ from .order_lattice import (
     fdl_leq,
     fdl_meet,
     freeness_by_types,
-    join_irreducibles,
     meet_irreducibles,
     upper_sets,
 )
@@ -54,6 +52,7 @@ from .tensor_gluing import (
     cocycle_check,
     diagonal_coaction,
     embed_toeplitz,
+    glue,
     kernel_image_check,
     lift_circle,
     phi,
@@ -66,7 +65,7 @@ from .tensor_gluing import (
     slot_for,
     slot_symbol,
 )
-from .toeplitz_core import CompactPart, ToeplitzElement, gauge_coaction, symbol_map, toeplitz_lift
+from .toeplitz_core import CompactPart, ToeplitzElement
 
 __version__ = "0.1.0"
 

@@ -3,10 +3,10 @@ linear combination in tqps is built on.
 
 Laurent polynomials over Gaussian rationals stand in for the dense subalgebra
 of functions on the unit circle generated by the unitary u and its inverse.
-The Hopf structure is fixed on the generator: the coproduct sends u to
-u (x) u, the antipode sends u to u^-1 and the counit sends u to 1.  Each
-Scalar component is an exact int or Fraction; no floating point enters
-this module.
+The antipode sends u to u^-1 and the counit sends u to 1; the coproduct
+u -> u (x) u is not modelled, since no check reads it.  Each Scalar
+component is an exact int or Fraction; no floating point enters this
+module.
 
 Terms is the one representation of a finite sum of basis keys with
 nonzero Scalar coefficients: circle polynomials and tensors here, the
@@ -258,10 +258,6 @@ class CirclePoly(Terms):
         """Evaluation at the identity of the circle: sum of coefficients."""
         return sum(self.terms.values(), ZERO)
 
-    def comul(self):
-        """Coproduct; u^n is grouplike, so each monomial doubles its degree slot."""
-        return CircleTensor._trusted({(d, d): c for d, c in self.terms.items()})
-
     def render(self):
         """Human form like "3*u^-2 + (1+2i)*u^5"."""
         if not self.terms:
@@ -290,43 +286,3 @@ class CirclePoly(Terms):
     @classmethod
     def from_json(cls, data):
         return cls({int(d): Scalar.from_json(v) for d, v in data.items()})
-
-
-class CircleTensor(Terms):
-    """Formal sum of pure tensors u^m (x) u^n, keyed by degree pair.
-
-    Just enough structure to state the Hopf axioms: componentwise product,
-    legwise antipode and counit, and multiplication of the two legs.
-    """
-
-    __slots__ = ()
-    __hash__ = None
-
-    def _key(self, key):
-        return (int(key[0]), int(key[1]))
-
-    def __mul__(self, other):
-        return CircleTensor._trusted(
-            collect(
-                ((m1 + m2, n1 + n2), c1 * c2)
-                for (m1, n1), c1 in self.terms.items()
-                for (m2, n2), c2 in other.terms.items()
-            )
-        )
-
-    def apply_antipode(self, leg):
-        if leg not in (0, 1):
-            raise ValueError("leg must be 0 or 1")
-        return CircleTensor._trusted(
-            {((-m, n) if leg == 0 else (m, -n)): c for (m, n), c in self.terms.items()}
-        )
-
-    def multiply_legs(self):
-        """Collapse u^m (x) u^n to u^(m+n)."""
-        return CirclePoly._trusted(collect((m + n, c) for (m, n), c in self.terms.items()))
-
-    def counit_leg(self, leg):
-        """Apply the counit on one leg, leaving a CirclePoly in the other."""
-        if leg not in (0, 1):
-            raise ValueError("leg must be 0 or 1")
-        return CirclePoly._trusted(collect((key[1 - leg], c) for key, c in self.terms.items()))

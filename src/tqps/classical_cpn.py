@@ -17,11 +17,12 @@ members, recovering the form exactly.
 
 Chart overlaps carry closed-disc coordinates with one unit-modulus slot;
 slot s of the chart at index i tracks the homogeneous index shared with
-the quantum components (slot_for).  The transition to the chart at the
-circle's index divides through by the circle coordinate and is checked
-against the composite of the chart maps.  This is the only module that
-works in floating point: membership resolves at 1e-12, transition
-agreement at 1e-10.
+the quantum components (slot_for).  transition, the one chart change in
+either direction, divides through by the circle coordinate and moves each
+coordinate to the slot tracking the same index; it is checked against the
+composite of the chart maps and against its own reverse.  This is the
+only module that works in floating point: membership resolves at 1e-12,
+transition agreement at 1e-10.
 """
 
 import cmath
@@ -179,52 +180,24 @@ def chart_overlap_point(x, i, j):
     return ChartPoint(chart(i, x), slot_for(i, j))
 
 
-def transition(p, i, j):
-    """Chart change from index i to index j for i < j, dividing by the circle.
+def transition(p, src, dst):
+    """Chart change from index src to index dst, dividing by the circle.
 
-    The input tracks j in its circle slot; the output tracks i.  Disc
-    coordinates pass through scaled by the inverse circle value, slots
-    between i and j shift by one to make room for the new circle slot.
+    The input tracks dst in its circle slot; the output tracks src.  The
+    output slot tracking chart h reads the input slot tracking h (the
+    coordinate 1 when h is src) times the inverse circle value.
     """
-    if not 0 <= i < j <= p.n:
-        raise ValueError("need chart indices 0 <= i < j <= n")
-    if p.circle_slot != slot_for(i, j):
+    if src == dst or not (0 <= src <= p.n and 0 <= dst <= p.n):
+        raise ValueError("need two distinct chart indices in 0..n")
+    if p.circle_slot != slot_for(src, dst):
         raise ValueError("input circle slot tracks the wrong index")
-    d = (None,) + p.coords
-    s = d[j]
-    inv = 1.0 / s
-    out = []
-    for t in range(1, p.n + 1):
-        if t <= i:
-            out.append(inv * d[t])
-        elif t == i + 1:
-            out.append(inv)
-        elif t <= j:
-            out.append(inv * d[t - 1])
-        else:
-            out.append(inv * d[t])
-    return ChartPoint(out, slot_for(j, i))
-
-
-def transition_inverse(p, i, j):
-    """Inverse chart change: back from the chart at j to the chart at i."""
-    if not 0 <= i < j <= p.n:
-        raise ValueError("need chart indices 0 <= i < j <= n")
-    if p.circle_slot != slot_for(j, i):
-        raise ValueError("input circle slot tracks the wrong index")
-    w = (None,) + p.coords
-    s = 1.0 / w[i + 1]
-    out = []
-    for t in range(1, p.n + 1):
-        if t <= i:
-            out.append(s * w[t])
-        elif t < j:
-            out.append(s * w[t + 1])
-        elif t == j:
-            out.append(s)
-        else:
-            out.append(s * w[t])
-    return ChartPoint(out, slot_for(i, j))
+    inv = 1.0 / p.coords[slot_for(src, dst) - 1]
+    out = [
+        inv if h == src else inv * p.coords[slot_for(src, h) - 1]
+        for h in range(p.n + 1)
+        if h != dst
+    ]
+    return ChartPoint(out, slot_for(dst, src))
 
 
 def random_overlap_point(rng, n, i, j):
@@ -245,6 +218,8 @@ def transition_agreement(n, trials=1000, seed=DEFAULT_SEED):
     report records the worst coordinate deviation, the inverse roundtrip
     error, and any trial beyond tolerance.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     failures = []
@@ -258,7 +233,7 @@ def transition_agreement(n, trials=1000, seed=DEFAULT_SEED):
                 via_formula = transition(p, i, j)
                 via_charts = chart_overlap_point(chart_inv(i, p.coords), j, i)
                 err = via_formula.distance(via_charts)
-                back = transition_inverse(via_formula, i, j)
+                back = transition(via_formula, j, i)
                 err = max(err, back.distance(p))
                 worst = max(worst, err)
                 if err > TRANSITION_TOL:

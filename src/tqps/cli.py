@@ -95,13 +95,13 @@ def build_parser():
     v_psi.add_argument("--format", choices=["json", "text"], default="text")
 
     v_coc = verify.add_parser("cocycle", help="transition cocycle")
-    v_coc.add_argument("--n", type=_count("n", 1, MAX_N), required=True)
+    v_coc.add_argument("--n", type=_count("n", 2, MAX_N), required=True)
     v_coc.add_argument("--samples", type=_count("samples", 1), default=100)
     v_coc.add_argument("--seed", type=int, default=DEFAULT_SEED)
     v_coc.add_argument("--format", choices=["json", "text"], default="text")
 
     v_ker = verify.add_parser("kernel-images", help="kernel image exchange")
-    v_ker.add_argument("--n", type=_count("n", 1, MAX_N), required=True)
+    v_ker.add_argument("--n", type=_count("n", 2, MAX_N), required=True)
     v_ker.add_argument("--samples", type=_count("samples", 1), default=50)
     v_ker.add_argument("--seed", type=int, default=DEFAULT_SEED)
     v_ker.add_argument("--format", choices=["json", "text"], default="text")

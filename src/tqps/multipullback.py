@@ -3,14 +3,16 @@
 A pullback element over n + 1 charts is a tuple of components, one per
 chart, each a pure Toeplitz tensor with n slots.  Slot slot_for(i, k) of
 component i tracks chart k.  Components i < j agree when the slotwise
-symbol of component i at slot j equals the glued slotwise symbol of
-component j at slot i + 1; is_member checks all pairs.
+symbol of component i at slot_for(i, j) equals glue(component j, j, i),
+the symbol of component j seen from chart i; is_member checks all pairs.
 
 extend completes a compatible partial family to a full member with
-minimal support: the missing component is the union of the lifted
-constraints, with every unconstrained all-matrix-unit pattern left at
-zero.  The constraint merge is verified after the fact, so an
-inconsistent family raises instead of silently producing a non-member.
+minimal support: a missing component m must have the symbol
+glue(component t, t, m) at slot_for(m, t) for every known chart t, and it
+is the union of those constraints lifted, with every unconstrained
+all-matrix-unit pattern left at zero.  The constraint merge is verified
+after the fact, so an inconsistent family raises instead of silently
+producing a non-member.
 
 The freeness machinery certifies that the chart kernels generate a free
 distributive lattice.  Pure intersections of kernels are compared through
@@ -35,10 +37,9 @@ from .order_lattice import (
 )
 from .tensor_gluing import (
     TensorElement,
+    glue,
     lift_circle,
     project_slots,
-    psi_ij,
-    psi_ij_inv,
     random_tensor_element,
     slot_for,
     slot_symbol,
@@ -134,8 +135,8 @@ def _pair_failures(comps, pairs):
     """Violated gluing constraints among the given chart pairs i < j."""
     out = []
     for i, j in pairs:
-        lhs = slot_symbol(comps[i], j)
-        rhs = psi_ij(slot_symbol(comps[j], i + 1), i, j)
+        lhs = slot_symbol(comps[i], slot_for(i, j))
+        rhs = glue(comps[j], j, i)
         if lhs != rhs:
             out.append(
                 {"pair": [i, j], "from_low": lhs.to_json(), "from_high": rhs.to_json()}
@@ -145,23 +146,6 @@ def _pair_failures(comps, pairs):
 
 def is_member(p):
     return not compatibility_failures(p)
-
-
-def _constraints_for(comps, m, n):
-    """Gluing constraints on the missing chart m from the known components.
-
-    Returns {slot: glued symbol with the circle at that slot}.
-    """
-    out = {}
-    for t in sorted(comps):
-        if t > m:
-            slot = t
-            value = psi_ij(slot_symbol(comps[t], m + 1), m, t)
-        else:
-            slot = t + 1
-            value = psi_ij_inv(slot_symbol(comps[t], m), t, m)
-        out[slot] = value
-    return out
 
 
 def extend(partial, n):
@@ -193,7 +177,7 @@ def extend(partial, n):
         raise IncompatiblePartialFamily(failures)
     built = [m for m in range(n + 1) if m not in comps]
     for m in built:
-        constraints = _constraints_for(comps, m, n)
+        constraints = {slot_for(m, t): glue(comps[t], t, m) for t in sorted(comps)}
         terms = {}
         for s, value in constraints.items():
             lifted = lift_circle(value)
@@ -290,13 +274,15 @@ def witness_TmI(m, charts, n):
         raise ValueError("bad chart data")
     atoms = []
     sigma_slots = set()
-    for s in range(1, n + 1):
-        tracked = s if s > m else s - 1
-        if tracked in charts:
+    # slot_for(m, k) increases with k, so the atoms come out in slot order
+    for k in range(n + 1):
+        if k == m:
+            continue
+        if k in charts:
             atoms.append(("E", 0, 0))
         else:
             atoms.append(("T", 1))
-            sigma_slots.add(s)
+            sigma_slots.add(slot_for(m, k))
     T = TensorElement.pure(tuple(atoms))
     return T, SlotFunctional(n, sigma_slots)
 

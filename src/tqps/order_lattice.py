@@ -378,11 +378,6 @@ def meet_irreducibles(lat):
     return [c for c in range(lat.n) if c != top and c not in reducible]
 
 
-def join_irreducibles(lat):
-    dual = FiniteDistributiveLattice(lat.elements, lat.meet_table, lat.join_table)
-    return meet_irreducibles(dual)
-
-
 class BirkhoffResult:
     __slots__ = ("poset", "irreducibles", "mapping")
 

@@ -20,8 +20,14 @@ done as one move that relocates the circle slot and reflects its exponent.
 The slotwise symbol map turns a Toeplitz slot into a circle slot by killing
 matrix units, and quotient classes modulo two slot kernels are
 canonicalized by dropping every term with a matrix unit in a killed slot.
-phi composes symbol, gluing and section into the transition between two
-quotient charts; the cocycle and kernel-image checks sample it.
+
+glue is the one chart change on components: glue(x, src, dst) takes the
+symbol of x at the slot tracking dst, then moves the circle to the slot
+tracking src and reflects it, through psi_ij or psi_ij_inv by index order.
+Only slot_for says which slot tracks which chart.  The multipullback's
+gluing law, the transition on representatives and the kernel-image check
+all read glue; phi composes it with the section into the transition
+between two quotient charts, which the cocycle check samples.
 
 On pure atom tensors each of these maps (chi, psi, psi_ij, the symbol, its
 section, the projection and the coaction) only rewrites term keys, and
@@ -368,6 +374,20 @@ def slot_for(side, idx):
     return idx if idx > side else idx + 1
 
 
+def glue(x, src, dst):
+    """Component x at chart src, seen from chart dst.
+
+    The symbol of x at the slot tracking dst, with the circle moved to the
+    slot tracking src and reflected: psi_ij when src > dst, psi_ij_inv when
+    src < dst.  Two components at charts i and j agree when
+    glue(comps[j], j, i) equals the symbol of comps[i] at slot_for(i, j).
+    """
+    w = slot_symbol(x, slot_for(src, dst))
+    if src > dst:
+        return psi_ij(w, dst, src)
+    return psi_ij_inv(w, src, dst)
+
+
 class QuotientClass:
     """Class of a pure Toeplitz tensor modulo two slot kernels.
 
@@ -405,19 +425,10 @@ def quotient_class(x, kill_a, kill_b):
 def transition_representative(x, i, j):
     """Raw chart transition on representatives, without canonicalization.
 
-    Reads x as a component at chart j, pushes it through symbol, gluing and
-    section, and returns the candidate component at chart i.  Index order
-    decides which direction of the gluing applies.
+    Reads x as a component at chart j, glues it to chart i and lifts the
+    circle slot back to a shift slot: the candidate component at chart i.
     """
-    if i == j:
-        raise ValueError("transition needs two distinct charts")
-    if i < j:
-        w = slot_symbol(x, i + 1)
-        w = psi_ij(w, i, j)
-    else:
-        w = slot_symbol(x, i)
-        w = psi_ij_inv(w, j, i)
-    return lift_circle(w)
+    return lift_circle(glue(x, j, i))
 
 
 def phi(cls, i, j, k):
@@ -489,6 +500,8 @@ def psi_involution_check(n, samples=1000, seed=DEFAULT_SEED):
     Works on tensors with n - 1 Toeplitz slots and a trailing circle slot,
     matching the gluing domain for the n-chart construction.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if samples < 0:
         raise ValueError("samples must be at least 0")
     failures = []
@@ -538,13 +551,6 @@ def _case_label(i, j, k):
     return "k<i<j"
 
 
-def _apply_chart_projection(x, source, target):
-    """pi from the component at chart `source` toward chart `target`."""
-    if source < target:
-        return slot_symbol(x, target)
-    return psi_ij(slot_symbol(x, target + 1), target, source)
-
-
 def kernel_image_check(n, i, j, k, samples=50, seed=DEFAULT_SEED):
     """Sampled check that both chart projections push the k-kernel of their
     source onto the same target ideal.
@@ -565,7 +571,11 @@ def kernel_image_check(n, i, j, k, samples=50, seed=DEFAULT_SEED):
         rng = derived_rng(seed, "kernel-image", n, i, j, k, source)
         for idx in range(samples):
             x = random_tensor_element(rng, n, compact_slots={kernel_slot})
-            image = _apply_chart_projection(x, source, target)
+            # the lower chart's side of the gluing is the bare symbol
+            if source < target:
+                image = slot_symbol(x, slot_for(source, target))
+            else:
+                image = glue(x, source, target)
             if image.circle_slot != b:
                 failures.append(
                     {"sample": idx, "source": source, "reason": "circle slot misplaced"}
@@ -601,8 +611,11 @@ def cocycle_check(n, samples=100, seed=DEFAULT_SEED):
     triples are spot-checked through the inverse branch as well.  Every
     sample also re-runs the raw pipeline on a representative perturbed by a
     kernel term, which certifies that class output does not depend on the
-    choice of representative.
+    choice of representative.  With fewer than three charts there is no
+    triple, so n must be at least 2.
     """
+    if n < 2:
+        raise ValueError("n must be at least 2")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     triples = []

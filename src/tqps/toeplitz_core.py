@@ -9,13 +9,13 @@ up a finite lower-left correction,
     (T(f) T(g))[j, k] - T(fg)[j, k] = - sum_{l <= -1} f_{j-l} g_{l-k},
 
 which is what keeps the model closed under multiplication.  The symbol map
-(f, K) -> f kills the finite-rank part and is the quotient onto the circle
-algebra; toeplitz_lift is its linear section f -> (f, 0), deliberately not
-multiplicative: lift(u) lift(u^-1) = 1 - E_00.
+(f, K) -> f, read off as `.symbol`, kills the finite-rank part and is the
+quotient onto the circle algebra; ToeplitzElement(f) is its linear section
+f -> (f, 0), deliberately not multiplicative: T(u) T(u^-1) = 1 - E_00.
 
 The gauge circle action rotates the shift: T(u^a) has degree a and E_{jk}
-has degree j - k, and the coaction tags each homogeneous piece with the
-matching circle monomial.
+has degree j - k, and homogeneous_parts splits an element by that degree,
+the pieces the coaction tags with the matching circle monomial.
 """
 
 from .circle_hopf import CirclePoly, Scalar, Terms, collect
@@ -221,23 +221,3 @@ def _compact_times_shift(k_part, g):
             if k - b >= 0
         )
     )
-
-
-def symbol_map(x):
-    """Quotient onto the circle algebra: kill the finite-rank part."""
-    return x.symbol
-
-
-def toeplitz_lift(f):
-    """Linear *-preserving section of the symbol map; not multiplicative."""
-    return ToeplitzElement(f)
-
-
-def gauge_coaction(x):
-    """Formal sum of homogeneous part (x) circle monomial, keyed by degree.
-
-    The returned map {d: x_d} stands for sum_d x_d (x) u^d.  The finite-rank
-    part never leaks into the shift part, so the coaction restricts to the
-    compacts.
-    """
-    return x.homogeneous_parts()

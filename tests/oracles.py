@@ -4,17 +4,17 @@ Each oracle recomputes a quantity through a different representation than
 the library uses: operator products through truncated matrices, coactions
 and gluings through stepwise single-slot arithmetic, order-theoretic
 counts through exhaustive filters, chart gluings through three
-relocations instead of one, free-lattice join and meet through
-frozensets of index sets instead of up-set bitmasks, and freeness of a set
-family through the size of its closure instead of point types.  Keeping
-these routes separate from the library is the point; do not fold them into
-src.
+relocations instead of one and with their slots worked out by hand,
+free-lattice join and meet through frozensets of index sets instead of
+up-set bitmasks, and freeness of a set family through the size of its
+closure instead of point types.  Keeping these routes separate from the
+library is the point; do not fold them into src.
 """
 
 from operator import and_, or_
 
 from tqps.circle_hopf import CirclePoly, ZERO
-from tqps.tensor_gluing import TensorElement, chi, chi_inv, psi
+from tqps.tensor_gluing import TensorElement, chi, chi_inv, psi, slot_symbol
 from tqps.toeplitz_core import ToeplitzElement
 
 
@@ -123,6 +123,16 @@ def stepwise_psi_ij(x, src, dst):
     """Chart gluing as three rewrites: move the circle slot from src to the
     back, reflect it there by psi, then move it to dst."""
     return chi(psi(chi_inv(x, src)), dst)
+
+
+def stepwise_glue(x, src, dst):
+    """Component x at chart src seen from chart dst: the slotwise symbol,
+    then the three-rewrite gluing.  The slots are worked out by hand: a
+    component at chart c tracks chart k at slot k + 1 when k < c, at k
+    otherwise."""
+    at = dst + 1 if dst < src else dst
+    to = src + 1 if src < dst else src
+    return stepwise_psi_ij(slot_symbol(x, at), at, to)
 
 
 def brute_upper_sets(poset):

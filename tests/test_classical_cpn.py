@@ -22,7 +22,6 @@ from tqps.classical_cpn import (
     probe_point,
     transition,
     transition_agreement,
-    transition_inverse,
 )
 from tqps.order_lattice import AntichainForm, fdl_enumerate, fdl_join, fdl_meet
 from tqps.sampling import random_antichain_form
@@ -161,7 +160,7 @@ def test_transition_on_the_circle():
     q = transition(p, 0, 1)
     assert abs(q.coords[0] - 1.0 / s) < TRANSITION_TOL
     assert q.circle_slot == slot_for(1, 0)
-    back = transition_inverse(q, 0, 1)
+    back = transition(q, 1, 0)
     assert back.distance(p) < TRANSITION_TOL
 
 
@@ -172,21 +171,23 @@ def test_transition_validates_slots():
     with pytest.raises(ValueError):
         transition(p, 1, 1)
     with pytest.raises(ValueError):
-        transition_inverse(p, 0, 2)  # inverse expects the circle at slot 1
+        transition(p, 2, 0)  # that transition needs the circle at slot 1
 
 
 def test_transition_matches_chart_composite():
     rng = rng_for("composite")
     for n in (1, 2, 3):
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
+        for src in range(n + 1):
+            for dst in range(n + 1):
+                if src == dst:
+                    continue
                 for _ in range(25):
-                    x = random_overlap_point(rng, n, i, j)
-                    p = chart_overlap_point(x, i, j)
-                    via_formula = transition(p, i, j)
-                    via_charts = chart_overlap_point(chart_inv(i, p.coords), j, i)
+                    x = random_overlap_point(rng, n, src, dst)
+                    p = chart_overlap_point(x, src, dst)
+                    via_formula = transition(p, src, dst)
+                    via_charts = chart_overlap_point(chart_inv(src, p.coords), dst, src)
                     assert via_formula.distance(via_charts) < TRANSITION_TOL
-                    back = transition_inverse(via_formula, i, j)
+                    back = transition(via_formula, dst, src)
                     assert back.distance(p) < TRANSITION_TOL
 
 

@@ -201,6 +201,8 @@ def test_bad_arguments_exit_two(capsys):
         ["classical", "transitions", "--n", "2", "--trials", "-3"],
         ["verify", "cocycle", "--n", "2", "--samples", "0"],
         ["verify", "kernel-images", "--n", "2", "--samples", "0"],
+        ["verify", "cocycle", "--n", "1"],
+        ["verify", "kernel-images", "--n", "1"],
         ["classical", "transitions", "--n", "2", "--trials", "0"],
         ["birkhoff", "roundtrip", "--poset-size", "4", "--trials", "0"],
         ["verify", "freeness", "--n", "2", "--generator-map", "7=0"],

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tqps import multipullback
+from tqps import multipullback, tensor_gluing
 from tqps.multipullback import (
     ExtensionError,
     IncompatiblePartialFamily,
@@ -16,7 +16,14 @@ from tqps.multipullback import (
     witness_xI,
 )
 from tqps.sampling import DEFAULT_SEED, random_toeplitz_element
-from tqps.tensor_gluing import TensorElement, embed_toeplitz, random_tensor_element
+from tqps.tensor_gluing import (
+    TensorElement,
+    embed_toeplitz,
+    glue,
+    random_tensor_element,
+    slot_for,
+    slot_symbol,
+)
 from tqps.toeplitz_core import ToeplitzElement
 from tqps.util import derived_rng
 
@@ -79,6 +86,20 @@ def test_single_component_extensions_are_members():
             assert is_member(p)
 
 
+def test_extended_members_glue_in_both_frames():
+    # the gluing law read from either chart of each pair: component j seen
+    # from chart i is the symbol of component i at the slot tracking j
+    rng = rng_for("both-frames")
+    for n in (1, 2, 3):
+        for _ in range(5):
+            m = rng.randrange(n + 1)
+            p = extend({m: random_tensor_element(rng, n, max_terms=3)}, n).components
+            for i in range(n + 1):
+                for j in range(n + 1):
+                    if i != j:
+                        assert glue(p[j], j, i) == slot_symbol(p[i], slot_for(i, j))
+
+
 def test_members_form_an_algebra():
     rng = rng_for("algebra")
     for _ in range(10):
@@ -105,9 +126,9 @@ def test_incompatible_family_is_rejected():
 def test_final_check_runs_on_built_components(monkeypatch):
     # a doubled gluing inverse is still linear, so the built component meets
     # its own constraint; only the final check against chart 0 can see it
-    doubled = multipullback.psi_ij_inv
+    doubled = tensor_gluing.psi_ij_inv
     monkeypatch.setattr(
-        multipullback, "psi_ij_inv", lambda x, i, j: doubled(x, i, j).scale(2)
+        tensor_gluing, "psi_ij_inv", lambda x, i, j: doubled(x, i, j).scale(2)
     )
     with pytest.raises(ExtensionError, match="final membership check"):
         extend({0: tensor_z(1)}, 1)

@@ -25,7 +25,6 @@ from tqps.order_lattice import (
     fdl_leq,
     fdl_meet,
     freeness_by_types,
-    join_irreducibles,
     meet_irreducibles,
     upper_sets,
 )
@@ -134,7 +133,6 @@ def test_diamond_irreducibles():
     lat = FiniteDistributiveLattice.from_upper_sets(Poset.antichain(2))
     assert lat.n == 4
     assert len(meet_irreducibles(lat)) == 2
-    assert len(join_irreducibles(lat)) == 2
 
 
 def _m3_tables():

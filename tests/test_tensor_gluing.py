@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles import stepwise_coaction, stepwise_psi, stepwise_psi_ij
+from oracles import stepwise_coaction, stepwise_glue, stepwise_psi, stepwise_psi_ij
 from tqps.classical_cpn import transition_agreement
 from tqps.sampling import DEFAULT_SEED, random_toeplitz_element
 from tqps.tensor_gluing import (
@@ -13,6 +13,7 @@ from tqps.tensor_gluing import (
     cocycle_check,
     diagonal_coaction,
     embed_toeplitz,
+    glue,
     kernel_image_check,
     lift_circle,
     phi,
@@ -193,6 +194,22 @@ def test_psi_ij_matches_the_three_rewrite_composite():
                     assert psi_ij_inv(w, i, j) == stepwise_psi_ij(w, j, i + 1)
 
 
+def test_glue_matches_the_stepwise_composite():
+    rng = rng_for("glue-oracle")
+    for n in (1, 2, 3, 4):
+        for src in range(n + 1):
+            for dst in range(n + 1):
+                if src == dst:
+                    continue
+                for _ in range(5):
+                    x = random_tensor_element(rng, n, max_terms=4)
+                    y = glue(x, src, dst)
+                    assert y == stepwise_glue(x, src, dst)
+                    assert y.circle_slot == slot_for(dst, src)
+    with pytest.raises(ValueError):
+        glue(TensorElement.one(2), 1, 1)
+
+
 def test_psi_ij_rejects_a_misplaced_circle_slot():
     x = TensorElement.pure((("T", 1), ("u", 1), ("T", 0)), circle_slot=2)
     with pytest.raises(ValueError, match="psi_ij expects the circle slot at position 1"):
@@ -335,6 +352,10 @@ def test_cocycle_check_report():
         pytest.param(lambda: transition_agreement(2, trials=0), id="transitions trials=0"),
         pytest.param(lambda: transition_agreement(2, trials=-3), id="transitions trials=-3"),
         pytest.param(lambda: psi_involution_check(2, samples=-1), id="psi samples=-1"),
+        pytest.param(lambda: psi_involution_check(0), id="psi n=0"),
+        pytest.param(lambda: cocycle_check(0), id="cocycle n=0"),
+        pytest.param(lambda: cocycle_check(1), id="cocycle n=1"),
+        pytest.param(lambda: transition_agreement(0), id="transitions n=0"),
     ],
 )
 def test_counts_that_check_nothing_are_refused(call):
