@@ -19,7 +19,6 @@ from .multipullback import (
     FreenessEvidence,
     IncompatiblePartialFamily,
     PullbackElement,
-    SlotFunctional,
     extend,
     is_member,
     sample_kernel_intersection,
@@ -50,7 +49,6 @@ from .tensor_gluing import (
     chi,
     chi_inv,
     cocycle_check,
-    diagonal_coaction,
     embed_toeplitz,
     glue,
     kernel_image_check,
@@ -61,7 +59,6 @@ from .tensor_gluing import (
     psi_ij,
     psi_ij_inv,
     psi_involution_check,
-    quotient_class,
     slot_for,
     slot_symbol,
 )

@@ -84,10 +84,6 @@ class CoveringSet(UpSet):
     def basic(cls, n, i):
         return cls.from_family(n, [frozenset([i])])
 
-    @classmethod
-    def empty(cls, n):
-        return cls(n, [])
-
     @property
     def n(self):
         return self.k - 1

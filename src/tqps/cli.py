@@ -53,7 +53,10 @@ def _generator_map(text):
         if not part:
             continue
         k, _, v = part.partition("=")
-        out[int(k)] = int(v)
+        k = int(k)
+        if k in out:
+            raise argparse.ArgumentTypeError("generator %d is mapped twice" % k)
+        out[k] = int(v)
     return out
 
 

@@ -17,24 +17,19 @@ producing a non-member.
 The freeness machinery certifies that the chart kernels generate a free
 distributive lattice.  Pure intersections of kernels are compared through
 explicit member witnesses; join-irreducibility of each pure intersection
-is backed by a slot functional that provably kills every kernel outside
-the index set and visibly does not kill the intersection itself.  The
-formal bookkeeping runs through check_freeness_criterion with antichain
-forms as element representatives, which is sound in any distributive
-lattice; every inequality the criterion relies on is grounded in a
-constructed witness, and a degenerate generator assignment is reported as
-NOT_FREE with the violating pair.
+is backed by projecting away the matrix units of a slot set, which
+provably kills every kernel outside the index set and visibly does not
+kill the intersection itself.  check_freeness_criterion reads both on
+index sets of charts: the order as certified containment of one
+intersection in another, the irreducibility as those projections.  Every
+inequality it relies on is grounded in a constructed witness, and a
+degenerate generator assignment is reported as NOT_FREE with the
+violating pair.
 """
 
 import itertools
 
-from .order_lattice import (
-    AntichainForm,
-    check_freeness_criterion,
-    fdl_enumerate,
-    fdl_join,
-    fdl_meet,
-)
+from .order_lattice import AntichainForm, check_freeness_criterion, fdl_enumerate
 from .tensor_gluing import (
     TensorElement,
     glue,
@@ -232,42 +227,18 @@ def witness_xI(zero_charts, n, x=None, seed=DEFAULT_SEED):
     return p
 
 
-class SlotFunctional:
-    """Slotwise symbol applied at a fixed slot set, identity elsewhere.
-
-    The value is kept as the lifted projection: terms with a matrix unit
-    in a designated slot are dropped, the rest pass through unchanged.
-    The symbol map is injective on the surviving terms, so the projection
-    vanishes exactly when the composite of symbol maps does.
-    """
-
-    __slots__ = ("n_slots", "sigma_slots")
-
-    def __init__(self, n_slots, sigma_slots):
-        self.n_slots = n_slots
-        self.sigma_slots = frozenset(sigma_slots)
-        if not all(1 <= s <= n_slots for s in self.sigma_slots):
-            raise ValueError("slot out of range")
-
-    def apply(self, x):
-        if x.n_slots != self.n_slots or x.circle_slot is not None:
-            raise ValueError("shape mismatch")
-        return project_slots(x, self.sigma_slots)
-
-    def annihilates(self, x):
-        return self.apply(x).is_zero()
-
-
 def witness_TmI(m, charts, n):
     """Irreducibility witness for chart m against the chart set `charts`.
 
     Returns (T, sigma): T is the pure tensor whose slot tracking chart k
     holds a matrix unit when k is in `charts` and the unilateral shift
-    otherwise; sigma applies the slotwise symbol at every slot tracking a
-    chart outside `charts`.  By construction the projection of T to any
-    chart in `charts` vanishes while sigma keeps T itself alive, and the
-    composite of sigma with the projection to chart m kills the kernel of
-    every chart projection outside `charts`.
+    otherwise; sigma is the set of slots tracking a chart outside `charts`.
+    The slotwise symbol at sigma vanishes exactly where
+    project_slots(., sigma) does, since the symbol map is injective on the
+    terms the projection keeps.  By construction the projection of T to
+    any chart in `charts` vanishes while project_slots(T, sigma) keeps T
+    alive, and the symbol at sigma composed with the projection to chart m
+    kills the kernel of every chart projection outside `charts`.
     """
     charts = frozenset(charts)
     if not 0 <= m <= n or m in charts or not all(0 <= c <= n for c in charts):
@@ -284,7 +255,7 @@ def witness_TmI(m, charts, n):
             atoms.append(("T", 1))
             sigma_slots.add(slot_for(m, k))
     T = TensorElement.pure(tuple(atoms))
-    return T, SlotFunctional(n, sigma_slots)
+    return T, frozenset(sigma_slots)
 
 
 def sample_kernel_intersection(rng, n, charts):
@@ -339,14 +310,15 @@ def verify_freeness(n, seed=0, samples=200, generator_map=None):
     witnesses: for every violation of index-set inclusion a constructed
     member separates the two intersections, and a failed separation is
     treated as a genuine collapse.  Stage two backs join-irreducibility of
-    each pure intersection with a slot functional: it provably annihilates
-    every generating kernel outside the index set, visibly keeps a
-    constructed member of the intersection alive, and is additionally
-    cross-checked on sampled members of the strictly finer intersections.
-    Stage three replays the certified relations through the generic
-    freeness criterion, and stage four confirms on the up-sets of the free
-    lattice that its meet irreducibles are exactly the pure joins, ordered
-    by inclusion of their index sets.
+    each pure intersection with the projection away from the matrix units
+    of a slot set: it provably annihilates every generating kernel outside
+    the index set, visibly keeps a constructed member of the intersection
+    alive, and is additionally cross-checked on sampled members of the
+    strictly finer intersections.  Stage three hands both to
+    check_freeness_criterion on index sets of generators, the order of
+    joins as leq(I, J) = contains(I | J, J), and stage four confirms on the
+    up-sets of the free lattice that its meet irreducibles are exactly the
+    pure joins, ordered by inclusion of their index sets.
 
     n is at most 4, since stage four lists every element of the free
     lattice on n + 1 generators (7.8 million at n = 5).
@@ -404,19 +376,6 @@ def verify_freeness(n, seed=0, samples=200, generator_map=None):
         contain_cache[key] = result
         return result
 
-    def pure_indices(form):
-        """Generator indices of a pure join, None for any other form."""
-        sets = form.minimal_sets()
-        if all(len(s) == 1 for s in sets):
-            return frozenset(s[0] for s in sets)
-        return None
-
-    def eq(a, b):
-        if a == b:
-            return True
-        I, J = pure_indices(a), pure_indices(b)
-        return I is not None and J is not None and contains(I, J) and contains(J, I)
-
     def prover(I):
         D = frozenset(gmap[i] for i in I)
         complement = [k for k in range(gen_count) if k not in I]
@@ -433,9 +392,9 @@ def verify_freeness(n, seed=0, samples=200, generator_map=None):
             partial = {d: TensorElement.zero(n) for d in D}
             partial[m] = T
             p = extend(partial, n)
-            witness_nonzero = not sigma.apply(p.components[m]).is_zero()
-            # the functional kills ker of chart m outright (it factors through
-            # the projection to m) and ker of any chart outside D by the slot
+            witness_nonzero = not project_slots(p.components[m], sigma).is_zero()
+            # the projection at sigma kills ker of chart m outright (it acts on
+            # the component at m) and ker of any chart outside D by the slot
             # argument; only a generator landing inside D breaks the proof
             exact_kills = all(gmap[k] not in D for k in complement)
             row_ok = witness_nonzero and exact_kills
@@ -448,7 +407,7 @@ def verify_freeness(n, seed=0, samples=200, generator_map=None):
                 fails = 0
                 for _ in range(samples):
                     y = sample_kernel_intersection(rng, n, DJ)
-                    if not sigma.annihilates(y.components[m]):
+                    if not project_slots(y.components[m], sigma).is_zero():
                         fails += 1
                 annihilation.append({"J": sorted(J), "samples": samples, "failures": fails})
                 if fails:
@@ -467,9 +426,10 @@ def verify_freeness(n, seed=0, samples=200, generator_map=None):
         irreducibility.extend(rows)
         return ok_all, {"rows": len(rows)}
 
-    generators = [AntichainForm.generator(i, gen_count) for i in range(gen_count)]
+    # the join over I lies below the join over J exactly when the
+    # (I | J)-intersection contains the J-intersection
     report = check_freeness_criterion(
-        generators, fdl_join, fdl_meet, eq, irreducibility=prover
+        gen_count, lambda I, J: contains(I | J, J), irreducibility=prover
     )
 
     verdict = report.verdict
@@ -477,13 +437,12 @@ def verify_freeness(n, seed=0, samples=200, generator_map=None):
     if report.free:
         forms = fdl_enumerate(gen_count)
         mirr = [f for f in forms if f.is_meet_irreducible()]
-        joins = {pure_indices(f): f for f in mirr}
-        expected = {
-            frozenset(c)
+        joins = {
+            frozenset(c): AntichainForm.pure_join(c, gen_count)
             for r in range(1, gen_count)
             for c in itertools.combinations(range(gen_count), r)
         }
-        pure_ok = set(joins) == expected and len(mirr) == len(expected)
+        pure_ok = set(mirr) == set(joins.values())
         iso = pure_ok and all((joins[I] <= joins[J]) == (I <= J) for I in joins for J in joins)
         lattice_info = {
             "free_size": len(forms),

@@ -22,12 +22,12 @@ Two freeness tests follow from the theorem.  Sets G_0..G_{k-1} generate
 a free distributive lattice exactly when every nonempty proper index set
 is the type {i : x in G_i} of some point x (freeness_by_types): the
 evaluation map sending an up-set U to {x : type(x) in U} is then
-injective.  A lattice known only through join, meet and equality
-callbacks is free on its generators exactly when every join over a
-nonempty proper generator subset is meet irreducible and the order
-between such joins is index-set inclusion; check_freeness_criterion
-checks the order itself and takes the irreducibility evidence from the
-caller, as the kernel lattice of multipullback supplies it.
+injective.  A distributive lattice generated by g_0..g_{k-1} is free on
+them exactly when every join over a nonempty proper index set is meet
+irreducible and the order between such joins is index-set inclusion.
+Both conditions are about index sets, so check_freeness_criterion takes
+the order as leq(I, J) and the irreducibility evidence as a callback on
+I, as the kernel lattice of multipullback supplies them.
 """
 
 import functools
@@ -607,9 +607,9 @@ def fdl_enumerate(n):
 class FreenessReport:
     """Outcome of the generator-freeness test.
 
-    verdict is FREE, NOT_FREE (with a witness identifying the violated
-    clause) or INCONSISTENT (the callbacks broke a lattice law, so the
-    freeness question was never reached).
+    verdict is FREE or NOT_FREE, the latter with a witness identifying the
+    violated clause.  The tests here never return INCONSISTENT; that
+    verdict comes only from stage four of multipullback.verify_freeness.
     """
 
     __slots__ = ("verdict", "witness", "details")
@@ -639,8 +639,8 @@ def freeness_by_types(k, types):
     is the witness, as the up-sets above S with and without S itself then
     evaluate to the same set.
     """
-    if k < 1:
-        raise ValueError("need at least one generator")
+    if k < 2:
+        raise ValueError("k must be at least 2")
     seen = set(types)
     for mask in range(1, (1 << k) - 1):
         if mask not in seen:
@@ -648,51 +648,24 @@ def freeness_by_types(k, types):
     return FreenessReport("FREE")
 
 
-def check_freeness_criterion(generators, join, meet, eq, irreducibility):
-    """Decide whether the generators generate freely, via callbacks.
+def check_freeness_criterion(k, leq, irreducibility):
+    """Decide whether k generators of a distributive lattice generate freely.
 
-    The test has two halves.  First, joins over nonempty proper index sets
-    must be ordered exactly by inclusion of the index sets.  Second, each
-    such join must be meet irreducible in the generated lattice; the
-    caller supplies that evidence through irreducibility(index_set) ->
-    (ok, info).  A distributivity spot check on the generators comes
-    first; a broken law yields INCONSISTENT rather than a freeness verdict.
+    Both halves walk the nonempty proper index sets of range(k).  First,
+    leq(I, J), whether the join over I lies below the join over J, must be
+    exactly I <= J.  Second, each such join must be meet irreducible; the
+    caller supplies that evidence through irreducibility(I) -> (ok, info).
     """
-    gens = list(generators)
-    n = len(gens)
-    if n < 1:
-        raise ValueError("need at least one generator")
-
-    def leq(a, b):
-        return eq(join(a, b), b)
-
+    if k < 2:
+        raise ValueError("k must be at least 2")
     index_sets = []
-    for r in range(1, n):
-        index_sets.extend(frozenset(c) for c in itertools.combinations(range(n), r))
-
-    pure = {}
-    for I in index_sets:
-        it = iter(sorted(I))
-        e = gens[next(it)]
-        for i in it:
-            e = join(e, gens[i])
-        pure[I] = e
-
-    for x in gens:
-        for y in gens:
-            for z in gens:
-                lhs = meet(x, join(y, z))
-                rhs = join(meet(x, y), meet(x, z))
-                if not eq(lhs, rhs):
-                    return FreenessReport(
-                        "INCONSISTENT",
-                        witness={"law": "distributivity", "note": "generator triple"},
-                    )
+    for r in range(1, k):
+        index_sets.extend(frozenset(c) for c in itertools.combinations(range(k), r))
 
     for I in index_sets:
         for J in index_sets:
             expected = I <= J
-            observed = leq(pure[I], pure[J])
+            observed = bool(leq(I, J))
             if expected != observed:
                 return FreenessReport(
                     "NOT_FREE",

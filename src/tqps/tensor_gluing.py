@@ -7,12 +7,11 @@ a circle monomial ("u", m) instead.  Slot positions are 1-based throughout
 the public surface.
 
 The gauge grading gives every atom an integer degree (a for a shift,
-j - k for a matrix unit, m for a circle monomial).  The diagonal circle
-coaction appends a circle slot carrying the total degree, and the gluing
-map psi acts on a tensor with a trailing circle slot by replacing the
-circle exponent h with -(d + h) where d is the total degree of the other
-slots.  That closed form makes psi an exact involution, which is the
-unipotence property the verification suites exercise.
+j - k for a matrix unit, m for a circle monomial).  The gluing map psi
+acts on a tensor with a trailing circle slot by replacing the circle
+exponent h with -(d + h) where d is the total degree of the other slots.
+That closed form makes psi an exact involution, which is the unipotence
+property the verification suites exercise.
 
 chi relocates the circle slot.  psi_ij, the slot-accurate gluing between
 two chart indices, is psi conjugated by relocations, chi(psi(chi_inv(x))),
@@ -30,9 +29,9 @@ all read glue; phi composes it with the section into the transition
 between two quotient charts, which the cocycle check samples.
 
 On pure atom tensors each of these maps (chi, psi, psi_ij, the symbol, its
-section, the projection and the coaction) only rewrites term keys, and
-injectively, so all of them go through one relocation primitive,
-_rewrite, which builds the result without validating it again.
+section and the projection) only rewrites term keys, and injectively, so
+all of them go through one relocation primitive, _rewrite, which builds
+the result without validating it again.
 """
 
 from functools import lru_cache
@@ -161,9 +160,6 @@ class TensorElement(Terms):
                 pairs.extend(alternatives)
         return TensorElement._trusted(collect(pairs), self.shape)
 
-    def term_degree(self, atoms):
-        return sum(atom_degree(a) for a in atoms)
-
     __hash__ = None
 
     def __repr__(self):
@@ -242,14 +238,6 @@ def _rewrite(x, n_slots, circle_slot, row):
         if key is not None:
             terms[key] = c
     return TensorElement._trusted(terms, (n_slots, circle_slot))
-
-
-def diagonal_coaction(x):
-    """Append a circle slot carrying the total gauge degree of each term."""
-    if x.circle_slot is not None:
-        raise ValueError("diagonal coaction expects pure Toeplitz slots")
-    n = x.n_slots + 1
-    return _rewrite(x, n, n, lambda atoms: atoms + (("u", x.term_degree(atoms)),))
 
 
 def _move_circle(x, src, dst, reflect):
@@ -416,10 +404,6 @@ class QuotientClass:
 
     def to_json(self):
         return {"killed_slots": sorted(self.killed), "representative": self.rep.to_json()}
-
-
-def quotient_class(x, kill_a, kill_b):
-    return QuotientClass(x, (kill_a, kill_b))
 
 
 def transition_representative(x, i, j):
@@ -636,7 +620,7 @@ def cocycle_check(n, samples=100, seed=DEFAULT_SEED):
         rng = derived_rng(seed, "cocycle", n, i, j, k)
         for s in range(samples):
             x = random_tensor_element(rng, n)
-            cls = quotient_class(x, slot_for(j, i), slot_for(j, k))
+            cls = QuotientClass(x, (slot_for(j, i), slot_for(j, k)))
             lhs = phi(cls, i, j, k)
             rhs = phi(phi(cls, k, j, i), i, k, j)
             if lhs != rhs:

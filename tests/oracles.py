@@ -1,8 +1,8 @@
 """Independent reference implementations the tests check the library against.
 
 Each oracle recomputes a quantity through a different representation than
-the library uses: operator products through truncated matrices, coactions
-and gluings through stepwise single-slot arithmetic, order-theoretic
+the library uses: operator products through truncated matrices, gluings
+through stepwise single-slot arithmetic, order-theoretic
 counts through exhaustive filters, chart gluings through three
 relocations instead of one and with their slots worked out by hand,
 free-lattice join and meet through frozensets of index sets instead of
@@ -90,18 +90,6 @@ def _atom_degree_via_grading(atom):
     parts = elem.homogeneous_parts()
     (deg,) = parts.keys()
     return deg
-
-
-def stepwise_coaction(x):
-    """Diagonal coaction recomputed atom by atom through the grading."""
-    out = {}
-    for atoms, c in x.terms.items():
-        total = 0
-        for atom in atoms:
-            total += _atom_degree_via_grading(atom)
-        row = atoms + (("u", total),)
-        out[row] = out.get(row, ZERO) + c
-    return TensorElement(x.n_slots + 1, x.n_slots + 1, out)
 
 
 def stepwise_psi(x):

@@ -207,6 +207,7 @@ def test_bad_arguments_exit_two(capsys):
         ["birkhoff", "roundtrip", "--poset-size", "4", "--trials", "0"],
         ["verify", "freeness", "--n", "2", "--generator-map", "7=0"],
         ["verify", "freeness", "--n", "2", "--generator-map", "1=3"],
+        ["verify", "freeness", "--n", "2", "--generator-map", "1=0,1=2"],
     ],
     ids=lambda argv: " ".join(argv),
 )

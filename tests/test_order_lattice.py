@@ -390,27 +390,48 @@ def test_type_criterion_matches_the_closure_oracle():
 def test_criterion_rejects_a_chain():
     # two comparable generators: the order stage must object
     gens = [frozenset({0}), frozenset({0, 1})]
-    report = check_freeness_criterion(
-        gens, lambda a, b: a | b, lambda a, b: a & b, lambda a, b: a == b, _no_evidence
-    )
+
+    def leq(I, J):
+        return frozenset().union(*(gens[i] for i in I)) <= frozenset().union(
+            *(gens[j] for j in J)
+        )
+
+    report = check_freeness_criterion(2, leq, _no_evidence)
     assert report.verdict == "NOT_FREE"
     assert report.witness["clause"] == "order"
     assert report.witness["I"] == [0]
     assert report.witness["J"] == [1]
 
 
-def test_criterion_flags_non_distributive_operations():
-    join_fn, meet_fn = _m3_tables()
-    report = check_freeness_criterion(
-        ["a", "b", "c"], join_fn, meet_fn, lambda x, y: x == y, _no_evidence
-    )
-    assert report.verdict == "INCONSISTENT"
-    assert report.witness["law"] == "distributivity"
-    assert not report.free
+def test_criterion_on_index_sets():
+    # the free lattice's own pure joins pass, asking for irreducibility once
+    # per nonempty proper index set
+    for k in (2, 3, 4):
+        asked = []
+
+        def irreducibility(I):
+            asked.append(I)
+            return True, None
+
+        report = check_freeness_criterion(
+            k,
+            lambda I, J: AntichainForm.pure_join(I, k) <= AntichainForm.pure_join(J, k),
+            irreducibility,
+        )
+        assert report.verdict == "FREE"
+        assert len(asked) == len(set(asked)) == 2**k - 2
+        assert all(0 < len(I) < k for I in asked)
+    # a chain g_0 <= g_1 <= g_2: the join over I is g_max(I)
+    report = check_freeness_criterion(3, lambda I, J: max(I) <= max(J), _no_evidence)
+    assert report.verdict == "NOT_FREE"
+    assert report.witness["clause"] == "order"
+    for k in (0, 1):
+        with pytest.raises(ValueError):
+            check_freeness_criterion(k, lambda I, J: I <= J, _no_evidence)
 
 
 def _no_evidence(index_set):
-    # both criterion tests above fail before irreducibility is asked for
+    # the chains above fail before irreducibility is asked for
     return True, None
 
 

@@ -1,17 +1,18 @@
-"""Checks for tensor slots, the diagonal coaction, and the gluing maps."""
+"""Checks for tensor slots and the gluing maps."""
 
 import pytest
 
-from oracles import stepwise_coaction, stepwise_glue, stepwise_psi, stepwise_psi_ij
+from oracles import stepwise_glue, stepwise_psi, stepwise_psi_ij
 from tqps.classical_cpn import transition_agreement
+from tqps.order_lattice import freeness_by_types
 from tqps.sampling import DEFAULT_SEED, random_toeplitz_element
 from tqps.tensor_gluing import (
+    QuotientClass,
     TensorElement,
     atom_degree,
     chi,
     chi_inv,
     cocycle_check,
-    diagonal_coaction,
     embed_toeplitz,
     glue,
     kernel_image_check,
@@ -22,7 +23,6 @@ from tqps.tensor_gluing import (
     psi_ij,
     psi_ij_inv,
     psi_involution_check,
-    quotient_class,
     random_tensor_element,
     slot_for,
     slot_symbol,
@@ -76,26 +76,6 @@ def test_shape_mismatch_rejected():
         TensorElement.pure((("u", 1), ("T", 0)))  # circle atom outside circle slot
 
 
-def test_diagonal_coaction_matches_stepwise_oracle():
-    rng = rng_for("coaction")
-    for _ in range(60):
-        x = random_tensor_element(rng, 3)
-        assert diagonal_coaction(x) == stepwise_coaction(x)
-
-
-def test_diagonal_coaction_is_an_algebra_map():
-    rng = rng_for("coaction-mult")
-    for _ in range(30):
-        x = random_tensor_element(rng, 2, max_terms=2)
-        y = random_tensor_element(rng, 2, max_terms=2)
-        assert diagonal_coaction(x * y) == diagonal_coaction(x) * diagonal_coaction(y)
-
-
-def test_coaction_rejects_circle_input():
-    with pytest.raises(ValueError):
-        diagonal_coaction(TensorElement.one(2, circle_slot=1))
-
-
 def test_chi_roundtrips():
     rng = rng_for("chi")
     for _ in range(30):
@@ -122,7 +102,6 @@ def test_relocation_maps_build_canonical_tensors():
     for _ in range(40):
         n = int(rng.randint(1, 4))
         x = random_tensor_element(rng, n, max_terms=4)
-        canonical(diagonal_coaction(x))
         canonical(project_slots(x, {int(rng.randint(1, n))}))
         k = int(rng.randint(1, n))
         w = canonical(slot_symbol(x, k))
@@ -272,10 +251,10 @@ def test_quotient_class_canonicalization():
     noise = TensorElement.pure((("E", 0, 0), ("T", 2)), coeff=3) + TensorElement.pure(
         (("T", 1), ("E", 1, 1)), coeff=-2
     )
-    assert quotient_class(x + noise, 1, 2) == quotient_class(x, 1, 2)
-    assert quotient_class(x, 1, 2) != quotient_class(x + x, 1, 2)
+    assert QuotientClass(x + noise, (1, 2)) == QuotientClass(x, (1, 2))
+    assert QuotientClass(x, (1, 2)) != QuotientClass(x + x, (1, 2))
     with pytest.raises(ValueError):
-        quotient_class(x, 1, 1)
+        QuotientClass(x, (1, 1))
 
 
 def test_transition_representative_worked_example():
@@ -292,14 +271,14 @@ def test_transition_representative_worked_example():
 
 def test_phi_validates_killed_slots():
     x = TensorElement.pure((("T", 1), ("T", 0)))
-    cls = quotient_class(x, 1, 2)  # over chart 1, killing charts 0 and 2
+    cls = QuotientClass(x, (1, 2))  # over chart 1, killing charts 0 and 2
     out = phi(cls, 0, 1, 2)
     assert out.killed == frozenset((slot_for(0, 1), slot_for(0, 2)))
     with pytest.raises(ValueError):
         phi(cls, 2, 1, 2)  # repeated chart index
     # with three slots the killed pair pins down which transition applies
     y = TensorElement.pure((("T", 1), ("T", 0), ("T", 2)))
-    bad = quotient_class(y, 1, 2)  # over chart 1, killing charts 0 and 2
+    bad = QuotientClass(y, (1, 2))  # over chart 1, killing charts 0 and 2
     with pytest.raises(ValueError):
         phi(bad, 0, 1, 3)  # needs the kernel of chart 3, which was kept
 
@@ -309,8 +288,8 @@ def test_phi_respects_representatives():
     for _ in range(20):
         x = random_tensor_element(rng, 2)
         noise = random_tensor_element(rng, 2, compact_slots=(1,), compact_only=True)
-        a = quotient_class(x, 1, 2)
-        b = quotient_class(x + noise, 1, 2)
+        a = QuotientClass(x, (1, 2))
+        b = QuotientClass(x + noise, (1, 2))
         assert phi(a, 0, 1, 2) == phi(b, 0, 1, 2)
 
 
@@ -356,6 +335,7 @@ def test_cocycle_check_report():
         pytest.param(lambda: cocycle_check(0), id="cocycle n=0"),
         pytest.param(lambda: cocycle_check(1), id="cocycle n=1"),
         pytest.param(lambda: transition_agreement(0), id="transitions n=0"),
+        pytest.param(lambda: freeness_by_types(1, []), id="types k=1"),
     ],
 )
 def test_counts_that_check_nothing_are_refused(call):
