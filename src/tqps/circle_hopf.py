@@ -16,6 +16,7 @@ them.  collect is its one way to sum coefficients of repeated keys.
 
 from fractions import Fraction
 from itertools import chain
+from numbers import Integral
 
 
 def _frac(v):
@@ -24,8 +25,31 @@ def _frac(v):
     return Fraction(v)
 
 
+def _index(v, what):
+    """v as an int; a bool or a value that is not an integer raises ValueError."""
+    if type(v) is int:
+        return v
+    if isinstance(v, bool) or not isinstance(v, Integral):
+        raise ValueError("%s must be an integer, got %r" % (what, v))
+    return int(v)
+
+
+def _scalar(re, im):
+    """Scalar from components that are already exact ints or Fractions."""
+    out = object.__new__(Scalar)
+    out.re = re
+    out.im = im
+    return out
+
+
 class Scalar:
-    """Gaussian rational re + im*i; each component an exact int or Fraction."""
+    """Gaussian rational re + im*i; each component an exact int or Fraction.
+
+    Arithmetic between two Scalars builds its result through _scalar,
+    since the components of a sum, difference or product of exact ints
+    and Fractions are exact already; only a non-Scalar operand goes
+    through coerce.
+    """
 
     __slots__ = ("re", "im")
 
@@ -40,21 +64,27 @@ class Scalar:
         return cls(v)
 
     def __add__(self, other):
-        other = Scalar.coerce(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        if not isinstance(other, Scalar):
+            other = Scalar.coerce(other)
+        return _scalar(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = Scalar.coerce(other)
-        return Scalar(self.re - other.re, self.im - other.im)
+        if not isinstance(other, Scalar):
+            other = Scalar.coerce(other)
+        return _scalar(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return Scalar.coerce(other) - self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _scalar(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = Scalar.coerce(other)
-        return Scalar(
+        if not isinstance(other, Scalar):
+            other = Scalar.coerce(other)
+        return _scalar(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -62,17 +92,21 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Scalar.coerce(other)
+        if not isinstance(other, Scalar):
+            other = Scalar.coerce(other)
         norm = other.re * other.re + other.im * other.im
         if norm == 0:
             raise ZeroDivisionError("division by zero Scalar")
-        return Scalar(
+        return _scalar(
             Fraction(self.re * other.re + self.im * other.im, norm),
             Fraction(self.im * other.re - self.re * other.im, norm),
         )
 
+    def __rtruediv__(self, other):
+        return Scalar.coerce(other) / self
+
     def conjugate(self):
-        return Scalar(self.re, -self.im)
+        return _scalar(self.re, -self.im)
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
@@ -164,8 +198,20 @@ class Terms:
         """Element holding `terms` as given, built without __init__.
 
         Sound only when every key is already valid for the shape and every
-        coefficient nonzero: keys from validated operands, either merged
-        through collect or sent through a map that is injective on them.
+        coefficient nonzero.  The paths that build this way, and what makes
+        each sound:
+        - arithmetic (+, -, scale and the products): keys of validated
+          operands, merged through collect;
+        - the relocation maps of tensor_gluing, through _rewrite: a map
+          injective on the keys of a validated tensor, onto valid keys;
+        - TensorElement.zero and random_tensor_element: a shape checked up
+          front, keys built from valid atoms and merged through collect;
+        - the atom tensors of psi_involution_check: keys valid for the
+          swept shape, one per tensor;
+        - the candidate component of multipullback.extend: keys lifted
+          from relocated constraints, none merged by addition.
+        Everything else (the constructor, and TensorElement.pure, one and
+        from_json) validates every key through _key.
         """
         out = object.__new__(cls)
         out.shape = shape
@@ -217,7 +263,7 @@ class CirclePoly(Terms):
     __slots__ = ()
 
     def _key(self, degree):
-        return int(degree)
+        return _index(degree, "degree")
 
     @classmethod
     def zero(cls):

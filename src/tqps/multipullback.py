@@ -182,7 +182,9 @@ def extend(partial, n):
                         "conflicting coefficients for chart %d at term %r" % (m, atoms)
                     )
                 terms[atoms] = c
-        candidate = TensorElement(n, None, terms)
+        # lifted constraints hold valid keys and nonzero coefficients, and
+        # no two were added, so the candidate is built trusted
+        candidate = TensorElement._trusted(terms, (n, None))
         for s, value in constraints.items():
             if slot_symbol(candidate, s) != value:
                 raise ExtensionError(

@@ -31,12 +31,18 @@ between two quotient charts, which the cocycle check samples.
 On pure atom tensors each of these maps (chi, psi, psi_ij, the symbol, its
 section and the projection) only rewrites term keys, and injectively, so
 all of them go through one relocation primitive, _rewrite, which builds
-the result without validating it again.
+the result without validating it again.  The other internal builders skip
+validation too, each on keys valid by construction: random_tensor_element
+and TensorElement.zero check the shape up front and build keys from valid
+atoms, the psi sweep builds each atom tensor from one key valid for its
+shape, and extend's candidate holds the keys of lifted constraints.  Only
+the public constructor, pure, one and from_json validate every key.
 """
 
 from functools import lru_cache
+from itertools import product
 
-from .circle_hopf import ONE, Scalar, Terms, collect
+from .circle_hopf import ONE, Scalar, Terms, _index, collect
 from .toeplitz_core import ToeplitzElement
 from .util import DEFAULT_SEED, derived_rng
 from . import sampling
@@ -55,19 +61,34 @@ def atom_degree(atom):
 
 
 def _validate_atom(atom, is_circle):
+    """The atom as a tuple of its kind and int entries; raises ValueError
+    unless it fits a circle slot (is_circle) or a Toeplitz slot."""
     kind = atom[0]
     if is_circle:
         if kind != "u" or len(atom) != 2:
             raise ValueError("circle slot must hold a ('u', m) atom, got %r" % (atom,))
-        return
-    if kind == "T":
+    elif kind == "T":
         if len(atom) != 2:
             raise ValueError("bad shift atom %r" % (atom,))
     elif kind == "E":
-        if len(atom) != 3 or atom[1] < 0 or atom[2] < 0:
+        if len(atom) != 3:
             raise ValueError("bad matrix unit atom %r" % (atom,))
     else:
         raise ValueError("Toeplitz slot must hold ('T', a) or ('E', j, k), got %r" % (atom,))
+    atom = (kind,) + tuple(_index(v, "atom entry") for v in atom[1:])
+    if kind == "E" and (atom[1] < 0 or atom[2] < 0):
+        raise ValueError("bad matrix unit atom %r" % (atom,))
+    return atom
+
+
+def _shape(n_slots, circle_slot):
+    """The tensor shape (n_slots, circle_slot); raises ValueError unless
+    there is a slot and the circle slot, if any, is one of them."""
+    if n_slots < 1:
+        raise ValueError("need at least one slot")
+    if circle_slot is not None and not 1 <= circle_slot <= n_slots:
+        raise ValueError("circle slot %r out of range" % circle_slot)
+    return (n_slots, circle_slot)
 
 
 def _atom_to_toeplitz(atom):
@@ -98,20 +119,16 @@ class TensorElement(Terms):
     __slots__ = ()
 
     def __init__(self, n_slots, circle_slot=None, terms=None):
-        if n_slots < 1:
-            raise ValueError("need at least one slot")
-        if circle_slot is not None and not 1 <= circle_slot <= n_slots:
-            raise ValueError("circle slot %r out of range" % circle_slot)
-        super().__init__(terms, (n_slots, circle_slot))
+        super().__init__(terms, _shape(n_slots, circle_slot))
 
     def _key(self, atoms):
         n_slots, circle_slot = self.shape
         atoms = tuple(atoms)
         if len(atoms) != n_slots:
             raise ValueError("term %r does not match %d slots" % (atoms, n_slots))
-        for pos, atom in enumerate(atoms, start=1):
-            _validate_atom(atom, pos == circle_slot)
-        return atoms
+        return tuple(
+            _validate_atom(atom, pos == circle_slot) for pos, atom in enumerate(atoms, start=1)
+        )
 
     @property
     def n_slots(self):
@@ -123,7 +140,7 @@ class TensorElement(Terms):
 
     @classmethod
     def zero(cls, n_slots, circle_slot=None):
-        return cls(n_slots, circle_slot)
+        return cls._trusted({}, _shape(n_slots, circle_slot))
 
     @classmethod
     def one(cls, n_slots, circle_slot=None):
@@ -230,7 +247,14 @@ def _rewrite(x, n_slots, circle_slot, row):
     the condition that makes that sound: row is injective on the keys it
     keeps and sends every valid key of x to a valid key of the new shape.
     Then no two coefficients merge, each stays nonzero, and nothing needs to
-    be validated again.
+    be validated again.  Every caller meets it:
+    - _move_circle (chi, chi_inv, psi, psi_ij, psi_ij_inv): moving the
+      circle atom permutes slots, and for a fixed Toeplitz part the
+      reflection h -> -(d + h) is a bijection of h;
+    - slot_symbol: ("T", a) -> ("u", a) is injective, and keys with a
+      matrix unit in the slot are dropped;
+    - lift_circle: ("u", m) -> ("T", m) is injective;
+    - project_slots: the identity on the keys it keeps.
     """
     terms = {}
     for atoms, c in x.terms.items():
@@ -251,7 +275,11 @@ def _move_circle(x, src, dst, reflect):
         rest = atoms[: src - 1] + atoms[src:]
         circle = atoms[src - 1]
         if reflect:
-            circle = ("u", -(sum(atom_degree(a) for a in rest) + circle[1]))
+            # atom_degree summed in line: every slot of rest is Toeplitz
+            h = circle[1]
+            for a in rest:
+                h += a[1] - a[2] if a[0] == "E" else a[1]
+            circle = ("u", -h)
         return rest[: dst - 1] + (circle,) + rest[dst - 1 :]
 
     return _rewrite(x, x.n_slots, dst, row)
@@ -450,6 +478,7 @@ def random_tensor_element(
     matrix unit indices in [0, RANDOM_BOUND]^2, 1..3 terms by default.
     compact_slots forces a matrix unit in those slots of every term.
     """
+    shape = _shape(n_slots, circle_slot)
     b = RANDOM_BOUND
     compact_slots = set(compact_slots)
     pairs = []
@@ -466,7 +495,7 @@ def random_tensor_element(
                 else:
                     atoms.append(("E", rng.randint(0, b), rng.randint(0, b)))
         pairs.append((tuple(atoms), sampling.random_nonzero_scalar(rng)))
-    return TensorElement(n_slots, circle_slot, collect(pairs))
+    return TensorElement._trusted(collect(pairs), shape)
 
 
 # The psi sweep's range: shift and circle degrees in [-3, 3] and matrix unit
@@ -497,21 +526,16 @@ def psi_involution_check(n, samples=1000, seed=DEFAULT_SEED):
         if psi(psi(x)) != x:
             failures.append(x.to_json())
 
-    slots = n - 1
     degrees = range(-PSI_MAX_DEGREE, PSI_MAX_DEGREE + 1)
     atoms = [("T", a) for a in degrees] + [
         ("E", j, k) for j in range(PSI_MAX_INDEX + 1) for k in range(PSI_MAX_INDEX + 1)
     ]
-
-    def sweep(prefix):
-        if len(prefix) == slots:
-            for h in degrees:
-                check(TensorElement.pure(tuple(prefix) + (("u", h),), circle_slot=n))
-            return
-        for atom in atoms:
-            sweep(prefix + [atom])
-
-    sweep([])
+    # every swept key is valid for the shape (n slots, circle at n), so
+    # each atom tensor is built trusted
+    shape = (n, n)
+    for prefix in product(atoms, repeat=n - 1):
+        for h in degrees:
+            check(TensorElement._trusted({prefix + (("u", h),): ONE}, shape))
     rng = derived_rng(seed, "psi", n)
     for _ in range(samples):
         check(random_tensor_element(rng, n, circle_slot=n))

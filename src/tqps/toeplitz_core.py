@@ -18,7 +18,7 @@ has degree j - k, and homogeneous_parts splits an element by that degree,
 the pieces the coaction tags with the matching circle monomial.
 """
 
-from .circle_hopf import CirclePoly, Scalar, Terms, collect
+from .circle_hopf import CirclePoly, Scalar, Terms, _index, collect
 
 
 class CompactPart(Terms):
@@ -28,9 +28,10 @@ class CompactPart(Terms):
 
     def _key(self, key):
         j, k = key
+        j, k = _index(j, "matrix unit index"), _index(k, "matrix unit index")
         if j < 0 or k < 0:
             raise ValueError("matrix unit indices must be non-negative")
-        return (int(j), int(k))
+        return (j, k)
 
     @classmethod
     def zero(cls):

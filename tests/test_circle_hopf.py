@@ -62,6 +62,25 @@ def test_scalar_arithmetic_on_gaussian_integers_stays_int():
     assert type(Scalar(True).re) is Fraction
 
 
+@given(scalars, scalars)
+def test_scalar_results_keep_exact_components(a, b):
+    for s in (a + b, a - b, a * b, -a, a.conjugate(), 2 + a, a * 3, 1 - a):
+        assert type(s.re) in (int, Fraction) and type(s.im) in (int, Fraction)
+    if b:
+        q = a / b
+        assert type(q.re) is Fraction and type(q.im) is Fraction
+
+
+def test_reflected_subtraction_and_division():
+    assert 1 - Scalar(2) == Scalar(-1)
+    assert Fraction(1, 2) - Scalar(0, 1) == Scalar(Fraction(1, 2), -1)
+    assert 1 / Scalar(2) == Scalar(Fraction(1, 2))
+    assert 1 / Scalar(0, 1) == Scalar(0, -1)
+    assert 1 + Scalar(2) == Scalar(3) and 2 * Scalar(1) == Scalar(2)
+    with pytest.raises(ZeroDivisionError):
+        1 / ZERO
+
+
 def test_scalar_hash_agrees_with_eq():
     assert len({Scalar(1), 1, Fraction(1)}) == 1
     assert len({Scalar(Fraction(1, 2)), Fraction(1, 2)}) == 1
@@ -182,6 +201,18 @@ TERM_MAPS = [
         id="TensorElement",
     ),
 ]
+
+
+@pytest.mark.parametrize("key", [1.5, 0.5, True, "1"])
+def test_circle_poly_rejects_non_integral_degrees(key):
+    with pytest.raises(ValueError):
+        CirclePoly({key: 1})
+
+
+@pytest.mark.parametrize("key", [(0.5, 1), (1, 2.5), (True, 0), (-1, 0)])
+def test_compact_part_rejects_bad_indices(key):
+    with pytest.raises(ValueError):
+        CompactPart({key: 1})
 
 
 @pytest.mark.parametrize("make, a, b, other, hashable", TERM_MAPS)

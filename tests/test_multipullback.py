@@ -87,6 +87,22 @@ def test_single_component_extensions_are_members():
             assert is_member(p)
 
 
+def test_extended_components_are_canonical():
+    # extend builds each missing component trusted; rebuilding it through
+    # the validating constructor must change nothing
+    rng = rng_for("canonical")
+    for n in (1, 2, 3):
+        for _ in range(10):
+            m = rng.randrange(n + 1)
+            members = [
+                extend({m: random_tensor_element(rng, n, max_terms=3)}, n),
+                sample_kernel_intersection(rng, n, {(m + 1) % (n + 1)}),
+            ]
+            for p in members:
+                for c in p.components:
+                    assert c == TensorElement(n, None, c.terms)
+
+
 def test_extended_members_glue_in_both_frames():
     # the gluing law read from either chart of each pair: component j seen
     # from chart i is the symbol of component i at the slot tracking j

@@ -3,6 +3,7 @@
 import pytest
 
 from oracles import stepwise_glue, stepwise_psi, stepwise_psi_ij
+from tqps import tensor_gluing
 from tqps.classical_cpn import transition_agreement
 from tqps.order_lattice import freeness_by_types
 from tqps.sampling import DEFAULT_SEED, random_toeplitz_element
@@ -34,6 +35,13 @@ from tqps.util import derived_rng
 
 def rng_for(name):
     return derived_rng(DEFAULT_SEED, "test-gluing", name)
+
+
+def canonical(y):
+    """y, after checking that rebuilding it through the validating
+    constructor changes nothing."""
+    assert y == TensorElement(y.n_slots, y.circle_slot, y.terms)
+    return y
 
 
 def test_atom_degree():
@@ -94,11 +102,6 @@ def test_relocation_maps_build_canonical_tensors():
     # every relocation map builds its result without __init__; rebuilding it
     # through the validating constructor must change nothing
     rng = rng_for("relocation")
-
-    def canonical(y):
-        assert y == TensorElement(y.n_slots, y.circle_slot, y.terms)
-        return y
-
     for _ in range(40):
         n = int(rng.randint(1, 4))
         x = random_tensor_element(rng, n, max_terms=4)
@@ -350,6 +353,92 @@ def test_random_tensor_element_shapes():
     for atoms in x.terms:
         assert atoms[0][0] == "E"
         assert atoms[1][0] == "u"
+
+
+def test_trusted_constructions_are_canonical():
+    # random_tensor_element and zero build without __init__
+    rng = rng_for("trusted")
+    for _ in range(40):
+        n = int(rng.randint(1, 4))
+        c = int(rng.randint(1, n))
+        s = int(rng.randint(1, n))
+        canonical(random_tensor_element(rng, n, max_terms=4))
+        canonical(random_tensor_element(rng, n, circle_slot=c, max_terms=4))
+        canonical(random_tensor_element(rng, n, compact_slots={s}, max_terms=4))
+        canonical(random_tensor_element(rng, n, circle_slot=c, compact_only=True))
+        assert canonical(TensorElement.zero(n, c)).is_zero()
+        assert canonical(TensorElement.zero(n)).shape == (n, None)
+
+
+def test_psi_sweep_atoms_are_canonical(monkeypatch):
+    # the sweep builds its atom tensors trusted; psi sees each of them
+    seen = []
+
+    def checked_psi(x):
+        seen.append(canonical(x))
+        return psi(x)
+
+    monkeypatch.setattr(tensor_gluing, "psi", checked_psi)
+    assert psi_involution_check(2, samples=5)["passed"]
+    assert len(seen) == 2 * (23 * 7 + 5)
+    assert all(x.shape == (2, 2) for x in seen)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: random_tensor_element(rng_for("bad-shape"), 0),
+        lambda: random_tensor_element(rng_for("bad-shape"), 3, circle_slot=4),
+        lambda: random_tensor_element(rng_for("bad-shape"), 3, circle_slot=0),
+        lambda: TensorElement.zero(2, 3),
+        lambda: TensorElement.zero(0),
+    ],
+)
+def test_trusted_constructions_check_the_shape(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "atoms, circle_slot",
+    [
+        ((("T", 1.5),), None),
+        ((("E", 0.5, 0),), None),
+        ((("E", 0, -1),), None),
+        ((("T", True),), None),
+        ((("T", "1"),), None),
+        ((("u", 0.5),), 1),
+        ((("T", 0), ("u", False)), 2),
+    ],
+)
+def test_atoms_must_carry_integers(atoms, circle_slot):
+    with pytest.raises(ValueError):
+        TensorElement.pure(atoms, circle_slot=circle_slot)
+
+
+def test_gluing_suites_build_no_tensor_through_the_validating_constructor(monkeypatch):
+    # a count of calls, not a timing: every tensor these suites build comes
+    # from a trusted path, so none passes through __init__ or _key
+    calls = []
+    init, key = TensorElement.__init__, TensorElement._key
+
+    def counting_init(self, *args, **kwargs):
+        calls.append("init")
+        init(self, *args, **kwargs)
+
+    def counting_key(self, atoms):
+        calls.append("key")
+        return key(self, atoms)
+
+    monkeypatch.setattr(TensorElement, "__init__", counting_init)
+    monkeypatch.setattr(TensorElement, "_key", counting_key)
+    assert psi_involution_check(3, samples=5)["passed"]
+    assert kernel_image_check(3, 0, 1, 2, samples=3)["passed"]
+    assert cocycle_check(3, samples=2)["passed"]
+    assert calls == []
+    # the counters do count the validating constructor
+    TensorElement.pure((("T", 0),))
+    assert calls == ["init", "key"]
 
 
 def test_json_roundtrip_and_render():
