@@ -62,7 +62,7 @@ from .tensor_gluing import (
     slot_for,
     slot_symbol,
 )
-from .toeplitz_core import CompactPart, ToeplitzElement
+from .toeplitz_core import ToeplitzElement
 
 __version__ = "0.1.0"
 

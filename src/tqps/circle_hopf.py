@@ -9,9 +9,9 @@ component is an exact int or Fraction; no floating point enters this
 module.
 
 Terms is the one representation of a finite sum of basis keys with
-nonzero Scalar coefficients: circle polynomials and tensors here, the
-finite-rank parts of the Toeplitz model and the tensor powers built on
-them.  collect is its one way to sum coefficients of repeated keys.
+nonzero Scalar coefficients: circle polynomials here, Toeplitz elements
+over their shift and matrix-unit atoms, and the tensor powers built on
+those atoms.  collect is its one way to sum coefficients of repeated keys.
 """
 
 from fractions import Fraction
@@ -202,6 +202,9 @@ class Terms:
         each sound:
         - arithmetic (+, -, scale and the products): keys of validated
           operands, merged through collect;
+        - the single-slot maps of toeplitz_core (from_symbol, symbol,
+          adjoint, homogeneous_parts): keys of a validated element, mapped
+          injectively onto valid keys or split by degree;
         - the relocation maps of tensor_gluing, through _rewrite: a map
           injective on the keys of a validated tensor, onto valid keys;
         - TensorElement.zero and random_tensor_element: a shape checked up

@@ -53,10 +53,15 @@ def _generator_map(text):
         if not part:
             continue
         k, _, v = part.partition("=")
-        k = int(k)
+        try:
+            k, v = int(k), int(v)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "generator map entries are k=v with integers k and v, got %r" % part
+            ) from None
         if k in out:
             raise argparse.ArgumentTypeError("generator %d is mapped twice" % k)
-        out[k] = int(v)
+        out[k] = v
     return out
 
 

@@ -89,15 +89,21 @@ class PullbackElement:
     __hash__ = None
 
     def __add__(self, other):
+        if not isinstance(other, PullbackElement):
+            return NotImplemented
         return PullbackElement([a + b for a, b in zip(self.components, other.components)])
 
     def __sub__(self, other):
+        if not isinstance(other, PullbackElement):
+            return NotImplemented
         return PullbackElement([a - b for a, b in zip(self.components, other.components)])
 
     def __neg__(self):
         return PullbackElement([-a for a in self.components])
 
     def __mul__(self, other):
+        if not isinstance(other, PullbackElement):
+            return NotImplemented
         return PullbackElement([a * b for a, b in zip(self.components, other.components)])
 
     def scale(self, scalar):

@@ -66,8 +66,11 @@ class Poset:
             raise LatticeError("duplicate labels")
         n = len(self.labels)
         up = [1 << i for i in range(n)]
-        for a, b in pairs:
-            up[self._index[a]] |= 1 << self._index[b]
+        try:
+            for a, b in pairs:
+                up[self._index[a]] |= 1 << self._index[b]
+        except KeyError as exc:
+            raise LatticeError("pair names unknown label %r" % (exc.args[0],)) from None
         if close:
             for k in range(n):
                 bit = 1 << k

@@ -6,8 +6,8 @@ reproducibility; derived_rng in util builds independent streams from a
 seed and a label path.
 """
 
-from .circle_hopf import CirclePoly, Scalar
-from .toeplitz_core import CompactPart, ToeplitzElement
+from .circle_hopf import Scalar, collect
+from .toeplitz_core import ToeplitzElement
 from .order_lattice import AntichainForm, Poset, UpSet
 from .util import DEFAULT_SEED  # noqa: F401  (re-exported for callers)
 
@@ -24,29 +24,19 @@ def random_nonzero_scalar(rng, bound=3):
             return s
 
 
-def random_circle_poly(rng, max_degree=5, min_terms=1, max_terms=3):
-    poly = CirclePoly.zero()
-    for _ in range(rng.randint(min_terms, max_terms)):
-        poly = poly + CirclePoly.monomial(
-            rng.randint(-max_degree, max_degree), random_nonzero_scalar(rng)
-        )
-    return poly
-
-
-def random_compact_part(rng, max_index=4, min_terms=0, max_terms=2):
-    out = CompactPart.zero()
-    for _ in range(rng.randint(min_terms, max_terms)):
-        out = out + CompactPart.unit(
-            rng.randint(0, max_index), rng.randint(0, max_index), random_nonzero_scalar(rng)
-        )
-    return out
-
-
 def random_toeplitz_element(rng, max_degree=4, max_index=4, max_terms=3):
-    return ToeplitzElement(
-        random_circle_poly(rng, max_degree, min_terms=0, max_terms=max_terms),
-        random_compact_part(rng, max_index, min_terms=0, max_terms=max_terms),
-    )
+    """Random element: up to max_terms shifts of degree in
+    [-max_degree, max_degree], then up to max_terms matrix units with
+    indices in [0, max_index], each with a nonzero coefficient."""
+    pairs = [
+        (("T", rng.randint(-max_degree, max_degree)), random_nonzero_scalar(rng))
+        for _ in range(rng.randint(0, max_terms))
+    ]
+    pairs += [
+        (("E", rng.randint(0, max_index), rng.randint(0, max_index)), random_nonzero_scalar(rng))
+        for _ in range(rng.randint(0, max_terms))
+    ]
+    return ToeplitzElement(collect(pairs))
 
 
 def random_poset(rng, size, density=0.35):

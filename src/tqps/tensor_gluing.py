@@ -2,16 +2,19 @@
 
 Elements of a tensor power are exact linear combinations of pure atom
 tensors.  Each slot of a pure tensor holds one Toeplitz atom, a shift
-("T", a) or a matrix unit ("E", j, k); at most one distinguished slot holds
-a circle monomial ("u", m) instead.  Slot positions are 1-based throughout
-the public surface.
+("T", a) or a matrix unit ("E", j, k), the keys of a ToeplitzElement; at
+most one distinguished slot holds a circle monomial ("u", m) instead.
+toeplitz_core validates atoms and multiplies them, and the tensor product
+multiplies slot by slot through _mul_toeplitz_atoms, its cache of
+single-slot atom products.  Slot positions are 1-based throughout the
+public surface.
 
-The gauge grading gives every atom an integer degree (a for a shift,
-j - k for a matrix unit, m for a circle monomial).  The gluing map psi
-acts on a tensor with a trailing circle slot by replacing the circle
-exponent h with -(d + h) where d is the total degree of the other slots.
-That closed form makes psi an exact involution, which is the unipotence
-property the verification suites exercise.
+The gauge grading, toeplitz_core's atom_degree, gives every atom an integer
+degree (a for a shift, j - k for a matrix unit, m for a circle monomial).
+The gluing map psi acts on a tensor with a trailing circle slot by
+replacing the circle exponent h with -(d + h) where d is the total degree
+of the other slots.  That closed form makes psi an exact involution, which
+is the unipotence property the verification suites exercise.
 
 chi relocates the circle slot.  psi_ij, the slot-accurate gluing between
 two chart indices, is psi conjugated by relocations, chi(psi(chi_inv(x))),
@@ -42,43 +45,10 @@ the public constructor, pure, one and from_json validate every key.
 from functools import lru_cache
 from itertools import product
 
-from .circle_hopf import ONE, Scalar, Terms, _index, collect
-from .toeplitz_core import ToeplitzElement
+from .circle_hopf import ONE, Scalar, Terms, collect
+from .toeplitz_core import ToeplitzElement, _validate_atom, atom_degree  # noqa: F401  (re-exported)
 from .util import DEFAULT_SEED, derived_rng
 from . import sampling
-
-
-def atom_degree(atom):
-    """Gauge degree of one atom."""
-    kind = atom[0]
-    if kind == "T":
-        return atom[1]
-    if kind == "E":
-        return atom[1] - atom[2]
-    if kind == "u":
-        return atom[1]
-    raise ValueError("unknown atom kind %r" % (atom,))
-
-
-def _validate_atom(atom, is_circle):
-    """The atom as a tuple of its kind and int entries; raises ValueError
-    unless it fits a circle slot (is_circle) or a Toeplitz slot."""
-    kind = atom[0]
-    if is_circle:
-        if kind != "u" or len(atom) != 2:
-            raise ValueError("circle slot must hold a ('u', m) atom, got %r" % (atom,))
-    elif kind == "T":
-        if len(atom) != 2:
-            raise ValueError("bad shift atom %r" % (atom,))
-    elif kind == "E":
-        if len(atom) != 3:
-            raise ValueError("bad matrix unit atom %r" % (atom,))
-    else:
-        raise ValueError("Toeplitz slot must hold ('T', a) or ('E', j, k), got %r" % (atom,))
-    atom = (kind,) + tuple(_index(v, "atom entry") for v in atom[1:])
-    if kind == "E" and (atom[1] < 0 or atom[2] < 0):
-        raise ValueError("bad matrix unit atom %r" % (atom,))
-    return atom
 
 
 def _shape(n_slots, circle_slot):
@@ -91,21 +61,16 @@ def _shape(n_slots, circle_slot):
     return (n_slots, circle_slot)
 
 
-def _atom_to_toeplitz(atom):
-    if atom[0] == "T":
-        return ToeplitzElement.shift(atom[1])
-    return ToeplitzElement.matrix_unit(atom[1], atom[2])
-
-
 @lru_cache(maxsize=None)
 def _mul_toeplitz_atoms(a, b):
-    """Product of two Toeplitz atoms as a tuple of (atom, Scalar) terms.
+    """Product of two Toeplitz atoms as a tuple of (atom, Scalar) terms,
+    shifts first.
 
-    Delegates to the correction-formula product so the tensor algebra and
-    the single-slot algebra can never drift apart.
+    Computed as the product of two one-atom ToeplitzElements, so the tensor
+    algebra and the single-slot algebra share atom_product and can never
+    drift apart.
     """
-    prod = _atom_to_toeplitz(a) * _atom_to_toeplitz(b)
-    return tuple(prod.atoms())
+    return tuple((ToeplitzElement({a: ONE}) * ToeplitzElement({b: ONE})).atoms())
 
 
 class TensorElement(Terms):
@@ -487,13 +452,10 @@ def random_tensor_element(
         for pos in range(1, n_slots + 1):
             if pos == circle_slot:
                 atoms.append(("u", rng.randint(-b, b)))
-            elif compact_only or pos in compact_slots:
+            elif compact_only or pos in compact_slots or rng.random() >= 0.5:
                 atoms.append(("E", rng.randint(0, b), rng.randint(0, b)))
             else:
-                if rng.random() < 0.5:
-                    atoms.append(("T", rng.randint(-b, b)))
-                else:
-                    atoms.append(("E", rng.randint(0, b), rng.randint(0, b)))
+                atoms.append(("T", rng.randint(-b, b)))
         pairs.append((tuple(atoms), sampling.random_nonzero_scalar(rng)))
     return TensorElement._trusted(collect(pairs), shape)
 

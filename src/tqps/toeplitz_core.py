@@ -1,74 +1,85 @@
 """Exact dense model of the Toeplitz algebra.
 
-An element is a banded shift polynomial plus a finite-rank matrix: the pair
-(f, K) stands for the operator T(f) + K on the Hilbert space with basis
-e_0, e_1, ..., where T(f) has matrix T(f)[j, k] = f_{j-k} and K is supported
-on finitely many entries E_{jk}.  The product of two shift polynomials picks
-up a finite lower-left correction,
+An element is a finite sum of atoms, the same atoms the slots of a tensor
+power hold (tensor_gluing): a shift ("T", a) stands for T(u^a), with
+matrix T(u^a)[j, k] = 1 when j - k = a, on the Hilbert space with basis
+e_0, e_1, ..., and a matrix unit ("E", j, k) for E_{jk}, with j, k >= 0.
+atom_product multiplies two atoms.  The product of two shifts picks up a
+finite lower-left correction,
 
-    (T(f) T(g))[j, k] - T(fg)[j, k] = - sum_{l <= -1} f_{j-l} g_{l-k},
+    T(u^a) T(u^b) = T(u^(a+b)) - sum over max(-a, b) <= l <= -1 of E_{a+l, l-b},
 
-which is what keeps the model closed under multiplication.  The symbol map
-(f, K) -> f, read off as `.symbol`, kills the finite-rank part and is the
-quotient onto the circle algebra; ToeplitzElement(f) is its linear section
-f -> (f, 0), deliberately not multiplicative: T(u) T(u^-1) = 1 - E_00.
+which is what keeps the model closed under multiplication.  The symbol
+map, read off as `.symbol`, kills the matrix units and is the quotient onto
+the circle algebra; ToeplitzElement.from_symbol(f) is its linear section
+f -> T(f), deliberately not multiplicative: T(u) T(u^-1) = 1 - E_00.
 
-The gauge circle action rotates the shift: T(u^a) has degree a and E_{jk}
-has degree j - k, and homogeneous_parts splits an element by that degree,
-the pieces the coaction tags with the matching circle monomial.
+The gauge circle action rotates the shift: atom_degree gives T(u^a)
+degree a and E_{jk} degree j - k, and homogeneous_parts splits an element
+by that degree, the pieces the coaction tags with the matching circle
+monomial.  A tensor's circle slot holds a circle monomial ("u", m) of
+degree m; _validate_atom is the one check of all three atom kinds.
 """
 
 from .circle_hopf import CirclePoly, Scalar, Terms, _index, collect
 
 
-class CompactPart(Terms):
-    """Finite-rank matrix, a (row, col) -> Scalar term map over non-negative indices."""
+def atom_degree(atom):
+    """Gauge degree of one atom."""
+    kind = atom[0]
+    if kind == "E":
+        return atom[1] - atom[2]
+    if kind in ("T", "u"):
+        return atom[1]
+    raise ValueError("unknown atom kind %r" % (atom,))
+
+
+# Length of each atom kind's tuple: its tag and its int entries.
+_ATOM_LENGTHS = {"T": 2, "E": 3, "u": 2}
+
+
+def _validate_atom(atom, is_circle=False):
+    """The atom as a tuple of its kind and int entries; raises ValueError
+    unless it fits a circle slot (is_circle) as ("u", m), or a Toeplitz
+    slot as ("T", a) or ("E", j, k) with j, k >= 0."""
+    kind = atom[0]
+    if (kind == "u") != is_circle or len(atom) != _ATOM_LENGTHS.get(kind):
+        raise ValueError("not a %s atom: %r" % ("circle" if is_circle else "Toeplitz", atom))
+    atom = (kind,) + tuple(_index(v, "atom entry") for v in atom[1:])
+    if kind == "E" and (atom[1] < 0 or atom[2] < 0):
+        raise ValueError("matrix unit indices must be non-negative, got %r" % (atom,))
+    return atom
+
+
+def atom_product(a, b):
+    """Product of two Toeplitz atoms as a list of (atom, sign) terms, each
+    sign 1 or -1.
+
+    Two shifts multiply with the lower-left correction of the module
+    docstring.  A shift on the left moves the rows of a matrix unit, one on
+    the right moves its columns, and an entry pushed past the corner
+    vanishes; two matrix units multiply as matrices.
+    """
+    if a[0] == "T":
+        if b[0] == "T":
+            x, y = a[1], b[1]
+            return [(("T", x + y), 1)] + [(("E", x + l, l - y), -1) for l in range(max(-x, y), 0)]
+        j = a[1] + b[1]
+        return [(("E", j, b[2]), 1)] if j >= 0 else []
+    if b[0] == "T":
+        k = a[2] - b[1]
+        return [(("E", a[1], k), 1)] if k >= 0 else []
+    return [(("E", a[1], b[2]), 1)] if a[2] == b[1] else []
+
+
+class ToeplitzElement(Terms):
+    """T(f) + K as a term map over atoms: shift ("T", a) -> the coefficient
+    of u^a in f, matrix unit ("E", j, k) -> the entry K[j, k]."""
 
     __slots__ = ()
 
-    def _key(self, key):
-        j, k = key
-        j, k = _index(j, "matrix unit index"), _index(k, "matrix unit index")
-        if j < 0 or k < 0:
-            raise ValueError("matrix unit indices must be non-negative")
-        return (j, k)
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def unit(cls, j, k, coeff=1):
-        return cls({(j, k): coeff})
-
-    def matmul(self, other):
-        return CompactPart._trusted(
-            collect(
-                ((j, k), c1 * c2)
-                for (j, l), c1 in self.terms.items()
-                for (l2, k), c2 in other.terms.items()
-                if l == l2
-            )
-        )
-
-    def adjoint(self):
-        return CompactPart._trusted({(k, j): c.conjugate() for (j, k), c in self.terms.items()})
-
-    def support_bound(self):
-        """Smallest d with all entries inside the top-left d x d block."""
-        if not self.terms:
-            return 0
-        return 1 + max(max(j, k) for j, k in self.terms)
-
-
-class ToeplitzElement:
-    """Pair (symbol, compact) representing T(symbol) + compact."""
-
-    __slots__ = ("symbol", "compact")
-
-    def __init__(self, symbol=None, compact=None):
-        self.symbol = symbol if symbol is not None else CirclePoly.zero()
-        self.compact = compact if compact is not None else CompactPart.zero()
+    def _key(self, atom):
+        return _validate_atom(atom)
 
     @classmethod
     def zero(cls):
@@ -76,12 +87,12 @@ class ToeplitzElement:
 
     @classmethod
     def one(cls):
-        return cls(CirclePoly.one())
+        return cls.shift(0)
 
     @classmethod
     def shift(cls, degree, coeff=1):
         """The pure shift atom T(u^degree)."""
-        return cls(CirclePoly.monomial(degree, coeff))
+        return cls({("T", degree): coeff})
 
     @classmethod
     def z(cls):
@@ -93,69 +104,52 @@ class ToeplitzElement:
 
     @classmethod
     def matrix_unit(cls, j, k, coeff=1):
-        return cls(compact=CompactPart.unit(j, k, coeff))
+        return cls({("E", j, k): coeff})
 
-    def is_zero(self):
-        return self.symbol.is_zero() and self.compact.is_zero()
+    @classmethod
+    def from_symbol(cls, f):
+        """T(f): the linear section of the symbol map."""
+        return cls._trusted({("T", d): c for d, c in f.terms.items()})
 
-    def __add__(self, other):
-        return ToeplitzElement(self.symbol + other.symbol, self.compact + other.compact)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return ToeplitzElement(-self.symbol, -self.compact)
-
-    def scale(self, scalar):
-        return ToeplitzElement(self.symbol.scale(scalar), self.compact.scale(scalar))
+    @property
+    def symbol(self):
+        """The image in the circle algebra: the shifts' coefficients by degree."""
+        return CirclePoly._trusted(
+            {atom[1]: c for atom, c in self.terms.items() if atom[0] == "T"}
+        )
 
     def __mul__(self, other):
-        """Product via the correction identity, never via matrix truncation."""
-        f, kx = self.symbol, self.compact
-        g, ky = other.symbol, other.compact
-        compact = _hankel_correction(f, g)
-        compact = compact + _shift_times_compact(f, ky)
-        compact = compact + _compact_times_shift(kx, g)
-        compact = compact + kx.matmul(ky)
-        return ToeplitzElement(f * g, compact)
+        """Product atom by atom through atom_product, never via matrix truncation."""
+        self._check(other)
+        terms = []
+        for a, c1 in self.terms.items():
+            for b, c2 in other.terms.items():
+                product = atom_product(a, b)
+                if product:
+                    c = c1 * c2
+                    terms.extend((atom, c if sign > 0 else -c) for atom, sign in product)
+        return ToeplitzElement._trusted(collect(terms))
 
     def adjoint(self):
-        return ToeplitzElement(self.symbol.star(), self.compact.adjoint())
+        """T(u^a)* = T(u^-a) and E_{jk}* = E_{kj}, coefficients conjugated."""
+        return ToeplitzElement._trusted(
+            {
+                (("T", -atom[1]) if atom[0] == "T" else ("E", atom[2], atom[1])): c.conjugate()
+                for atom, c in self.terms.items()
+            }
+        )
 
     def atoms(self):
-        """Basis view: the unique expansion into shift and matrix-unit atoms.
-
-        Yields (atom, Scalar) pairs with atoms encoded ("T", a) or ("E", j, k).
-        """
-        for deg, c in sorted(self.symbol.terms.items()):
-            yield ("T", deg), c
-        for (j, k), c in sorted(self.compact.terms.items()):
-            yield ("E", j, k), c
+        """The (atom, Scalar) terms, shifts by degree and then matrix units
+        by index: the unique expansion into shift and matrix-unit atoms."""
+        return sorted(self.terms.items(), key=lambda term: (term[0][0] != "T", term[0]))
 
     def homogeneous_parts(self):
         """Split by gauge degree: T(u^a) has degree a, E_{jk} degree j - k."""
         parts = {}
-        for atom, c in self.atoms():
-            if atom[0] == "T":
-                deg = atom[1]
-                piece = ToeplitzElement.shift(atom[1], c)
-            else:
-                deg = atom[1] - atom[2]
-                piece = ToeplitzElement.matrix_unit(atom[1], atom[2], c)
-            parts[deg] = parts.get(deg, ToeplitzElement.zero()) + piece
-        return {d: p for d, p in parts.items() if not p.is_zero()}
-
-    def __eq__(self, other):
-        if not isinstance(other, ToeplitzElement):
-            return NotImplemented
-        return self.symbol == other.symbol and self.compact == other.compact
-
-    def __hash__(self):
-        return hash((self.symbol, self.compact))
-
-    def __repr__(self):
-        return "ToeplitzElement(symbol=%r, compact=%r)" % (self.symbol, self.compact)
+        for atom, c in self.terms.items():
+            parts.setdefault(atom_degree(atom), {})[atom] = c
+        return {d: ToeplitzElement._trusted(terms) for d, terms in parts.items()}
 
     def render(self):
         parts = []
@@ -172,53 +166,8 @@ class ToeplitzElement:
         return " + ".join(parts) if parts else "0"
 
     def to_json(self):
-        return {
-            "symbol": self.symbol.to_json(),
-            "compact": [[j, k, c.to_json()] for (j, k), c in sorted(self.compact.terms.items())],
-        }
+        return [{"atom": list(atom), "coeff": c.to_json()} for atom, c in self.atoms()]
 
     @classmethod
     def from_json(cls, data):
-        symbol = CirclePoly.from_json(data["symbol"])
-        compact = CompactPart({(j, k): Scalar.from_json(c) for j, k, c in data["compact"]})
-        return cls(symbol, compact)
-
-
-def _hankel_correction(f, g):
-    """The finite matrix H with (T(f) T(g))  =  T(fg) + H.
-
-    H[j, k] = - sum over l <= -1 of f_{j-l} g_{l-k}; for monomial degrees
-    a, b the index l runs over max(-a, b) <= l <= -1.
-    """
-    return CompactPart._trusted(
-        collect(
-            ((a + l, l - b), -(ca * cb))
-            for a, ca in f.terms.items()
-            for b, cb in g.terms.items()
-            for l in range(max(-a, b), 0)
-        )
-    )
-
-
-def _shift_times_compact(f, k_part):
-    """T(f) K: the shift moves rows, entries falling off the top vanish."""
-    return CompactPart._trusted(
-        collect(
-            ((j + a, k), ca * c)
-            for a, ca in f.terms.items()
-            for (j, k), c in k_part.terms.items()
-            if j + a >= 0
-        )
-    )
-
-
-def _compact_times_shift(k_part, g):
-    """K T(g): the shift moves columns, entries falling off the left vanish."""
-    return CompactPart._trusted(
-        collect(
-            ((j, k - b), c * cb)
-            for (j, k), c in k_part.terms.items()
-            for b, cb in g.terms.items()
-            if k - b >= 0
-        )
-    )
+        return cls({tuple(row["atom"]): Scalar.from_json(row["coeff"]) for row in data})

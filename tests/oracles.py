@@ -23,15 +23,17 @@ def element_band(x):
     b = 0
     for d in x.symbol.degrees():
         b = max(b, abs(d))
-    for (j, k) in x.compact.terms:
-        b = max(b, j + 1, k + 1)
+    for atom in x.terms:
+        if atom[0] == "E":
+            b = max(b, atom[1] + 1, atom[2] + 1)
     return b
 
 
 def toeplitz_matrix(x, d):
     """Truncation of x to the upper-left d by d corner."""
+    symbol = x.symbol
     return [
-        [x.symbol.coeff(j - k) + x.compact.terms.get((j, k), ZERO) for k in range(d)]
+        [symbol.coeff(j - k) + x.terms.get(("E", j, k), ZERO) for k in range(d)]
         for j in range(d)
     ]
 

@@ -14,7 +14,7 @@ from tqps.circle_hopf import (
     collect,
 )
 from tqps.tensor_gluing import TensorElement
-from tqps.toeplitz_core import CompactPart
+from tqps.toeplitz_core import ToeplitzElement
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 scalars = st.builds(Scalar, fracs, fracs)
@@ -190,8 +190,10 @@ def test_collect_sums_repeated_keys_and_drops_zeros():
 # (constructor from a term map, two distinct keys, an element of another type
 # or shape, whether the class is hashable)
 TERM_MAPS = [
-    pytest.param(CirclePoly, 2, -1, CompactPart(), True, id="CirclePoly"),
-    pytest.param(CompactPart, (0, 1), (2, 0), CirclePoly(), True, id="CompactPart"),
+    pytest.param(CirclePoly, 2, -1, ToeplitzElement(), True, id="CirclePoly"),
+    pytest.param(
+        ToeplitzElement, ("E", 0, 1), ("T", -2), CirclePoly(), True, id="ToeplitzElement"
+    ),
     pytest.param(
         lambda terms: TensorElement(2, 2, terms),
         (("T", 1), ("u", 0)),
@@ -211,8 +213,9 @@ def test_circle_poly_rejects_non_integral_degrees(key):
 
 @pytest.mark.parametrize("key", [(0.5, 1), (1, 2.5), (True, 0), (-1, 0)])
 def test_compact_part_rejects_bad_indices(key):
+    # the finite-rank part of a ToeplitzElement: its matrix-unit atoms
     with pytest.raises(ValueError):
-        CompactPart({key: 1})
+        ToeplitzElement({("E",) + key: 1})
 
 
 @pytest.mark.parametrize("make, a, b, other, hashable", TERM_MAPS)

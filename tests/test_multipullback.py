@@ -127,6 +127,13 @@ def test_members_form_an_algebra():
         assert is_member(p.scale(3) - q)
 
 
+def test_arithmetic_with_a_non_element_is_a_type_error():
+    p = PullbackElement.zero(2)
+    for op in (lambda: p + 3, lambda: p - 3, lambda: p * 3, lambda: 3 * p):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_incompatible_family_is_rejected():
     z = tensor_z(1)
     with pytest.raises(IncompatiblePartialFamily) as exc:

@@ -57,6 +57,9 @@ def test_poset_validation():
     Poset([0, 1, 2], [(0, 1), (1, 2)], close=True)
     with pytest.raises(LatticeError):
         Poset([0, 0], [])  # duplicate labels
+    for pairs in ([(0, 5)], [(5, 0)]):
+        with pytest.raises(LatticeError, match="unknown label 5"):
+            Poset([0, 1], pairs)
 
 
 def test_poset_constructors():

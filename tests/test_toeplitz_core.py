@@ -4,32 +4,41 @@ The product is computed in src through the correction identity; the tests
 compare it against literal truncated-matrix arithmetic from oracles.py.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
     adjoint_matches_truncation,
     product_matches_truncation,
 )
-from tqps.circle_hopf import ONE, CirclePoly, Scalar
-from tqps.toeplitz_core import (
-    CompactPart,
-    ToeplitzElement,
-)
+from tqps.circle_hopf import CirclePoly, Scalar
+from tqps.toeplitz_core import ToeplitzElement
 
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 scalars = st.builds(Scalar, fracs, fracs)
 symbols = st.dictionaries(st.integers(-4, 4), scalars, max_size=3).map(CirclePoly)
-compacts = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 3)), scalars, max_size=3
-).map(CompactPart)
-elements = st.builds(ToeplitzElement, symbols, compacts)
+
+
+def shift_atoms(bound):
+    return st.tuples(st.just("T"), st.integers(-bound, bound))
+
+
+def unit_atoms(bound):
+    return st.tuples(st.just("E"), st.integers(0, bound), st.integers(0, bound))
+
+
+def terms(atoms, size):
+    return st.dictionaries(atoms, scalars, max_size=size).map(ToeplitzElement)
+
+
+compacts = terms(unit_atoms(3), 3)
+elements = st.builds(ToeplitzElement.__add__, terms(shift_atoms(4), 3), compacts)
 small_elements = st.builds(
-    ToeplitzElement,
-    st.dictionaries(st.integers(-2, 2), scalars, max_size=2).map(CirclePoly),
-    st.dictionaries(
-        st.tuples(st.integers(0, 2), st.integers(0, 2)), scalars, max_size=2
-    ).map(CompactPart),
+    ToeplitzElement.__add__, terms(shift_atoms(2), 2), terms(unit_atoms(2), 2)
 )
+
+# Every atom with shift degree in [-4, 4] and matrix-unit indices in [0, 3].
+ATOMS = [("T", a) for a in range(-4, 5)] + [("E", j, k) for j in range(4) for k in range(4)]
 
 
 def test_shift_relations():
@@ -50,6 +59,26 @@ def test_matrix_unit_products():
     # entries pushed past the corner vanish
     assert z.adjoint() * e(0, 0) == ToeplitzElement.zero()
     assert e(0, 0) * z == ToeplitzElement.zero()
+
+
+def test_every_atom_product_and_adjoint_matches_matrix_oracle():
+    for a in ATOMS:
+        x = ToeplitzElement({a: 1})
+        assert adjoint_matches_truncation(x, x.adjoint()), a
+        for b in ATOMS:
+            y = ToeplitzElement({b: 1})
+            assert product_matches_truncation(x, y, x * y), (a, b)
+
+
+def test_product_with_a_non_element_raises():
+    with pytest.raises(ValueError):
+        ToeplitzElement.z() * 3
+
+
+@pytest.mark.parametrize("atom", [("u", 1), ("T", 1.5), ("T", 1, 2), ("E", 0), ("X", 0)])
+def test_keys_must_be_toeplitz_atoms(atom):
+    with pytest.raises(ValueError):
+        ToeplitzElement({atom: 1})
 
 
 @settings(deadline=None)
@@ -84,23 +113,23 @@ def test_symbol_map_is_multiplicative(x, y):
 
 @given(symbols)
 def test_lift_sections_the_symbol_map(f):
-    assert ToeplitzElement(f).symbol == f
-    assert ToeplitzElement(f).compact.is_zero()
+    x = ToeplitzElement.from_symbol(f)
+    assert x.symbol == f
+    assert all(atom[0] == "T" for atom in x.terms)
 
 
 def test_lift_is_not_multiplicative():
     u = CirclePoly.monomial(1)
     u_inv = CirclePoly.monomial(-1)
-    lifted = ToeplitzElement(u) * ToeplitzElement(u_inv)
-    assert lifted != ToeplitzElement(u * u_inv)
+    lifted = ToeplitzElement.from_symbol(u) * ToeplitzElement.from_symbol(u_inv)
+    assert lifted != ToeplitzElement.from_symbol(u * u_inv)
     assert lifted.symbol == u * u_inv
 
 
 @given(elements, compacts)
 def test_compacts_form_an_ideal(x, k):
-    y = ToeplitzElement(None, k)
-    assert (x * y).symbol.is_zero()
-    assert (y * x).symbol.is_zero()
+    assert (x * k).symbol.is_zero()
+    assert (k * x).symbol.is_zero()
 
 
 @given(elements)
@@ -141,7 +170,7 @@ def test_grading_is_multiplicative(x, y):
 
 @given(compacts)
 def test_coaction_restricts_to_compacts(k):
-    for piece in ToeplitzElement(None, k).homogeneous_parts().values():
+    for piece in k.homogeneous_parts().values():
         assert piece.symbol.is_zero()
 
 
@@ -156,8 +185,3 @@ def test_render():
     assert ToeplitzElement.zero().render() == "0"
     assert ToeplitzElement.one().render() == "T(1)"
 
-
-def test_compact_support_bound():
-    assert CompactPart.zero().support_bound() == 0
-    assert CompactPart.unit(2, 5).support_bound() == 6
-    assert CompactPart.unit(0, 0, ONE).support_bound() == 1
