@@ -287,6 +287,7 @@ class CirclePoly(Terms):
         return self.terms.get(degree, ZERO)
 
     def __mul__(self, other):
+        self._check(other)
         return CirclePoly._trusted(
             collect(
                 (d1 + d2, c1 * c2)

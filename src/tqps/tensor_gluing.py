@@ -4,10 +4,11 @@ Elements of a tensor power are exact linear combinations of pure atom
 tensors.  Each slot of a pure tensor holds one Toeplitz atom, a shift
 ("T", a) or a matrix unit ("E", j, k), the keys of a ToeplitzElement; at
 most one distinguished slot holds a circle monomial ("u", m) instead.
-toeplitz_core validates atoms and multiplies them, and the tensor product
-multiplies slot by slot through _mul_toeplitz_atoms, its cache of
-single-slot atom products.  Slot positions are 1-based throughout the
-public surface.
+toeplitz_core validates atoms and multiplies them.  The tensor product
+multiplies the coefficients of each term pair once and reads each slot's
+atom product, as atoms with an int sign, from _mul_toeplitz_atoms, its
+cache of single-slot atom products.  Slot positions are 1-based throughout
+the public surface.
 
 The gauge grading, toeplitz_core's atom_degree, gives every atom an integer
 degree (a for a shift, j - k for a matrix unit, m for a circle monomial).
@@ -44,6 +45,7 @@ the public constructor, pure, one and from_json validate every key.
 
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 from .circle_hopf import ONE, Scalar, Terms, collect
 from .toeplitz_core import ToeplitzElement, _validate_atom, atom_degree  # noqa: F401  (re-exported)
@@ -63,14 +65,17 @@ def _shape(n_slots, circle_slot):
 
 @lru_cache(maxsize=None)
 def _mul_toeplitz_atoms(a, b):
-    """Product of two Toeplitz atoms as a tuple of (atom, Scalar) terms,
-    shifts first.
+    """Product of two Toeplitz atoms as a tuple of (atom, sign) terms, each
+    sign the int 1 or -1, shifts first: atom_product's terms.
 
     Computed as the product of two one-atom ToeplitzElements, so the tensor
     algebra and the single-slot algebra share atom_product and can never
-    drift apart.
+    drift apart; each coefficient of that product is ONE or -ONE, whose
+    real part is the sign.
     """
-    return tuple((ToeplitzElement({a: ONE}) * ToeplitzElement({b: ONE})).atoms())
+    return tuple(
+        (atom, c.re) for atom, c in (ToeplitzElement({a: ONE}) * ToeplitzElement({b: ONE})).atoms()
+    )
 
 
 class TensorElement(Terms):
@@ -88,8 +93,7 @@ class TensorElement(Terms):
 
     def _key(self, atoms):
         n_slots, circle_slot = self.shape
-        atoms = tuple(atoms)
-        if len(atoms) != n_slots:
+        if not isinstance(atoms, tuple) or len(atoms) != n_slots:
             raise ValueError("term %r does not match %d slots" % (atoms, n_slots))
         return tuple(
             _validate_atom(atom, pos == circle_slot) for pos, atom in enumerate(atoms, start=1)
@@ -120,26 +124,29 @@ class TensorElement(Terms):
         return cls(len(atoms), circle_slot, {atoms: coeff})
 
     def __mul__(self, other):
-        """Slotwise product; Toeplitz slots expand through atom corrections."""
+        """Slotwise product: each term pair multiplies its coefficients once,
+        and every combination of its slots' atom products (the circle slot
+        adds exponents) gets that coefficient times the product of the
+        slots' signs.  A pair with a slot product of zero adds nothing."""
         self._check(other)
-        n_slots, circle_slot = self.shape
-        circle_index = None if circle_slot is None else circle_slot - 1
+        circle_index = None if self.circle_slot is None else self.circle_slot - 1
         pairs = []
         for t1, c1 in self.terms.items():
             for t2, c2 in other.terms.items():
-                alternatives = [((), c1 * c2)]
-                for s in range(n_slots):
-                    a, b = t1[s], t2[s]
+                slots = []
+                for s, (a, b) in enumerate(zip(t1, t2)):
                     if s == circle_index:
-                        slot_terms = ((("u", a[1] + b[1]), ONE),)
+                        slots.append(((("u", a[1] + b[1]), 1),))
                     else:
                         slot_terms = _mul_toeplitz_atoms(a, b)
-                    alternatives = [
-                        (prefix + (atom,), c * ac)
-                        for prefix, c in alternatives
-                        for atom, ac in slot_terms
-                    ]
-                pairs.extend(alternatives)
+                        if not slot_terms:
+                            break
+                        slots.append(slot_terms)
+                else:
+                    c = c1 * c2
+                    for combo in product(*slots):
+                        atoms, signs = zip(*combo)
+                        pairs.append((atoms, c if prod(signs) > 0 else -c))
         return TensorElement._trusted(collect(pairs), self.shape)
 
     __hash__ = None

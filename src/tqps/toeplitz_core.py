@@ -42,8 +42,8 @@ def _validate_atom(atom, is_circle=False):
     """The atom as a tuple of its kind and int entries; raises ValueError
     unless it fits a circle slot (is_circle) as ("u", m), or a Toeplitz
     slot as ("T", a) or ("E", j, k) with j, k >= 0."""
-    kind = atom[0]
-    if (kind == "u") != is_circle or len(atom) != _ATOM_LENGTHS.get(kind):
+    kind = atom[0] if isinstance(atom, tuple) and atom else None
+    if kind not in _ATOM_LENGTHS or (kind == "u") != is_circle or len(atom) != _ATOM_LENGTHS[kind]:
         raise ValueError("not a %s atom: %r" % ("circle" if is_circle else "Toeplitz", atom))
     atom = (kind,) + tuple(_index(v, "atom entry") for v in atom[1:])
     if kind == "E" and (atom[1] < 0 or atom[2] < 0):

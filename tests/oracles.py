@@ -2,7 +2,7 @@
 
 Each oracle recomputes a quantity through a different representation than
 the library uses: operator products through truncated matrices, gluings
-through stepwise single-slot arithmetic, order-theoretic
+and tensor products through stepwise single-slot arithmetic, order-theoretic
 counts through exhaustive filters, chart gluings through three
 relocations instead of one and with their slots worked out by hand,
 free-lattice join and meet through frozensets of index sets instead of
@@ -123,6 +123,26 @@ def stepwise_glue(x, src, dst):
     at = dst + 1 if dst < src else dst
     to = src + 1 if src < dst else src
     return stepwise_psi_ij(slot_symbol(x, at), at, to)
+
+
+def slotwise_product(x, y):
+    """Tensor product expanded one slot at a time: every slot's atom product
+    read off a product of one-atom ToeplitzElements (a product of circle
+    monomials in the circle slot), and one Scalar product per slot term."""
+    out = {}
+    for t1, c1 in x.terms.items():
+        for t2, c2 in y.terms.items():
+            rows = [((), c1 * c2)]
+            for pos, (a, b) in enumerate(zip(t1, t2), start=1):
+                if pos == x.circle_slot:
+                    circ = CirclePoly.monomial(a[1]) * CirclePoly.monomial(b[1])
+                    slot = [(("u", d), c) for d, c in circ.terms.items()]
+                else:
+                    slot = (ToeplitzElement({a: 1}) * ToeplitzElement({b: 1})).terms.items()
+                rows = [(row + (atom,), c * ac) for row, c in rows for atom, ac in slot]
+            for row, c in rows:
+                out[row] = out.get(row, ZERO) + c
+    return TensorElement(x.n_slots, x.circle_slot, out)
 
 
 def brute_upper_sets(poset):

@@ -234,3 +234,6 @@ def test_term_maps_are_canonical(make, a, b, other, hashable):
             hash(x)
     with pytest.raises(ValueError):
         x + other
+    for foreign in (other, 3):
+        with pytest.raises(ValueError):
+            x * foreign

@@ -1,9 +1,12 @@
 """Checks for tensor slots and the gluing maps."""
 
+from fractions import Fraction
+
 import pytest
 
-from oracles import stepwise_glue, stepwise_psi, stepwise_psi_ij
+from oracles import slotwise_product, stepwise_glue, stepwise_psi, stepwise_psi_ij
 from tqps import tensor_gluing
+from tqps.circle_hopf import Scalar
 from tqps.classical_cpn import transition_agreement
 from tqps.order_lattice import freeness_by_types
 from tqps.sampling import DEFAULT_SEED, random_toeplitz_element
@@ -71,6 +74,66 @@ def test_tensor_ring_axioms():
         one = TensorElement.one(2, circle_slot=2)
         assert x * one == x and one * x == x
         assert (x - x).is_zero()
+
+
+# Every shape of three slots: no circle slot, and the circle slot first,
+# in the middle and last.
+CIRCLE_SLOTS = (None, 1, 2, 3)
+
+
+def product_pairs(name):
+    """Seeded pairs of three-slot tensors of every shape, with Gaussian
+    integer and Gaussian rational coefficients."""
+    rng = rng_for(name)
+    fraction = Scalar(Fraction(1, 3), Fraction(-2, 5))
+    pairs = []
+    for circle_slot in CIRCLE_SLOTS:
+        for _ in range(15):
+            x = random_tensor_element(rng, 3, circle_slot=circle_slot, max_terms=4)
+            y = random_tensor_element(rng, 3, circle_slot=circle_slot, max_terms=4)
+            pairs += [(x, y), (x.scale(fraction), y)]
+    return pairs
+
+
+def test_product_matches_slotwise_oracle():
+    for x, y in product_pairs("slotwise"):
+        assert x * y == slotwise_product(x, y)
+    # a pair whose product vanishes in one slot contributes nothing, with
+    # the vanishing slot first, in the middle and last
+    for circle_slot in CIRCLE_SLOTS:
+        for zero_at in {1, 2, 3} - {circle_slot}:
+            a = [("u", 1) if pos == circle_slot else ("T", 1) for pos in (1, 2, 3)]
+            b = [("u", 2) if pos == circle_slot else ("T", -1) for pos in (1, 2, 3)]
+            a[zero_at - 1], b[zero_at - 1] = ("E", 0, 1), ("E", 2, 3)
+            x = TensorElement.pure(a, circle_slot, Scalar(2, -1))
+            y = TensorElement.pure(b, circle_slot, Fraction(1, 2))
+            assert (x * y).is_zero()
+            assert slotwise_product(x, y).is_zero()
+            w = x + TensorElement.one(3, circle_slot)
+            assert w * y == slotwise_product(w, y) == y
+
+
+def test_product_makes_one_scalar_product_per_term_pair(monkeypatch):
+    # a count of calls, not a timing, taken once the atom product cache is
+    # warm: the coefficients of a term pair are multiplied once, and each
+    # slot's atom product only decides a sign
+    pairs = product_pairs("scalar-count")
+    for x, y in pairs:
+        x * y
+    calls = []
+    mul = Scalar.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting_mul)
+    for x, y in pairs:
+        before = len(calls)
+        x * y
+        assert len(calls) - before <= len(x.terms) * len(y.terms)
+    # the counter does count the products
+    assert calls
 
 
 def test_shape_mismatch_rejected():
@@ -409,11 +472,19 @@ def test_trusted_constructions_check_the_shape(call):
         ((("T", "1"),), None),
         ((("u", 0.5),), 1),
         ((("T", 0), ("u", False)), 2),
+        ([3], None),
+        ([()], None),
     ],
 )
 def test_atoms_must_carry_integers(atoms, circle_slot):
     with pytest.raises(ValueError):
         TensorElement.pure(atoms, circle_slot=circle_slot)
+
+
+@pytest.mark.parametrize("key", [3, None])
+def test_keys_must_be_atom_tuples(key):
+    with pytest.raises(ValueError):
+        TensorElement(2, None, {key: 1})
 
 
 def test_gluing_suites_build_no_tensor_through_the_validating_constructor(monkeypatch):

@@ -12,7 +12,8 @@ from oracles import (
     product_matches_truncation,
 )
 from tqps.circle_hopf import CirclePoly, Scalar
-from tqps.toeplitz_core import ToeplitzElement
+from tqps.tensor_gluing import _mul_toeplitz_atoms
+from tqps.toeplitz_core import ToeplitzElement, atom_product
 
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 scalars = st.builds(Scalar, fracs, fracs)
@@ -70,12 +71,24 @@ def test_every_atom_product_and_adjoint_matches_matrix_oracle():
             assert product_matches_truncation(x, y, x * y), (a, b)
 
 
+def test_cached_atom_products_are_the_signed_atom_products():
+    # the tensor product reads its slots' products from the cache, as
+    # int signs it never multiplies into a Scalar
+    for a in ATOMS:
+        for b in ATOMS:
+            cached = _mul_toeplitz_atoms(a, b)
+            assert set(cached) == set(atom_product(a, b)), (a, b)
+            assert all(type(sign) is int and sign in (1, -1) for _, sign in cached), (a, b)
+
+
 def test_product_with_a_non_element_raises():
     with pytest.raises(ValueError):
         ToeplitzElement.z() * 3
 
 
-@pytest.mark.parametrize("atom", [("u", 1), ("T", 1.5), ("T", 1, 2), ("E", 0), ("X", 0)])
+@pytest.mark.parametrize(
+    "atom", [("u", 1), ("T", 1.5), ("T", 1, 2), ("E", 0), ("X", 0), 3, (), None]
+)
 def test_keys_must_be_toeplitz_atoms(atom):
     with pytest.raises(ValueError):
         ToeplitzElement({atom: 1})
