@@ -152,7 +152,14 @@ class Scalar:
 
     @classmethod
     def from_json(cls, data):
-        rn, rd, in_, id_ = data
+        """Scalar of a [re num, re den, im num, im den] row; a row of
+        other than four integers, or with a zero denominator, raises
+        ValueError."""
+        if not isinstance(data, (list, tuple)) or len(data) != 4:
+            raise ValueError("a Scalar row holds four integers, got %r" % (data,))
+        rn, rd, in_, id_ = (_index(v, "Scalar entry") for v in data)
+        if rd == 0 or id_ == 0:
+            raise ValueError("zero denominator in Scalar row %r" % (data,))
         return cls(Fraction(rn, rd), Fraction(in_, id_))
 
 
@@ -173,6 +180,31 @@ def collect(pairs):
     return {key: c for key, c in out.items() if c}
 
 
+def _render_power(m):
+    """u^m as text: 1, u or u^m."""
+    return "1" if m == 0 else "u" if m == 1 else "u^%d" % m
+
+
+def _render_terms(pairs):
+    """Sum of (name, Scalar) terms as text, "0" when empty.
+
+    A term reads name, -name or c*name, with c in parentheses when it has
+    both a real and an imaginary part; the name "1" reads as c alone.
+    """
+    parts = []
+    for name, c in pairs:
+        cs = c.render()
+        if c.re and c.im:
+            cs = "(%s)" % cs
+        if name == "1":
+            parts.append(cs)
+        elif cs in ("1", "-1"):
+            parts.append(cs[:-1] + name)
+        else:
+            parts.append("%s*%s" % (cs, name))
+    return " + ".join(parts) or "0"
+
+
 class Terms:
     """Exact linear combination of basis keys: `terms` maps each key to its
     nonzero Scalar coefficient, so equal term maps are equal elements.
@@ -180,15 +212,17 @@ class Terms:
     A subclass fixes its keys through _key, which validates one key and
     returns it normalized, and may carry a `shape` that only elements of
     the same shape combine with.  Equality reads (type, shape, terms).
+    The constructor takes a mapping of key to coefficient or an iterable
+    of (key, coefficient) pairs; each key is validated before it is
+    hashed, so a malformed key raises ValueError, not TypeError.
     """
 
     __slots__ = ("shape", "terms")
 
     def __init__(self, terms=None, shape=()):
         self.shape = shape
-        self.terms = collect(
-            (self._key(key), Scalar.coerce(c)) for key, c in (terms or {}).items()
-        )
+        pairs = terms.items() if hasattr(terms, "items") else terms or ()
+        self.terms = collect((self._key(key), Scalar.coerce(c)) for key, c in pairs)
 
     def _key(self, key):
         raise NotImplementedError
@@ -310,25 +344,7 @@ class CirclePoly(Terms):
 
     def render(self):
         """Human form like "3*u^-2 + (1+2i)*u^5"."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for deg in sorted(self.terms):
-            c = self.terms[deg]
-            cs = c.render()
-            if c.re != 0 and c.im != 0:
-                cs = "(%s)" % cs
-            if deg == 0:
-                parts.append(cs)
-                continue
-            power = "u" if deg == 1 else "u^%d" % deg
-            if cs == "1":
-                parts.append(power)
-            elif cs == "-1":
-                parts.append("-%s" % power)
-            else:
-                parts.append("%s*%s" % (cs, power))
-        return " + ".join(parts)
+        return _render_terms((_render_power(d), c) for d, c in sorted(self.terms.items()))
 
     def to_json(self):
         return {str(d): c.to_json() for d, c in sorted(self.terms.items())}

@@ -22,14 +22,15 @@ provably kills every kernel outside the index set and visibly does not
 kill the intersection itself.  check_freeness_criterion reads both on
 index sets of charts: the order as certified containment of one
 intersection in another, the irreducibility as those projections.  Every
-inequality it relies on is grounded in a constructed witness, and a
+inequality it relies on is grounded in a constructed witness, a
 degenerate generator assignment is reported as NOT_FREE with the
-violating pair.
+violating pair, and the verdict reads only this evidence, never a
+listing of the free lattice.
 """
 
 import itertools
 
-from .order_lattice import AntichainForm, check_freeness_criterion, fdl_enumerate
+from .order_lattice import check_freeness_criterion
 from .tensor_gluing import (
     TensorElement,
     glue,
@@ -321,23 +322,20 @@ def verify_freeness(n, seed=0, samples=200, generator_map=None):
     each pure intersection with the projection away from the matrix units
     of a slot set: it provably annihilates every generating kernel outside
     the index set, visibly keeps a constructed member of the intersection
-    alive, and is additionally cross-checked on sampled members of the
-    strictly finer intersections.  Stage three hands both to
+    alive, and is additionally cross-checked on `samples` sampled members
+    of each strictly finer intersection.  Stage three hands both to
     check_freeness_criterion on index sets of generators, the order of
-    joins as leq(I, J) = contains(I | J, J), and stage four confirms on the
-    up-sets of the free lattice that its meet irreducibles are exactly the
-    pure joins, ordered by inclusion of their index sets.
+    joins as leq(I, J) = contains(I | J, J), whose verdict and witness the
+    bundle reports; the free lattice itself is never listed.
 
-    n is at most 4, since stage four lists every element of the free
-    lattice on n + 1 generators (7.8 million at n = 5).
     generator_map reassigns generator i to chart generator_map[i]; a
     non-injective assignment is the intended control and comes back
-    NOT_FREE with an order witness.
+    NOT_FREE with an order witness.  samples < 0 raises ValueError.
     """
     if n < 1:
         raise ValueError("need at least two charts")
-    if n > 4:
-        raise ValueError("n = %d is past 4, where stage four lists the free lattice" % n)
+    if samples < 0:
+        raise ValueError("samples must be at least 0")
     gen_count = n + 1
     gmap = list(range(gen_count))
     if generator_map:
@@ -440,39 +438,16 @@ def verify_freeness(n, seed=0, samples=200, generator_map=None):
         gen_count, lambda I, J: contains(I | J, J), irreducibility=prover
     )
 
-    verdict = report.verdict
-    lattice_info = None
-    if report.free:
-        forms = fdl_enumerate(gen_count)
-        mirr = [f for f in forms if f.is_meet_irreducible()]
-        joins = {
-            frozenset(c): AntichainForm.pure_join(c, gen_count)
-            for r in range(1, gen_count)
-            for c in itertools.combinations(range(gen_count), r)
-        }
-        pure_ok = set(mirr) == set(joins.values())
-        iso = pure_ok and all((joins[I] <= joins[J]) == (I <= J) for I in joins for J in joins)
-        lattice_info = {
-            "free_size": len(forms),
-            "meet_irreducibles": len(mirr),
-            "irreducible_poset_matches_proper_subsets": iso,
-            "irreducibles_are_pure_joins": pure_ok,
-        }
-        if not iso:
-            verdict = "INCONSISTENT"
-
     bundle = {
-        "schema": 1,
+        "schema": 2,
         "check": "kernel-lattice-freeness",
         "n": n,
         "seed": seed,
         "samples": samples,
         "generator_map": list(gmap),
-        "verdict": verdict,
+        "verdict": report.verdict,
         "witness": report.witness,
-        "criterion": report.to_json(),
         "separations": separations,
         "irreducibility": irreducibility,
-        "lattice": lattice_info,
     }
     return FreenessEvidence(bundle)

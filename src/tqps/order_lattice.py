@@ -239,24 +239,25 @@ def upper_set_masks(poset, limit=1 << 14):
 
     Elements are decided maximal-first; a point may join only when its
     strict up-set is already in, so every search node is a valid partial
-    choice and the run time is linear in the output.
+    choice and the run time is at most the output times the number of
+    elements.  The search keeps its own stack, so a deep poset costs no
+    recursion; more than `limit` upper sets raise ValueError.
     """
-    order = poset.linear_extension()[::-1]
+    # (bit, strict up-set) of each element, maximal elements first
+    steps = [(1 << i, poset.up[i] & ~(1 << i)) for i in reversed(poset.linear_extension())]
     out = []
-
-    def rec(pos, mask):
-        if len(out) > limit:
-            raise ValueError("more than %d upper sets" % limit)
-        if pos == len(order):
+    stack = [(0, 0)]
+    while stack:
+        pos, mask = stack.pop()
+        if pos == len(steps):
+            if len(out) == limit:
+                raise ValueError("more than %d upper sets" % limit)
             out.append(mask)
-            return
-        i = order[pos]
-        rec(pos + 1, mask)
-        strict = poset.up[i] & ~(1 << i)
-        if strict & ~mask == 0:
-            rec(pos + 1, mask | (1 << i))
-
-    rec(0, 0)
+            continue
+        bit, strict = steps[pos]
+        if not strict & ~mask:
+            stack.append((pos + 1, mask | bit))
+        stack.append((pos + 1, mask))
     out.sort(key=lambda m: (m.bit_count(), m))
     return out
 
@@ -538,18 +539,6 @@ class AntichainForm(UpSet):
     def n_generators(self):
         return self.k
 
-    def is_meet_irreducible(self):
-        """True when the element has exactly one upper cover in the free lattice.
-
-        An upper cover adds one nonempty index set outside the up-set whose
-        one-point-larger supersets all lie inside it, so the element is
-        meet irreducible exactly when there is one such set.
-        """
-        outside = ((1 << (1 << self.k)) - 2) & ~self.up
-        for step, lacking in _lacking(self.k):
-            outside &= (self.up >> step) | ~lacking
-        return outside.bit_count() == 1
-
     @property
     def antichain(self):
         return frozenset(frozenset(s) for s in self.minimal_sets())
@@ -611,8 +600,7 @@ class FreenessReport:
     """Outcome of the generator-freeness test.
 
     verdict is FREE or NOT_FREE, the latter with a witness identifying the
-    violated clause.  The tests here never return INCONSISTENT; that
-    verdict comes only from stage four of multipullback.verify_freeness.
+    violated clause.
     """
 
     __slots__ = ("verdict", "witness", "details")

@@ -47,8 +47,14 @@ from functools import lru_cache
 from itertools import product
 from math import prod
 
-from .circle_hopf import ONE, Scalar, Terms, collect
-from .toeplitz_core import ToeplitzElement, _validate_atom, atom_degree  # noqa: F401  (re-exported)
+from .circle_hopf import ONE, Scalar, Terms, _render_terms, collect
+from .toeplitz_core import (  # noqa: F401  (atom_degree re-exported)
+    ToeplitzElement,
+    _json_key,
+    _render_atom,
+    _validate_atom,
+    atom_degree,
+)
 from .util import DEFAULT_SEED, derived_rng
 from . import sampling
 
@@ -121,7 +127,7 @@ class TensorElement(Terms):
     @classmethod
     def pure(cls, atoms, circle_slot=None, coeff=1):
         atoms = tuple(atoms)
-        return cls(len(atoms), circle_slot, {atoms: coeff})
+        return cls(len(atoms), circle_slot, [(atoms, coeff)])
 
     def __mul__(self, other):
         """Slotwise product: each term pair multiplies its coefficients once,
@@ -159,17 +165,10 @@ class TensorElement(Terms):
         )
 
     def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for atoms in sorted(self.terms):
-            c = self.terms[atoms]
-            cs = c.render()
-            if c.re != 0 and c.im != 0:
-                cs = "(%s)" % cs
-            body = " & ".join(_render_atom(a) for a in atoms)
-            parts.append(body if cs == "1" else "%s*(%s)" % (cs, body))
-        return " + ".join(parts)
+        return _render_terms(
+            (" & ".join(_render_atom(a) for a in atoms), self.terms[atoms])
+            for atoms in sorted(self.terms)
+        )
 
     def to_json(self):
         return {
@@ -183,21 +182,10 @@ class TensorElement(Terms):
 
     @classmethod
     def from_json(cls, data):
-        terms = {}
-        for row in data["terms"]:
-            atoms = tuple(tuple(a) for a in row["atoms"])
-            terms[atoms] = Scalar.from_json(row["coeff"])
+        terms = [
+            (_json_key(row["atoms"]), Scalar.from_json(row["coeff"])) for row in data["terms"]
+        ]
         return cls(data["n_slots"], data["circle_slot"], terms)
-
-
-def _render_atom(atom):
-    if atom[0] == "T":
-        if atom[1] == 0:
-            return "1"
-        return "z" if atom[1] == 1 else ("z*" if atom[1] == -1 else "T(u^%d)" % atom[1])
-    if atom[0] == "E":
-        return "E[%d,%d]" % (atom[1], atom[2])
-    return "u^%d" % atom[1] if atom[1] != 1 else "u"
 
 
 def embed_toeplitz(elements):

@@ -21,7 +21,7 @@ monomial.  A tensor's circle slot holds a circle monomial ("u", m) of
 degree m; _validate_atom is the one check of all three atom kinds.
 """
 
-from .circle_hopf import CirclePoly, Scalar, Terms, _index, collect
+from .circle_hopf import CirclePoly, Scalar, Terms, _index, _render_power, _render_terms, collect
 
 
 def atom_degree(atom):
@@ -42,13 +42,28 @@ def _validate_atom(atom, is_circle=False):
     """The atom as a tuple of its kind and int entries; raises ValueError
     unless it fits a circle slot (is_circle) as ("u", m), or a Toeplitz
     slot as ("T", a) or ("E", j, k) with j, k >= 0."""
-    kind = atom[0] if isinstance(atom, tuple) and atom else None
+    kind = atom[0] if isinstance(atom, tuple) and atom and isinstance(atom[0], str) else None
     if kind not in _ATOM_LENGTHS or (kind == "u") != is_circle or len(atom) != _ATOM_LENGTHS[kind]:
         raise ValueError("not a %s atom: %r" % ("circle" if is_circle else "Toeplitz", atom))
     atom = (kind,) + tuple(_index(v, "atom entry") for v in atom[1:])
     if kind == "E" and (atom[1] < 0 or atom[2] < 0):
         raise ValueError("matrix unit indices must be non-negative, got %r" % (atom,))
     return atom
+
+
+def _render_atom(atom):
+    """One atom as text: T(1), T(u), T(u^-1), E[j,k], or u^m in a circle slot."""
+    if atom[0] == "T":
+        return "T(%s)" % _render_power(atom[1])
+    if atom[0] == "E":
+        return "E[%d,%d]" % (atom[1], atom[2])
+    return _render_power(atom[1])
+
+
+def _json_key(row):
+    """A key read from JSON: its lists as tuples at every depth.  Anything
+    else is left as it is, for the element's _key to reject."""
+    return tuple(_json_key(v) for v in row) if isinstance(row, list) else row
 
 
 def atom_product(a, b):
@@ -152,22 +167,11 @@ class ToeplitzElement(Terms):
         return {d: ToeplitzElement._trusted(terms) for d, terms in parts.items()}
 
     def render(self):
-        parts = []
-        for atom, c in self.atoms():
-            cs = c.render()
-            if c.re != 0 and c.im != 0:
-                cs = "(%s)" % cs
-            if atom[0] == "T":
-                name = "1" if atom[1] == 0 else ("u" if atom[1] == 1 else "u^%d" % atom[1])
-                name = "T(%s)" % name
-            else:
-                name = "E[%d,%d]" % (atom[1], atom[2])
-            parts.append(name if cs == "1" else "%s*%s" % (cs, name))
-        return " + ".join(parts) if parts else "0"
+        return _render_terms((_render_atom(atom), c) for atom, c in self.atoms())
 
     def to_json(self):
         return [{"atom": list(atom), "coeff": c.to_json()} for atom, c in self.atoms()]
 
     @classmethod
     def from_json(cls, data):
-        return cls({tuple(row["atom"]): Scalar.from_json(row["coeff"]) for row in data})
+        return cls([(_json_key(row["atom"]), Scalar.from_json(row["coeff"])) for row in data])

@@ -126,16 +126,20 @@ def test_06_transitions_satisfy_the_cocycle_identity():
 def test_07_chart_kernels_generate_a_free_lattice():
     """The kernel lattice evidence comes back FREE in 1 and 2 dimensions
     and the duplicated-generator control comes back NOT_FREE."""
+    # every proper index set is separated from each strictly larger one,
+    # and every pure join has one irreducibility row per chart outside it
     one = verify_freeness(1)
     assert one.free, one.bundle["witness"]
-    assert one.bundle["lattice"]["free_size"] == 4
-    assert one.bundle["lattice"]["meet_irreducibles"] == 2
-    assert one.bundle["lattice"]["irreducible_poset_matches_proper_subsets"]
+    assert len(one.bundle["separations"]) == 2
+    assert len(one.bundle["irreducibility"]) == 2
+    assert all(row["separated"] for row in one.bundle["separations"])
+    assert all(row["ok"] for row in one.bundle["irreducibility"])
     two = verify_freeness(2)
     assert two.free, two.bundle["witness"]
-    assert two.bundle["lattice"]["free_size"] == 18
-    assert two.bundle["lattice"]["meet_irreducibles"] == 6
-    assert two.bundle["lattice"]["irreducibles_are_pure_joins"]
+    assert len(two.bundle["separations"]) == 12
+    assert len(two.bundle["irreducibility"]) == 9
+    assert all(row["separated"] for row in two.bundle["separations"])
+    assert all(row["ok"] for row in two.bundle["irreducibility"])
     control = verify_freeness(2, samples=50, generator_map={1: 0})
     assert control.verdict == "NOT_FREE"
     assert control.bundle["witness"]["clause"] == "order"

@@ -211,6 +211,16 @@ def test_circle_poly_rejects_non_integral_degrees(key):
         CirclePoly({key: 1})
 
 
+@pytest.mark.parametrize(
+    "row", [[1, 0, 0, 1], [1, 1, 0, 0], [1, 1, 0], [1.5, 1, 0, 1], [1, True, 0, 1], 3]
+)
+def test_scalar_json_rows_must_be_four_integers(row):
+    with pytest.raises(ValueError):
+        Scalar.from_json(row)
+    with pytest.raises(ValueError):
+        CirclePoly.from_json({"0": row})
+
+
 @pytest.mark.parametrize("key", [(0.5, 1), (1, 2.5), (True, 0), (-1, 0)])
 def test_compact_part_rejects_bad_indices(key):
     # the finite-rank part of a ToeplitzElement: its matrix-unit atoms

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line entry point."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -103,7 +104,8 @@ def test_verify_freeness(capsys):
 def test_verify_freeness_reaches_four_charts(capsys):
     code, payload = run_json(capsys, ["verify", "freeness", "--n", "4", "--samples", "1"])
     assert code == 0
-    assert payload["lattice"]["free_size"] == 7579
+    assert payload["verdict"] == "FREE"
+    assert len(payload["separations"]) == 180
     with pytest.raises(SystemExit) as exc:
         main(["verify", "freeness", "--n", "5"])
     assert exc.value.code == 2
@@ -132,12 +134,31 @@ def test_verify_freeness_control_fails(capsys):
     assert payload["witness"]["clause"] == "order"
 
 
-def test_classical_lattice(capsys):
-    code, payload = run_json(capsys, ["classical", "lattice", "--n", "2"])
+def test_classical_lattice(capsys, monkeypatch):
+    def no_tables(*args, **kwargs):
+        raise AssertionError("the covering lattice was tabulated")
+
+    # the verdict comes from the point types alone
+    monkeypatch.setattr(cli.classical_cpn, "covering_lattice", no_tables)
+    monkeypatch.setattr(cli.order_lattice.FiniteDistributiveLattice, "from_elements", no_tables)
+    for n, size in ((1, 4), (2, 18), (3, 166)):
+        code, payload = run_json(capsys, ["classical", "lattice", "--n", str(n)])
+        assert code == 0
+        assert payload["schema"] == 2
+        assert payload["verdict"] == "FREE"
+        assert payload["witness"] is None
+        assert payload["probes"] == 2 ** (n + 1) - 2
+        assert payload["sublattice_size"] == size
+        assert payload["passed"] is True
+
+
+def test_readme_lists_the_suites_of_tqps_list(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    listing = section.split("```\n", 2)[1]
+    code, out = run(capsys, ["--list"])
     assert code == 0
-    assert payload["size"] == 18
-    assert payload["expected_size"] == 18
-    assert payload["passed"] is True
+    assert listing == out
 
 
 def test_classical_transitions(capsys):

@@ -25,15 +25,15 @@ GOLDEN = [
     (["verify", "kernel-images", "--n", "3"], 0,
      "58711694f6a028c2de4ed0d4765308e1bce67afc80d42b3282999532510d9acf"),
     (["verify", "freeness", "--n", "2"], 0,
-     "db6060e3f3368eb8a8ae68d680ed2bacdc026d68b615e09ed1725d50f4f9801a"),
+     "c5e607ed1b8c7e671af1fa1e5426c23ff4fd1bbc227471c289c719309433387f"),
     (["verify", "freeness", "--n", "3", "--samples", "5"], 0,
-     "923ad8da8bcaffbe890ac18572ae68332640ec59cb3c2524502038d5e8865643"),
+     "297bffcc9a0c260e38f2e6b380b29baf83212a11a31a1990a473e76bf5e6d481"),
     (["verify", "freeness", "--n", "4", "--samples", "1"], 0,
-     "0c7b1f824502e6bd64da4b106275b9ffd1f6a36fecf1773904a4cb19396199da"),
+     "36c02a3b6910be00447f8ba799cf0a2fad8d106bcdef4323f9f4865a759755a1"),
     (["verify", "freeness", "--n", "2", "--generator-map", "1=0"], 1,
-     "e54aa1b6ea6c14ea3c8235817e0b5fea7d51617e7fa5b238f39ab1a76fa949be"),
+     "2716bf75614b63d3341b97cc2a34ef5b55647c24fb50eef90655375b5b6714c8"),
     (["classical", "lattice", "--n", "3"], 0,
-     "b3c2db18008cd96ce3ebfa81bb1b4c1a4bcd5a54ddb1cfed911457eb9d456db6"),
+     "73185dcd4f104256c2a8f7a736754948fc3b45fa82967f546cc6d4faa4984a77"),
     (["classical", "transitions", "--n", "3"], 0,
      "456d013db75887a1246d68a3e34ce61a5c765cdf6fb366c14a0ade8668aa51fd"),
     (["export", "hasse", "--target", "fdl", "--generators", "3"], 0,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tqps import multipullback, tensor_gluing
+from tqps import multipullback, order_lattice, tensor_gluing
 from tqps.multipullback import (
     ExtensionError,
     IncompatiblePartialFamily,
@@ -245,44 +245,47 @@ def test_kernel_sample_fails_loudly_when_it_does_not_vanish(monkeypatch):
         sample_kernel_intersection(rng_for("loud"), 2, {0})
 
 
+def _annihilation_samples(evidence):
+    rows = evidence.bundle["irreducibility"]
+    return sum(a["samples"] for row in rows for a in row["annihilation"])
+
+
 def test_freeness_verdicts():
-    for n in (1, 2):
+    # separations: every proper index set against each strictly larger one;
+    # rows: one per proper index set and chart outside it
+    for n, separations, rows in ((1, 2, 2), (2, 12, 9)):
         evidence = verify_freeness(n, samples=25)
         assert evidence.free, evidence.bundle["witness"]
         assert evidence.bundle["check"] == "kernel-lattice-freeness"
-        assert evidence.bundle["lattice"]["irreducible_poset_matches_proper_subsets"]
-        assert evidence.bundle["lattice"]["irreducibles_are_pure_joins"]
-    one = verify_freeness(1, samples=25)
-    assert one.bundle["lattice"]["free_size"] == 4
-    assert one.bundle["lattice"]["meet_irreducibles"] == 2
-    two = verify_freeness(2, samples=25)
-    assert two.bundle["lattice"]["free_size"] == 18
-    assert two.bundle["lattice"]["meet_irreducibles"] == 6
+        assert evidence.bundle["schema"] == 2
+        assert len(evidence.bundle["separations"]) == separations
+        assert len(evidence.bundle["irreducibility"]) == rows
+        assert all(row["ok"] for row in evidence.bundle["irreducibility"])
 
 
-def test_freeness_at_four_charts_past_the_tables():
+def test_freeness_at_four_charts_past_the_tables(monkeypatch):
+    def no_listing(*args, **kwargs):
+        raise AssertionError("the free lattice was listed")
+
+    monkeypatch.setattr(order_lattice, "fdl_enumerate", no_listing)
     evidence = verify_freeness(4, samples=1)
     assert evidence.verdict == "FREE", evidence.bundle["witness"]
-    assert evidence.bundle["lattice"] == {
-        "free_size": 7579,
-        "meet_irreducibles": 30,
-        "irreducible_poset_matches_proper_subsets": True,
-        "irreducibles_are_pure_joins": True,
-    }
+    assert evidence.bundle["schema"] == 2
+    assert "lattice" not in evidence.bundle and "criterion" not in evidence.bundle
+    assert len(evidence.bundle["separations"]) == 180
+    assert len(evidence.bundle["irreducibility"]) == 75
+    assert _annihilation_samples(evidence) == 575
     control = verify_freeness(4, samples=1, generator_map={1: 0})
     assert control.verdict == "NOT_FREE"
     assert control.bundle["witness"]["clause"] == "order"
+    assert "lattice" not in control.bundle and "criterion" not in control.bundle
 
 
-def test_freeness_rejects_n_past_four_up_front(monkeypatch):
-    def no_proof_stage(*args, **kwargs):
-        raise AssertionError("a proof stage ran")
-
-    monkeypatch.setattr(multipullback, "witness_xI", no_proof_stage)
-    monkeypatch.setattr(multipullback, "witness_TmI", no_proof_stage)
-    for n in (5, 6):
-        with pytest.raises(ValueError, match="past 4, where stage four lists the free lattice"):
-            verify_freeness(n, samples=0)
+def test_freeness_past_the_old_cap_of_four():
+    evidence = verify_freeness(5, samples=1)
+    assert evidence.verdict == "FREE", evidence.bundle["witness"]
+    assert len(evidence.bundle["separations"]) == 602
+    assert _annihilation_samples(evidence) == 2346
 
 
 def test_duplicated_generator_is_caught():

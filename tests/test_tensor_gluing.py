@@ -8,6 +8,7 @@ from oracles import slotwise_product, stepwise_glue, stepwise_psi, stepwise_psi_
 from tqps import tensor_gluing
 from tqps.circle_hopf import Scalar
 from tqps.classical_cpn import transition_agreement
+from tqps.multipullback import verify_freeness
 from tqps.order_lattice import freeness_by_types
 from tqps.sampling import DEFAULT_SEED, random_toeplitz_element
 from tqps.tensor_gluing import (
@@ -402,6 +403,7 @@ def test_cocycle_check_report():
         pytest.param(lambda: cocycle_check(1), id="cocycle n=1"),
         pytest.param(lambda: transition_agreement(0), id="transitions n=0"),
         pytest.param(lambda: freeness_by_types(1, []), id="types k=1"),
+        pytest.param(lambda: verify_freeness(2, samples=-3), id="freeness samples=-3"),
     ],
 )
 def test_counts_that_check_nothing_are_refused(call):
@@ -474,11 +476,19 @@ def test_trusted_constructions_check_the_shape(call):
         ((("T", 0), ("u", False)), 2),
         ([3], None),
         ([()], None),
+        ([["T", 1]], None),
     ],
 )
 def test_atoms_must_carry_integers(atoms, circle_slot):
     with pytest.raises(ValueError):
         TensorElement.pure(atoms, circle_slot=circle_slot)
+    if any(isinstance(a, list) for a in atoms):
+        return  # a list is how JSON writes an atom, so the reader takes it
+    # the JSON reader takes each atom as a list, or as whatever the row holds
+    rows = [list(a) if isinstance(a, tuple) else a for a in atoms]
+    terms = [{"atoms": rows, "coeff": [1, 1, 0, 1]}]
+    with pytest.raises(ValueError):
+        TensorElement.from_json({"n_slots": len(rows), "circle_slot": circle_slot, "terms": terms})
 
 
 @pytest.mark.parametrize("key", [3, None])
@@ -518,5 +528,12 @@ def test_json_roundtrip_and_render():
         x = random_tensor_element(rng, 2, circle_slot=1)
         assert TensorElement.from_json(x.to_json()) == x
     x = TensorElement.pure((("T", 1), ("u", -2)), circle_slot=2)
-    assert x.render() == "z & u^-2"
+    assert x.render() == "T(u) & u^-2"
+    y = TensorElement.pure((("T", -1), ("E", 0, 2)), coeff=Scalar(1, 2))
+    assert (x.scale(-1) + TensorElement.pure((("T", 0), ("u", 0)), 2, 3)).render() == (
+        "3*T(1) & 1 + -T(u) & u^-2"
+    )
+    # the same atom reads the same in a tensor and in a single slot
+    assert y.render() == "(1+2i)*T(u^-1) & E[0,2]"
+    assert ToeplitzElement.shift(-1).render() == "T(u^-1)"
     assert TensorElement.zero(2).render() == "0"

@@ -92,6 +92,10 @@ def test_product_with_a_non_element_raises():
 def test_keys_must_be_toeplitz_atoms(atom):
     with pytest.raises(ValueError):
         ToeplitzElement({atom: 1})
+    # the JSON reader takes the atom as a list, or as whatever the row holds
+    row = list(atom) if isinstance(atom, tuple) else atom
+    with pytest.raises(ValueError):
+        ToeplitzElement.from_json([{"atom": row, "coeff": [1, 1, 0, 1]}])
 
 
 @settings(deadline=None)
@@ -197,4 +201,7 @@ def test_render():
     assert x.render() == "T(u^-1) + i*E[0,2]"
     assert ToeplitzElement.zero().render() == "0"
     assert ToeplitzElement.one().render() == "T(1)"
+    y = ToeplitzElement.z() - ToeplitzElement.matrix_unit(1, 0, Scalar(2, 1))
+    assert y.render() == "T(u) + (-2-i)*E[1,0]"
+    assert (-ToeplitzElement.z()).render() == "-T(u)"
 
