@@ -47,15 +47,15 @@ def probe_point(a, n):
     return tuple(1.0 if i in a else 0.5 for i in range(n + 1))
 
 
-def max_index_set(x, tol=MEMBERSHIP_TOL):
-    """Indices where |x_i| attains the maximum, up to tol."""
+def max_index_set(x):
+    """Indices where |x_i| attains the maximum, up to MEMBERSHIP_TOL."""
     mags = [abs(c) for c in x]
     m = max(mags)
-    return frozenset(i for i, v in enumerate(mags) if v >= m - tol)
+    return frozenset(i for i, v in enumerate(mags) if v >= m - MEMBERSHIP_TOL)
 
 
-def _peak_mask(x, tol=MEMBERSHIP_TOL):
-    return sum(1 << i for i in max_index_set(x, tol))
+def _peak_mask(x):
+    return sum(1 << i for i in max_index_set(x))
 
 
 class CoveringSet(UpSet):
@@ -92,10 +92,10 @@ class CoveringSet(UpSet):
     def members(self):
         return frozenset(frozenset(s) for s in self._index_sets(self.up))
 
-    def contains_point(self, x, tol=MEMBERSHIP_TOL):
+    def contains_point(self, x):
         if len(x) != self.k:
             raise ValueError("point has wrong length")
-        return bool(self.up >> _peak_mask(x, tol) & 1)
+        return bool(self.up >> _peak_mask(x) & 1)
 
     def __repr__(self):
         return "CoveringSet(n=%d, %s)" % (self.n, self.render())
@@ -123,15 +123,15 @@ class ChartPoint:
 
     __slots__ = ("coords", "circle_slot")
 
-    def __init__(self, coords, circle_slot, tol=TRANSITION_TOL):
+    def __init__(self, coords, circle_slot):
         coords = tuple(complex(c) for c in coords)
         if not 1 <= circle_slot <= len(coords):
             raise ValueError("circle slot out of range")
         for s, c in enumerate(coords, start=1):
             if s == circle_slot:
-                if abs(abs(c) - 1.0) > tol:
+                if abs(abs(c) - 1.0) > TRANSITION_TOL:
                     raise ValueError("circle coordinate has modulus %r" % abs(c))
-            elif abs(c) > 1.0 + tol:
+            elif abs(c) > 1.0 + TRANSITION_TOL:
                 raise ValueError("disc coordinate has modulus %r" % abs(c))
         self.coords = coords
         self.circle_slot = circle_slot

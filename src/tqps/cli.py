@@ -1,5 +1,12 @@
 """Command line front end for the verification suites and lattice exports.
 
+Each suite is one row of _SUITE_TABLE: its command words, the claim it
+checks (printed by --list and used as its help), the function that runs
+it, its options with the suite's own caps, and the test of its report.
+build_parser, --list and the dispatch in main all read that table.
+Options the user does not give are not passed, so a suite that runs a
+library check takes the library's own defaults, which its report echoes.
+
 Exit codes: 0 when every check passes, 1 when a verification fails (the
 counterexample is serialized in the report), 2 for usage errors, and 3
 when a suite crashes (the traceback goes to stderr, nothing to stdout).
@@ -8,31 +15,14 @@ identical inputs.
 """
 
 import argparse
+import collections
+import itertools
 import operator
 import sys
 import traceback
 
 from . import classical_cpn, multipullback, order_lattice, sampling, tensor_gluing
 from .util import DEFAULT_SEED, canonical_json, derived_rng
-
-MAX_N = 3
-# verify_freeness draws `samples` members for each of its annihilation
-# checks: 575 of them at n = 4, 2346 at n = 5
-MAX_FREENESS_N = 4
-MAX_GENERATORS = 5
-MAX_POSET = 20
-
-_SUITES = [
-    ("fdl enumerate", "counts and elements of the free distributive lattice"),
-    ("birkhoff roundtrip", "the upper-set lattice of a poset transforms back to the poset"),
-    ("verify psi", "the gluing map composed with itself fixes every atom tensor"),
-    ("verify cocycle", "quotient chart transitions compose consistently over chart triples"),
-    ("verify kernel-images", "both chart projections push a third kernel onto the same ideal"),
-    ("verify freeness", "chart kernels generate a free distributive lattice, with witnesses"),
-    ("classical lattice", "chartwise covering sets generate freely, by point types"),
-    ("classical transitions", "the transition formula agrees with the chart-map composite"),
-    ("export hasse", "Hasse diagrams of the supported lattices"),
-]
 
 
 def _count(kind, low, high=None):
@@ -67,94 +57,6 @@ def _generator_map(text):
     return out
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="tqps",
-        description="Exact checks for a Toeplitz multipullback model of projective space.",
-    )
-    parser.add_argument(
-        "--list", action="store_true", help="list the suites and the claims they check"
-    )
-    sub = parser.add_subparsers(dest="command")
-
-    fdl = sub.add_parser("fdl", help="free distributive lattice").add_subparsers(
-        dest="subcommand"
-    )
-    fdl_enum = fdl.add_parser("enumerate", help="enumerate elements")
-    fdl_enum.add_argument(
-        "--generators", type=_count("generators", 1, MAX_GENERATORS), required=True
-    )
-    fdl_enum.add_argument("--format", choices=["json", "text"], default="text")
-
-    birkhoff = sub.add_parser("birkhoff", help="upper-set transform").add_subparsers(
-        dest="subcommand"
-    )
-    roundtrip = birkhoff.add_parser("roundtrip", help="poset recovery through the transform")
-    roundtrip.add_argument("--poset-size", type=_count("poset size", 1, MAX_POSET), required=True)
-    roundtrip.add_argument("--trials", type=_count("trials", 1), default=100)
-    roundtrip.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    roundtrip.add_argument("--format", choices=["json", "text"], default="text")
-
-    verify = sub.add_parser("verify", help="verification suites").add_subparsers(
-        dest="subcommand"
-    )
-    v_psi = verify.add_parser("psi", help="gluing involution")
-    v_psi.add_argument("--n", type=_count("n", 1, MAX_N), required=True)
-    v_psi.add_argument("--samples", type=_count("samples", 0), default=1000)
-    v_psi.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v_psi.add_argument("--format", choices=["json", "text"], default="text")
-
-    v_coc = verify.add_parser("cocycle", help="transition cocycle")
-    v_coc.add_argument("--n", type=_count("n", 2, MAX_N), required=True)
-    v_coc.add_argument("--samples", type=_count("samples", 1), default=100)
-    v_coc.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v_coc.add_argument("--format", choices=["json", "text"], default="text")
-
-    v_ker = verify.add_parser("kernel-images", help="kernel image exchange")
-    v_ker.add_argument("--n", type=_count("n", 2, MAX_N), required=True)
-    v_ker.add_argument("--samples", type=_count("samples", 1), default=50)
-    v_ker.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v_ker.add_argument("--format", choices=["json", "text"], default="text")
-
-    v_free = verify.add_parser("freeness", help="kernel lattice freeness")
-    v_free.add_argument("--n", type=_count("n", 1, MAX_FREENESS_N), required=True)
-    v_free.add_argument("--seed", type=int, default=0)
-    v_free.add_argument("--samples", type=_count("samples", 0), default=200)
-    v_free.add_argument(
-        "--generator-map",
-        type=_generator_map,
-        default=None,
-        help="reassign generators to charts, e.g. 1=0 (degenerate control)",
-    )
-    v_free.add_argument("--format", choices=["json", "text"], default="text")
-
-    classical = sub.add_parser("classical", help="classical covering lattice").add_subparsers(
-        dest="subcommand"
-    )
-    c_lat = classical.add_parser("lattice", help="generated covering lattice")
-    c_lat.add_argument("--n", type=_count("n", 1, MAX_N), required=True)
-    c_lat.add_argument("--format", choices=["json", "text"], default="text")
-
-    c_tr = classical.add_parser("transitions", help="chart transition agreement")
-    c_tr.add_argument("--n", type=_count("n", 1, MAX_N), required=True)
-    c_tr.add_argument("--trials", type=_count("trials", 1), default=1000)
-    c_tr.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    c_tr.add_argument("--format", choices=["json", "text"], default="text")
-
-    export = sub.add_parser("export", help="diagram exports").add_subparsers(dest="subcommand")
-    hasse = export.add_parser("hasse", help="Hasse diagram of a lattice")
-    hasse.add_argument("--target", choices=["fdl", "classical", "kernels"], required=True)
-    hasse.add_argument(
-        "--generators", type=_count("generators", 1, 4), default=2, help="fdl target only"
-    )
-    hasse.add_argument(
-        "--n", type=_count("n", 1, MAX_N), default=1, help="classical and kernels targets"
-    )
-    hasse.add_argument("--format", choices=["dot", "json", "text"], default="dot")
-
-    return parser
-
-
 def _emit(payload, fmt):
     if fmt == "json":
         print(canonical_json(payload))
@@ -180,28 +82,28 @@ def _text_lines(payload, prefix=""):
             yield "%s%s: %s" % (prefix, key, value)
 
 
-def _cmd_fdl_enumerate(args):
-    forms = order_lattice.fdl_enumerate(args.generators)
-    count_all = order_lattice.antichain_count(args.generators)
+def _fdl_enumerate(generators):
+    forms = order_lattice.fdl_enumerate(generators)
+    count_all = order_lattice.antichain_count(generators)
     payload = {
         "schema": 1,
         "check": "free-lattice-enumeration",
-        "generators": args.generators,
+        "generators": generators,
         "size": len(forms),
         "antichains_with_empty": count_all,
         "consistent": len(forms) == count_all - 2,
     }
-    if args.generators <= 4:
+    if generators <= 4:
         payload["elements"] = [f.to_json() for f in forms]
-    return (0 if payload["consistent"] else 1), payload
+    return payload
 
 
-def _cmd_birkhoff_roundtrip(args):
+def _birkhoff_roundtrip(poset_size, trials, seed):
     failures = []
     skipped = []
-    for t in range(args.trials):
-        rng = derived_rng(args.seed, "roundtrip", args.poset_size, t)
-        poset = sampling.random_poset(rng, args.poset_size)
+    for t in range(trials):
+        rng = derived_rng(seed, "roundtrip", poset_size, t)
+        poset = sampling.random_poset(rng, poset_size)
         try:
             lat = order_lattice.FiniteDistributiveLattice.from_upper_sets(poset)
         except ValueError:
@@ -210,104 +112,71 @@ def _cmd_birkhoff_roundtrip(args):
         result = order_lattice.birkhoff_transform(lat)
         if not result.poset.isomorphic(poset):
             failures.append({"trial": t, "poset": poset.to_json()})
-    payload = {
+    return {
         "schema": 1,
         "check": "upper-set-transform-roundtrip",
-        "poset_size": args.poset_size,
-        "trials": args.trials,
-        "seed": args.seed,
+        "poset_size": poset_size,
+        "trials": trials,
+        "seed": seed,
         "skipped_trials": skipped,
         "failures": failures,
         "passed": not failures,
     }
-    return (0 if payload["passed"] else 1), payload
 
 
-def _cmd_verify_psi(args):
-    payload = tensor_gluing.psi_involution_check(args.n, samples=args.samples, seed=args.seed)
-    return (0 if payload["passed"] else 1), payload
-
-
-def _cmd_verify_cocycle(args):
-    payload = tensor_gluing.cocycle_check(args.n, samples=args.samples, seed=args.seed)
-    return (0 if payload["passed"] else 1), payload
-
-
-def _cmd_verify_kernel_images(args):
-    triples = [
-        (i, j, k)
-        for i in range(args.n + 1)
-        for j in range(args.n + 1)
-        for k in range(args.n + 1)
-        if len({i, j, k}) == 3
-    ]
+def _verify_kernel_images(n, **options):
     reports = [
-        tensor_gluing.kernel_image_check(args.n, *t, samples=args.samples, seed=args.seed)
-        for t in triples
+        tensor_gluing.kernel_image_check(n, *triple, **options)
+        for triple in itertools.permutations(range(n + 1), 3)
     ]
-    payload = {
+    return {
         "schema": 1,
         "check": "kernel-image-exchange",
-        "n": args.n,
-        "samples": args.samples,
-        "seed": args.seed,
+        "n": n,
+        "samples": reports[0]["samples"],
+        "seed": reports[0]["seed"],
         "reports": reports,
         "passed": all(r["passed"] for r in reports),
     }
-    return (0 if payload["passed"] else 1), payload
 
 
-def _cmd_verify_freeness(args):
-    evidence = multipullback.verify_freeness(
-        args.n, seed=args.seed, samples=args.samples, generator_map=args.generator_map
-    )
-    return (0 if evidence.free else 1), evidence.bundle
-
-
-def _cmd_classical_lattice(args):
-    report = classical_cpn.classical_freeness(args.n)
-    payload = {
+def _classical_lattice(n):
+    report = classical_cpn.classical_freeness(n)
+    return {
         "schema": 2,
         "check": "classical-covering-freeness",
-        "n": args.n,
+        "n": n,
         "verdict": report.verdict,
         "witness": report.witness,
         "probes": report.details["probes"],
         "sublattice_size": report.details.get("sublattice_size"),
         "passed": report.free,
     }
-    return (0 if payload["passed"] else 1), payload
 
 
-def _cmd_classical_transitions(args):
-    payload = classical_cpn.transition_agreement(args.n, trials=args.trials, seed=args.seed)
-    return (0 if payload["passed"] else 1), payload
-
-
-def _cmd_export_hasse(args):
-    if args.target == "classical":
-        elements, name = classical_cpn.covering_lattice(args.n), "classical%d" % args.n
-    elif args.target == "fdl":
-        elements, name = order_lattice.fdl_enumerate(args.generators), "fdl%d" % args.generators
+def _export_hasse(target, generators, n, format):
+    if target == "classical":
+        elements, name = classical_cpn.covering_lattice(n), "classical%d" % n
+    elif target == "fdl":
+        elements, name = order_lattice.fdl_enumerate(generators), "fdl%d" % generators
     else:
-        elements, name = order_lattice.fdl_enumerate(args.n + 1), "kernels%d" % args.n
+        elements, name = order_lattice.fdl_enumerate(n + 1), "kernels%d" % n
     lat = order_lattice.FiniteDistributiveLattice.from_elements(
         elements, operator.or_, operator.and_
     )
-    if args.format == "dot":
+    if format == "dot":
         label = None
-        if args.target == "kernels":
+        if target == "kernels":
             label = lambda i: _kernel_label(lat.elements[i])
         print(lat.to_dot(name=name, label_fn=label))
-        return 0, None
-    payload = {
+        return None
+    return {
         "schema": 1,
-        "target": args.target,
+        "target": target,
         "size": lat.n,
         "covers": sorted(lat.order_poset().covers()),
         "elements": [e.to_json() for e in lat.elements],
     }
-    return 0, payload
 
 
 def _kernel_label(form):
@@ -315,43 +184,163 @@ def _kernel_label(form):
     return " + ".join("(" + "&".join("ker%d" % i for i in s) + ")" for s in parts)
 
 
-_HANDLERS = {
-    ("fdl", "enumerate"): _cmd_fdl_enumerate,
-    ("birkhoff", "roundtrip"): _cmd_birkhoff_roundtrip,
-    ("verify", "psi"): _cmd_verify_psi,
-    ("verify", "cocycle"): _cmd_verify_cocycle,
-    ("verify", "kernel-images"): _cmd_verify_kernel_images,
-    ("verify", "freeness"): _cmd_verify_freeness,
-    ("classical", "lattice"): _cmd_classical_lattice,
-    ("classical", "transitions"): _cmd_classical_transitions,
-    ("export", "hasse"): _cmd_export_hasse,
-}
+# run(**options) gets exactly the row's options the user gave, plus those
+# with a default; holds(report) decides the exit code.  A row that lists
+# no --format of its own gets the json/text one.
+_Suite = collections.namedtuple(
+    "_Suite", "words claim run options holds", defaults=(operator.itemgetter("passed"),)
+)
+
+
+def _n(low, high):
+    return "--n", {"type": _count("n", low, high), "required": True}
+
+
+def _samples(low):
+    return "--samples", {"type": _count("samples", low)}
+
+
+_SEED = ("--seed", {"type": int})
+
+_SUITE_TABLE = [
+    _Suite(
+        "fdl enumerate",
+        "counts and elements of the free distributive lattice",
+        _fdl_enumerate,
+        [("--generators", {"type": _count("generators", 1, 5), "required": True})],
+        holds=operator.itemgetter("consistent"),
+    ),
+    _Suite(
+        "birkhoff roundtrip",
+        "the upper-set lattice of a poset transforms back to the poset",
+        _birkhoff_roundtrip,
+        [
+            ("--poset-size", {"type": _count("poset size", 1, 20), "required": True}),
+            ("--trials", {"type": _count("trials", 1), "default": 100}),
+            ("--seed", {"type": int, "default": DEFAULT_SEED}),
+        ],
+    ),
+    _Suite(
+        "verify psi",
+        "the gluing map composed with itself fixes every atom tensor",
+        tensor_gluing.psi_involution_check,
+        [_n(1, 3), _samples(0), _SEED],
+    ),
+    _Suite(
+        "verify cocycle",
+        "quotient chart transitions compose consistently over chart triples",
+        tensor_gluing.cocycle_check,
+        [_n(2, 3), _samples(1), _SEED],
+    ),
+    _Suite(
+        "verify kernel-images",
+        "both chart projections push a third kernel onto the same ideal",
+        _verify_kernel_images,
+        [_n(2, 3), _samples(1), _SEED],
+    ),
+    _Suite(
+        "verify freeness",
+        "chart kernels generate a free distributive lattice, with witnesses",
+        multipullback.verify_freeness,
+        [
+            # verify_freeness draws `samples` members for each of its
+            # annihilation checks: 575 of them at n = 4, 2346 at n = 5
+            _n(1, 4),
+            _SEED,
+            _samples(0),
+            (
+                "--generator-map",
+                {
+                    "type": _generator_map,
+                    "help": "reassign generators to charts, e.g. 1=0 (degenerate control)",
+                },
+            ),
+        ],
+        holds=operator.attrgetter("free"),
+    ),
+    _Suite(
+        "classical lattice",
+        "chartwise covering sets generate freely, by point types",
+        _classical_lattice,
+        [_n(1, 3)],
+    ),
+    _Suite(
+        "classical transitions",
+        "the transition formula agrees with the chart-map composite",
+        classical_cpn.transition_agreement,
+        [_n(1, 3), ("--trials", {"type": _count("trials", 1)}), _SEED],
+    ),
+    _Suite(
+        "export hasse",
+        "Hasse diagrams of the supported lattices",
+        _export_hasse,
+        [
+            ("--target", {"choices": ["fdl", "classical", "kernels"], "required": True}),
+            (
+                "--generators",
+                {"type": _count("generators", 1, 4), "default": 2, "help": "fdl target only"},
+            ),
+            (
+                "--n",
+                {"type": _count("n", 1, 3), "default": 1, "help": "classical and kernels targets"},
+            ),
+            ("--format", {"choices": ["dot", "json", "text"], "default": "dot"}),
+        ],
+        holds=lambda report: True,
+    ),
+]
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="tqps",
+        description="Exact checks for a Toeplitz multipullback model of projective space.",
+    )
+    parser.add_argument(
+        "--list", action="store_true", help="list the suites and the claims they check"
+    )
+    commands = parser.add_subparsers(dest="command")
+    groups = {}
+    for suite in _SUITE_TABLE:
+        group, name = suite.words.split()
+        groups.setdefault(group, []).append((name, suite))
+    for group, members in groups.items():
+        names = ", ".join(name for name, _ in members)
+        sub = commands.add_parser(group, help=names).add_subparsers(dest="subcommand")
+        for name, suite in members:
+            cmd = sub.add_parser(name, help=suite.claim, argument_default=argparse.SUPPRESS)
+            dests = [cmd.add_argument(flag, **kwargs).dest for flag, kwargs in suite.options]
+            if "format" not in dests:
+                cmd.add_argument("--format", choices=["json", "text"], default="text")
+            cmd.set_defaults(suite=suite, dests=dests)
+    return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.list:
-        for name, claim in _SUITES:
-            print("%-24s %s" % (name, claim))
+        for suite in _SUITE_TABLE:
+            print("%-24s %s" % (suite.words, suite.claim))
         return 0
     if not args.command:
         parser.print_help()
         return 2
-    subcommand = getattr(args, "subcommand", None)
-    handler = _HANDLERS.get((args.command, subcommand))
-    if handler is None:
+    suite = getattr(args, "suite", None)
+    if suite is None:
         parser.error("missing subcommand for %r" % args.command)
     for k, v in (getattr(args, "generator_map", None) or {}).items():
         if not (0 <= k <= args.n and 0 <= v <= args.n):
             parser.error("generator map entry %d=%d is outside 0..%d" % (k, v, args.n))
+    options = {dest: getattr(args, dest) for dest in args.dests if hasattr(args, dest)}
     try:
-        code, payload = handler(args)
+        report = suite.run(**options)
+        code = 0 if suite.holds(report) else 1
     except Exception:
         traceback.print_exc()
         return 3
-    if payload is not None:
-        _emit(payload, args.format)
+    if report is not None:
+        _emit(report.to_json() if hasattr(report, "to_json") else report, args.format)
     return code
 
 

@@ -54,7 +54,8 @@ class Poset:
     The relation is stored as one up-set bitmask per element.  The
     constructor takes strict or reflexive pairs of labels; with close=True
     it forms the transitive closure, otherwise transitivity is required.
-    Cycles are rejected either way.
+    Cycles are rejected either way: under transitivity two elements lie on
+    a cycle exactly when their up-sets are equal.
     """
 
     __slots__ = ("labels", "_index", "up")
@@ -77,22 +78,20 @@ class Poset:
                 for i in range(n):
                     if up[i] & bit:
                         up[i] |= up[k]
+        else:
+            for i in range(n):
+                for j in _bits(up[i]):
+                    if up[j] & ~up[i]:
+                        raise LatticeError(
+                            "relation not transitive at %r <= %r"
+                            % (self.labels[i], self.labels[j])
+                        )
+        first = {}
+        for i, mask in enumerate(up):
+            j = first.setdefault(mask, i)
+            if j != i:
+                raise LatticeError("cycle through %r and %r" % (self.labels[j], self.labels[i]))
         self.up = up
-        self._validate()
-
-    def _validate(self):
-        n = len(self.labels)
-        for i in range(n):
-            ui = self.up[i]
-            for j in _bits(ui):
-                if self.up[j] & ~ui:
-                    raise LatticeError(
-                        "relation not transitive at %r <= %r" % (self.labels[i], self.labels[j])
-                    )
-                if i != j and (self.up[j] >> i) & 1:
-                    raise LatticeError(
-                        "cycle through %r and %r" % (self.labels[i], self.labels[j])
-                    )
 
     @classmethod
     def chain(cls, k):
@@ -135,12 +134,16 @@ class Poset:
             if i != j
         ]
 
+    def _down_masks(self):
+        down = [0] * self.n
+        for i in range(self.n):
+            for j in _bits(self.up[i]):
+                down[j] |= 1 << i
+        return down
+
     def covers(self):
         """Index pairs (i, j) where j covers i."""
-        down = [0] * self.n
-        for a in range(self.n):
-            for b in _bits(self.up[a]):
-                down[b] |= 1 << a
+        down = self._down_masks()
         out = []
         for i in range(self.n):
             strict = self.up[i] & ~(1 << i)
@@ -155,10 +158,7 @@ class Poset:
         return sorted(range(self.n), key=lambda i: (-self.up[i].bit_count(), i))
 
     def _profiles(self):
-        down = [0] * self.n
-        for i in range(self.n):
-            for j in _bits(self.up[i]):
-                down[j] |= 1 << i
+        down = self._down_masks()
         base = [(self.up[i].bit_count(), down[i].bit_count()) for i in range(self.n)]
         refined = []
         for i in range(self.n):
@@ -216,9 +216,9 @@ class Poset:
     def to_json(self):
         return {
             "labels": [_label_json(lab) for lab in self.labels],
-            "strict_pairs": sorted(
-                [self.labels.index(a), self.labels.index(b)] for a, b in self.strict_pairs()
-            ),
+            "strict_pairs": [
+                [i, j] for i in range(self.n) for j in _bits(self.up[i]) if i != j
+            ],
         }
 
 
@@ -646,6 +646,8 @@ def check_freeness_criterion(k, leq, irreducibility):
     leq(I, J), whether the join over I lies below the join over J, must be
     exactly I <= J.  Second, each such join must be meet irreducible; the
     caller supplies that evidence through irreducibility(I) -> (ok, info).
+    The report carries the verdict and, for NOT_FREE, a witness naming the
+    first failed clause, with the info of a failed irreducibility answer.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -667,20 +669,12 @@ def check_freeness_criterion(k, leq, irreducibility):
                         "expected_leq": expected,
                         "observed_leq": observed,
                     },
-                    details={"pure_joins": len(index_sets)},
                 )
 
-    evidence = []
     for I in index_sets:
         ok, info = irreducibility(I)
-        evidence.append({"I": sorted(I), "ok": bool(ok), "info": info})
         if not ok:
             return FreenessReport(
-                "NOT_FREE",
-                witness={"clause": "irreducibility", "I": sorted(I), "info": info},
-                details={"irreducibility": evidence},
+                "NOT_FREE", witness={"clause": "irreducibility", "I": sorted(I), "info": info}
             )
-    return FreenessReport(
-        "FREE",
-        details={"pure_joins": len(index_sets), "irreducibility": evidence},
-    )
+    return FreenessReport("FREE")

@@ -11,15 +11,17 @@ from .toeplitz_core import ToeplitzElement
 from .order_lattice import AntichainForm, Poset, UpSet
 from .util import DEFAULT_SEED  # noqa: F401  (re-exported for callers)
 
+_SCALAR_BOUND = 3
+_POSET_DENSITY = 0.35
+_MAX_SETS = 3
 
-def random_scalar(rng, bound=3):
-    """Gaussian-integer scalar with coordinates in [-bound, bound]."""
-    return Scalar(rng.randint(-bound, bound), rng.randint(-bound, bound))
 
-
-def random_nonzero_scalar(rng, bound=3):
+def random_nonzero_scalar(rng):
+    """Nonzero Gaussian-integer scalar with coordinates in
+    [-_SCALAR_BOUND, _SCALAR_BOUND], redrawn until nonzero."""
+    b = _SCALAR_BOUND
     while True:
-        s = random_scalar(rng, bound)
+        s = Scalar(rng.randint(-b, b), rng.randint(-b, b))
         if s:
             return s
 
@@ -39,26 +41,27 @@ def random_toeplitz_element(rng, max_degree=4, max_index=4, max_terms=3):
     return ToeplitzElement(collect(pairs))
 
 
-def random_poset(rng, size, density=0.35):
+def random_poset(rng, size):
     """Random poset on `size` labelled points: transitive closure of a DAG
-    sampled edgewise below the diagonal of a shuffled order.
+    sampled edgewise, each edge with probability _POSET_DENSITY, below the
+    diagonal of a shuffled order.
     """
     order = list(range(size))
     rng.shuffle(order)
     pairs = set()
     for a in range(size):
         for b in range(a + 1, size):
-            if rng.random() < density:
+            if rng.random() < _POSET_DENSITY:
                 pairs.add((order[a], order[b]))
     return Poset(list(range(size)), pairs, close=True)
 
 
-def random_antichain_form(rng, n_generators, max_sets=3):
+def random_antichain_form(rng, n_generators):
     """Random join of meets over the given generators: the minimal sets of
-    a randomly drawn family of index sets."""
+    a randomly drawn family of 1 to _MAX_SETS index sets."""
     universe = list(range(n_generators))
     masks = set()
-    for _ in range(rng.randint(1, max_sets)):
+    for _ in range(rng.randint(1, _MAX_SETS)):
         k = rng.randint(1, n_generators)
         masks.add(sum(1 << i for i in rng.sample(universe, k)))
     return AntichainForm(n_generators, UpSet(n_generators, masks).minimal_sets())

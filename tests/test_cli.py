@@ -1,12 +1,14 @@
 """End-to-end checks of the command line entry point."""
 
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
-from tqps import cli
+from tqps import classical_cpn, cli, multipullback, tensor_gluing
 from tqps.cli import main
+from tqps.util import canonical_json
 
 
 def run(capsys, argv):
@@ -111,7 +113,7 @@ def test_verify_freeness_reaches_four_charts(capsys):
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "psi", "--n", "4"])  # the other suites stay at MAX_N
+        main(["verify", "psi", "--n", "4"])  # the other suites stay at n = 3
     assert exc.value.code == 2
 
 
@@ -244,13 +246,54 @@ def test_counts_that_check_nothing_are_usage_errors(capsys, argv):
 
 
 def test_a_crashing_suite_is_not_a_refuted_claim(capsys, monkeypatch):
-    def crash(args):
+    def crash(**options):
         raise RuntimeError("suite crashed")
 
-    monkeypatch.setitem(cli._HANDLERS, ("verify", "cocycle"), crash)
+    table = [
+        suite._replace(run=crash) if suite.words == "verify cocycle" else suite
+        for suite in cli._SUITE_TABLE
+    ]
+    monkeypatch.setattr(cli, "_SUITE_TABLE", table)
     code = main(["verify", "cocycle", "--n", "2", "--format", "json"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert "Traceback" in captured.err
     assert "RuntimeError: suite crashed" in captured.err
+
+
+@pytest.mark.parametrize(
+    "suite, library_call",
+    [
+        ("verify psi", tensor_gluing.psi_involution_check),
+        ("verify cocycle", tensor_gluing.cocycle_check),
+        ("verify freeness", lambda n: multipullback.verify_freeness(n).to_json()),
+        ("classical transitions", classical_cpn.transition_agreement),
+    ],
+    ids=["verify psi", "verify cocycle", "verify freeness", "classical transitions"],
+)
+def test_each_default_is_the_library_default(capsys, suite, library_call):
+    code, out = run(capsys, suite.split() + ["--n", "2", "--format", "json"])
+    assert code == 0
+    assert out == canonical_json(library_call(2)) + "\n"
+
+
+def test_kernel_images_default_is_the_library_default(capsys):
+    code, payload = run_json(capsys, ["verify", "kernel-images", "--n", "2"])
+    assert code == 0
+    reports = [
+        tensor_gluing.kernel_image_check(2, *triple)
+        for triple in itertools.permutations(range(3), 3)
+    ]
+    assert payload["reports"] == json.loads(canonical_json(reports))
+    for report in reports:
+        assert (payload["samples"], payload["seed"]) == (report["samples"], report["seed"])
+
+
+def test_readme_example_is_the_text_output(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    command = "$ tqps verify psi --n 2 --samples 200\n"
+    example = readme.split(command, 1)[1].split("\n\n", 1)[0] + "\n"
+    code, out = run(capsys, command.split()[2:])
+    assert code == 0
+    assert out == example

@@ -51,8 +51,9 @@ def posets(draw):
 
 
 def test_poset_validation():
-    with pytest.raises(LatticeError):
-        Poset([0, 1], [(0, 1), (1, 0)])  # antisymmetry
+    for close in (False, True):
+        with pytest.raises(LatticeError, match="cycle through 0 and 1"):
+            Poset([0, 1], [(0, 1), (1, 0)], close=close)  # antisymmetry
     with pytest.raises(LatticeError):
         Poset([0, 1, 2], [(0, 1), (1, 2)])  # not transitively closed
     Poset([0, 1, 2], [(0, 1), (1, 2)], close=True)
@@ -439,6 +440,13 @@ def test_criterion_on_index_sets():
     report = check_freeness_criterion(3, lambda I, J: max(I) <= max(J), _no_evidence)
     assert report.verdict == "NOT_FREE"
     assert report.witness["clause"] == "order"
+    # a failed irreducibility answer is the witness, info included
+    report = check_freeness_criterion(2, lambda I, J: I <= J, lambda I: (I != {1}, {"rows": 3}))
+    assert report.to_json() == {
+        "verdict": "NOT_FREE",
+        "witness": {"clause": "irreducibility", "I": [1], "info": {"rows": 3}},
+        "details": {},
+    }
     for k in (0, 1):
         with pytest.raises(ValueError):
             check_freeness_criterion(k, lambda I, J: I <= J, _no_evidence)
@@ -475,6 +483,8 @@ def test_poset_serialization():
     assert "digraph" in dot and "->" in dot
     data = p.to_json()
     assert data["labels"] == [0, 1, 2]
-    lat = FiniteDistributiveLattice.from_upper_sets(Poset.antichain(2))
+    chain = Poset(["c", "a", "b"], [("a", "b"), ("b", "c")], close=True)
+    assert chain.to_json()["strict_pairs"] == [[1, 0], [1, 2], [2, 0]]
+    lat =FiniteDistributiveLattice.from_upper_sets(Poset.antichain(2))
     assert "digraph" in lat.to_dot()
     assert len(lat.to_json()["elements"]) == 4
