@@ -258,8 +258,8 @@ def classical_freeness(n):
     so its type under the chartwise sets should be a; freeness_by_types
     decides freeness from the types the probes find.  A FREE report gives
     the size of the generated lattice, which the theorem makes the free
-    size, and the probe count.  n is at most 4, since counting the free
-    lattice on n + 1 generators lists its up-sets.
+    size, and the probe count.  n is at most 4, since the free lattice
+    sizes are tabulated up to n + 1 = 5 generators.
     """
     if not 1 <= n <= 4:
         raise ValueError("n must be between 1 and 4")

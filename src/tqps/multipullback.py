@@ -9,9 +9,10 @@ the symbol of component j seen from chart i; is_member checks all pairs.
 extend completes a compatible partial family to a full member with
 minimal support: a missing component m must have the symbol
 glue(component t, t, m) at slot_for(m, t) for every known chart t, and it
-is the union of those constraints lifted, with every unconstrained
-all-matrix-unit pattern left at zero.  The constraint merge is verified
-after the fact, so an inconsistent family raises instead of silently
+is the union of those constraints lifted by transition_representative,
+with every unconstrained all-matrix-unit pattern left at zero.  The pair
+check that defines membership is the only check, on every pair with a
+built component, so an inconsistent family raises instead of silently
 producing a non-member.
 
 The freeness machinery certifies that the chart kernels generate a free
@@ -34,11 +35,11 @@ from .order_lattice import check_freeness_criterion
 from .tensor_gluing import (
     TensorElement,
     glue,
-    lift_circle,
     project_slots,
     random_tensor_element,
     slot_for,
     slot_symbol,
+    transition_representative,
 )
 from .util import DEFAULT_SEED, derived_rng
 
@@ -157,13 +158,16 @@ def extend(partial, n):
     exactly the terms its constraints prescribe, and every term pattern no
     constraint sees (a matrix unit in every constrained slot) gets
     coefficient zero.  Raises IncompatiblePartialFamily if the given
-    components already disagree, ExtensionError if the constraints cannot
-    be merged.  An empty family completes to the zero member.
+    components already disagree, ExtensionError naming the failing pairs
+    if the completion is not a member.  An empty family completes to the
+    zero member.
 
-    Each chart pair is checked once.  The pairs of given components are
-    checked up front; the final membership check runs only the pairs with
-    at least one built component, so it runs nothing when the family was
-    already complete.
+    The membership pair check is the one check, and each chart pair runs
+    it once.  The pairs of given components are checked up front; the
+    final membership check runs only the pairs with at least one built
+    component, so it runs nothing when the family was already complete.
+    Two constraints giving one term different coefficients leave a wrong
+    symbol at that term, so the final check also catches those.
     """
     comps = {}
     for k, v in dict(partial).items():
@@ -179,56 +183,40 @@ def extend(partial, n):
         raise IncompatiblePartialFamily(failures)
     built = [m for m in range(n + 1) if m not in comps]
     for m in built:
-        constraints = {slot_for(m, t): glue(comps[t], t, m) for t in sorted(comps)}
         terms = {}
-        for s, value in constraints.items():
-            lifted = lift_circle(value)
-            for atoms, c in lifted.terms.items():
-                if atoms in terms and terms[atoms] != c:
-                    raise ExtensionError(
-                        "conflicting coefficients for chart %d at term %r" % (m, atoms)
-                    )
-                terms[atoms] = c
+        for t in sorted(comps):
+            terms.update(transition_representative(comps[t], m, t).terms)
         # lifted constraints hold valid keys and nonzero coefficients, and
-        # no two were added, so the candidate is built trusted
-        candidate = TensorElement._trusted(terms, (n, None))
-        for s, value in constraints.items():
-            if slot_symbol(candidate, s) != value:
-                raise ExtensionError(
-                    "no completion matches the constraint of chart %d at slot %d" % (m, s)
-                )
-        comps[m] = candidate
+        # no two were added, so the component is built trusted
+        comps[m] = TensorElement._trusted(terms, (n, None))
     new_pairs = [
         (i, j) for i, j in itertools.combinations(range(n + 1), 2) if i in built or j in built
     ]
-    if _pair_failures(comps, new_pairs):
-        raise ExtensionError("completion failed the final membership check")
+    failures = _pair_failures(comps, new_pairs)
+    if failures:
+        pairs = [f["pair"] for f in failures]
+        raise ExtensionError("completion failed the final membership check on pairs %s" % pairs)
     return PullbackElement([comps[i] for i in range(n + 1)])
 
 
-def witness_xI(zero_charts, n, x=None, seed=DEFAULT_SEED):
+def witness_xI(zero_charts, n, seed=DEFAULT_SEED):
     """Member that vanishes exactly on the given charts.
 
-    x must be a nonzero tensor with a matrix unit in every slot; all its
-    slotwise symbols vanish, so placing it on the remaining charts and
-    zero on `zero_charts` satisfies every gluing constraint.  The result
-    lies in the kernel of each listed chart projection and in no other.
-    Without x, one is drawn from the seed, redrawing while the drawn terms
-    cancel to zero.
+    Draws from the seed a tensor x with a matrix unit in every slot,
+    redrawing while the drawn terms cancel to zero.  All slotwise symbols
+    of x vanish, so placing x on the remaining charts and zero on
+    `zero_charts` satisfies every gluing constraint, which is_member
+    confirms.  The result lies in the kernel of each listed chart
+    projection and in no other.
     """
     zero_charts = frozenset(zero_charts)
     if not all(0 <= c <= n for c in zero_charts):
         raise ValueError("chart index out of range")
-    if x is None:
-        rng = derived_rng(seed, "compact-witness", n, sorted(zero_charts))
-        x = random_tensor_element(rng, n, compact_only=True)
-        while x.is_zero():
-            x = random_tensor_element(rng, n, compact_only=True)
-    if x.n_slots != n or x.circle_slot is not None or x.is_zero():
-        raise ValueError("witness must be a nonzero n-slot Toeplitz tensor")
-    for atoms in x.terms:
-        if any(a[0] != "E" for a in atoms):
-            raise ValueError("witness must carry a matrix unit in every slot")
+    rng = derived_rng(seed, "compact-witness", n, sorted(zero_charts))
+    every_slot = range(1, n + 1)
+    x = random_tensor_element(rng, n, compact_slots=every_slot)
+    while x.is_zero():
+        x = random_tensor_element(rng, n, compact_slots=every_slot)
     zero = TensorElement.zero(n)
     p = PullbackElement([zero if i in zero_charts else x for i in range(n + 1)])
     if not is_member(p):

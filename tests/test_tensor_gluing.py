@@ -354,7 +354,7 @@ def test_phi_respects_representatives():
     rng = rng_for("phi-reps")
     for _ in range(20):
         x = random_tensor_element(rng, 2)
-        noise = random_tensor_element(rng, 2, compact_slots=(1,), compact_only=True)
+        noise = random_tensor_element(rng, 2, compact_slots=(1, 2))
         a = QuotientClass(x, (1, 2))
         b = QuotientClass(x + noise, (1, 2))
         assert phi(a, 0, 1, 2) == phi(b, 0, 1, 2)
@@ -413,7 +413,7 @@ def test_counts_that_check_nothing_are_refused(call):
 
 def test_random_tensor_element_shapes():
     rng = rng_for("shapes")
-    x = random_tensor_element(rng, 3, circle_slot=2, compact_slots=(1,), compact_only=True)
+    x = random_tensor_element(rng, 3, circle_slot=2, compact_slots=(1, 3))
     assert x.n_slots == 3 and x.circle_slot == 2
     for atoms in x.terms:
         assert atoms[0][0] == "E"
@@ -430,7 +430,7 @@ def test_trusted_constructions_are_canonical():
         canonical(random_tensor_element(rng, n, max_terms=4))
         canonical(random_tensor_element(rng, n, circle_slot=c, max_terms=4))
         canonical(random_tensor_element(rng, n, compact_slots={s}, max_terms=4))
-        canonical(random_tensor_element(rng, n, circle_slot=c, compact_only=True))
+        canonical(random_tensor_element(rng, n, circle_slot=c, compact_slots=range(1, n + 1)))
         assert canonical(TensorElement.zero(n, c)).is_zero()
         assert canonical(TensorElement.zero(n)).shape == (n, None)
 
