@@ -351,4 +351,6 @@ class CirclePoly(Terms):
 
     @classmethod
     def from_json(cls, data):
+        if not isinstance(data, dict):
+            raise ValueError("a CirclePoly is an object of degree to Scalar row, got %r" % (data,))
         return cls({int(d): Scalar.from_json(v) for d, v in data.items()})

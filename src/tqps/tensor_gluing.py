@@ -6,9 +6,9 @@ tensors.  Each slot of a pure tensor holds one Toeplitz atom, a shift
 most one distinguished slot holds a circle monomial ("u", m) instead.
 toeplitz_core validates atoms and multiplies them.  The tensor product
 multiplies the coefficients of each term pair once and reads each slot's
-atom product, as atoms with an int sign, from _mul_toeplitz_atoms, its
-cache of single-slot atom products.  Slot positions are 1-based throughout
-the public surface.
+atom product, as atoms with an int sign, from _mul_toeplitz_atoms, a cache
+of atom_product, which the single-slot product calls too.  Slot positions
+are 1-based throughout the public surface.
 
 The gauge grading, toeplitz_core's atom_degree, gives every atom an integer
 degree (a for a shift, j - k for a matrix unit, m for a circle monomial).
@@ -26,62 +26,73 @@ canonicalized by dropping every term with a matrix unit in a killed slot.
 
 glue is the one chart change on components: glue(x, src, dst) takes the
 symbol of x at the slot tracking dst, then moves the circle to the slot
-tracking src and reflects it, through psi_ij or psi_ij_inv by index order.
-Only slot_for says which slot tracks which chart.  The multipullback's
+tracking src and reflects it, in one move whatever the index order.  Only
+slot_for says which slot tracks which chart.  The multipullback's
 gluing law, the transition on representatives and the kernel-image check
 all read glue; phi composes it with the section into the transition
 between two quotient charts, which the cocycle check samples.
 
 On pure atom tensors each of these maps (chi, psi, psi_ij, the symbol, its
 section and the projection) only rewrites term keys, and injectively, so
-all of them go through one relocation primitive, _rewrite, which builds
-the result without validating it again.  The other internal builders skip
-validation too, each on keys valid by construction: random_tensor_element
-and TensorElement.zero check the shape up front and build keys from valid
-atoms, the psi sweep builds each atom tensor from one key valid for its
-shape, and extend's candidate holds the keys of lifted constraints.  Only
-the public constructor, pure, one and from_json validate every key.
+all of them go through one primitive, _rewrite, which builds the result
+without validating it again.  Every circle move, glue's included, is one
+call of _move_circle, which holds the relocation checks.  The other
+internal builders skip validation too, each on keys valid by construction:
+random_tensor_element and TensorElement.zero check the shape up front and
+build keys from valid atoms, the psi sweep builds each atom tensor from one
+key valid for its shape, and extend's candidate holds the keys of lifted
+constraints.  Only the public constructor, pure, one and from_json validate
+every key.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, islice, permutations, product
 from math import prod
 
-from .circle_hopf import ONE, Scalar, Terms, _render_terms, collect
+from .circle_hopf import ONE, Scalar, Terms, _index, _render_terms, collect
 from .toeplitz_core import (  # noqa: F401  (atom_degree re-exported)
-    ToeplitzElement,
+    _json_fields,
     _json_key,
+    _json_rows,
     _render_atom,
     _validate_atom,
     atom_degree,
+    atom_product,
 )
 from .util import DEFAULT_SEED, derived_rng
 from . import sampling
 
 
 def _shape(n_slots, circle_slot):
-    """The tensor shape (n_slots, circle_slot); raises ValueError unless
-    there is a slot and the circle slot, if any, is one of them."""
+    """The tensor shape (n_slots, circle_slot) with int entries; raises
+    ValueError unless there is a slot and the circle slot, if any, is one
+    of them."""
+    n_slots = _index(n_slots, "slot count")
     if n_slots < 1:
         raise ValueError("need at least one slot")
-    if circle_slot is not None and not 1 <= circle_slot <= n_slots:
-        raise ValueError("circle slot %r out of range" % circle_slot)
+    if circle_slot is not None:
+        circle_slot = _index(circle_slot, "circle slot")
+        if not 1 <= circle_slot <= n_slots:
+            raise ValueError("circle slot %r out of range" % circle_slot)
     return (n_slots, circle_slot)
+
+
+def _toeplitz_slots(slots, shape, what):
+    """slots as a set; raises ValueError, saying what it cannot do to the
+    slot, unless each is a Toeplitz slot of the shape."""
+    slots = set(slots)
+    n_slots, circle_slot = shape
+    for s in slots:
+        if not 1 <= s <= n_slots or s == circle_slot:
+            raise ValueError("cannot %s slot %r" % (what, s))
+    return slots
 
 
 @lru_cache(maxsize=None)
 def _mul_toeplitz_atoms(a, b):
-    """Product of two Toeplitz atoms as a tuple of (atom, sign) terms, each
-    sign the int 1 or -1, shifts first: atom_product's terms.
-
-    Computed as the product of two one-atom ToeplitzElements, so the tensor
-    algebra and the single-slot algebra share atom_product and can never
-    drift apart; each coefficient of that product is ONE or -ONE, whose
-    real part is the sign.
-    """
-    return tuple(
-        (atom, c.re) for atom, c in (ToeplitzElement({a: ONE}) * ToeplitzElement({b: ONE})).atoms()
-    )
+    """atom_product(a, b) as a tuple of (atom, sign) terms, each sign the
+    int 1 or -1: the shift first, then matrix units by rising index."""
+    return tuple(atom_product(a, b))
 
 
 class TensorElement(Terms):
@@ -182,10 +193,10 @@ class TensorElement(Terms):
 
     @classmethod
     def from_json(cls, data):
-        terms = [
-            (_json_key(row["atoms"]), Scalar.from_json(row["coeff"])) for row in data["terms"]
-        ]
-        return cls(data["n_slots"], data["circle_slot"], terms)
+        n_slots, circle_slot, rows = _json_fields(data, "n_slots", "circle_slot", "terms")
+        rows = _json_rows(rows, "atoms", "coeff")
+        terms = [(_json_key(atoms), Scalar.from_json(c)) for atoms, c in rows]
+        return cls(n_slots, circle_slot, terms)
 
 
 def embed_toeplitz(elements):
@@ -208,7 +219,7 @@ def _rewrite(x, n_slots, circle_slot, row):
     keeps and sends every valid key of x to a valid key of the new shape.
     Then no two coefficients merge, each stays nonzero, and nothing needs to
     be validated again.  Every caller meets it:
-    - _move_circle (chi, chi_inv, psi, psi_ij, psi_ij_inv): moving the
+    - _move_circle (chi, chi_inv, psi, psi_ij, psi_ij_inv, glue): moving the
       circle atom permutes slots, and for a fixed Toeplitz part the
       reflection h -> -(d + h) is a bijection of h;
     - slot_symbol: ("T", a) -> ("u", a) is injective, and keys with a
@@ -224,12 +235,20 @@ def _rewrite(x, n_slots, circle_slot, row):
     return TensorElement._trusted(terms, (n_slots, circle_slot))
 
 
-def _move_circle(x, src, dst, reflect):
+def _move_circle(x, src, dst, name, reflect=False):
     """Move the circle atom from slot src to slot dst, keeping Toeplitz order.
 
-    With reflect, the circle exponent h becomes -(d + h), d the total degree
-    of the other slots; for a fixed Toeplitz part that is a bijection of h.
+    The one relocation behind chi, chi_inv, psi, psi_ij, psi_ij_inv and
+    glue, and their one check: unless the circle of x sits at src and dst
+    is a slot, it raises ValueError naming the public map `name`.  With
+    reflect, the circle exponent h becomes -(d + h), d the total degree of
+    the other slots; for a fixed Toeplitz part that is a bijection of h.
     """
+    n_slots, circle_slot = x.shape
+    if circle_slot != src:
+        raise ValueError("%s expects the circle slot at position %r" % (name, src))
+    if not 1 <= dst <= n_slots:
+        raise ValueError("%s: target slot %r out of range" % (name, dst))
 
     def row(atoms):
         rest = atoms[: src - 1] + atoms[src:]
@@ -242,24 +261,17 @@ def _move_circle(x, src, dst, reflect):
             circle = ("u", -h)
         return rest[: dst - 1] + (circle,) + rest[dst - 1 :]
 
-    return _rewrite(x, x.n_slots, dst, row)
+    return _rewrite(x, n_slots, dst, row)
 
 
 def chi(x, j):
     """Relocate the trailing circle slot to position j, keeping Toeplitz order."""
-    n = x.n_slots
-    if x.circle_slot != n:
-        raise ValueError("chi expects the circle slot at the back")
-    if not 1 <= j <= n:
-        raise ValueError("target slot %r out of range" % j)
-    return _move_circle(x, n, j, reflect=False)
+    return _move_circle(x, x.n_slots, j, "chi")
 
 
 def chi_inv(x, j):
     """Relocate the circle slot from position j back to the end."""
-    if x.circle_slot != j:
-        raise ValueError("chi_inv expects the circle slot at position %r" % j)
-    return _move_circle(x, j, x.n_slots, reflect=False)
+    return _move_circle(x, j, x.n_slots, "chi_inv")
 
 
 def psi(x):
@@ -269,9 +281,7 @@ def psi(x):
     degree of the Toeplitz slots.  Applying it twice is the identity.
     """
     n = x.n_slots
-    if x.circle_slot != n:
-        raise ValueError("psi expects the circle slot at the back")
-    return _move_circle(x, n, n, reflect=True)
+    return _move_circle(x, n, n, "psi", reflect=True)
 
 
 def psi_ij(x, i, j):
@@ -282,20 +292,16 @@ def psi_ij(x, i, j):
     total degree of the Toeplitz slots, which no relocation changes.
     """
     if not 0 <= i < j <= x.n_slots:
-        raise ValueError("need 0 <= i < j <= slot count")
-    if x.circle_slot != i + 1:
-        raise ValueError("psi_ij expects the circle slot at position %r" % (i + 1))
-    return _move_circle(x, i + 1, j, reflect=True)
+        raise ValueError("psi_ij: need 0 <= i < j <= slot count")
+    return _move_circle(x, i + 1, j, "psi_ij", reflect=True)
 
 
 def psi_ij_inv(x, i, j):
     """Inverse of psi_ij: the circle slot moves from j back to i+1 and its
     exponent is reflected again, in one move."""
     if not 0 <= i < j <= x.n_slots:
-        raise ValueError("need 0 <= i < j <= slot count")
-    if x.circle_slot != j:
-        raise ValueError("psi_ij_inv expects the circle slot at position %r" % j)
-    return _move_circle(x, j, i + 1, reflect=True)
+        raise ValueError("psi_ij_inv: need 0 <= i < j <= slot count")
+    return _move_circle(x, j, i + 1, "psi_ij_inv", reflect=True)
 
 
 def slot_symbol(x, k):
@@ -331,10 +337,7 @@ def project_slots(x, slots):
     of the slot kernels: the kernel of the symbol at slot s is spanned by
     the terms with a matrix unit in slot s.
     """
-    slots = set(slots)
-    for s in slots:
-        if not 1 <= s <= x.n_slots or s == x.circle_slot:
-            raise ValueError("cannot project slot %r" % s)
+    slots = _toeplitz_slots(slots, x.shape, "project")
     return _rewrite(
         x,
         x.n_slots,
@@ -354,14 +357,12 @@ def glue(x, src, dst):
     """Component x at chart src, seen from chart dst.
 
     The symbol of x at the slot tracking dst, with the circle moved to the
-    slot tracking src and reflected: psi_ij when src > dst, psi_ij_inv when
-    src < dst.  Two components at charts i and j agree when
-    glue(comps[j], j, i) equals the symbol of comps[i] at slot_for(i, j).
+    slot tracking src and reflected, in one move; both slots come from
+    slot_for.  Two components at charts i and j agree when glue(comps[j],
+    j, i) equals the symbol of comps[i] at slot_for(i, j).
     """
-    w = slot_symbol(x, slot_for(src, dst))
-    if src > dst:
-        return psi_ij(w, dst, src)
-    return psi_ij_inv(w, src, dst)
+    s = slot_for(src, dst)
+    return _move_circle(slot_symbol(x, s), s, slot_for(dst, src), "glue", reflect=True)
 
 
 class QuotientClass:
@@ -435,11 +436,13 @@ def random_tensor_element(
 ):
     """Seeded random element: uniform degrees in [-RANDOM_BOUND, RANDOM_BOUND],
     matrix unit indices in [0, RANDOM_BOUND]^2, 1..3 terms by default.
-    compact_slots forces a matrix unit in those slots of every term.
+    compact_slots forces a matrix unit in those slots of every term; each
+    must be a Toeplitz slot, which is checked before the first draw.
     """
     shape = _shape(n_slots, circle_slot)
+    n_slots, circle_slot = shape
+    compact_slots = _toeplitz_slots(compact_slots, shape, "force a matrix unit in")
     b = RANDOM_BOUND
-    compact_slots = set(compact_slots)
     pairs = []
     for _ in range(rng.randint(min_terms, max_terms)):
         atoms = []
@@ -582,21 +585,13 @@ def cocycle_check(n, samples=100, seed=DEFAULT_SEED):
         raise ValueError("n must be at least 2")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    triples = []
-    idx = list(range(n + 1))
-    for i in idx:
-        for k in idx:
-            for j in idx:
-                if i < k < j:
-                    triples.append((i, j, k))
-    spot = []
-    for i in idx:
-        for j in idx:
-            for k in idx:
-                if len({i, j, k}) == 3 and not (i < k < j) and len(spot) < COCYCLE_SPOT_TRIPLES:
-                    spot.append((i, j, k))
+    triples = [(i, j, k) for i, k, j in combinations(range(n + 1), 3)]
+    triples += islice(
+        ((i, j, k) for i, j, k in permutations(range(n + 1), 3) if not i < k < j),
+        COCYCLE_SPOT_TRIPLES,
+    )
     failures = []
-    for i, j, k in triples + spot:
+    for i, j, k in triples:
         rng = derived_rng(seed, "cocycle", n, i, j, k)
         for s in range(samples):
             x = random_tensor_element(rng, n)
@@ -624,7 +619,7 @@ def cocycle_check(n, samples=100, seed=DEFAULT_SEED):
         "schema": 1,
         "check": "transition-cocycle",
         "n": n,
-        "triples": [list(t) for t in triples + spot],
+        "triples": [list(t) for t in triples],
         "samples": samples,
         "seed": seed,
         "failures": failures,

@@ -66,6 +66,22 @@ def _json_key(row):
     return tuple(_json_key(v) for v in row) if isinstance(row, list) else row
 
 
+def _json_fields(doc, *keys):
+    """The values of the given keys of a JSON object, in order; anything
+    else, or an object missing one of them, raises ValueError."""
+    if not isinstance(doc, dict) or not all(k in doc for k in keys):
+        raise ValueError("expected an object with %s, got %r" % (", ".join(keys), doc))
+    return tuple(doc[k] for k in keys)
+
+
+def _json_rows(rows, *keys):
+    """_json_fields of each object in the JSON list rows; anything else
+    raises ValueError."""
+    if not isinstance(rows, list):
+        raise ValueError("expected a list of rows, got %r" % (rows,))
+    return [_json_fields(row, *keys) for row in rows]
+
+
 def atom_product(a, b):
     """Product of two Toeplitz atoms as a list of (atom, sign) terms, each
     sign 1 or -1.
@@ -174,4 +190,5 @@ class ToeplitzElement(Terms):
 
     @classmethod
     def from_json(cls, data):
-        return cls([(_json_key(row["atom"]), Scalar.from_json(row["coeff"])) for row in data])
+        rows = _json_rows(data, "atom", "coeff")
+        return cls([(_json_key(atom), Scalar.from_json(c)) for atom, c in rows])

@@ -221,6 +221,12 @@ def test_scalar_json_rows_must_be_four_integers(row):
         CirclePoly.from_json({"0": row})
 
 
+@pytest.mark.parametrize("data", [[1], [], "u", None])
+def test_circle_poly_json_must_be_an_object(data):
+    with pytest.raises(ValueError):
+        CirclePoly.from_json(data)
+
+
 @pytest.mark.parametrize("key", [(0.5, 1), (1, 2.5), (True, 0), (-1, 0)])
 def test_compact_part_rejects_bad_indices(key):
     # the finite-rank part of a ToeplitzElement: its matrix-unit atoms

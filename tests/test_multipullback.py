@@ -148,12 +148,17 @@ def test_incompatible_family_is_rejected():
 
 
 def test_final_check_runs_on_built_components(monkeypatch):
-    # a doubled gluing inverse is still linear, so the built component meets
-    # its own constraint; only the final check against chart 0 can see it
-    doubled = tensor_gluing.psi_ij_inv
-    monkeypatch.setattr(
-        tensor_gluing, "psi_ij_inv", lambda x, i, j: doubled(x, i, j).scale(2)
-    )
+    # glue from a lower chart i to a higher chart j moves the circle from
+    # slot j down to slot i + 1; doubling every move that does not go up is
+    # still linear, so the built component meets its own constraint, and
+    # only the final check against chart 0 can see it
+    move = tensor_gluing._move_circle
+
+    def doubled_unless_upwards(x, src, dst, *args, **kwargs):
+        y = move(x, src, dst, *args, **kwargs)
+        return y.scale(2) if dst <= src else y
+
+    monkeypatch.setattr(tensor_gluing, "_move_circle", doubled_unless_upwards)
     with pytest.raises(ExtensionError, match="final membership check"):
         extend({0: tensor_z(1)}, 1)
     monkeypatch.undo()

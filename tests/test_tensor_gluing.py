@@ -262,6 +262,31 @@ def test_psi_ij_rejects_a_misplaced_circle_slot():
         psi_ij(x, 0, 3)
     with pytest.raises(ValueError, match="psi_ij_inv expects the circle slot at position 3"):
         psi_ij_inv(x, 0, 3)
+    # every relocation map rejects a misplaced or absent circle slot and an
+    # out-of-range target, naming itself
+    back = TensorElement.pure((("T", 1), ("T", 0), ("u", 1)), circle_slot=3)
+    bare = TensorElement.pure((("T", 1), ("T", 0), ("T", 2)))
+    for name, call in [
+        ("chi", lambda: chi(x, 1)),
+        ("chi", lambda: chi(bare, 1)),
+        ("chi", lambda: chi(back, 4)),
+        ("chi", lambda: chi(back, 0)),
+        ("chi_inv", lambda: chi_inv(x, 3)),
+        ("chi_inv", lambda: chi_inv(bare, 3)),
+        ("chi_inv", lambda: chi_inv(back, 4)),
+        ("psi", lambda: psi(x)),
+        ("psi", lambda: psi(bare)),
+        ("psi_ij", lambda: psi_ij(bare, 0, 3)),
+        ("psi_ij", lambda: psi_ij(x, 1, 4)),
+        ("psi_ij_inv", lambda: psi_ij_inv(bare, 0, 3)),
+        ("psi_ij_inv", lambda: psi_ij_inv(back, 2, 4)),
+    ]:
+        with pytest.raises(ValueError, match="^%s[ :]" % name):
+            call()
+    # glue rejects a chart outside 0..n as source and as target
+    for src, dst in [(-1, 0), (-1, 2), (4, 0), (4, 3), (0, -1), (2, -1), (0, 4), (3, 4)]:
+        with pytest.raises(ValueError):
+            glue(bare, src, dst)
 
 
 def test_slot_symbol_is_an_algebra_map():
@@ -418,6 +443,12 @@ def test_random_tensor_element_shapes():
     for atoms in x.terms:
         assert atoms[0][0] == "E"
         assert atoms[1][0] == "u"
+    # a compact slot that is no Toeplitz slot is refused before any draw
+    state = rng.getstate()
+    for slots in ({99}, {2}, {0}):
+        with pytest.raises(ValueError):
+            random_tensor_element(rng, 3, circle_slot=2, compact_slots=slots)
+    assert rng.getstate() == state
 
 
 def test_trusted_constructions_are_canonical():
@@ -430,7 +461,8 @@ def test_trusted_constructions_are_canonical():
         canonical(random_tensor_element(rng, n, max_terms=4))
         canonical(random_tensor_element(rng, n, circle_slot=c, max_terms=4))
         canonical(random_tensor_element(rng, n, compact_slots={s}, max_terms=4))
-        canonical(random_tensor_element(rng, n, circle_slot=c, compact_slots=range(1, n + 1)))
+        every_toeplitz_slot = set(range(1, n + 1)) - {c}
+        canonical(random_tensor_element(rng, n, circle_slot=c, compact_slots=every_toeplitz_slot))
         assert canonical(TensorElement.zero(n, c)).is_zero()
         assert canonical(TensorElement.zero(n)).shape == (n, None)
 
@@ -457,6 +489,12 @@ def test_psi_sweep_atoms_are_canonical(monkeypatch):
         lambda: random_tensor_element(rng_for("bad-shape"), 3, circle_slot=0),
         lambda: TensorElement.zero(2, 3),
         lambda: TensorElement.zero(0),
+        lambda: random_tensor_element(rng_for("bad-shape"), 2, compact_slots={99}),
+        lambda: random_tensor_element(rng_for("bad-shape"), 2, circle_slot=1, compact_slots={1}),
+        lambda: TensorElement.zero(2, True),
+        lambda: TensorElement(2, True),
+        lambda: project_slots(TensorElement.one(2), {3}),
+        lambda: project_slots(TensorElement.one(2, 1), {1}),
     ],
 )
 def test_trusted_constructions_check_the_shape(call):
@@ -477,6 +515,7 @@ def test_trusted_constructions_check_the_shape(call):
         ([3], None),
         ([()], None),
         ([["T", 1]], None),
+        ((("T", 0), ("u", 0)), True),
     ],
 )
 def test_atoms_must_carry_integers(atoms, circle_slot):
@@ -495,6 +534,21 @@ def test_atoms_must_carry_integers(atoms, circle_slot):
 def test_keys_must_be_atom_tuples(key):
     with pytest.raises(ValueError):
         TensorElement(2, None, {key: 1})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n_slots": 1, "circle_slot": None},
+        {"n_slots": "1", "circle_slot": None, "terms": []},
+        {"n_slots": 1, "circle_slot": None, "terms": [[["T", 1]]]},
+        {"n_slots": 1, "circle_slot": None, "terms": {}},
+        [],
+    ],
+)
+def test_tensor_documents_must_be_well_formed(data):
+    with pytest.raises(ValueError):
+        TensorElement.from_json(data)
 
 
 def test_gluing_suites_build_no_tensor_through_the_validating_constructor(monkeypatch):

@@ -98,6 +98,14 @@ def test_keys_must_be_toeplitz_atoms(atom):
         ToeplitzElement.from_json([{"atom": row, "coeff": [1, 1, 0, 1]}])
 
 
+@pytest.mark.parametrize(
+    "data", [[{"atom": ["T", 1]}], [["T", 1]], {"atom": ["T", 1], "coeff": [1, 1, 0, 1]}, 3]
+)
+def test_json_rows_must_be_atom_objects(data):
+    with pytest.raises(ValueError):
+        ToeplitzElement.from_json(data)
+
+
 @settings(deadline=None)
 @given(elements, elements)
 def test_product_matches_matrix_oracle(x, y):
