@@ -16,22 +16,14 @@ those atoms.  collect is its one way to sum coefficients of repeated keys.
 
 from fractions import Fraction
 from itertools import chain
-from numbers import Integral
+
+from .util import _index
 
 
 def _frac(v):
     if type(v) is int or isinstance(v, Fraction):
         return v
     return Fraction(v)
-
-
-def _index(v, what):
-    """v as an int; a bool or a value that is not an integer raises ValueError."""
-    if type(v) is int:
-        return v
-    if isinstance(v, bool) or not isinstance(v, Integral):
-        raise ValueError("%s must be an integer, got %r" % (what, v))
-    return int(v)
 
 
 def _scalar(re, im):

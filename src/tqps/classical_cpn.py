@@ -36,7 +36,7 @@ from .order_lattice import (
     freeness_by_types,
 )
 from .tensor_gluing import slot_for
-from .util import DEFAULT_SEED, derived_rng
+from .util import DEFAULT_SEED, _index, derived_rng
 
 MEMBERSHIP_TOL = 1e-12
 TRANSITION_TOL = 1e-10
@@ -214,10 +214,7 @@ def transition_agreement(n, trials=1000, seed=DEFAULT_SEED):
     report records the worst coordinate deviation, the inverse roundtrip
     error, and any trial beyond tolerance.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    n, trials = _index(n, "n", 1), _index(trials, "trials", 1)
     failures = []
     worst = 0.0
     for i in range(n + 1):
@@ -256,13 +253,12 @@ def classical_freeness(n):
 
     The test point of each nonempty proper index set a peaks exactly on a,
     so its type under the chartwise sets should be a; freeness_by_types
-    decides freeness from the types the probes find.  A FREE report gives
-    the size of the generated lattice, which the theorem makes the free
-    size, and the probe count.  n is at most 4, since the free lattice
-    sizes are tabulated up to n + 1 = 5 generators.
+    decides freeness from the types the probes find.  The report gives the
+    probe count and, for a FREE verdict with n at most 4, the size of the
+    generated lattice, which the theorem makes the free size: the free
+    lattice sizes are tabulated up to n + 1 = 5 generators.
     """
-    if not 1 <= n <= 4:
-        raise ValueError("n must be between 1 and 4")
+    n = _index(n, "n", 1)
     gens = covering_generators(n)
     types = []
     for r in range(1, n + 1):
@@ -271,7 +267,7 @@ def classical_freeness(n):
             types.append(sum(1 << i for i, g in enumerate(gens) if g.contains_point(x)))
     report = freeness_by_types(n + 1, types)
     report.details["probes"] = len(types)
-    if report.free:
+    if report.free and n <= 4:
         report.details["sublattice_size"] = antichain_count(n + 1) - 2
     return report
 

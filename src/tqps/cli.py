@@ -22,18 +22,18 @@ import sys
 import traceback
 
 from . import classical_cpn, multipullback, order_lattice, sampling, tensor_gluing
-from .util import DEFAULT_SEED, canonical_json, derived_rng
+from .util import DEFAULT_SEED, _index, canonical_json, derived_rng
 
 
 def _count(kind, low, high=None):
-    """Argparse type for an integer count in [low, high] (no upper cap if None)."""
+    """Argparse type for an integer count in [low, high], in _index's words."""
 
     def parse(text):
         value = int(text)
-        if value < low or (high is not None and value > high):
-            bound = "at least %d" % low if high is None else "between %d and %d" % (low, high)
-            raise argparse.ArgumentTypeError("%s must be %s" % (kind, bound))
-        return value
+        try:
+            return _index(value, kind, low, high)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
@@ -262,7 +262,7 @@ _SUITE_TABLE = [
         "classical lattice",
         "chartwise covering sets generate freely, by point types",
         _classical_lattice,
-        [_n(1, 3)],
+        [_n(1, 8)],
     ),
     _Suite(
         "classical transitions",

@@ -41,7 +41,7 @@ from .tensor_gluing import (
     slot_symbol,
     transition_representative,
 )
-from .util import DEFAULT_SEED, derived_rng
+from .util import DEFAULT_SEED, _charts, _index, derived_rng
 
 
 class IncompatiblePartialFamily(ValueError):
@@ -63,9 +63,7 @@ class PullbackElement:
 
     def __init__(self, components):
         components = list(components)
-        n = len(components) - 1
-        if n < 1:
-            raise ValueError("need at least two charts")
+        n = _index(len(components), "chart count", 2) - 1
         for c in components:
             if not isinstance(c, TensorElement) or c.n_slots != n or c.circle_slot is not None:
                 raise ValueError("components must be pure Toeplitz tensors with %d slots" % n)
@@ -169,10 +167,11 @@ def extend(partial, n):
     Two constraints giving one term different coefficients leave a wrong
     symbol at that term, so the final check also catches those.
     """
+    n = _index(n, "n", 1)
     comps = {}
     for k, v in dict(partial).items():
-        if not 0 <= k <= n:
-            raise ValueError("chart index %r out of range" % k)
+        # dict keys are distinct already, so each is read alone
+        k = _index(k, "chart index", 0, n)
         if not isinstance(v, TensorElement) or v.n_slots != n or v.circle_slot is not None:
             raise ValueError("component %r must be a pure Toeplitz tensor with %d slots" % (k, n))
         comps[k] = v
@@ -209,9 +208,8 @@ def witness_xI(zero_charts, n, seed=DEFAULT_SEED):
     confirms.  The result lies in the kernel of each listed chart
     projection and in no other.
     """
-    zero_charts = frozenset(zero_charts)
-    if not all(0 <= c <= n for c in zero_charts):
-        raise ValueError("chart index out of range")
+    n = _index(n, "n", 1)
+    zero_charts = frozenset(_charts(n, *zero_charts))
     rng = derived_rng(seed, "compact-witness", n, sorted(zero_charts))
     every_slot = range(1, n + 1)
     x = random_tensor_element(rng, n, compact_slots=every_slot)
@@ -237,9 +235,8 @@ def witness_TmI(m, charts, n):
     alive, and the symbol at sigma composed with the projection to chart m
     kills the kernel of every chart projection outside `charts`.
     """
+    m, *charts = _charts(_index(n, "n", 1), m, *charts)
     charts = frozenset(charts)
-    if not 0 <= m <= n or m in charts or not all(0 <= c <= n for c in charts):
-        raise ValueError("bad chart data")
     atoms = []
     sigma_slots = set()
     # slot_for(m, k) increases with k, so the atoms come out in slot order
@@ -320,17 +317,11 @@ def verify_freeness(n, seed=0, samples=200, generator_map=None):
     non-injective assignment is the intended control and comes back
     NOT_FREE with an order witness.  samples < 0 raises ValueError.
     """
-    if n < 1:
-        raise ValueError("need at least two charts")
-    if samples < 0:
-        raise ValueError("samples must be at least 0")
+    n, samples = _index(n, "n", 1), _index(samples, "samples", 0)
     gen_count = n + 1
     gmap = list(range(gen_count))
-    if generator_map:
-        for k, v in dict(generator_map).items():
-            if not (0 <= k <= n and 0 <= v <= n):
-                raise ValueError("bad generator map entry %r -> %r" % (k, v))
-            gmap[k] = v
+    for k, v in dict(generator_map or {}).items():
+        gmap[_index(k, "generator", 0, n)] = _index(v, "generator's chart", 0, n)
 
     separations = []
     irreducibility = []

@@ -33,6 +33,8 @@ I, as the kernel lattice of multipullback supplies them.
 import functools
 import itertools
 
+from .util import _index
+
 # Largest element list FiniteDistributiveLattice.from_elements tabulates.
 MAX_TABLE_ELEMENTS = 1200
 
@@ -585,9 +587,7 @@ def antichain_count(n):
     These are the Dedekind numbers (OEIS A000372), read from a table that
     no listing here produced; n past the table raises ValueError.
     """
-    if not 0 <= n <= 5:
-        raise ValueError("antichain counts are tabulated for 0 <= n <= 5")
-    return (2, 3, 6, 20, 168, 7581)[n]
+    return (2, 3, 6, 20, 168, 7581)[_index(n, "tabulated generator count", 0, 5)]
 
 
 def fdl_enumerate(n):
@@ -595,8 +595,9 @@ def fdl_enumerate(n):
 
     The up-sets of the subset lattice other than the empty one and the one
     holding the empty set; the list is sorted canonically by antichain and
-    has antichain_count(n) - 2 entries.
+    has antichain_count(n) - 2 entries, so n is read against the same table.
     """
+    n = _index(n, "tabulated generator count", 0, 5)
     forms = [
         AntichainForm._from_up(n, up)
         for up in upper_set_masks(_boolean_poset(n))
@@ -640,8 +641,7 @@ def freeness_by_types(k, types):
     is the witness, as the up-sets above S with and without S itself then
     evaluate to the same set.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    k = _index(k, "k", 2)
     seen = set(types)
     for mask in range(1, (1 << k) - 1):
         if mask not in seen:
@@ -659,8 +659,7 @@ def check_freeness_criterion(k, leq, irreducibility):
     The report carries the verdict and, for NOT_FREE, a witness naming the
     first failed clause, with the info of a failed irreducibility answer.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    k = _index(k, "k", 2)
     index_sets = []
     for r in range(1, k):
         index_sets.extend(frozenset(c) for c in itertools.combinations(range(k), r))

@@ -49,7 +49,7 @@ from functools import lru_cache
 from itertools import combinations, islice, permutations, product
 from math import prod
 
-from .circle_hopf import ONE, Scalar, Terms, _index, _render_terms, collect
+from .circle_hopf import ONE, Scalar, Terms, _render_terms, collect
 from .toeplitz_core import (  # noqa: F401  (atom_degree re-exported)
     _json_fields,
     _json_key,
@@ -59,7 +59,7 @@ from .toeplitz_core import (  # noqa: F401  (atom_degree re-exported)
     atom_degree,
     atom_product,
 )
-from .util import DEFAULT_SEED, derived_rng
+from .util import DEFAULT_SEED, _charts, _index, derived_rng
 from . import sampling
 
 
@@ -67,13 +67,9 @@ def _shape(n_slots, circle_slot):
     """The tensor shape (n_slots, circle_slot) with int entries; raises
     ValueError unless there is a slot and the circle slot, if any, is one
     of them."""
-    n_slots = _index(n_slots, "slot count")
-    if n_slots < 1:
-        raise ValueError("need at least one slot")
+    n_slots = _index(n_slots, "slot count", 1)
     if circle_slot is not None:
-        circle_slot = _index(circle_slot, "circle slot")
-        if not 1 <= circle_slot <= n_slots:
-            raise ValueError("circle slot %r out of range" % circle_slot)
+        circle_slot = _index(circle_slot, "circle slot", 1, n_slots)
     return (n_slots, circle_slot)
 
 
@@ -266,12 +262,12 @@ def _move_circle(x, src, dst, name, reflect=False):
 
 def chi(x, j):
     """Relocate the trailing circle slot to position j, keeping Toeplitz order."""
-    return _move_circle(x, x.n_slots, j, "chi")
+    return _move_circle(x, x.n_slots, _index(j, "chi: target slot"), "chi")
 
 
 def chi_inv(x, j):
     """Relocate the circle slot from position j back to the end."""
-    return _move_circle(x, j, x.n_slots, "chi_inv")
+    return _move_circle(x, _index(j, "chi_inv: circle slot"), x.n_slots, "chi_inv")
 
 
 def psi(x):
@@ -291,6 +287,7 @@ def psi_ij(x, i, j):
     This equals chi(psi(chi_inv(x, i + 1)), j): the reflection reads only the
     total degree of the Toeplitz slots, which no relocation changes.
     """
+    i, j = _index(i, "psi_ij: i"), _index(j, "psi_ij: j")
     if not 0 <= i < j <= x.n_slots:
         raise ValueError("psi_ij: need 0 <= i < j <= slot count")
     return _move_circle(x, i + 1, j, "psi_ij", reflect=True)
@@ -299,6 +296,7 @@ def psi_ij(x, i, j):
 def psi_ij_inv(x, i, j):
     """Inverse of psi_ij: the circle slot moves from j back to i+1 and its
     exponent is reflected again, in one move."""
+    i, j = _index(i, "psi_ij_inv: i"), _index(j, "psi_ij_inv: j")
     if not 0 <= i < j <= x.n_slots:
         raise ValueError("psi_ij_inv: need 0 <= i < j <= slot count")
     return _move_circle(x, j, i + 1, "psi_ij_inv", reflect=True)
@@ -462,7 +460,9 @@ def random_tensor_element(
 PSI_MAX_DEGREE = 3
 PSI_MAX_INDEX = 3
 
-# Non-ordered triples the cocycle check also runs through the inverse branch.
+# Non-ordered triples the cocycle check also runs: an ordered triple i < k < j
+# glues only from a higher chart to a lower one, so these are the only
+# triples that glue upward (src < dst).
 COCYCLE_SPOT_TRIPLES = 2
 
 
@@ -472,10 +472,7 @@ def psi_involution_check(n, samples=1000, seed=DEFAULT_SEED):
     Works on tensors with n - 1 Toeplitz slots and a trailing circle slot,
     matching the gluing domain for the n-chart construction.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if samples < 0:
-        raise ValueError("samples must be at least 0")
+    n, samples = _index(n, "n", 1), _index(samples, "samples", 0)
     failures = []
     checked = 0
 
@@ -526,10 +523,9 @@ def kernel_image_check(n, i, j, k, samples=50, seed=DEFAULT_SEED):
     the slot the exchange identity predicts; the report lists any term that
     lands elsewhere.
     """
-    if len({i, j, k}) != 3 or any(not 0 <= t <= n for t in (i, j, k)):
-        raise ValueError("need three distinct chart indices within range")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    n = _index(n, "n", 2)
+    i, j, k = _charts(n, i, j, k)
+    samples = _index(samples, "samples", 1)
     a, b = min(i, j), max(i, j)
     predicted_slot = slot_for(a, k)
     failures = []
@@ -574,17 +570,15 @@ def cocycle_check(n, samples=100, seed=DEFAULT_SEED):
     """Sampled check of the transition cocycle on quotient classes.
 
     For each ordered triple i < k < j the identity phi_ij = phi_ik o phi_kj
-    (with matching killed kernels) must hold exactly; a couple of non-ordered
-    triples are spot-checked through the inverse branch as well.  Every
-    sample also re-runs the raw pipeline on a representative perturbed by a
-    kernel term, which certifies that class output does not depend on the
-    choice of representative.  With fewer than three charts there is no
-    triple, so n must be at least 2.
+    (with matching killed kernels) must hold exactly.  Those triples glue
+    only from a higher chart to a lower one, so a couple of non-ordered
+    triples are spot-checked as well: they are the only ones that glue
+    upward.  Every sample also re-runs the raw pipeline on a representative
+    perturbed by a kernel term, which certifies that class output does not
+    depend on the choice of representative.  With fewer than three charts
+    there is no triple, so n must be at least 2.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    n, samples = _index(n, "n", 2), _index(samples, "samples", 1)
     triples = [(i, j, k) for i, k, j in combinations(range(n + 1), 3)]
     triples += islice(
         ((i, j, k) for i, j, k in permutations(range(n + 1), 3) if not i < k < j),

@@ -21,7 +21,8 @@ monomial.  A tensor's circle slot holds a circle monomial ("u", m) of
 degree m; _validate_atom is the one check of all three atom kinds.
 """
 
-from .circle_hopf import CirclePoly, Scalar, Terms, _index, _render_power, _render_terms, collect
+from .circle_hopf import CirclePoly, Scalar, Terms, _render_power, _render_terms, collect
+from .util import _index
 
 
 def atom_degree(atom):

@@ -1,7 +1,9 @@
-"""Shared runtime helpers: the default seed, canonical JSON, derived RNGs."""
+"""Shared runtime helpers: the default seed, canonical JSON, derived RNGs,
+and the one reader of integer arguments."""
 
 import json
 import random
+from numbers import Integral
 
 DEFAULT_SEED = 0x5EED
 
@@ -19,3 +21,27 @@ def derived_rng(seed, *path):
     """
     key = str(seed) + "".join("/" + str(p) for p in path)
     return random.Random(key)
+
+
+def _index(v, what, low=None, high=None):
+    """v as an int, at least low if given and, with low, at most high if
+    given; anything else, a bool included, raises ValueError: "<what> must
+    be an integer, got v", "... must be at least L, got v" or "... must be
+    between L and H, got v"."""
+    if type(v) is not int:
+        if isinstance(v, bool) or not isinstance(v, Integral):
+            raise ValueError("%s must be an integer, got %r" % (what, v))
+        v = int(v)
+    if low is not None and (v < low or high is not None and v > high):
+        bound = "at least %d" % low if high is None else "between %d and %d" % (low, high)
+        raise ValueError("%s must be %s, got %d" % (what, bound, v))
+    return v
+
+
+def _charts(n, *indices):
+    """The chart indices as ints, each in 0..n; raises ValueError unless
+    they are distinct."""
+    out = tuple(_index(c, "chart index", 0, n) for c in indices)
+    if len(set(out)) != len(out):
+        raise ValueError("chart indices must be distinct, got %r" % (out,))
+    return out

@@ -143,7 +143,8 @@ def test_classical_lattice(capsys, monkeypatch):
     # the verdict comes from the point types alone
     monkeypatch.setattr(cli.classical_cpn, "covering_lattice", no_tables)
     monkeypatch.setattr(cli.order_lattice.FiniteDistributiveLattice, "from_elements", no_tables)
-    for n, size in ((1, 4), (2, 18), (3, 166)):
+    # past n = 4 the Dedekind table gives no size; the cap is n = 8
+    for n, size in ((1, 4), (2, 18), (3, 166), (8, None)):
         code, payload = run_json(capsys, ["classical", "lattice", "--n", str(n)])
         assert code == 0
         assert payload["schema"] == 2
@@ -152,6 +153,10 @@ def test_classical_lattice(capsys, monkeypatch):
         assert payload["probes"] == 2 ** (n + 1) - 2
         assert payload["sublattice_size"] == size
         assert payload["passed"] is True
+    with pytest.raises(SystemExit) as exc:
+        main(["classical", "lattice", "--n", "9"])
+    assert exc.value.code == 2
+    assert "n must be between 1 and 8, got 9" in capsys.readouterr().err
 
 
 def test_readme_lists_the_suites_of_tqps_list(capsys):

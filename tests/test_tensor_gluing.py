@@ -5,11 +5,16 @@ from fractions import Fraction
 import pytest
 
 from oracles import slotwise_product, stepwise_glue, stepwise_psi, stepwise_psi_ij
-from tqps import tensor_gluing
+from tqps import classical_cpn, multipullback, order_lattice, tensor_gluing
 from tqps.circle_hopf import Scalar
-from tqps.classical_cpn import transition_agreement
-from tqps.multipullback import verify_freeness
-from tqps.order_lattice import freeness_by_types
+from tqps.classical_cpn import classical_freeness, transition_agreement
+from tqps.multipullback import PullbackElement, extend, verify_freeness, witness_TmI, witness_xI
+from tqps.order_lattice import (
+    antichain_count,
+    check_freeness_criterion,
+    fdl_enumerate,
+    freeness_by_types,
+)
 from tqps.sampling import DEFAULT_SEED, random_toeplitz_element
 from tqps.tensor_gluing import (
     QuotientClass,
@@ -280,6 +285,13 @@ def test_psi_ij_rejects_a_misplaced_circle_slot():
         ("psi_ij", lambda: psi_ij(x, 1, 4)),
         ("psi_ij_inv", lambda: psi_ij_inv(bare, 0, 3)),
         ("psi_ij_inv", lambda: psi_ij_inv(back, 2, 4)),
+        # a slot or chart that is not an int is refused by name, too
+        ("chi", lambda: chi(back, True)),
+        ("chi_inv", lambda: chi_inv(back, 3.0)),
+        ("psi_ij", lambda: psi_ij(x, 1.0, 3)),
+        ("psi_ij", lambda: psi_ij(x, 1, "3")),
+        ("psi_ij_inv", lambda: psi_ij_inv(back, True, 3)),
+        ("psi_ij_inv", lambda: psi_ij_inv(back, 0, 3.0)),
     ]:
         with pytest.raises(ValueError, match="^%s[ :]" % name):
             call()
@@ -412,6 +424,25 @@ def test_cocycle_check_report():
     assert [0, 2, 1] in [list(t) for t in report["triples"]]
 
 
+@pytest.mark.parametrize("n, failing", [(2, [(0, 1, 2)]), (3, [(0, 1, 2), (0, 1, 3)])])
+def test_only_spot_triples_glue_upward(monkeypatch, n, failing):
+    # phi reads the module's glue through transition_representative; an
+    # ordered triple i < k < j never glues upward, so a mutant that doubles
+    # every upward move breaks the cocycle on spot triples only
+    real = tensor_gluing.glue
+
+    def doubled_upward(x, src, dst):
+        y = real(x, src, dst)
+        return y + y if src < dst else y
+
+    monkeypatch.setattr(tensor_gluing, "glue", doubled_upward)
+    report = cocycle_check(n, samples=5)
+    spot = {tuple(t) for t in report["triples"][-tensor_gluing.COCYCLE_SPOT_TRIPLES :]}
+    assert sorted({tuple(f["triple"]) for f in report["failures"]}) == failing
+    assert set(failing) <= spot
+    assert {f["reason"] for f in report["failures"]} == {"cocycle violated"}
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -429,11 +460,94 @@ def test_cocycle_check_report():
         pytest.param(lambda: transition_agreement(0), id="transitions n=0"),
         pytest.param(lambda: freeness_by_types(1, []), id="types k=1"),
         pytest.param(lambda: verify_freeness(2, samples=-3), id="freeness samples=-3"),
+        pytest.param(lambda: verify_freeness(0), id="freeness n=0"),
+        pytest.param(lambda: kernel_image_check(1, 0, 1, 2), id="kernel-image n=1"),
+        pytest.param(lambda: classical_freeness(0), id="classical freeness n=0"),
+        pytest.param(lambda: PullbackElement([TensorElement.zero(1)]), id="one chart"),
+        pytest.param(lambda: TensorElement(0), id="no slot"),
+        pytest.param(lambda: extend({}, 0), id="extend n=0"),
+        pytest.param(lambda: witness_xI((), 0), id="witness_xI n=0"),
+        pytest.param(lambda: witness_TmI(0, (), 0), id="witness_TmI n=0"),
     ],
 )
 def test_counts_that_check_nothing_are_refused(call):
     with pytest.raises(ValueError, match="must be at least"):
         call()
+
+
+def _work(*args, **kwargs):
+    raise AssertionError("work began before the arguments were read")
+
+
+_FRONT = TensorElement.pure((("u", 0), ("T", 1)), circle_slot=1)
+_BACK = TensorElement.pure((("T", 1), ("u", 0)), circle_slot=2)
+
+# Each entry point with one integer argument replaced by v.
+_ENTRY_POINTS = {
+    "psi_involution_check n": lambda v: psi_involution_check(v),
+    "psi_involution_check samples": lambda v: psi_involution_check(2, samples=v),
+    "cocycle_check n": lambda v: cocycle_check(v),
+    "cocycle_check samples": lambda v: cocycle_check(2, samples=v),
+    "kernel_image_check n": lambda v: kernel_image_check(v, 0, 1, 2),
+    "kernel_image_check i": lambda v: kernel_image_check(2, v, 0, 2),
+    "kernel_image_check j": lambda v: kernel_image_check(2, 0, v, 1),
+    "kernel_image_check k": lambda v: kernel_image_check(2, 0, 1, v),
+    "kernel_image_check samples": lambda v: kernel_image_check(2, 0, 1, 2, samples=v),
+    "chi": lambda v: chi(_BACK, v),
+    "chi_inv": lambda v: chi_inv(_BACK, v),
+    "psi_ij i": lambda v: psi_ij(_FRONT, v, 2),
+    "psi_ij j": lambda v: psi_ij(_FRONT, 0, v),
+    "psi_ij_inv i": lambda v: psi_ij_inv(_BACK, v, 2),
+    "psi_ij_inv j": lambda v: psi_ij_inv(_BACK, 0, v),
+    "extend chart": lambda v: extend({v: TensorElement.one(2)}, 2),
+    "extend n": lambda v: extend({}, v),
+    "witness_xI chart": lambda v: witness_xI({v}, 2),
+    "witness_xI n": lambda v: witness_xI((), v),
+    "witness_TmI m": lambda v: witness_TmI(v, (), 2),
+    "witness_TmI chart": lambda v: witness_TmI(0, {v}, 2),
+    "witness_TmI n": lambda v: witness_TmI(0, (), v),
+    "verify_freeness n": lambda v: verify_freeness(v),
+    "verify_freeness samples": lambda v: verify_freeness(1, samples=v),
+    "verify_freeness generator": lambda v: verify_freeness(1, generator_map={v: 0}),
+    "verify_freeness chart": lambda v: verify_freeness(1, generator_map={0: v}),
+    "transition_agreement n": lambda v: transition_agreement(v),
+    "transition_agreement trials": lambda v: transition_agreement(1, trials=v),
+    "classical_freeness": lambda v: classical_freeness(v),
+    "antichain_count": lambda v: antichain_count(v),
+    "fdl_enumerate": lambda v: fdl_enumerate(v),
+    "freeness_by_types": lambda v: freeness_by_types(v, None),
+    "check_freeness_criterion": lambda v: check_freeness_criterion(v, _work, _work),
+}
+# an n of True already failed in the tensor shape before the one reader
+_SHAPE_CHECKED = {"psi_involution_check n", "extend n", "witness_xI n", "verify_freeness n"}
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        (entry, value)
+        for entry in _ENTRY_POINTS
+        for value in (True, 1.5, 2.0, "2")
+        if not (value is True and entry in _SHAPE_CHECKED)
+    ],
+    ids=repr,
+)
+def test_integer_arguments_are_read_before_any_work(monkeypatch, entry, value):
+    for module, name in [
+        (tensor_gluing, "derived_rng"),
+        (tensor_gluing, "psi"),
+        (tensor_gluing, "_move_circle"),
+        (multipullback, "derived_rng"),
+        (multipullback, "compatibility_failures"),
+        (multipullback, "check_freeness_criterion"),
+        (multipullback, "slot_for"),
+        (classical_cpn, "derived_rng"),
+        (classical_cpn, "covering_generators"),
+        (order_lattice, "_boolean_poset"),
+    ]:
+        monkeypatch.setattr(module, name, _work)
+    with pytest.raises(ValueError, match="must be an integer"):
+        _ENTRY_POINTS[entry](value)
 
 
 def test_random_tensor_element_shapes():
