@@ -20,13 +20,15 @@ distributive lattice.  Pure intersections of kernels are compared through
 explicit member witnesses; join-irreducibility of each pure intersection
 is backed by projecting away the matrix units of a slot set, which
 provably kills every kernel outside the index set and visibly does not
-kill the intersection itself.  check_freeness_criterion reads both on
-index sets of charts: the order as certified containment of one
-intersection in another, the irreducibility as those projections.  Every
-inequality it relies on is grounded in a constructed witness, a
-degenerate generator assignment is reported as NOT_FREE with the
-violating pair, and the verdict reads only this evidence, never a
-listing of the free lattice.
+kill the intersection itself.  The sampled cross-check of those kills
+draws each kernel intersection's members once and shares them among every
+index set and chart that reads that intersection.
+check_freeness_criterion reads both on index sets of charts: the order as
+certified containment of one intersection in another, the irreducibility
+as those projections.  Every inequality it relies on is grounded in a
+constructed witness, a degenerate generator assignment is reported as
+NOT_FREE with the violating pair, and the verdict reads only this
+evidence, never a listing of the free lattice.
 """
 
 import itertools
@@ -297,6 +299,15 @@ class FreenessEvidence:
         return "FreenessEvidence(%s)" % self.verdict
 
 
+def _generator_charts(n, generator_map):
+    """Chart of each generator 0..n: generator i sits on chart i unless
+    generator_map reassigns it; an entry outside 0..n raises ValueError."""
+    gmap = list(range(n + 1))
+    for k, v in dict(generator_map or {}).items():
+        gmap[_index(k, "generator", 0, n)] = _index(v, "generator's chart", 0, n)
+    return gmap
+
+
 def verify_freeness(n, seed=0, samples=200, generator_map=None):
     """Certify that the chart kernels generate a free distributive lattice.
 
@@ -308,10 +319,13 @@ def verify_freeness(n, seed=0, samples=200, generator_map=None):
     of a slot set: it provably annihilates every generating kernel outside
     the index set, visibly keeps a constructed member of the intersection
     alive, and is additionally cross-checked on `samples` sampled members
-    of each strictly finer intersection.  Stage three hands both to
-    check_freeness_criterion on index sets of generators, the order of
-    joins as leq(I, J) = contains(I | J, J), whose verdict and witness the
-    bundle reports; the free lattice itself is never listed.
+    of each strictly finer intersection.  Those members are drawn once per
+    intersection, on the first irreducibility question, and shared by every
+    check that reads that intersection; only failure counts are kept.
+    Stage three hands both to check_freeness_criterion on index sets of
+    generators, the order of joins as leq(I, J) = contains(I | J, J), whose
+    verdict and witness the bundle reports; the free lattice itself is
+    never listed.
 
     generator_map reassigns generator i to chart generator_map[i]; a
     non-injective assignment is the intended control and comes back
@@ -319,14 +333,24 @@ def verify_freeness(n, seed=0, samples=200, generator_map=None):
     """
     n, samples = _index(n, "n", 1), _index(samples, "samples", 0)
     gen_count = n + 1
-    gmap = list(range(gen_count))
-    for k, v in dict(generator_map or {}).items():
-        gmap[_index(k, "generator", 0, n)] = _index(v, "generator's chart", 0, n)
+    gmap = _generator_charts(n, generator_map)
 
     separations = []
     irreducibility = []
     contain_cache = {}
     witness_cache = {}
+    failures = None  # (I, m, J) -> failing samples, counted on the first prover call
+
+    def charts_of(I):
+        return frozenset(gmap[i] for i in I)
+
+    def strict_supersets(I):
+        complement = [k for k in range(gen_count) if k not in I]
+        return [
+            I | frozenset(extra)
+            for r in range(1, len(complement) + 1)
+            for extra in itertools.combinations(complement, r)
+        ]
 
     def chart_witness(chart_set):
         if chart_set not in witness_cache:
@@ -341,7 +365,7 @@ def verify_freeness(n, seed=0, samples=200, generator_map=None):
         if X <= Y:
             contain_cache[key] = True
             return True
-        DY = frozenset(gmap[i] for i in Y)
+        DY = charts_of(Y)
         w = chart_witness(DY)
         sep_chart = None
         for i in sorted(X - Y):
@@ -361,13 +385,37 @@ def verify_freeness(n, seed=0, samples=200, generator_map=None):
         contain_cache[key] = result
         return result
 
+    def count_annihilation_failures():
+        # every entry (I, m, J) projects members of the DJ-intersection, so
+        # the entries reading one DJ share its members: each member is drawn
+        # once, projected for all of them and dropped
+        readers = {}
+        for r in range(1, gen_count):
+            for I in map(frozenset, itertools.combinations(range(gen_count), r)):
+                D = charts_of(I)
+                for m in range(n + 1):
+                    if m not in D:
+                        sigma = witness_TmI(m, D, n)[1]
+                        for J in strict_supersets(I):
+                            readers.setdefault(charts_of(J), []).append(((I, m, J), m, sigma))
+        counts = {}
+        for DJ, entries in readers.items():
+            rng = derived_rng(seed, "annihilation", n, sorted(DJ))
+            for key, _, _ in entries:
+                counts[key] = 0
+            for _ in range(samples):
+                y = sample_kernel_intersection(rng, n, DJ)
+                for key, m, sigma in entries:
+                    if not project_slots(y.components[m], sigma).is_zero():
+                        counts[key] += 1
+        return counts
+
     def prover(I):
-        D = frozenset(gmap[i] for i in I)
+        nonlocal failures
+        if failures is None:
+            failures = count_annihilation_failures()
+        D = charts_of(I)
         complement = [k for k in range(gen_count) if k not in I]
-        supersets = []
-        for r in range(1, len(complement) + 1):
-            for extra in itertools.combinations(complement, r):
-                supersets.append(frozenset(I) | frozenset(extra))
         rows = []
         ok_all = True
         for m in range(n + 1):
@@ -382,21 +430,12 @@ def verify_freeness(n, seed=0, samples=200, generator_map=None):
             # the component at m) and ker of any chart outside D by the slot
             # argument; only a generator landing inside D breaks the proof
             exact_kills = all(gmap[k] not in D for k in complement)
-            row_ok = witness_nonzero and exact_kills
-            annihilation = []
-            for J in supersets:
-                DJ = frozenset(gmap[j] for j in J)
-                rng = derived_rng(
-                    seed, "annihilation", n, sorted(I), m, sorted(J)
-                )
-                fails = 0
-                for _ in range(samples):
-                    y = sample_kernel_intersection(rng, n, DJ)
-                    if not project_slots(y.components[m], sigma).is_zero():
-                        fails += 1
-                annihilation.append({"J": sorted(J), "samples": samples, "failures": fails})
-                if fails:
-                    row_ok = False
+            annihilation = [
+                {"J": sorted(J), "samples": samples, "failures": failures[I, m, J]}
+                for J in strict_supersets(I)
+            ]
+            sampled_kills = not any(a["failures"] for a in annihilation)
+            row_ok = witness_nonzero and exact_kills and sampled_kills
             rows.append(
                 {
                     "I": sorted(I),

@@ -221,6 +221,12 @@ def test_bad_arguments_exit_two(capsys):
     capsys.readouterr()
 
 
+_LIBRARY_WORDS = {
+    "7=0": "generator must be between 0 and 2, got 7",
+    "1=3": "generator's chart must be between 0 and 2, got 3",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -248,6 +254,20 @@ def test_counts_that_check_nothing_are_usage_errors(capsys, argv):
     assert captured.out == ""
     # the message states the rule; argparse's fallback names the parser function
     assert "invalid" not in captured.err
+    # a generator map entry out of range is refused in the library's words
+    assert _LIBRARY_WORDS.get(argv[-1], "") in captured.err
+
+
+def test_an_extension_error_under_a_generator_map_is_a_crash(capsys, monkeypatch):
+    def failing_extension(partial, n):
+        raise multipullback.ExtensionError("completion failed")
+
+    monkeypatch.setattr(multipullback, "extend", failing_extension)
+    argv = ["verify", "freeness", "--n", "2", "--samples", "1", "--generator-map", "1=2,2=1"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ExtensionError: completion failed" in captured.err
 
 
 def test_a_crashing_suite_is_not_a_refuted_claim(capsys, monkeypatch):

@@ -30,6 +30,8 @@ GOLDEN = [
      "297bffcc9a0c260e38f2e6b380b29baf83212a11a31a1990a473e76bf5e6d481"),
     (["verify", "freeness", "--n", "4", "--samples", "1"], 0,
      "36c02a3b6910be00447f8ba799cf0a2fad8d106bcdef4323f9f4865a759755a1"),
+    (["verify", "freeness", "--n", "4"], 0,
+     "885a5974cabdc32c1b3642f8efadb4187d14edeb0cc2f231063d088e8c2cd1f8"),
     (["verify", "freeness", "--n", "2", "--generator-map", "1=0"], 1,
      "2716bf75614b63d3341b97cc2a34ef5b55647c24fb50eef90655375b5b6714c8"),
     (["classical", "lattice", "--n", "3"], 0,

@@ -303,6 +303,48 @@ def test_freeness_past_the_old_cap_of_four():
     assert _annihilation_samples(evidence) == 2346
 
 
+def test_freeness_draws_each_intersection_once(monkeypatch):
+    drawn = []
+    sample = multipullback.sample_kernel_intersection
+
+    def counted(rng, n, charts):
+        drawn.append(frozenset(charts))
+        return sample(rng, n, charts)
+
+    monkeypatch.setattr(multipullback, "sample_kernel_intersection", counted)
+    evidence = verify_freeness(2, samples=5)
+    assert evidence.free, evidence.bundle["witness"]
+    # 21 entries each still read 5 members, drawn 5 at a time for each of the
+    # 2^(n+1) - n - 2 = 4 chart sets of two or more charts
+    assert _annihilation_samples(evidence) == 105
+    assert len(drawn) == 20
+    assert len(set(drawn)) == 4
+    drawn.clear()
+    control = verify_freeness(2, samples=5, generator_map={1: 0})
+    assert control.bundle["witness"]["clause"] == "order"
+    assert drawn == []
+
+
+def test_a_sample_the_projection_keeps_refutes_irreducibility(monkeypatch):
+    def unit_sample(rng, n, charts):
+        return PullbackElement.unit(n)
+
+    monkeypatch.setattr(multipullback, "sample_kernel_intersection", unit_sample)
+    evidence = verify_freeness(2, samples=5)
+    assert evidence.verdict == "NOT_FREE"
+    witness = evidence.bundle["witness"]
+    assert witness["clause"] == "irreducibility"
+    assert witness["I"] == [0]
+    # the walk stops at the first index set, whose rows fail on samples alone
+    rows = evidence.bundle["irreducibility"]
+    assert [row["I"] for row in rows] == [[0], [0]]
+    for row in rows:
+        assert row["witness_nonzero"] and row["exact_generator_kills"]
+        assert not row["ok"]
+        assert row["annihilation"]
+        assert all(a["failures"] == a["samples"] == 5 for a in row["annihilation"])
+
+
 def test_duplicated_generator_is_caught():
     evidence = verify_freeness(2, samples=25, generator_map={1: 0})
     assert not evidence.free
