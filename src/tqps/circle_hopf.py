@@ -345,4 +345,13 @@ class CirclePoly(Terms):
     def from_json(cls, data):
         if not isinstance(data, dict):
             raise ValueError("a CirclePoly is an object of degree to Scalar row, got %r" % (data,))
-        return cls({int(d): Scalar.from_json(v) for d, v in data.items()})
+        terms = {}
+        for d, v in data.items():
+            # only the form to_json writes, so no two keys name one degree;
+            # int reads every key that passes isdecimal after one sign
+            if not (isinstance(d, str) and d.removeprefix("-").isdecimal() and str(int(d)) == d):
+                raise ValueError(
+                    "a CirclePoly degree key is an integer as to_json writes it, got %r" % (d,)
+                )
+            terms[int(d)] = Scalar.from_json(v)
+        return cls(terms)

@@ -125,8 +125,10 @@ class ChartPoint:
 
     def __init__(self, coords, circle_slot):
         coords = tuple(complex(c) for c in coords)
-        if not 1 <= circle_slot <= len(coords):
-            raise ValueError("circle slot out of range")
+        if type(circle_slot) is not int or not 1 <= circle_slot <= len(coords):
+            raise ValueError(
+                "circle slot must be an integer from 1 to %d, got %r" % (len(coords), circle_slot)
+            )
         for s, c in enumerate(coords, start=1):
             if s == circle_slot:
                 if abs(abs(c) - 1.0) > TRANSITION_TOL:
@@ -183,6 +185,8 @@ def transition(p, src, dst):
     output slot tracking chart h reads the input slot tracking h (the
     coordinate 1 when h is src) times the inverse circle value.
     """
+    if type(src) is not int or type(dst) is not int:
+        raise ValueError("chart indices must be integers, got %r and %r" % (src, dst))
     if src == dst or not (0 <= src <= p.n and 0 <= dst <= p.n):
         raise ValueError("need two distinct chart indices in 0..n")
     if p.circle_slot != slot_for(src, dst):

@@ -20,17 +20,20 @@ distributive lattice.  Pure intersections of kernels are compared through
 explicit member witnesses; join-irreducibility of each pure intersection
 is backed by projecting away the matrix units of a slot set, which
 provably kills every kernel outside the index set and visibly does not
-kill the intersection itself.  The sampled cross-check of those kills
-draws each kernel intersection's members once and shares them among every
-index set and chart that reads that intersection.
-check_freeness_criterion reads both on index sets of charts: the order as
-certified containment of one intersection in another, the irreducibility
-as those projections.  Every inequality it relies on is grounded in a
-constructed witness, a degenerate generator assignment is reported as
-NOT_FREE with the violating pair, and the verdict reads only this
-evidence, never a listing of the free lattice.
+kill the intersection itself.  _irreducibility_rows builds those rows in
+one walk over every (index set, chart, finer index set) entry; its
+sampled cross-check of the kills draws each kernel intersection's members
+once and shares them among every entry that reads that intersection.
+check_freeness_criterion reads both on index sets of generators, which
+differ from chart sets when generator_map reassigns a generator: the
+order as certified containment of one intersection in another, the
+irreducibility as those projections.  Every inequality it relies on is
+grounded in a constructed witness, a degenerate generator assignment is
+reported as NOT_FREE with the violating pair, and the verdict reads only
+this evidence, never a listing of the free lattice.
 """
 
+import functools
 import itertools
 
 from .order_lattice import check_freeness_criterion
@@ -308,70 +311,113 @@ def _generator_charts(n, generator_map):
     return gmap
 
 
+def _irreducibility_rows(n, gmap, seed, samples):
+    """Irreducibility rows of every index set I of generators, keyed by I.
+
+    One walk over the (I, m, J) entries: chart m outside D = gmap(I) gets
+    one witness_TmI and one extend, and each strict superset J of I one
+    annihilation entry, filed under the chart set gmap(J) it samples.  Each
+    chart set then draws `samples` members once from its own derived
+    stream, and every entry filed under it counts the members that
+    project_slots at its sigma keeps alive, so entries reading one chart
+    set share their members.  A row is ok when its witness survives the
+    projection, no other generator lands inside D and no sample failed.
+    """
+    gens = range(n + 1)
+    index_sets = [frozenset(c) for r in range(1, n + 2) for c in itertools.combinations(gens, r)]
+    rows = {}
+    readers = {}  # chart set -> [(annihilation entry, m, sigma)]
+    for I in index_sets[:-1]:  # every index set but the full one
+        D = frozenset(gmap[i] for i in I)
+        # the projection at sigma kills ker of chart m outright (it acts on
+        # the component at m) and ker of any chart outside D by the slot
+        # argument; only a generator landing inside D breaks the proof
+        exact_kills = all(gmap[k] not in D for k in gens if k not in I)
+        rows[I] = []
+        for m in range(n + 1):
+            if m in D:
+                continue
+            T, sigma = witness_TmI(m, D, n)
+            partial = {d: TensorElement.zero(n) for d in D}
+            partial[m] = T
+            p = extend(partial, n)
+            annihilation = []
+            for J in index_sets:
+                if not I < J:
+                    continue
+                entry = {"J": sorted(J), "samples": samples, "failures": 0}
+                annihilation.append(entry)
+                DJ = frozenset(gmap[j] for j in J)
+                readers.setdefault(DJ, []).append((entry, m, sigma))
+            rows[I].append(
+                {
+                    "I": sorted(I),
+                    "m": m,
+                    "witness_nonzero": not project_slots(p.components[m], sigma).is_zero(),
+                    "exact_generator_kills": exact_kills,
+                    "annihilation": annihilation,
+                }
+            )
+    for DJ, entries in readers.items():
+        rng = derived_rng(seed, "annihilation", n, sorted(DJ))
+        for _ in range(samples):
+            y = sample_kernel_intersection(rng, n, DJ)
+            for entry, m, sigma in entries:
+                if not project_slots(y.components[m], sigma).is_zero():
+                    entry["failures"] += 1
+    for row in itertools.chain.from_iterable(rows.values()):
+        # set once every sample is in, as the row's last field
+        row["ok"] = (
+            row["witness_nonzero"]
+            and row["exact_generator_kills"]
+            and not any(a["failures"] for a in row["annihilation"])
+        )
+    return rows
+
+
 def verify_freeness(n, seed=0, samples=200, generator_map=None):
     """Certify that the chart kernels generate a free distributive lattice.
 
     Stage one orders the pure kernel intersections by explicit member
     witnesses: for every violation of index-set inclusion a constructed
     member separates the two intersections, and a failed separation is
-    treated as a genuine collapse.  Stage two backs join-irreducibility of
-    each pure intersection with the projection away from the matrix units
-    of a slot set: it provably annihilates every generating kernel outside
-    the index set, visibly keeps a constructed member of the intersection
-    alive, and is additionally cross-checked on `samples` sampled members
-    of each strictly finer intersection.  Those members are drawn once per
-    intersection, on the first irreducibility question, and shared by every
-    check that reads that intersection; only failure counts are kept.
-    Stage three hands both to check_freeness_criterion on index sets of
-    generators, the order of joins as leq(I, J) = contains(I | J, J), whose
-    verdict and witness the bundle reports; the free lattice itself is
-    never listed.
+    treated as a genuine collapse.  Each chart set's witness is built once,
+    and each containment question is answered, and its separation
+    recorded, once.  Stage two backs join-irreducibility of each pure
+    intersection with the projection away from the matrix units of a slot
+    set: it provably annihilates every generating kernel outside the index
+    set, visibly keeps a constructed member of the intersection alive, and
+    is additionally cross-checked on `samples` sampled members of each
+    strictly finer intersection.  _irreducibility_rows builds the rows of
+    every index set in one walk on the first irreducibility question, so a
+    control the order clause refutes draws nothing, while an irreducibility
+    failure at the first index set has built every row by then; the bundle
+    still lists only the rows the walk reached.  Stage three hands both to
+    check_freeness_criterion on index sets of generators, the order of
+    joins as leq(I, J) = contains(I | J, J), whose verdict and witness the
+    bundle reports; the free lattice itself is never listed.
 
     generator_map reassigns generator i to chart generator_map[i]; a
     non-injective assignment is the intended control and comes back
     NOT_FREE with an order witness.  samples < 0 raises ValueError.
     """
     n, samples = _index(n, "n", 1), _index(samples, "samples", 0)
-    gen_count = n + 1
     gmap = _generator_charts(n, generator_map)
-
     separations = []
     irreducibility = []
-    contain_cache = {}
-    witness_cache = {}
-    failures = None  # (I, m, J) -> failing samples, counted on the first prover call
 
-    def charts_of(I):
-        return frozenset(gmap[i] for i in I)
+    witness = functools.cache(lambda chart_set: witness_xI(chart_set, n, seed=seed))
 
-    def strict_supersets(I):
-        complement = [k for k in range(gen_count) if k not in I]
-        return [
-            I | frozenset(extra)
-            for r in range(1, len(complement) + 1)
-            for extra in itertools.combinations(complement, r)
-        ]
-
-    def chart_witness(chart_set):
-        if chart_set not in witness_cache:
-            witness_cache[chart_set] = witness_xI(chart_set, n, seed=seed)
-        return witness_cache[chart_set]
-
+    @functools.cache
     def contains(X, Y):
         # certified containment of the X-intersection over the Y-intersection
-        key = (X, Y)
-        if key in contain_cache:
-            return contain_cache[key]
         if X <= Y:
-            contain_cache[key] = True
             return True
-        DY = charts_of(Y)
-        w = chart_witness(DY)
-        sep_chart = None
-        for i in sorted(X - Y):
-            if not w.components[gmap[i]].is_zero():
-                sep_chart = gmap[i]
-                break
+        DY = frozenset(gmap[i] for i in Y)
+        w = witness(DY)
+        sep_chart = next(
+            (gmap[i] for i in sorted(X - Y) if not w.components[gmap[i]].is_zero()), None
+        )
         separations.append(
             {
                 "I": sorted(X),
@@ -381,80 +427,18 @@ def verify_freeness(n, seed=0, samples=200, generator_map=None):
                 "separated": sep_chart is not None,
             }
         )
-        result = sep_chart is None
-        contain_cache[key] = result
-        return result
+        return sep_chart is None
 
-    def count_annihilation_failures():
-        # every entry (I, m, J) projects members of the DJ-intersection, so
-        # the entries reading one DJ share its members: each member is drawn
-        # once, projected for all of them and dropped
-        readers = {}
-        for r in range(1, gen_count):
-            for I in map(frozenset, itertools.combinations(range(gen_count), r)):
-                D = charts_of(I)
-                for m in range(n + 1):
-                    if m not in D:
-                        sigma = witness_TmI(m, D, n)[1]
-                        for J in strict_supersets(I):
-                            readers.setdefault(charts_of(J), []).append(((I, m, J), m, sigma))
-        counts = {}
-        for DJ, entries in readers.items():
-            rng = derived_rng(seed, "annihilation", n, sorted(DJ))
-            for key, _, _ in entries:
-                counts[key] = 0
-            for _ in range(samples):
-                y = sample_kernel_intersection(rng, n, DJ)
-                for key, m, sigma in entries:
-                    if not project_slots(y.components[m], sigma).is_zero():
-                        counts[key] += 1
-        return counts
+    all_rows = functools.cache(lambda: _irreducibility_rows(n, gmap, seed, samples))
 
     def prover(I):
-        nonlocal failures
-        if failures is None:
-            failures = count_annihilation_failures()
-        D = charts_of(I)
-        complement = [k for k in range(gen_count) if k not in I]
-        rows = []
-        ok_all = True
-        for m in range(n + 1):
-            if m in D:
-                continue
-            T, sigma = witness_TmI(m, D, n)
-            partial = {d: TensorElement.zero(n) for d in D}
-            partial[m] = T
-            p = extend(partial, n)
-            witness_nonzero = not project_slots(p.components[m], sigma).is_zero()
-            # the projection at sigma kills ker of chart m outright (it acts on
-            # the component at m) and ker of any chart outside D by the slot
-            # argument; only a generator landing inside D breaks the proof
-            exact_kills = all(gmap[k] not in D for k in complement)
-            annihilation = [
-                {"J": sorted(J), "samples": samples, "failures": failures[I, m, J]}
-                for J in strict_supersets(I)
-            ]
-            sampled_kills = not any(a["failures"] for a in annihilation)
-            row_ok = witness_nonzero and exact_kills and sampled_kills
-            rows.append(
-                {
-                    "I": sorted(I),
-                    "m": m,
-                    "witness_nonzero": witness_nonzero,
-                    "exact_generator_kills": exact_kills,
-                    "annihilation": annihilation,
-                    "ok": row_ok,
-                }
-            )
-            ok_all = ok_all and row_ok
+        rows = all_rows()[I]
         irreducibility.extend(rows)
-        return ok_all, {"rows": len(rows)}
+        return all(row["ok"] for row in rows), {"rows": len(rows)}
 
     # the join over I lies below the join over J exactly when the
     # (I | J)-intersection contains the J-intersection
-    report = check_freeness_criterion(
-        gen_count, lambda I, J: contains(I | J, J), irreducibility=prover
-    )
+    report = check_freeness_criterion(n + 1, lambda I, J: contains(I | J, J), irreducibility=prover)
 
     bundle = {
         "schema": 2,

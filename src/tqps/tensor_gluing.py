@@ -79,7 +79,7 @@ def _toeplitz_slots(slots, shape, what):
     slots = set(slots)
     n_slots, circle_slot = shape
     for s in slots:
-        if not 1 <= s <= n_slots or s == circle_slot:
+        if type(s) is not int or not 1 <= s <= n_slots or s == circle_slot:
             raise ValueError("cannot %s slot %r" % (what, s))
     return slots
 
@@ -306,8 +306,8 @@ def slot_symbol(x, k):
     """Slotwise symbol map: kill matrix units in slot k, shifts become circle monomials."""
     if x.circle_slot is not None:
         raise ValueError("slot_symbol expects pure Toeplitz slots")
-    if not 1 <= k <= x.n_slots:
-        raise ValueError("slot %r out of range" % k)
+    if type(k) is not int or not 1 <= k <= x.n_slots:
+        raise ValueError("slot must be an integer from 1 to %d, got %r" % (x.n_slots, k))
 
     def row(atoms):
         atom = atoms[k - 1]
@@ -346,6 +346,8 @@ def project_slots(x, slots):
 
 def slot_for(side, idx):
     """Slot in a tensor component at chart `side` that tracks chart index `idx`."""
+    if type(side) is not int or type(idx) is not int:
+        raise ValueError("chart indices must be integers, got %r and %r" % (side, idx))
     if side == idx:
         raise ValueError("a chart does not track its own index")
     return idx if idx > side else idx + 1
@@ -406,10 +408,7 @@ def phi(cls, i, j, k):
     """Transition between quotient charts: the class over chart j, with the
     kernels of i and k removed, maps to the matching class over chart i.
     """
-    n = cls.rep.n_slots
-    indices = {i, j, k}
-    if len(indices) != 3 or any(not 0 <= t <= n for t in indices):
-        raise ValueError("need three distinct chart indices within range")
+    i, j, k = _charts(cls.rep.n_slots, i, j, k)
     expected = frozenset((slot_for(j, i), slot_for(j, k)))
     if cls.killed != expected:
         raise ValueError(

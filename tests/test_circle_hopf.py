@@ -227,6 +227,26 @@ def test_circle_poly_json_must_be_an_object(data):
         CirclePoly.from_json(data)
 
 
+@pytest.mark.parametrize(
+    "keys",
+    [
+        ["1", "01"],  # int() reads both as degree 1, so one term was dropped
+        ["1_0"],  # int() reads degree 10
+        [" 2 "],
+        ["+1"],
+        ["-0"],
+        [""],
+        ["2.0"],
+        ["\u0663"],  # an Arabic-Indic 3
+    ],
+)
+def test_circle_poly_json_keys_are_the_degrees_to_json_writes(keys):
+    with pytest.raises(ValueError, match="degree key"):
+        CirclePoly.from_json({key: [1, 1, 0, 1] for key in keys})
+    poly = CirclePoly({-3: 2, 0: 1, 10: Scalar(1, 2)})
+    assert CirclePoly.from_json(poly.to_json()) == poly
+
+
 @pytest.mark.parametrize("key", [(0.5, 1), (1, 2.5), (True, 0), (-1, 0)])
 def test_compact_part_rejects_bad_indices(key):
     # the finite-rank part of a ToeplitzElement: its matrix-unit atoms

@@ -139,8 +139,9 @@ def test_chart_point_validation():
         ChartPoint([0.5, 1.0], 1)  # slot 1 is not on the circle
     with pytest.raises(ValueError):
         ChartPoint([0.5, 2.0], 2)  # modulus beyond the disc
-    with pytest.raises(ValueError):
-        ChartPoint([0.5, 1.0], 3)  # slot out of range
+    for slot in (3, 1.5, 2.0, True, "2"):
+        with pytest.raises(ValueError):
+            ChartPoint([0.5, 1.0], slot)  # slot out of range or not an int
 
 
 def test_chart_maps_invert():
@@ -171,6 +172,9 @@ def test_transition_validates_slots():
         transition(p, 1, 1)
     with pytest.raises(ValueError):
         transition(p, 2, 0)  # that transition needs the circle at slot 1
+    for src, dst in [("0", 1), (0, "1"), (True, 2), (1.0, 2), (1, 2.0)]:
+        with pytest.raises(ValueError):
+            transition(p, src, dst)
 
 
 def test_transition_matches_chart_composite():

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line entry point."""
 
+import importlib
 import itertools
 import json
 from pathlib import Path
@@ -37,6 +38,18 @@ def test_list_names_every_suite(capsys):
         "export hasse",
     ):
         assert name in out
+
+
+def test_console_script_runs_the_cli(capsys):
+    # the [project.scripts] entry that pip installs as `tqps`
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["tqps"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry(["--list"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["%-24s %s" % (s.words, s.claim) for s in cli._SUITE_TABLE]
 
 
 def test_no_command_prints_help(capsys):

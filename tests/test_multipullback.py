@@ -305,13 +305,25 @@ def test_freeness_past_the_old_cap_of_four():
 
 def test_freeness_draws_each_intersection_once(monkeypatch):
     drawn = []
+    calls = {"witness_TmI": 0, "witness_xI": 0}
     sample = multipullback.sample_kernel_intersection
 
     def counted(rng, n, charts):
         drawn.append(frozenset(charts))
         return sample(rng, n, charts)
 
+    def counting(name):
+        real = getattr(multipullback, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(multipullback, name, call)
+
     monkeypatch.setattr(multipullback, "sample_kernel_intersection", counted)
+    counting("witness_TmI")
+    counting("witness_xI")
     evidence = verify_freeness(2, samples=5)
     assert evidence.free, evidence.bundle["witness"]
     # 21 entries each still read 5 members, drawn 5 at a time for each of the
@@ -319,10 +331,16 @@ def test_freeness_draws_each_intersection_once(monkeypatch):
     assert _annihilation_samples(evidence) == 105
     assert len(drawn) == 20
     assert len(set(drawn)) == 4
+    # one irreducibility witness per row, one member witness per chart set
+    # the order clause reads
+    assert calls["witness_TmI"] == len(evidence.bundle["irreducibility"]) == 9
+    assert calls["witness_xI"] == 6
     drawn.clear()
+    calls.update(witness_TmI=0, witness_xI=0)
     control = verify_freeness(2, samples=5, generator_map={1: 0})
     assert control.bundle["witness"]["clause"] == "order"
     assert drawn == []
+    assert calls == {"witness_TmI": 0, "witness_xI": 1}
 
 
 def test_a_sample_the_projection_keeps_refutes_irreducibility(monkeypatch):

@@ -295,8 +295,9 @@ def test_psi_ij_rejects_a_misplaced_circle_slot():
     ]:
         with pytest.raises(ValueError, match="^%s[ :]" % name):
             call()
-    # glue rejects a chart outside 0..n as source and as target
-    for src, dst in [(-1, 0), (-1, 2), (4, 0), (4, 3), (0, -1), (2, -1), (0, 4), (3, 4)]:
+    # glue rejects a chart outside 0..n, or not an int, as source and as target
+    out_of_range = [(-1, 0), (-1, 2), (4, 0), (4, 3), (0, -1), (2, -1), (0, 4), (3, 4)]
+    for src, dst in out_of_range + [(0, True), (True, 2), (0, "1"), (1.0, 2)]:
         with pytest.raises(ValueError):
             glue(bare, src, dst)
 
@@ -327,6 +328,9 @@ def test_slot_symbol_kills_matrix_units():
     x = TensorElement.pure((("E", 0, 0), ("T", 1)))
     assert slot_symbol(x, 1).is_zero()
     assert slot_symbol(x, 2) == TensorElement.pure((("E", 0, 0), ("u", 1)), circle_slot=2)
+    for k in (0, 3, "1", True, 1.0):
+        with pytest.raises(ValueError, match="slot must be an integer from 1 to 2"):
+            slot_symbol(x, k)
 
 
 def test_project_slots_idempotent_and_commuting():
@@ -346,8 +350,9 @@ def test_slot_for_table():
     assert slot_for(1, 2) == 2
     assert slot_for(2, 0) == 1
     assert slot_for(2, 1) == 2
-    with pytest.raises(ValueError):
-        slot_for(1, 1)
+    for side, idx in [(1, 1), (0, "1"), ("0", 1), (0, True), (0, 1.0)]:
+        with pytest.raises(ValueError):
+            slot_for(side, idx)
 
 
 def test_quotient_class_canonicalization():
@@ -378,8 +383,9 @@ def test_phi_validates_killed_slots():
     cls = QuotientClass(x, (1, 2))  # over chart 1, killing charts 0 and 2
     out = phi(cls, 0, 1, 2)
     assert out.killed == frozenset((slot_for(0, 1), slot_for(0, 2)))
-    with pytest.raises(ValueError):
-        phi(cls, 2, 1, 2)  # repeated chart index
+    for i, j, k in [(2, 1, 2), (0, 1, 2.0), (True, 1, 2), (0, "1", 2), (0, 1, 3)]:
+        with pytest.raises(ValueError):
+            phi(cls, i, j, k)  # a repeated chart, a chart that is no int or out of range
     # with three slots the killed pair pins down which transition applies
     y = TensorElement.pure((("T", 1), ("T", 0), ("T", 2)))
     bad = QuotientClass(y, (1, 2))  # over chart 1, killing charts 0 and 2
@@ -609,6 +615,13 @@ def test_psi_sweep_atoms_are_canonical(monkeypatch):
         lambda: TensorElement(2, True),
         lambda: project_slots(TensorElement.one(2), {3}),
         lambda: project_slots(TensorElement.one(2, 1), {1}),
+        lambda: project_slots(TensorElement.one(2), {"1"}),
+        lambda: project_slots(TensorElement.one(2), {True}),
+        lambda: project_slots(TensorElement.one(2), {1.0}),
+        lambda: random_tensor_element(rng_for("bad-shape"), 2, compact_slots={"1"}),
+        lambda: random_tensor_element(rng_for("bad-shape"), 2, compact_slots={True}),
+        lambda: QuotientClass(TensorElement.one(2), ("1", 2)),
+        lambda: QuotientClass(TensorElement.one(2), (True, 2)),
     ],
 )
 def test_trusted_constructions_check_the_shape(call):
