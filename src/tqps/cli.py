@@ -156,26 +156,24 @@ def _classical_lattice(n):
 
 def _export_hasse(target, generators, n, format):
     if target == "classical":
-        elements, name = classical_cpn.covering_lattice(n), "classical%d" % n
+        elements, name, label = classical_cpn.covering_lattice(n), "classical%d" % n, str
     elif target == "fdl":
-        elements, name = order_lattice.fdl_enumerate(generators), "fdl%d" % generators
+        elements = order_lattice.fdl_enumerate(generators)
+        name, label = "fdl%d" % generators, order_lattice.AntichainForm.render
     else:
-        elements, name = order_lattice.fdl_enumerate(n + 1), "kernels%d" % n
-    lat = order_lattice.FiniteDistributiveLattice.from_elements(
-        elements, operator.or_, operator.and_
-    )
+        elements, name, label = order_lattice.fdl_enumerate(n + 1), "kernels%d" % n, _kernel_label
+    # the elements are up-sets, so their own <= is the lattice order
+    pairs = [(i, j) for i, a in enumerate(elements) for j, b in enumerate(elements) if a <= b]
+    poset = order_lattice.Poset(range(len(elements)), pairs)
     if format == "dot":
-        label = None
-        if target == "kernels":
-            label = lambda i: _kernel_label(lat.elements[i])
-        print(lat.to_dot(name=name, label_fn=label))
+        print(poset.to_dot(name=name, label_fn=lambda i: label(elements[i])))
         return None
     return {
         "schema": 1,
         "target": target,
-        "size": lat.n,
-        "covers": sorted(lat.order_poset().covers()),
-        "elements": [e.to_json() for e in lat.elements],
+        "size": len(elements),
+        "covers": sorted(poset.covers()),
+        "elements": [e.to_json() for e in elements],
     }
 
 

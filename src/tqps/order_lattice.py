@@ -9,6 +9,8 @@ intersection) so the two directions invert each other on the nose.  The
 transform is also the one lattice check: it verifies on every pair that
 the map is injective and a homomorphism onto the upper sets, which by
 itself proves every lattice law and distributivity on every triple.
+FiniteDistributiveLattice keeps only the join and meet tables that check
+reads.
 
 By Birkhoff's theorem an element of the free distributive lattice on
 generators g_0..g_{n-1} is an up-set of the Boolean lattice of index sets:
@@ -16,7 +18,9 @@ the join over its minimal index sets of the meets over each set.  UpSet
 stores such an up-set on k points as one 2^k-bit int, bit t standing for
 the index set with mask t, so join is `|`, meet is `&` and the order is a
 subset test.  AntichainForm (k = n) is that element; the covering sets of
-classical_cpn (k = n + 1) share the encoding.
+classical_cpn (k = n + 1) share the encoding.  A list of such elements is
+its own lattice: its Hasse diagram is the Poset of their `<=`, with no
+tables built.
 
 Two freeness tests follow from the theorem.  Sets G_0..G_{k-1} generate
 a free distributive lattice exactly when every nonempty proper index set
@@ -124,9 +128,6 @@ class Poset:
     @property
     def n(self):
         return len(self.labels)
-
-    def index(self, label):
-        return self._index[label]
 
     def leq_idx(self, i, j):
         return bool((self.up[i] >> j) & 1)
@@ -283,7 +284,9 @@ class FiniteDistributiveLattice:
 
     Elements are arbitrary distinct values; tables hold element indices.
     validate() checks the lattice axioms and the distributive law on every
-    table, whatever its size, through Birkhoff's embedding.
+    table, whatever its size, through Birkhoff's embedding.  The class
+    holds only what that check reads: the tables, n, leq and top.  Up-sets
+    that already carry their order (UpSet) need no tables to be drawn.
     """
 
     __slots__ = ("elements", "join_table", "meet_table")
@@ -296,9 +299,7 @@ class FiniteDistributiveLattice:
     @classmethod
     def from_upper_sets(cls, poset):
         """Lattice of all upper sets, join = intersection, meet = union."""
-        masks = upper_set_masks(poset)
-        if len(masks) > 4096:
-            raise ValueError("upper set lattice too large for tables")
+        masks = upper_set_masks(poset, limit=4096)
         pos = {m: i for i, m in enumerate(masks)}
         join = [[pos[a & b] for b in masks] for a in masks]
         meet = [[pos[a | b] for b in masks] for a in masks]
@@ -348,34 +349,6 @@ class FiniteDistributiveLattice:
         raises LatticeError.
         """
         birkhoff_transform(self)
-
-    def order_poset(self):
-        pairs = [
-            (i, j) for i in range(self.n) for j in range(self.n) if i != j and self.leq(i, j)
-        ]
-        return Poset(range(self.n), pairs)
-
-    def to_dot(self, name="lattice", label_fn=None):
-        if label_fn is None:
-            label_fn = lambda i: _render_element(self.elements[i])
-        return self.order_poset().to_dot(name=name, label_fn=label_fn)
-
-    def to_json(self):
-        return {
-            "schema": 1,
-            "size": self.n,
-            "elements": [_render_element(e) for e in self.elements],
-            "join": self.join_table,
-            "meet": self.meet_table,
-        }
-
-
-def _render_element(e):
-    if isinstance(e, AntichainForm):
-        return e.render()
-    if isinstance(e, frozenset):
-        return "{" + ", ".join(sorted(str(x) for x in e)) + "}"
-    return str(e)
 
 
 def meet_irreducibles(lat):

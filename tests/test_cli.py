@@ -9,6 +9,7 @@ import pytest
 
 from tqps import classical_cpn, cli, multipullback, tensor_gluing
 from tqps.cli import main
+from tqps.order_lattice import FiniteDistributiveLattice, Poset, fdl_enumerate, fdl_join, fdl_meet
 from tqps.util import canonical_json
 
 
@@ -210,6 +211,47 @@ def test_export_hasse_kernel_labels(capsys):
     code, out = run(capsys, ["export", "hasse", "--target", "kernels", "--n", "1"])
     assert code == 0
     assert "ker" in out
+
+
+# every size export hasse accepts
+_EXPORTS = [("fdl", "--generators", g) for g in (1, 2, 3, 4)]
+_EXPORTS += [(target, "--n", n) for target in ("classical", "kernels") for n in (1, 2, 3)]
+
+
+def _export_argv(target, flag, size):
+    return ["export", "hasse", "--target", target, flag, str(size)]
+
+
+def test_export_hasse_builds_no_tables(capsys, monkeypatch):
+    def no_tables(*args, **kwargs):
+        raise AssertionError("the exported lattice was tabulated")
+
+    # the up-set elements hold their own order
+    monkeypatch.setattr(cli.order_lattice.FiniteDistributiveLattice, "from_elements", no_tables)
+    for export in _EXPORTS:
+        for fmt in ("dot", "json", "text"):
+            code, out = run(capsys, _export_argv(*export) + ["--format", fmt])
+            assert code == 0, (export, fmt)
+            assert out
+
+
+@pytest.mark.parametrize(
+    "target, flag, size", _EXPORTS, ids=["%s %s %d" % export for export in _EXPORTS]
+)
+def test_export_hasse_covers_match_the_table_order(capsys, target, flag, size):
+    if target == "classical":
+        elements = classical_cpn.covering_lattice(size)
+    else:
+        elements = fdl_enumerate(size if target == "fdl" else size + 1)
+    # the reference order is the one the join table of the tabulated
+    # lattice defines
+    lat = FiniteDistributiveLattice.from_elements(elements, fdl_join, fdl_meet)
+    pairs = [(i, j) for i in range(lat.n) for j in range(lat.n) if i != j and lat.leq(i, j)]
+    code, payload = run_json(capsys, _export_argv(target, flag, size))
+    assert code == 0
+    assert payload["size"] == lat.n
+    assert payload["elements"] == [e.to_json() for e in elements]
+    assert [tuple(c) for c in payload["covers"]] == sorted(Poset(range(lat.n), pairs).covers())
 
 
 def test_json_output_is_deterministic(capsys):

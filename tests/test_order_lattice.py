@@ -13,6 +13,7 @@ from oracles import (
     naive_antichain_count,
 )
 from tqps.order_lattice import (
+    MAX_TABLE_ELEMENTS,
     AntichainForm,
     FiniteDistributiveLattice,
     LatticeError,
@@ -271,6 +272,31 @@ def test_empty_tables_are_rejected():
         FiniteDistributiveLattice([], [], []).validate()
 
 
+def test_a_join_off_the_intersection_is_rejected():
+    # upper sets of two points, in the order [], [0], [1], [0, 1]; the join
+    # of [0] and [1] is their intersection, index 0.  Pointing it at index
+    # 3 leaves every image, the top and the irreducibles as they were, so
+    # only the pair check can see it
+    lat = FiniteDistributiveLattice.from_upper_sets(Poset.antichain(2))
+    assert lat.join_table[1][2] == 0
+    lat.join_table[1][2] = 3
+    with pytest.raises(LatticeError, match=r"join does not map to intersection at \(1, 2\)"):
+        birkhoff_transform(lat)
+
+
+def test_tables_are_refused_up_front():
+    too_many = range(MAX_TABLE_ELEMENTS + 1)
+    with pytest.raises(ValueError, match="too many elements"):
+        FiniteDistributiveLattice.from_elements(too_many, max, min)
+    with pytest.raises(ValueError, match="duplicate element 1"):
+        FiniteDistributiveLattice.from_elements([0, 1, 1], max, min)
+    with pytest.raises(ValueError, match="escapes the element list"):
+        FiniteDistributiveLattice.from_elements([0, 1], lambda a, b: a + b, min)
+    # 2^13 upper sets: the search stops at the table cap of 4096
+    with pytest.raises(ValueError, match="more than 4096 upper sets"):
+        FiniteDistributiveLattice.from_upper_sets(Poset.antichain(13))
+
+
 def test_antichain_form_validation():
     with pytest.raises(LatticeError):
         AntichainForm(2, [])  # empty family
@@ -505,6 +531,3 @@ def test_poset_serialization():
     assert data["labels"] == [0, 1, 2]
     chain = Poset(["c", "a", "b"], [("a", "b"), ("b", "c")])
     assert chain.to_json()["strict_pairs"] == [[1, 0], [1, 2], [2, 0]]
-    lat =FiniteDistributiveLattice.from_upper_sets(Poset.antichain(2))
-    assert "digraph" in lat.to_dot()
-    assert len(lat.to_json()["elements"]) == 4

@@ -449,6 +449,95 @@ def test_only_spot_triples_glue_upward(monkeypatch, n, failing):
     assert {f["reason"] for f in report["failures"]} == {"cocycle violated"}
 
 
+# Mutants of the maps each sampled check reads: every check must report
+# the broken map, so none of them passes without doing work.
+
+
+def _units_to_shifts(real):
+    """glue, with every matrix unit of its output replaced by ("T", 0)."""
+
+    def mutant(x, src, dst):
+        y = real(x, src, dst)
+        pairs = [
+            (tuple(("T", 0) if a[0] == "E" else a for a in atoms), c)
+            for atoms, c in y.terms.items()
+        ]
+        return TensorElement(y.n_slots, y.circle_slot, pairs)
+
+    return mutant
+
+
+def test_psi_check_reports_a_shifted_circle(monkeypatch):
+    # any reflection h -> c - h is an involution, so the mutant shifts
+    # instead: it adds 1 to the circle exponent of every term
+    def shifted(x):
+        k = x.circle_slot
+        return TensorElement(
+            x.n_slots,
+            k,
+            [
+                (atoms[: k - 1] + (("u", atoms[k - 1][1] + 1),) + atoms[k:], c)
+                for atoms, c in x.terms.items()
+            ],
+        )
+
+    monkeypatch.setattr(tensor_gluing, "psi", shifted)
+    report = psi_involution_check(1, samples=0)
+    # the seven circle atoms u^-3..u^3, each moved by two
+    assert report["atoms_and_samples"] == 7
+    assert len(report["failures"]) == 7
+    assert report["passed"] is False
+
+
+def test_kernel_image_check_reports_a_term_off_the_ideal(monkeypatch):
+    monkeypatch.setattr(tensor_gluing, "glue", _units_to_shifts(tensor_gluing.glue))
+    report = kernel_image_check(2, 0, 1, 2, samples=2)
+    assert report["passed"] is False
+    assert report["failures"]
+    # only the upper chart's side glues; the lower side is the bare symbol
+    assert {f["source"] for f in report["failures"]} == {1}
+    for f in report["failures"]:
+        assert f["term"][report["predicted_slot"] - 1][0] == "T"
+
+
+def test_kernel_image_check_reports_a_misplaced_circle(monkeypatch):
+    monkeypatch.setattr(
+        tensor_gluing, "glue", lambda x, src, dst: slot_symbol(x, slot_for(src, dst))
+    )
+    report = kernel_image_check(2, 0, 2, 1, samples=2)
+    assert report["passed"] is False
+    assert report["failures"] == [
+        {"sample": s, "source": 2, "reason": "circle slot misplaced"} for s in range(2)
+    ]
+
+
+def test_cocycle_check_reports_representative_dependence(monkeypatch):
+    monkeypatch.setattr(tensor_gluing, "glue", _units_to_shifts(tensor_gluing.glue))
+    report = cocycle_check(2, samples=3)
+    assert report["passed"] is False
+    assert report["failures"]
+    assert {f["reason"] for f in report["failures"]} == {"representative dependence"}
+
+
+def test_transition_agreement_reports_a_skewed_transition(monkeypatch):
+    real = classical_cpn.transition
+
+    def skewed(p, src, dst):
+        q = real(p, src, dst)
+        coords = [
+            c if s == q.circle_slot else c * (1 + 1e-6) for s, c in enumerate(q.coords, start=1)
+        ]
+        return classical_cpn.ChartPoint(coords, q.circle_slot)
+
+    monkeypatch.setattr(classical_cpn, "transition", skewed)
+    report = transition_agreement(2, trials=2)
+    # three chart pairs, two trials each
+    assert len(report["failures"]) == 6
+    assert report["passed"] is False
+    # at n = 1 the circle is the only coordinate, so the mutant changes nothing
+    assert transition_agreement(1, trials=2)["passed"] is True
+
+
 @pytest.mark.parametrize(
     "call",
     [
