@@ -37,10 +37,10 @@ def _scalar(re, im):
 class Scalar:
     """Gaussian rational re + im*i; each component an exact int or Fraction.
 
-    Arithmetic between two Scalars builds its result through _scalar,
-    since the components of a sum, difference or product of exact ints
-    and Fractions are exact already; only a non-Scalar operand goes
-    through coerce.
+    Only arithmetic between two Scalars and sampling.random_nonzero_scalar
+    build through _scalar: the components of a sum, difference or product
+    of exact ints and Fractions are exact already, and the sampler's are
+    ints it drew.  A non-Scalar operand goes through coerce.
     """
 
     __slots__ = ("re", "im")

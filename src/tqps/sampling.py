@@ -6,10 +6,10 @@ reproducibility; derived_rng in util builds independent streams from a
 seed and a label path.
 """
 
-from .circle_hopf import Scalar, collect
+from .circle_hopf import _scalar, collect
 from .toeplitz_core import ToeplitzElement
 from .order_lattice import AntichainForm, Poset, UpSet
-from .util import DEFAULT_SEED  # noqa: F401  (re-exported for callers)
+from .util import DEFAULT_SEED, _index  # noqa: F401  (DEFAULT_SEED re-exported for callers)
 
 _SCALAR_BOUND = 3
 _POSET_DENSITY = 0.35
@@ -18,12 +18,27 @@ _MAX_SETS = 3
 
 def random_nonzero_scalar(rng):
     """Nonzero Gaussian-integer scalar with coordinates in
-    [-_SCALAR_BOUND, _SCALAR_BOUND], redrawn until nonzero."""
+    [-_SCALAR_BOUND, _SCALAR_BOUND], redrawn until nonzero.
+
+    Each coordinate is drawn as rng.randint(-_SCALAR_BOUND, _SCALAR_BOUND)
+    draws it: getrandbits of the width's bit length, redrawn while at
+    least the width.  So the values and the stream consumed are those of
+    randint, and seeded reports and their golden hashes stay byte-identical,
+    without randint's three frames per coordinate.
+    """
     b = _SCALAR_BOUND
+    width = 2 * b + 1
+    bits = width.bit_length()
+    getrandbits = rng.getrandbits
     while True:
-        s = Scalar(rng.randint(-b, b), rng.randint(-b, b))
-        if s:
-            return s
+        re = getrandbits(bits)
+        while re >= width:
+            re = getrandbits(bits)
+        im = getrandbits(bits)
+        while im >= width:
+            im = getrandbits(bits)
+        if re != b or im != b:
+            return _scalar(re - b, im - b)
 
 
 def random_toeplitz_element(rng, max_degree=4, max_index=4, max_terms=3):
@@ -44,8 +59,9 @@ def random_toeplitz_element(rng, max_degree=4, max_index=4, max_terms=3):
 def random_poset(rng, size):
     """Random poset on `size` labelled points: transitive closure of a DAG
     sampled edgewise, each edge with probability _POSET_DENSITY, below the
-    diagonal of a shuffled order.
+    diagonal of a shuffled order.  size is read before the first draw.
     """
+    size = _index(size, "size", 0)
     order = list(range(size))
     rng.shuffle(order)
     pairs = set()
@@ -58,7 +74,9 @@ def random_poset(rng, size):
 
 def random_antichain_form(rng, n_generators):
     """Random join of meets over the given generators: the minimal sets of
-    a randomly drawn family of 1 to _MAX_SETS index sets."""
+    a randomly drawn family of 1 to _MAX_SETS index sets; n_generators
+    is read before the first draw."""
+    n_generators = _index(n_generators, "n_generators", 1)
     universe = list(range(n_generators))
     masks = set()
     for _ in range(rng.randint(1, _MAX_SETS)):

@@ -432,25 +432,55 @@ def random_tensor_element(
     compact_slots=(),
 ):
     """Seeded random element: uniform degrees in [-RANDOM_BOUND, RANDOM_BOUND],
-    matrix unit indices in [0, RANDOM_BOUND]^2, 1..3 terms by default.
+    matrix unit indices in [0, RANDOM_BOUND]^2, min_terms..max_terms terms
+    drawn (1..3 by default) before like terms are collected.
     compact_slots forces a matrix unit in those slots of every term; each
-    must be a Toeplitz slot, which is checked before the first draw.
+    must be a Toeplitz slot.  The shape, the slots and the term counts are
+    checked before the first draw.
+
+    Each bounded int is drawn as rng.randint draws it: getrandbits of the
+    width's bit length, redrawn while at least the width.  So the values
+    and the stream consumed are those of randint, and seeded reports and
+    their golden hashes stay byte-identical, without randint's three frames
+    per draw.
     """
     shape = _shape(n_slots, circle_slot)
     n_slots, circle_slot = shape
     compact_slots = _toeplitz_slots(compact_slots, shape, "force a matrix unit in")
+    min_terms = _index(min_terms, "min_terms", 0)
+    max_terms = _index(max_terms, "max_terms", min_terms)
+    # per slot: a circle degree, a forced matrix unit, or a coin between a
+    # matrix unit and a shift ("T")
+    plan = [
+        "u" if pos == circle_slot else "E" if pos in compact_slots else "T"
+        for pos in range(1, n_slots + 1)
+    ]
+    # the widths of the degree, index and term count ranges, and their bits
     b = RANDOM_BOUND
+    degrees, indices, count = 2 * b + 1, b + 1, max_terms - min_terms + 1
+    degree_bits, index_bits, count_bits = degrees.bit_length(), indices.bit_length(), count.bit_length()
+    getrandbits, coin, scalar = rng.getrandbits, rng.random, sampling.random_nonzero_scalar
+    terms = getrandbits(count_bits)
+    while terms >= count:
+        terms = getrandbits(count_bits)
     pairs = []
-    for _ in range(rng.randint(min_terms, max_terms)):
+    for _ in range(min_terms + terms):
         atoms = []
-        for pos in range(1, n_slots + 1):
-            if pos == circle_slot:
-                atoms.append(("u", rng.randint(-b, b)))
-            elif pos in compact_slots or rng.random() >= 0.5:
-                atoms.append(("E", rng.randint(0, b), rng.randint(0, b)))
+        for kind in plan:
+            if kind == "E" or kind == "T" and coin() >= 0.5:
+                j = getrandbits(index_bits)
+                while j >= indices:
+                    j = getrandbits(index_bits)
+                k = getrandbits(index_bits)
+                while k >= indices:
+                    k = getrandbits(index_bits)
+                atoms.append(("E", j, k))
             else:
-                atoms.append(("T", rng.randint(-b, b)))
-        pairs.append((tuple(atoms), sampling.random_nonzero_scalar(rng)))
+                d = getrandbits(degree_bits)
+                while d >= degrees:
+                    d = getrandbits(degree_bits)
+                atoms.append((kind, d - b))
+        pairs.append((tuple(atoms), scalar(rng)))
     return TensorElement._trusted(collect(pairs), shape)
 
 

@@ -6,15 +6,17 @@ and tensor products through stepwise single-slot arithmetic, order-theoretic
 counts through exhaustive filters, chart gluings through three
 relocations instead of one and with their slots worked out by hand,
 free-lattice join and meet through frozensets of index sets instead of
-up-set bitmasks, and freeness of a set family through the size of its
-closure instead of point types.  Keeping these routes separate from the
-library is the point; do not fold them into src.
+up-set bitmasks, freeness of a set family through the size of its
+closure instead of point types, and seeded samples through
+random.Random.randint instead of getrandbits.  Keeping these routes
+separate from the library is the point; do not fold them into src.
 """
 
 from operator import and_, or_
 
-from tqps.circle_hopf import CirclePoly, ZERO
-from tqps.tensor_gluing import TensorElement, chi, chi_inv, psi, slot_symbol
+from tqps.circle_hopf import CirclePoly, Scalar, ZERO, collect
+from tqps.sampling import _SCALAR_BOUND
+from tqps.tensor_gluing import RANDOM_BOUND, TensorElement, chi, chi_inv, psi, slot_symbol
 from tqps.toeplitz_core import ToeplitzElement
 
 
@@ -143,6 +145,34 @@ def slotwise_product(x, y):
             for row, c in rows:
                 out[row] = out.get(row, ZERO) + c
     return TensorElement(x.n_slots, x.circle_slot, out)
+
+
+def randint_nonzero_scalar(rng):
+    """random_nonzero_scalar drawn through randint, coordinate by coordinate."""
+    b = _SCALAR_BOUND
+    while True:
+        s = Scalar(rng.randint(-b, b), rng.randint(-b, b))
+        if s:
+            return s
+
+
+def randint_tensor_element(rng, n_slots, circle_slot=None, min_terms=1, max_terms=3, compact_slots=()):
+    """random_tensor_element drawn through randint: the term count, then
+    slot by slot a circle degree, a matrix unit (forced, or on a coin of
+    at least 0.5) or a shift, then the coefficient."""
+    b = RANDOM_BOUND
+    pairs = []
+    for _ in range(rng.randint(min_terms, max_terms)):
+        atoms = []
+        for pos in range(1, n_slots + 1):
+            if pos == circle_slot:
+                atoms.append(("u", rng.randint(-b, b)))
+            elif pos in compact_slots or rng.random() >= 0.5:
+                atoms.append(("E", rng.randint(0, b), rng.randint(0, b)))
+            else:
+                atoms.append(("T", rng.randint(-b, b)))
+        pairs.append((tuple(atoms), randint_nonzero_scalar(rng)))
+    return TensorElement(n_slots, circle_slot, collect(pairs))
 
 
 def brute_upper_sets(poset):

@@ -1,5 +1,6 @@
 """Checks for tensor slots and the gluing maps."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -790,6 +791,31 @@ def test_gluing_suites_build_no_tensor_through_the_validating_constructor(monkey
     # the counters do count the validating constructor
     TensorElement.pure((("T", 0),))
     assert calls == ["init", "key"]
+
+
+def test_gluing_suites_draw_nothing_through_randint(monkeypatch):
+    # a count of calls, not a timing: the samplers draw every bounded int
+    # from getrandbits in line, so no draw pays randint's frames
+    calls = []
+
+    def counting(name):
+        method = getattr(random.Random, name)
+
+        def wrapper(self, *args):
+            calls.append(name)
+            return method(self, *args)
+
+        monkeypatch.setattr(random.Random, name, wrapper)
+
+    counting("randint")
+    counting("randrange")
+    assert kernel_image_check(3, 0, 1, 2, samples=3)["passed"]
+    assert cocycle_check(3, samples=2)["passed"]
+    assert psi_involution_check(3, samples=5)["passed"]
+    assert calls == []
+    # the counters do count randint and the randrange it calls
+    random.Random(0).randint(0, 1)
+    assert calls == ["randint", "randrange"]
 
 
 def test_json_roundtrip_and_render():
