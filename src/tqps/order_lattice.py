@@ -6,9 +6,11 @@ irreducibles above it; those sets are upper sets of the irreducible poset,
 and lattice join lands on intersection while lattice meet lands on union.
 The upper-set lattice constructor adopts the same pairing (join is
 intersection) so the two directions invert each other on the nose.  The
-transform is also the one lattice check: it verifies on every pair that
-the map is injective and a homomorphism onto the upper sets, which by
-itself proves every lattice law and distributivity on every triple.
+transform is also the one lattice check: it reads every entry of both
+tables, the pairs a <= b through the map and the rest through symmetry,
+and verifies that the map is injective and a homomorphism, which by
+itself proves every lattice law and distributivity on every triple and,
+by Birkhoff's theorem, makes the image exactly the upper sets.
 FiniteDistributiveLattice keeps only the join and meet tables that check
 reads.
 
@@ -279,6 +281,16 @@ def upper_sets(poset):
     ]
 
 
+def _mirror(lower):
+    """Complete a lower-triangular table (row i holds columns 0..i) to the
+    symmetric square, in place: row i gains column i below the diagonal.
+    Each new row is built at its exact size, and each old row is freed
+    once the column walk has read past it, so no second table is held."""
+    for i, col in enumerate(itertools.zip_longest(*lower)):
+        lower[i] = lower[i] + list(col[i + 1 :])
+    return lower
+
+
 class FiniteDistributiveLattice:
     """Finite lattice with explicit join and meet tables.
 
@@ -301,8 +313,8 @@ class FiniteDistributiveLattice:
         """Lattice of all upper sets, join = intersection, meet = union."""
         masks = upper_set_masks(poset, limit=4096)
         pos = {m: i for i, m in enumerate(masks)}
-        join = [[pos[a & b] for b in masks] for a in masks]
-        meet = [[pos[a | b] for b in masks] for a in masks]
+        join = _mirror([[pos[a & b] for b in masks[: i + 1]] for i, a in enumerate(masks)])
+        meet = _mirror([[pos[a | b] for b in masks[: i + 1]] for i, a in enumerate(masks)])
         elements = [frozenset(poset.labels[i] for i in _bits(m)) for m in masks]
         return cls(elements, join, meet)
 
@@ -344,9 +356,10 @@ class FiniteDistributiveLattice:
     def validate(self):
         """Check the lattice laws and distributivity through birkhoff_transform.
 
-        The image check there runs on every pair of elements of every
-        lattice, and passing it proves every law on every triple; a failure
-        raises LatticeError.
+        The check there reads every entry of both tables of every lattice:
+        the pairs a <= b through the images, the rest through symmetry.
+        Passing it proves every law on every triple; a failure raises
+        LatticeError.
         """
         birkhoff_transform(self)
 
@@ -356,8 +369,9 @@ def meet_irreducibles(lat):
     reducible = set()
     mt = lat.meet_table
     for a in range(lat.n):
+        row = mt[a]
         for b in range(a + 1, lat.n):
-            m = mt[a][b]
+            m = row[b]
             if m != a and m != b:
                 reducible.add(m)
     top = lat.top()
@@ -373,39 +387,92 @@ class BirkhoffResult:
         self.mapping = mapping
 
 
+def _refuse_malformed(lat, entries):
+    """Raise LatticeError unless both tables have n rows of n entries and,
+    if entries is set, every entry is an index in 0..n-1."""
+    n = lat.n
+    for name, table in (("join", lat.join_table), ("meet", lat.meet_table)):
+        if len(table) != n:
+            raise LatticeError("%s table has %d rows, expected %d" % (name, len(table), n))
+        for a, row in enumerate(table):
+            if len(row) != n:
+                raise LatticeError(
+                    "%s table row %d has %d entries, expected %d" % (name, a, len(row), n)
+                )
+            if not entries:
+                continue
+            for b, v in enumerate(row):
+                if not 0 <= v < n:
+                    raise LatticeError(
+                        "%s table entry %d at (%d, %d) is outside 0..%d" % (name, v, a, b, n - 1)
+                    )
+
+
 def birkhoff_transform(lat):
     """Map each element to the set of meet irreducibles above it.
 
     Returns the poset of meet irreducibles (labelled by their positions in
     the irreducible list) together with the images, each an int mask over
-    irreducible positions as upper_set_masks encodes them.  On every lattice
-    it first verifies that the map is injective, turns joins into
-    intersections and meets into unions on every pair, and lands exactly on
-    the upper sets of that poset.  An injective map with those two
-    properties makes the tables a family of sets closed under intersection
-    and union, so passing proves every lattice law and distributivity;
-    any failure raises LatticeError.
+    irreducible positions as upper_set_masks encodes them.  On every
+    lattice it first verifies that both tables are n x n over 0..n-1, that
+    the map is injective, and that it turns joins into intersections and
+    meets into unions on every pair: the pairs a <= b through the images,
+    the rest through the symmetry of both tables, so every entry is read.
+    An injective map with those two properties makes the tables a family
+    of sets closed under intersection and union, so passing proves every
+    lattice law and distributivity; any failure raises LatticeError.
+
+    The image is then exactly the upper sets of the irreducible poset, as
+    Birkhoff's theorem says, so no onto pass is run: a <= b reads as
+    mapping[b] within mapping[a], so each image {x : a <= c_x} is an upper
+    set and the irreducible c_x maps to the principal upper set of x; the
+    top maps to the empty set, as it is no irreducible, and meets map to
+    unions, so every union of principal upper sets, which is every upper
+    set, is an image.
     """
+    _refuse_malformed(lat, entries=False)
+    try:
+        return _transform(lat)
+    except LatticeError:
+        # a refused table with an entry outside 0..n-1 is refused for that
+        # entry, as a scan ahead of the check would; the scan reads every
+        # entry, as dear as the pair check itself, so it runs only here
+        _refuse_malformed(lat, entries=True)
+        raise
+
+
+def _transform(lat):
+    """birkhoff_transform on tables of the right shape.  The image law is
+    read on the pairs a <= b in row-major order, then each table against
+    its transpose: on symmetric tables the first failing pair a <= b is
+    the first failing pair of all, so each message names the pair a check
+    of every pair would.  Images are read from the mapping followed by n
+    Nones, which no image equals, so an entry outside 0..n-1 fails the law
+    or raises IndexError where a negative one would alias an element."""
+    n = lat.n
     mirr = meet_irreducibles(lat)
     jt, mt = lat.join_table, lat.meet_table
     mapping = [sum(1 << x for x, c in enumerate(mirr) if row[c] == c) for row in jt]
     pairs = [(x, y) for x, c in enumerate(mirr) for y in _bits(mapping[c]) if x != y]
     poset = Poset(range(len(mirr)), pairs)
-    if len(set(mapping)) != lat.n:
+    if len(set(mapping)) != n:
         raise LatticeError("transform not injective; lattice is not distributive")
-    for a, fa in enumerate(mapping):
-        ja, ma = jt[a], mt[a]
-        for b, fb in enumerate(mapping):
-            if mapping[ja[b]] != fa & fb:
-                raise LatticeError("join does not map to intersection at (%d, %d)" % (a, b))
-            if mapping[ma[b]] != fa | fb:
-                raise LatticeError("meet does not map to union at (%d, %d)" % (a, b))
+    images = mapping + [None] * n
     try:
-        onto = set(mapping) == set(upper_set_masks(poset, limit=lat.n))
-    except ValueError:
-        onto = False
-    if not onto:
-        raise LatticeError("image is not the full upper set family")
+        for a, fa in enumerate(mapping):
+            ja, ma = jt[a], mt[a]
+            for b, fb in enumerate(mapping[a:], a):
+                if images[ja[b]] != fa & fb:
+                    raise LatticeError("join does not map to intersection at (%d, %d)" % (a, b))
+                if images[ma[b]] != fa | fb:
+                    raise LatticeError("meet does not map to union at (%d, %d)" % (a, b))
+    except IndexError:
+        raise LatticeError("a table entry lies outside 0..%d" % (n - 1)) from None
+    for name, table in (("join", jt), ("meet", mt)):
+        for a, (row, col) in enumerate(zip(table, zip(*table))):
+            if tuple(row) != col:
+                b = next(b for b in range(a + 1, n) if row[b] != col[b])
+                raise LatticeError("%s table is not symmetric at (%d, %d)" % (name, a, b))
     return BirkhoffResult(poset, mirr, mapping)
 
 

@@ -44,7 +44,11 @@ def random_nonzero_scalar(rng):
 def random_toeplitz_element(rng, max_degree=4, max_index=4, max_terms=3):
     """Random element: up to max_terms shifts of degree in
     [-max_degree, max_degree], then up to max_terms matrix units with
-    indices in [0, max_index], each with a nonzero coefficient."""
+    indices in [0, max_index], each with a nonzero coefficient.  The
+    three counts are read before the first draw."""
+    max_degree = _index(max_degree, "max_degree", 0)
+    max_index = _index(max_index, "max_index", 0)
+    max_terms = _index(max_terms, "max_terms", 0)
     pairs = [
         (("T", rng.randint(-max_degree, max_degree)), random_nonzero_scalar(rng))
         for _ in range(rng.randint(0, max_terms))

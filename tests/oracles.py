@@ -6,15 +6,18 @@ and tensor products through stepwise single-slot arithmetic, order-theoretic
 counts through exhaustive filters, chart gluings through three
 relocations instead of one and with their slots worked out by hand,
 free-lattice join and meet through frozensets of index sets instead of
-up-set bitmasks, freeness of a set family through the size of its
-closure instead of point types, and seeded samples through
-random.Random.randint instead of getrandbits.  Keeping these routes
+up-set bitmasks, the Birkhoff lattice check through every pair of both
+tables and an onto pass instead of one triangle and symmetry, freeness
+of a set family through the size of its closure instead of point types,
+and seeded samples through random.Random.randint instead of
+getrandbits.  Keeping these routes
 separate from the library is the point; do not fold them into src.
 """
 
 from operator import and_, or_
 
 from tqps.circle_hopf import CirclePoly, Scalar, ZERO, collect
+from tqps.order_lattice import LatticeError, Poset, upper_set_masks
 from tqps.sampling import _SCALAR_BOUND
 from tqps.tensor_gluing import RANDOM_BOUND, TensorElement, chi, chi_inv, psi, slot_symbol
 from tqps.toeplitz_core import ToeplitzElement
@@ -193,6 +196,38 @@ def brute_upper_sets(poset):
         if ok:
             out.append(frozenset(chosen))
     return out
+
+
+def full_pair_birkhoff(lat):
+    """(irreducible poset, meet irreducibles, images) of a lattice given by
+    in-range tables, checked on every ordered pair of both tables: the
+    transform is injective, sends join to intersection and meet to union,
+    and lands on every upper set of the irreducible poset; any failure
+    raises LatticeError."""
+    n, jt, mt = lat.n, lat.join_table, lat.meet_table
+    tops = [t for t in range(n) if all(jt[a][t] == t for a in range(n))]
+    if not tops:
+        raise LatticeError("no top element")
+    reducible = {mt[a][b] for a in range(n) for b in range(a + 1, n) if mt[a][b] not in (a, b)}
+    mirr = [c for c in range(n) if c != tops[0] and c not in reducible]
+    mapping = [sum(1 << x for x, c in enumerate(mirr) if jt[a][c] == c) for a in range(n)]
+    pairs = [(x, y) for x, c in enumerate(mirr) for y, d in enumerate(mirr) if jt[c][d] == d]
+    poset = Poset(range(len(mirr)), pairs)
+    if len(set(mapping)) != n:
+        raise LatticeError("transform not injective; lattice is not distributive")
+    for a in range(n):
+        for b in range(n):
+            if mapping[jt[a][b]] != mapping[a] & mapping[b]:
+                raise LatticeError("join does not map to intersection at (%d, %d)" % (a, b))
+            if mapping[mt[a][b]] != mapping[a] | mapping[b]:
+                raise LatticeError("meet does not map to union at (%d, %d)" % (a, b))
+    try:
+        onto = set(mapping) == set(upper_set_masks(poset, limit=n))
+    except ValueError:
+        onto = False
+    if not onto:
+        raise LatticeError("image is not the full upper set family")
+    return poset, mirr, mapping
 
 
 def naive_antichain_count(n):

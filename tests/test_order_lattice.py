@@ -9,6 +9,7 @@ from oracles import (
     antichain_meet,
     brute_upper_sets,
     closure_size,
+    full_pair_birkhoff,
     minimal_sets,
     naive_antichain_count,
 )
@@ -282,6 +283,137 @@ def test_a_join_off_the_intersection_is_rejected():
     lat.join_table[1][2] = 3
     with pytest.raises(LatticeError, match=r"join does not map to intersection at \(1, 2\)"):
         birkhoff_transform(lat)
+
+
+def _accepts(check, lat):
+    try:
+        check(lat)
+    except LatticeError:
+        return False
+    return True
+
+
+def _with_cell(lat, name, a, b, v, mirrored):
+    """A copy of lat with entry (a, b) of one table, and (b, a) if mirrored,
+    set to v."""
+    tables = {
+        "join": [row[:] for row in lat.join_table],
+        "meet": [row[:] for row in lat.meet_table],
+    }
+    tables[name][a][b] = v
+    if mirrored:
+        tables[name][b][a] = v
+    return FiniteDistributiveLattice(lat.elements, tables["join"], tables["meet"])
+
+
+def _single_cell_corruptions(lat):
+    """(lattice, symmetric) for every cell of either table set to every other
+    in-range index, alone and together with its mirror cell."""
+    n = lat.n
+    for name, table in (("join", lat.join_table), ("meet", lat.meet_table)):
+        for a in range(n):
+            for b in range(n):
+                for v in range(n):
+                    if v != table[a][b]:
+                        yield _with_cell(lat, name, a, b, v, False), a == b
+                        if a != b:
+                            yield _with_cell(lat, name, a, b, v, True), True
+
+
+@pytest.mark.parametrize(
+    "poset",
+    [Poset.chain(2), Poset.antichain(2), Poset(["a", "b", "c"], [("a", "b")])],
+    ids=["chain-3", "boolean-4", "upper-sets-6"],
+)
+def test_one_triangle_check_misses_no_corrupted_cell(poset):
+    # the check reads pairs a <= b through the images and the rest through
+    # symmetry; every single-cell corruption must still be refused, as the
+    # every-pair reference refuses it, and on a symmetric table both name
+    # the same first failure
+    lat = FiniteDistributiveLattice.from_upper_sets(poset)
+    assert _accepts(birkhoff_transform, lat) and _accepts(full_pair_birkhoff, lat)
+    n = lat.n
+    seen = 0
+    for bad, symmetric in _single_cell_corruptions(lat):
+        assert not _accepts(full_pair_birkhoff, bad)
+        with pytest.raises(LatticeError) as refused:
+            birkhoff_transform(bad)
+        if symmetric:
+            with pytest.raises(LatticeError) as reference:
+                full_pair_birkhoff(bad)
+            assert str(refused.value) == str(reference.value)
+        seen += 1
+    assert seen == 2 * (n - 1) * (n + 2 * n * (n - 1))
+
+
+def test_an_asymmetric_table_is_named():
+    # chain of three: the meet of elements 1 and 2 is 2.  Changing only the
+    # cell below the diagonal leaves every pair a <= b and every image as
+    # they were, so only the symmetry test can see it
+    lat = FiniteDistributiveLattice.from_upper_sets(Poset.chain(2))
+    bad = _with_cell(lat, "meet", 2, 1, 0, False)
+    with pytest.raises(LatticeError, match=r"meet table is not symmetric at \(1, 2\)"):
+        birkhoff_transform(bad)
+    with pytest.raises(LatticeError, match="not symmetric"):
+        bad.validate()
+    # rows are compared by value, whatever sequence holds them
+    as_tuples = [[tuple(row) for row in t] for t in (lat.join_table, lat.meet_table)]
+    FiniteDistributiveLattice(lat.elements, *as_tuples).validate()
+
+
+def test_entries_outside_the_index_range_are_refused():
+    # a negative entry v - 3 of the chain of three would read as v through
+    # a list index; each cell, mirrored, of either table is refused by name
+    lat = FiniteDistributiveLattice.from_upper_sets(Poset.chain(2))
+    for name, table in (("join", lat.join_table), ("meet", lat.meet_table)):
+        for a in range(3):
+            for b in range(3):
+                bad = _with_cell(lat, name, a, b, table[a][b] - 3, True)
+                first = (min(a, b), max(a, b))
+                message = r"%s table entry -\d at \(%d, %d\) is outside 0..2" % (name, *first)
+                with pytest.raises(LatticeError, match=message):
+                    bad.validate()
+                with pytest.raises(LatticeError, match=message):
+                    birkhoff_transform(bad)
+    # an index past the end, a row too long, a row too short, a row missing
+    meet = [[0, 0], [0, 1]]
+    for join, message in [
+        ([[0, 1], [1, 5]], r"join table entry 5 at \(1, 1\) is outside 0..1"),
+        ([[0, 1, 5], [1, 1]], "join table row 0 has 3 entries, expected 2"),
+        ([[0, 1], [1]], "join table row 1 has 1 entries, expected 2"),
+        ([[0, 1]], "join table has 1 rows, expected 2"),
+    ]:
+        with pytest.raises(LatticeError, match=message):
+            FiniteDistributiveLattice(["0", "1"], join, meet).validate()
+    with pytest.raises(LatticeError, match="meet table has 3 rows, expected 2"):
+        FiniteDistributiveLattice(["0", "1"], [[0, 1], [1, 1]], meet + [[0, 1]]).validate()
+
+
+def _set_tables(elements):
+    pos = {e: i for i, e in enumerate(elements)}
+    join = [[pos[a & b] for b in elements] for a in elements]
+    meet = [[pos[a | b] for b in elements] for a in elements]
+    return join, meet
+
+
+def test_upper_set_tables_and_transform_match_the_references():
+    rng = rng_for("upper-set-tables")
+    cases = [(p, brute_upper_sets(p)) for p in [random_poset(rng, k) for k in range(13)]]
+    cases.append((Poset.antichain(8), brute_upper_sets(Poset.antichain(8))))
+    # a chain's upper sets are its tails, far past what a subset filter reaches
+    cases.append((Poset.chain(40), [frozenset(range(k, 40)) for k in range(41)]))
+    for poset, family in cases:
+        lat = FiniteDistributiveLattice.from_upper_sets(poset)
+        assert len(lat.elements) == len(family) and set(lat.elements) == set(family)
+        sizes = [len(e) for e in lat.elements]
+        assert sizes == sorted(sizes)
+        assert (lat.join_table, lat.meet_table) == _set_tables(lat.elements)
+        result = birkhoff_transform(lat)
+        poset_ref, mirr, mapping = full_pair_birkhoff(lat)
+        assert result.mapping == mapping
+        assert result.irreducibles == mirr
+        assert result.poset.up == poset_ref.up
+        assert result.poset.isomorphic(poset)
 
 
 def test_tables_are_refused_up_front():
