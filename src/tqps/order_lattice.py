@@ -391,6 +391,7 @@ def _refuse_malformed(lat, entries):
     """Raise LatticeError unless both tables have n rows of n entries and,
     if entries is set, every entry is an index in 0..n-1."""
     n = lat.n
+    indices = range(n)
     for name, table in (("join", lat.join_table), ("meet", lat.meet_table)):
         if len(table) != n:
             raise LatticeError("%s table has %d rows, expected %d" % (name, len(table), n))
@@ -402,9 +403,9 @@ def _refuse_malformed(lat, entries):
             if not entries:
                 continue
             for b, v in enumerate(row):
-                if not 0 <= v < n:
+                if v not in indices:
                     raise LatticeError(
-                        "%s table entry %d at (%d, %d) is outside 0..%d" % (name, v, a, b, n - 1)
+                        "%s table entry %r at (%d, %d) is not in 0..%d" % (name, v, a, b, n - 1)
                     )
 
 
@@ -433,9 +434,10 @@ def birkhoff_transform(lat):
     _refuse_malformed(lat, entries=False)
     try:
         return _transform(lat)
-    except LatticeError:
-        # a refused table with an entry outside 0..n-1 is refused for that
-        # entry, as a scan ahead of the check would; the scan reads every
+    except (KeyError, LatticeError):
+        # a refused table, or one whose entry outside 0..n-1 the image
+        # lookup missed, is refused for its first such entry, as a scan
+        # ahead of the check would; the scan reads every
         # entry, as dear as the pair check itself, so it runs only here
         _refuse_malformed(lat, entries=True)
         raise
@@ -446,9 +448,8 @@ def _transform(lat):
     read on the pairs a <= b in row-major order, then each table against
     its transpose: on symmetric tables the first failing pair a <= b is
     the first failing pair of all, so each message names the pair a check
-    of every pair would.  Images are read from the mapping followed by n
-    Nones, which no image equals, so an entry outside 0..n-1 fails the law
-    or raises IndexError where a negative one would alias an element."""
+    of every pair would.  Images are read from a dict, which raises
+    KeyError on an entry outside 0..n-1 where a list index would wrap."""
     n = lat.n
     mirr = meet_irreducibles(lat)
     jt, mt = lat.join_table, lat.meet_table
@@ -457,17 +458,14 @@ def _transform(lat):
     poset = Poset(range(len(mirr)), pairs)
     if len(set(mapping)) != n:
         raise LatticeError("transform not injective; lattice is not distributive")
-    images = mapping + [None] * n
-    try:
-        for a, fa in enumerate(mapping):
-            ja, ma = jt[a], mt[a]
-            for b, fb in enumerate(mapping[a:], a):
-                if images[ja[b]] != fa & fb:
-                    raise LatticeError("join does not map to intersection at (%d, %d)" % (a, b))
-                if images[ma[b]] != fa | fb:
-                    raise LatticeError("meet does not map to union at (%d, %d)" % (a, b))
-    except IndexError:
-        raise LatticeError("a table entry lies outside 0..%d" % (n - 1)) from None
+    images = dict(enumerate(mapping))
+    for a, fa in enumerate(mapping):
+        ja, ma = jt[a], mt[a]
+        for b, fb in enumerate(mapping[a:], a):
+            if images[ja[b]] != fa & fb:
+                raise LatticeError("join does not map to intersection at (%d, %d)" % (a, b))
+            if images[ma[b]] != fa | fb:
+                raise LatticeError("meet does not map to union at (%d, %d)" % (a, b))
     for name, table in (("join", jt), ("meet", mt)):
         for a, (row, col) in enumerate(zip(table, zip(*table))):
             if tuple(row) != col:

@@ -1,5 +1,7 @@
 """Checks for posets, distributive lattices, and the freeness criterion."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -362,23 +364,31 @@ def test_an_asymmetric_table_is_named():
 
 
 def test_entries_outside_the_index_range_are_refused():
-    # a negative entry v - 3 of the chain of three would read as v through
-    # a list index; each cell, mirrored, of either table is refused by name
+    # a negative entry v - 3 or v - 6 of the chain of three would read as v
+    # through a list index, or through that list padded to 2n; each cell,
+    # mirrored, of either table is refused by name, as is an entry that is
+    # no index at all
     lat = FiniteDistributiveLattice.from_upper_sets(Poset.chain(2))
     for name, table in (("join", lat.join_table), ("meet", lat.meet_table)):
         for a in range(3):
             for b in range(3):
-                bad = _with_cell(lat, name, a, b, table[a][b] - 3, True)
+                v = table[a][b]
                 first = (min(a, b), max(a, b))
-                message = r"%s table entry -\d at \(%d, %d\) is outside 0..2" % (name, *first)
-                with pytest.raises(LatticeError, match=message):
-                    bad.validate()
-                with pytest.raises(LatticeError, match=message):
-                    birkhoff_transform(bad)
+                for bad_v in (v - 3, v - 6, v + 0.5, "x"):
+                    bad = _with_cell(lat, name, a, b, bad_v, True)
+                    message = r"%s table entry %s at \(%d, %d\) is not in 0..2" % (
+                        name,
+                        re.escape(repr(bad_v)),
+                        *first,
+                    )
+                    with pytest.raises(LatticeError, match=message):
+                        bad.validate()
+                    with pytest.raises(LatticeError, match=message):
+                        birkhoff_transform(bad)
     # an index past the end, a row too long, a row too short, a row missing
     meet = [[0, 0], [0, 1]]
     for join, message in [
-        ([[0, 1], [1, 5]], r"join table entry 5 at \(1, 1\) is outside 0..1"),
+        ([[0, 1], [1, 5]], r"join table entry 5 at \(1, 1\) is not in 0..1"),
         ([[0, 1, 5], [1, 1]], "join table row 0 has 3 entries, expected 2"),
         ([[0, 1], [1]], "join table row 1 has 1 entries, expected 2"),
         ([[0, 1]], "join table has 1 rows, expected 2"),
