@@ -2,7 +2,7 @@
 complex projective space and its covering lattice.
 """
 
-from .circle_hopf import CirclePoly, Scalar
+from .circle_hopf import Scalar
 from .classical_cpn import (
     ChartPoint,
     CoveringSet,

@@ -1,23 +1,21 @@
-"""Exact model of the circle Hopf algebra, and the term map every exact
-linear combination in tqps is built on.
+"""Exact Gaussian rational scalars, and the term map every exact linear
+combination in tqps is built on.
 
-Laurent polynomials over Gaussian rationals stand in for the dense subalgebra
-of functions on the unit circle generated by the unitary u and its inverse.
-The antipode sends u to u^-1 and the counit sends u to 1; the coproduct
-u -> u (x) u is not modelled, since no check reads it.  Each Scalar
-component is an exact int or Fraction; no floating point enters this
-module.
+Each Scalar component is an exact int or Fraction; no floating point
+enters this module.  Terms is the one representation of a finite sum of
+basis keys with nonzero Scalar coefficients: Toeplitz elements over their
+shift and matrix-unit atoms, and the tensor powers built on those atoms.
+collect is its one way to sum coefficients of repeated keys.
 
-Terms is the one representation of a finite sum of basis keys with
-nonzero Scalar coefficients: circle polynomials here, Toeplitz elements
-over their shift and matrix-unit atoms, and the tensor powers built on
-those atoms.  collect is its one way to sum coefficients of repeated keys.
+The circle algebra, Laurent polynomials in the unitary u, has no class of
+its own: a circle function is a one-slot tensor whose slot is the circle
+slot, TensorElement(1, circle_slot=1), a term map over the monomials
+("u", m).  tensor_gluing.slot_symbol is the symbol map onto it and
+lift_circle its linear section.
 """
 
 from fractions import Fraction
 from itertools import chain
-
-from .util import _index
 
 
 def _frac(v):
@@ -142,18 +140,6 @@ class Scalar:
             self.im.denominator,
         ]
 
-    @classmethod
-    def from_json(cls, data):
-        """Scalar of a [re num, re den, im num, im den] row; a row of
-        other than four integers, or with a zero denominator, raises
-        ValueError."""
-        if not isinstance(data, (list, tuple)) or len(data) != 4:
-            raise ValueError("a Scalar row holds four integers, got %r" % (data,))
-        rn, rd, in_, id_ = (_index(v, "Scalar entry") for v in data)
-        if rd == 0 or id_ == 0:
-            raise ValueError("zero denominator in Scalar row %r" % (data,))
-        return cls(Fraction(rn, rd), Fraction(in_, id_))
-
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
@@ -228,8 +214,8 @@ class Terms:
         each sound:
         - arithmetic (+, -, scale and the products): keys of validated
           operands, merged through collect;
-        - the single-slot maps of toeplitz_core (from_symbol, symbol,
-          adjoint, homogeneous_parts): keys of a validated element, mapped
+        - the single-slot maps of toeplitz_core (adjoint,
+          homogeneous_parts): keys of a validated element, mapped
           injectively onto valid keys or split by degree;
         - the relocation maps of tensor_gluing, through _rewrite: a map
           injective on the keys of a validated tensor, onto valid keys;
@@ -239,8 +225,8 @@ class Terms:
           swept shape, one per tensor;
         - the candidate component of multipullback.extend: keys lifted
           from relocated constraints, none merged by addition.
-        Everything else (the constructor, and TensorElement.pure, one and
-        from_json) validates every key through _key.
+        Everything else (the constructor, and TensorElement.pure and one)
+        validates every key through _key.
         """
         out = object.__new__(cls)
         out.shape = shape
@@ -283,75 +269,3 @@ class Terms:
             type(self).__name__,
             {key: (c.re, c.im) for key, c in sorted(self.terms.items())},
         )
-
-
-class CirclePoly(Terms):
-    """Laurent polynomial sum_n c_n u^n with Gaussian rational coefficients,
-    stored as a degree -> Scalar term map."""
-
-    __slots__ = ()
-
-    def _key(self, degree):
-        return _index(degree, "degree")
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({0: ONE})
-
-    @classmethod
-    def monomial(cls, degree, coeff=1):
-        return cls({degree: coeff})
-
-    def degrees(self):
-        return sorted(self.terms)
-
-    def coeff(self, degree):
-        return self.terms.get(degree, ZERO)
-
-    def __mul__(self, other):
-        self._check(other)
-        return CirclePoly._trusted(
-            collect(
-                (d1 + d2, c1 * c2)
-                for d1, c1 in self.terms.items()
-                for d2, c2 in other.terms.items()
-            )
-        )
-
-    def antipode(self):
-        """Degree reflection, u^n -> u^-n."""
-        return CirclePoly._trusted({-d: c for d, c in self.terms.items()})
-
-    def star(self):
-        """Adjoint of a circle function: conjugate coefficients, reflect degree."""
-        return CirclePoly._trusted({-d: c.conjugate() for d, c in self.terms.items()})
-
-    def counit(self):
-        """Evaluation at the identity of the circle: sum of coefficients."""
-        return sum(self.terms.values(), ZERO)
-
-    def render(self):
-        """Human form like "3*u^-2 + (1+2i)*u^5"."""
-        return _render_terms((_render_power(d), c) for d, c in sorted(self.terms.items()))
-
-    def to_json(self):
-        return {str(d): c.to_json() for d, c in sorted(self.terms.items())}
-
-    @classmethod
-    def from_json(cls, data):
-        if not isinstance(data, dict):
-            raise ValueError("a CirclePoly is an object of degree to Scalar row, got %r" % (data,))
-        terms = {}
-        for d, v in data.items():
-            # only the form to_json writes, so no two keys name one degree;
-            # int reads every key that passes isdecimal after one sign
-            if not (isinstance(d, str) and d.removeprefix("-").isdecimal() and str(int(d)) == d):
-                raise ValueError(
-                    "a CirclePoly degree key is an integer as to_json writes it, got %r" % (d,)
-                )
-            terms[int(d)] = Scalar.from_json(v)
-        return cls(terms)

@@ -64,6 +64,7 @@ class CoveringSet(UpSet):
     __slots__ = ()
 
     def __init__(self, n, members):
+        n = _index(n, "n", 0)
         masks = self._masks(n + 1, members)
         super().__init__(n + 1, masks)
         if self.up.bit_count() != len(masks):
@@ -71,6 +72,7 @@ class CoveringSet(UpSet):
 
     @classmethod
     def from_family(cls, n, family):
+        n = _index(n, "n", 0)
         family = cls._masks(n + 1, family)
         members = []
         for r in range(1, n + 2):
@@ -249,7 +251,7 @@ def transition_agreement(n, trials=1000, seed=DEFAULT_SEED):
 
 
 def covering_generators(n):
-    return [CoveringSet.basic(n, i) for i in range(n + 1)]
+    return [CoveringSet.basic(n, i) for i in range(_index(n, "n", 0) + 1)]
 
 
 def classical_freeness(n):

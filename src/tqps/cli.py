@@ -29,7 +29,10 @@ def _count(kind, low, high=None):
     """Argparse type for an integer count in [low, high], in _index's words."""
 
     def parse(text):
-        value = int(text)
+        try:
+            value = int(text)
+        except ValueError:
+            value = text  # for _index to refuse as not an integer
         try:
             return _index(value, kind, low, high)
         except ValueError as exc:

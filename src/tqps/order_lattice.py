@@ -110,15 +110,17 @@ class Poset:
 
     @classmethod
     def chain(cls, k):
+        k = _index(k, "chain length", 0)
         return cls(range(k), [(i, i + 1) for i in range(k - 1)])
 
     @classmethod
     def antichain(cls, k):
-        return cls(range(k))
+        return cls(range(_index(k, "antichain size", 0)))
 
     @classmethod
     def subsets(cls, base_size, nonempty=True, proper=False):
         """Poset of subsets of a base_size-point set, ordered by inclusion."""
+        base_size = _index(base_size, "base size", 0)
         members = []
         for r in range(0 if not nonempty else 1, base_size + 1):
             if proper and r == base_size:
@@ -255,6 +257,7 @@ def upper_set_masks(poset, limit=1 << 14):
     elements.  The search keeps its own stack, so a deep poset costs no
     recursion; more than `limit` upper sets raise ValueError.
     """
+    limit = _index(limit, "limit", 0)
     # (bit, strict up-set) of each element, maximal elements first
     steps = [(1 << i, poset.up[i] & ~(1 << i)) for i in reversed(poset.linear_extension())]
     out = []
@@ -495,6 +498,7 @@ class UpSet:
 
     def __init__(self, k, masks):
         """Up-closure of a set of distinct masks on k points."""
+        k = _index(k, "point count", 0)
         up = sum(1 << t for t in masks)
         for step, lacking in _lacking(k):
             up |= (up & lacking) << step
@@ -502,11 +506,12 @@ class UpSet:
 
     @staticmethod
     def _masks(k, family):
-        """Distinct masks of the index sets in family, each nonempty on k points."""
+        """Distinct masks of the index sets in family, each a nonempty set
+        of ints in 0..k-1."""
         masks = set()
         for s in family:
             s = frozenset(s)
-            if not s or not all(0 <= i < k for i in s):
+            if not s or not all(type(i) is int and 0 <= i < k for i in s):
                 raise LatticeError("bad index set %r" % (s,))
             masks.add(sum(1 << i for i in s))
         return masks
@@ -567,6 +572,7 @@ class AntichainForm(UpSet):
     __slots__ = ()
 
     def __init__(self, n_generators, family):
+        n_generators = _index(n_generators, "generator count", 0)
         masks = self._masks(n_generators, family)
         if not masks:
             raise LatticeError("empty families are not elements here")

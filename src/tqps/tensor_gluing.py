@@ -20,9 +20,12 @@ is the unipotence property the verification suites exercise.
 chi relocates the circle slot.  psi_ij, the slot-accurate gluing between
 two chart indices, is psi conjugated by relocations, chi(psi(chi_inv(x))),
 done as one move that relocates the circle slot and reflects its exponent.
-The slotwise symbol map turns a Toeplitz slot into a circle slot by killing
-matrix units, and quotient classes modulo two slot kernels are
-canonicalized by dropping every term with a matrix unit in a killed slot.
+The slotwise symbol map, slot_symbol, turns a Toeplitz slot into a circle
+slot by killing matrix units, and lift_circle is its linear section.  They
+are the package's one symbol map and section: on one slot they go between
+ToeplitzElements, as TensorElement(1), and circle functions, which are
+TensorElement(1, circle_slot=1).  Quotient classes modulo two slot kernels
+are canonicalized by dropping every term with a matrix unit in a killed slot.
 
 glue is the one chart change on components: glue(x, src, dst) takes the
 symbol of x at the slot tracking dst, then moves the circle to the slot
@@ -41,19 +44,15 @@ internal builders skip validation too, each on keys valid by construction:
 random_tensor_element and TensorElement.zero check the shape up front and
 build keys from valid atoms, the psi sweep builds each atom tensor from one
 key valid for its shape, and extend's candidate holds the keys of lifted
-constraints.  Only the public constructor, pure, one and from_json validate
-every key.
+constraints.  Only the public constructor, pure and one validate every key.
 """
 
 from functools import lru_cache
 from itertools import combinations, islice, permutations, product
 from math import prod
 
-from .circle_hopf import ONE, Scalar, Terms, _render_terms, collect
+from .circle_hopf import ONE, Terms, _render_terms, collect
 from .toeplitz_core import (  # noqa: F401  (atom_degree re-exported)
-    _json_fields,
-    _json_key,
-    _json_rows,
     _render_atom,
     _validate_atom,
     atom_degree,
@@ -186,13 +185,6 @@ class TensorElement(Terms):
                 for atoms, c in sorted(self.terms.items())
             ],
         }
-
-    @classmethod
-    def from_json(cls, data):
-        n_slots, circle_slot, rows = _json_fields(data, "n_slots", "circle_slot", "terms")
-        rows = _json_rows(rows, "atoms", "coeff")
-        terms = [(_json_key(atoms), Scalar.from_json(c)) for atoms, c in rows]
-        return cls(n_slots, circle_slot, terms)
 
 
 def embed_toeplitz(elements):

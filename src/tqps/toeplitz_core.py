@@ -10,9 +10,11 @@ finite lower-left correction,
     T(u^a) T(u^b) = T(u^(a+b)) - sum over max(-a, b) <= l <= -1 of E_{a+l, l-b},
 
 which is what keeps the model closed under multiplication.  The symbol
-map, read off as `.symbol`, kills the matrix units and is the quotient onto
-the circle algebra; ToeplitzElement.from_symbol(f) is its linear section
-f -> T(f), deliberately not multiplicative: T(u) T(u^-1) = 1 - E_00.
+map kills the matrix units and is the quotient onto the circle algebra;
+it and its linear section f -> T(f), deliberately not multiplicative
+(T(u) T(u^-1) = 1 - E_00), act on the one-slot tensors of tensor_gluing
+as slot_symbol(x, 1) and lift_circle, so a circle function is a one-slot
+TensorElement whose slot holds circle monomials.
 
 The gauge circle action rotates the shift: atom_degree gives T(u^a)
 degree a and E_{jk} degree j - k, and homogeneous_parts splits an element
@@ -21,7 +23,7 @@ monomial.  A tensor's circle slot holds a circle monomial ("u", m) of
 degree m; _validate_atom is the one check of all three atom kinds.
 """
 
-from .circle_hopf import CirclePoly, Scalar, Terms, _render_power, _render_terms, collect
+from .circle_hopf import Terms, _render_power, _render_terms, collect
 from .util import _index
 
 
@@ -59,28 +61,6 @@ def _render_atom(atom):
     if atom[0] == "E":
         return "E[%d,%d]" % (atom[1], atom[2])
     return _render_power(atom[1])
-
-
-def _json_key(row):
-    """A key read from JSON: its lists as tuples at every depth.  Anything
-    else is left as it is, for the element's _key to reject."""
-    return tuple(_json_key(v) for v in row) if isinstance(row, list) else row
-
-
-def _json_fields(doc, *keys):
-    """The values of the given keys of a JSON object, in order; anything
-    else, or an object missing one of them, raises ValueError."""
-    if not isinstance(doc, dict) or not all(k in doc for k in keys):
-        raise ValueError("expected an object with %s, got %r" % (", ".join(keys), doc))
-    return tuple(doc[k] for k in keys)
-
-
-def _json_rows(rows, *keys):
-    """_json_fields of each object in the JSON list rows; anything else
-    raises ValueError."""
-    if not isinstance(rows, list):
-        raise ValueError("expected a list of rows, got %r" % (rows,))
-    return [_json_fields(row, *keys) for row in rows]
 
 
 def atom_product(a, b):
@@ -138,18 +118,6 @@ class ToeplitzElement(Terms):
     def matrix_unit(cls, j, k, coeff=1):
         return cls({("E", j, k): coeff})
 
-    @classmethod
-    def from_symbol(cls, f):
-        """T(f): the linear section of the symbol map."""
-        return cls._trusted({("T", d): c for d, c in f.terms.items()})
-
-    @property
-    def symbol(self):
-        """The image in the circle algebra: the shifts' coefficients by degree."""
-        return CirclePoly._trusted(
-            {atom[1]: c for atom, c in self.terms.items() if atom[0] == "T"}
-        )
-
     def __mul__(self, other):
         """Product atom by atom through atom_product, never via matrix truncation."""
         self._check(other)
@@ -188,8 +156,3 @@ class ToeplitzElement(Terms):
 
     def to_json(self):
         return [{"atom": list(atom), "coeff": c.to_json()} for atom, c in self.atoms()]
-
-    @classmethod
-    def from_json(cls, data):
-        rows = _json_rows(data, "atom", "coeff")
-        return cls([(_json_key(atom), Scalar.from_json(c)) for atom, c in rows])

@@ -1,22 +1,23 @@
 """Independent reference implementations the tests check the library against.
 
 Each oracle recomputes a quantity through a different representation than
-the library uses: operator products through truncated matrices, gluings
-and tensor products through stepwise single-slot arithmetic, order-theoretic
-counts through exhaustive filters, chart gluings through three
-relocations instead of one and with their slots worked out by hand,
-free-lattice join and meet through frozensets of index sets instead of
-up-set bitmasks, the Birkhoff lattice check through every pair of both
-tables and an onto pass instead of one triangle and symmetry, freeness
-of a set family through the size of its closure instead of point types,
-and seeded samples through random.Random.randint instead of
-getrandbits.  Keeping these routes
+the library uses: operator products through truncated matrices read
+straight off the shift and matrix-unit coefficients, gluings and tensor
+products through stepwise single-slot arithmetic with circle exponents
+added and reflected as plain ints, order-theoretic counts through
+exhaustive filters, chart gluings through three relocations instead of
+one and with their slots worked out by hand, free-lattice join and meet
+through frozensets of index sets instead of up-set bitmasks, the Birkhoff
+lattice check through every pair of both tables and an onto pass instead
+of one triangle and symmetry, freeness of a set family through the size
+of its closure instead of point types, and seeded samples through
+random.Random.randint instead of getrandbits.  Keeping these routes
 separate from the library is the point; do not fold them into src.
 """
 
 from operator import and_, or_
 
-from tqps.circle_hopf import CirclePoly, Scalar, ZERO, collect
+from tqps.circle_hopf import Scalar, ZERO, collect
 from tqps.order_lattice import LatticeError, Poset, upper_set_masks
 from tqps.sampling import _SCALAR_BOUND
 from tqps.tensor_gluing import RANDOM_BOUND, TensorElement, chi, chi_inv, psi, slot_symbol
@@ -26,19 +27,20 @@ from tqps.toeplitz_core import ToeplitzElement
 def element_band(x):
     """Bound covering the symbol support and compact indices of x."""
     b = 0
-    for d in x.symbol.degrees():
-        b = max(b, abs(d))
     for atom in x.terms:
-        if atom[0] == "E":
+        if atom[0] == "T":
+            b = max(b, abs(atom[1]))
+        else:
             b = max(b, atom[1] + 1, atom[2] + 1)
     return b
 
 
 def toeplitz_matrix(x, d):
-    """Truncation of x to the upper-left d by d corner."""
-    symbol = x.symbol
+    """Truncation of x to the upper-left d by d corner: entry (j, k) is
+    the coefficient of the shift T(u^(j-k)) plus that of E_{jk}."""
+    terms = x.terms
     return [
-        [symbol.coeff(j - k) + x.terms.get(("E", j, k), ZERO) for k in range(d)]
+        [terms.get(("T", j - k), ZERO) + terms.get(("E", j, k), ZERO) for k in range(d)]
         for j in range(d)
     ]
 
@@ -100,16 +102,15 @@ def _atom_degree_via_grading(atom):
 
 
 def stepwise_psi(x):
-    """Gluing recomputed through circle-polynomial product and antipode."""
+    """Gluing recomputed term by term: the degrees of the Toeplitz slots
+    read off the single-slot grading and added to the circle exponent as
+    ints, then the sum reflected, u^h -> u^-h."""
     out = {}
     for atoms, c in x.terms.items():
-        total = 0
+        total = atoms[-1][1]
         for atom in atoms[:-1]:
             total += _atom_degree_via_grading(atom)
-        circ = CirclePoly.monomial(total) * CirclePoly.monomial(atoms[-1][1])
-        flipped = circ.antipode()
-        (deg,) = flipped.degrees()
-        row = atoms[:-1] + (("u", deg),)
+        row = atoms[:-1] + (("u", -total),)
         out[row] = out.get(row, ZERO) + c
     return TensorElement(x.n_slots, x.n_slots, out)
 
@@ -132,16 +133,15 @@ def stepwise_glue(x, src, dst):
 
 def slotwise_product(x, y):
     """Tensor product expanded one slot at a time: every slot's atom product
-    read off a product of one-atom ToeplitzElements (a product of circle
-    monomials in the circle slot), and one Scalar product per slot term."""
+    read off a product of one-atom ToeplitzElements (in the circle slot,
+    the exponents added as ints), and one Scalar product per slot term."""
     out = {}
     for t1, c1 in x.terms.items():
         for t2, c2 in y.terms.items():
             rows = [((), c1 * c2)]
             for pos, (a, b) in enumerate(zip(t1, t2), start=1):
                 if pos == x.circle_slot:
-                    circ = CirclePoly.monomial(a[1]) * CirclePoly.monomial(b[1])
-                    slot = [(("u", d), c) for d, c in circ.terms.items()]
+                    slot = [(("u", a[1] + b[1]), 1)]
                 else:
                     slot = (ToeplitzElement({a: 1}) * ToeplitzElement({b: 1})).terms.items()
                 rows = [(row + (atom,), c * ac) for row, c in rows for atom, ac in slot]

@@ -279,6 +279,8 @@ def test_bad_arguments_exit_two(capsys):
 _LIBRARY_WORDS = {
     "7=0": "generator must be between 0 and 2, got 7",
     "1=3": "generator's chart must be between 0 and 2, got 3",
+    "abc": "n must be an integer, got 'abc'",
+    "1.5": "poset size must be an integer, got '1.5'",
 }
 
 
@@ -298,6 +300,8 @@ _LIBRARY_WORDS = {
         ["verify", "freeness", "--n", "2", "--generator-map", "1=3"],
         ["verify", "freeness", "--n", "2", "--generator-map", "1=0,1=2"],
         ["verify", "freeness", "--n", "2", "--generator-map", "1"],
+        ["verify", "psi", "--n", "abc"],
+        ["birkhoff", "roundtrip", "--poset-size", "1.5"],
     ],
     ids=lambda argv: " ".join(argv),
 )

@@ -15,12 +15,14 @@ from oracles import (
     minimal_sets,
     naive_antichain_count,
 )
+from tqps.classical_cpn import CoveringSet, covering_generators
 from tqps.order_lattice import (
     MAX_TABLE_ELEMENTS,
     AntichainForm,
     FiniteDistributiveLattice,
     LatticeError,
     Poset,
+    UpSet,
     antichain_count,
     birkhoff_transform,
     check_freeness_criterion,
@@ -437,6 +439,39 @@ def test_tables_are_refused_up_front():
     # 2^13 upper sets: the search stops at the table cap of 4096
     with pytest.raises(ValueError, match="more than 4096 upper sets"):
         FiniteDistributiveLattice.from_upper_sets(Poset.antichain(13))
+
+
+# Each call hands a count, a limit or an index that is not an int in range
+# to an order-lattice or covering constructor, with the words that refuse it.
+_NOT_AN_INT = r"must be (an integer|at least 0), got"
+COUNTS_OUT_OF_RANGE = [
+    pytest.param(lambda: Poset.chain(True), _NOT_AN_INT, id="chain(True)"),
+    pytest.param(lambda: Poset.chain(-2), _NOT_AN_INT, id="chain(-2)"),
+    pytest.param(lambda: Poset.chain(2.0), _NOT_AN_INT, id="chain(2.0)"),
+    pytest.param(lambda: Poset.antichain(-1), _NOT_AN_INT, id="antichain(-1)"),
+    pytest.param(lambda: Poset.antichain("3"), _NOT_AN_INT, id="antichain('3')"),
+    pytest.param(lambda: Poset.subsets(-3), _NOT_AN_INT, id="subsets(-3)"),
+    pytest.param(lambda: AntichainForm(True, [[0]]), _NOT_AN_INT, id="AntichainForm(True)"),
+    pytest.param(lambda: AntichainForm(2.0, [[0]]), _NOT_AN_INT, id="AntichainForm(2.0)"),
+    pytest.param(lambda: AntichainForm.generator(0.0, 2), "bad index set", id="generator(0.0)"),
+    pytest.param(lambda: CoveringSet.basic(1.0, 0), _NOT_AN_INT, id="basic(1.0)"),
+    pytest.param(lambda: covering_generators(1.5), _NOT_AN_INT, id="covering_generators(1.5)"),
+    pytest.param(lambda: UpSet(-1, []), _NOT_AN_INT, id="UpSet(-1)"),
+    pytest.param(
+        lambda: upper_set_masks(Poset.chain(3), limit=-1), _NOT_AN_INT, id="limit=-1"
+    ),
+    pytest.param(
+        lambda: upper_set_masks(Poset.chain(3), limit=2.5), _NOT_AN_INT, id="limit=2.5"
+    ),
+]
+
+
+@pytest.mark.parametrize("call, words", COUNTS_OUT_OF_RANGE)
+def test_counts_and_indices_are_read_as_ints(call, words):
+    # refused up front with ValueError, not built, truncated, or failed on
+    # with a TypeError deep inside
+    with pytest.raises(ValueError, match=words):
+        call()
 
 
 def test_antichain_form_validation():

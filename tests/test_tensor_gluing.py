@@ -738,34 +738,31 @@ def test_trusted_constructions_check_the_shape(call):
 def test_atoms_must_carry_integers(atoms, circle_slot):
     with pytest.raises(ValueError):
         TensorElement.pure(atoms, circle_slot=circle_slot)
-    if any(isinstance(a, list) for a in atoms):
-        return  # a list is how JSON writes an atom, so the reader takes it
-    # the JSON reader takes each atom as a list, or as whatever the row holds
-    rows = [list(a) if isinstance(a, tuple) else a for a in atoms]
-    terms = [{"atoms": rows, "coeff": [1, 1, 0, 1]}]
+
+
+@pytest.mark.parametrize(
+    "n_slots, circle_slot, atoms",
+    [
+        ("1", None, (("T", 1),)),
+        (1.0, None, (("T", 1),)),
+        (1, "1", (("u", 1),)),
+        (1, 2, (("u", 1),)),
+        (1, None, (("T", 1), ("T", 2))),
+        (1, None, (("u", 1),)),
+        (1, 1, (("T", 1),)),
+    ],
+)
+def test_tensors_must_fit_their_shape(n_slots, circle_slot, atoms):
+    # the slot count and circle slot are ints in range, and each key has one
+    # atom per slot, the circle atom exactly in the circle slot
     with pytest.raises(ValueError):
-        TensorElement.from_json({"n_slots": len(rows), "circle_slot": circle_slot, "terms": terms})
+        TensorElement(n_slots, circle_slot, {atoms: 1})
 
 
 @pytest.mark.parametrize("key", [3, None])
 def test_keys_must_be_atom_tuples(key):
     with pytest.raises(ValueError):
         TensorElement(2, None, {key: 1})
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        {"n_slots": 1, "circle_slot": None},
-        {"n_slots": "1", "circle_slot": None, "terms": []},
-        {"n_slots": 1, "circle_slot": None, "terms": [[["T", 1]]]},
-        {"n_slots": 1, "circle_slot": None, "terms": {}},
-        [],
-    ],
-)
-def test_tensor_documents_must_be_well_formed(data):
-    with pytest.raises(ValueError):
-        TensorElement.from_json(data)
 
 
 def test_gluing_suites_build_no_tensor_through_the_validating_constructor(monkeypatch):
@@ -818,11 +815,7 @@ def test_gluing_suites_draw_nothing_through_randint(monkeypatch):
     assert calls == ["randint", "randrange"]
 
 
-def test_json_roundtrip_and_render():
-    rng = rng_for("json")
-    for _ in range(20):
-        x = random_tensor_element(rng, 2, circle_slot=1)
-        assert TensorElement.from_json(x.to_json()) == x
+def test_render():
     x = TensorElement.pure((("T", 1), ("u", -2)), circle_slot=2)
     assert x.render() == "T(u) & u^-2"
     y = TensorElement.pure((("T", -1), ("E", 0, 2)), coeff=Scalar(1, 2))
