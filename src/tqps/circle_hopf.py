@@ -217,7 +217,9 @@ class Terms:
         - the single-slot maps of toeplitz_core (adjoint,
           homogeneous_parts): keys of a validated element, mapped
           injectively onto valid keys or split by degree;
-        - the relocation maps of tensor_gluing, through _rewrite: a map
+        - the relocation maps of tensor_gluing: _move_circle (chi,
+          chi_inv, psi, psi_ij, psi_ij_inv and glue) and _rewrite
+          (slot_symbol, lift_circle and project_slots), each a map
           injective on the keys of a validated tensor, onto valid keys;
         - TensorElement.zero and random_tensor_element: a shape checked up
           front, keys built from valid atoms and merged through collect;

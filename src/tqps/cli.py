@@ -10,6 +10,8 @@ library check takes the library's own defaults, which its report echoes.
 Exit codes: 0 when every check passes, 1 when a verification fails (the
 counterexample is serialized in the report), 2 for usage errors, and 3
 when a suite crashes (the traceback goes to stderr, nothing to stdout).
+A reader that closes stdout early, such as `head`, changes none of them:
+the rest of the output is dropped quietly.
 JSON output is canonical: sorted keys, fixed separators, byte-identical for
 identical inputs.
 """
@@ -18,6 +20,7 @@ import argparse
 import collections
 import itertools
 import operator
+import os
 import sys
 import traceback
 
@@ -60,12 +63,27 @@ def _generator_map(text):
     return out
 
 
+def _write(lines):
+    """Print lines to stdout and flush it.  If the reader has closed it, the
+    rest is dropped without a word: stdout is pointed at os.devnull, so the
+    flush at exit cannot raise again, and the caller's exit status stands."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(payload, fmt):
     if fmt == "json":
-        print(canonical_json(payload))
-        return
-    for line in _text_lines(payload):
-        print(line)
+        _write([canonical_json(payload)])
+    elif fmt == "dot":
+        _write([payload])
+    else:
+        _write(_text_lines(payload))
 
 
 def _text_lines(payload, prefix=""):
@@ -169,8 +187,7 @@ def _export_hasse(target, generators, n, format):
     pairs = [(i, j) for i, a in enumerate(elements) for j, b in enumerate(elements) if a <= b]
     poset = order_lattice.Poset(range(len(elements)), pairs)
     if format == "dot":
-        print(poset.to_dot(name=name, label_fn=lambda i: label(elements[i])))
-        return None
+        return poset.to_dot(name=name, label_fn=lambda i: label(elements[i]))
     return {
         "schema": 1,
         "target": target,
@@ -321,8 +338,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.list:
-        for suite in _SUITE_TABLE:
-            print("%-24s %s" % (suite.words, suite.claim))
+        _write("%-24s %s" % (suite.words, suite.claim) for suite in _SUITE_TABLE)
         return 0
     if not args.command:
         parser.print_help()
@@ -342,8 +358,7 @@ def main(argv=None):
     except Exception:
         traceback.print_exc()
         return 3
-    if report is not None:
-        _emit(report.to_json() if hasattr(report, "to_json") else report, args.format)
+    _emit(report.to_json() if hasattr(report, "to_json") else report, args.format)
     return code
 
 

@@ -297,7 +297,9 @@ def _mirror(lower):
 class FiniteDistributiveLattice:
     """Finite lattice with explicit join and meet tables.
 
-    Elements are arbitrary distinct values; tables hold element indices.
+    Elements are arbitrary distinct values; tables hold element indices,
+    each an int: the constructor refuses any other entry, naming its cell,
+    since a float or bool equal to an index would read as that index.
     validate() checks the lattice axioms and the distributive law on every
     table, whatever its size, through Birkhoff's embedding.  The class
     holds only what that check reads: the tables, n, leq and top.  Up-sets
@@ -307,9 +309,26 @@ class FiniteDistributiveLattice:
     __slots__ = ("elements", "join_table", "meet_table")
 
     def __init__(self, elements, join_table, meet_table):
+        for name, table in (("join", join_table), ("meet", meet_table)):
+            for a, row in enumerate(table):
+                for b, v in enumerate(row):
+                    if type(v) is not int:
+                        raise LatticeError(
+                            "%s table entry %r at (%d, %d) is not an int" % (name, v, a, b)
+                        )
         self.elements = list(elements)
         self.join_table = join_table
         self.meet_table = meet_table
+
+    @classmethod
+    def _int_tables(cls, elements, join_table, meet_table):
+        """The lattice on tables of ints built here, without the
+        constructor's scan of every entry."""
+        out = object.__new__(cls)
+        out.elements = list(elements)
+        out.join_table = join_table
+        out.meet_table = meet_table
+        return out
 
     @classmethod
     def from_upper_sets(cls, poset):
@@ -319,7 +338,7 @@ class FiniteDistributiveLattice:
         join = _mirror([[pos[a & b] for b in masks[: i + 1]] for i, a in enumerate(masks)])
         meet = _mirror([[pos[a | b] for b in masks[: i + 1]] for i, a in enumerate(masks)])
         elements = [frozenset(poset.labels[i] for i in _bits(m)) for m in masks]
-        return cls(elements, join, meet)
+        return cls._int_tables(elements, join, meet)
 
     @classmethod
     def from_elements(cls, elements, join_fn, meet_fn):
@@ -341,7 +360,7 @@ class FiniteDistributiveLattice:
                     meet[i][j] = pos[meet_fn(a, b)]
                 except KeyError:
                     raise ValueError("join or meet escapes the element list")
-        return cls(elements, join, meet)
+        return cls._int_tables(elements, join, meet)
 
     @property
     def n(self):

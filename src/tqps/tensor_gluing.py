@@ -28,19 +28,21 @@ TensorElement(1, circle_slot=1).  Quotient classes modulo two slot kernels
 are canonicalized by dropping every term with a matrix unit in a killed slot.
 
 glue is the one chart change on components: glue(x, src, dst) takes the
-symbol of x at the slot tracking dst, then moves the circle to the slot
-tracking src and reflects it, in one move whatever the index order.  Only
-slot_for says which slot tracks which chart.  The multipullback's
-gluing law, the transition on representatives and the kernel-image check
-all read glue; phi composes it with the section into the transition
-between two quotient charts, which the cocycle check samples.
+symbol of x at the slot tracking dst, moves the circle to the slot tracking
+src and reflects it, in one move that takes the symbol itself, so it reads
+each term of x once whatever the index order.  Only slot_for says which
+slot tracks which chart.  The multipullback's gluing law, the transition
+on representatives and the kernel-image check all read glue; phi composes
+it with the section into the transition between two quotient charts,
+which the cocycle check samples.
 
-On pure atom tensors each of these maps (chi, psi, psi_ij, the symbol, its
-section and the projection) only rewrites term keys, and injectively, so
-all of them go through one primitive, _rewrite, which builds the result
-without validating it again.  Every circle move, glue's included, is one
-call of _move_circle, which holds the relocation checks.  The other
-internal builders skip validation too, each on keys valid by construction:
+On pure atom tensors each of these maps (chi, psi, psi_ij, glue, the symbol,
+its section and the projection) only rewrites term keys, and injectively,
+so none validates its result again.  Every circle move, glue's included,
+is one call of _move_circle, which holds the relocation checks and builds
+its result in one loop; the symbol, its section and the projection go
+through one primitive, _rewrite.  The other internal builders skip
+validation too, each on keys valid by construction:
 random_tensor_element and TensorElement.zero check the shape up front and
 build keys from valid atoms, the psi sweep builds each atom tensor from one
 key valid for its shape, and extend's candidate holds the keys of lifted
@@ -207,9 +209,6 @@ def _rewrite(x, n_slots, circle_slot, row):
     keeps and sends every valid key of x to a valid key of the new shape.
     Then no two coefficients merge, each stays nonzero, and nothing needs to
     be validated again.  Every caller meets it:
-    - _move_circle (chi, chi_inv, psi, psi_ij, psi_ij_inv, glue): moving the
-      circle atom permutes slots, and for a fixed Toeplitz part the
-      reflection h -> -(d + h) is a bijection of h;
     - slot_symbol: ("T", a) -> ("u", a) is injective, and keys with a
       matrix unit in the slot are dropped;
     - lift_circle: ("u", m) -> ("T", m) is injective;
@@ -223,33 +222,51 @@ def _rewrite(x, n_slots, circle_slot, row):
     return TensorElement._trusted(terms, (n_slots, circle_slot))
 
 
-def _move_circle(x, src, dst, name, reflect=False):
+def _move_circle(x, src, dst, name, reflect=False, symbol=False):
     """Move the circle atom from slot src to slot dst, keeping Toeplitz order.
 
     The one relocation behind chi, chi_inv, psi, psi_ij, psi_ij_inv and
     glue, and their one check: unless the circle of x sits at src and dst
     is a slot, it raises ValueError naming the public map `name`.  With
     reflect, the circle exponent h becomes -(d + h), d the total degree of
-    the other slots; for a fixed Toeplitz part that is a bijection of h.
+    the other slots.  With symbol, glue's move, x must have no circle slot
+    and src must be a slot: its atom becomes its symbol first, a matrix
+    unit dropping the term and ("T", a) becoming the exponent a, so glue is
+    one pass.  symbol needs reflect, which builds the new circle atom.
+
+    The result is built trusted, which is sound because the map on the
+    keys it keeps is injective and sends valid keys to valid keys: the
+    symbol is injective on the terms it keeps, moving the circle atom
+    permutes slots, and for a fixed Toeplitz part the reflection is a
+    bijection of h.  So no two coefficients merge and each stays nonzero.
     """
     n_slots, circle_slot = x.shape
-    if circle_slot != src:
+    if symbol:
+        if circle_slot is not None:
+            raise ValueError("%s expects pure Toeplitz slots" % name)
+        if not 1 <= src <= n_slots:
+            raise ValueError("%s: symbol slot %r out of range" % (name, src))
+    elif circle_slot != src:
         raise ValueError("%s expects the circle slot at position %r" % (name, src))
     if not 1 <= dst <= n_slots:
         raise ValueError("%s: target slot %r out of range" % (name, dst))
-
-    def row(atoms):
-        rest = atoms[: src - 1] + atoms[src:]
-        circle = atoms[src - 1]
+    cut, at = src - 1, dst - 1
+    terms = {}
+    for atoms, c in x.terms.items():
+        circle = atoms[cut]
+        if symbol and circle[0] == "E":
+            continue
+        rest = atoms[:cut] + atoms[src:]
         if reflect:
-            # atom_degree summed in line: every slot of rest is Toeplitz
+            # atom_degree summed in line: every slot of rest is Toeplitz,
+            # and a circle atom, or the shift that symbol reads as one,
+            # holds its exponent at index 1
             h = circle[1]
             for a in rest:
                 h += a[1] - a[2] if a[0] == "E" else a[1]
             circle = ("u", -h)
-        return rest[: dst - 1] + (circle,) + rest[dst - 1 :]
-
-    return _rewrite(x, n_slots, dst, row)
+        terms[rest[:at] + (circle,) + rest[at:]] = c
+    return TensorElement._trusted(terms, (n_slots, dst))
 
 
 def chi(x, j):
@@ -349,12 +366,13 @@ def glue(x, src, dst):
     """Component x at chart src, seen from chart dst.
 
     The symbol of x at the slot tracking dst, with the circle moved to the
-    slot tracking src and reflected, in one move; both slots come from
-    slot_for.  Two components at charts i and j agree when glue(comps[j],
-    j, i) equals the symbol of comps[i] at slot_for(i, j).
+    slot tracking src and reflected, in one move over the terms of x; both
+    slots come from slot_for.  Two components at charts i and j agree when
+    glue(comps[j], j, i) equals the symbol of comps[i] at slot_for(i, j).
     """
-    s = slot_for(src, dst)
-    return _move_circle(slot_symbol(x, s), s, slot_for(dst, src), "glue", reflect=True)
+    return _move_circle(
+        x, slot_for(src, dst), slot_for(dst, src), "glue", reflect=True, symbol=True
+    )
 
 
 class QuotientClass:

@@ -153,6 +153,3 @@ class ToeplitzElement(Terms):
 
     def render(self):
         return _render_terms((_render_atom(atom), c) for atom, c in self.atoms())
-
-    def to_json(self):
-        return [{"atom": list(atom), "coeff": c.to_json()} for atom, c in self.atoms()]

@@ -3,6 +3,9 @@
 import importlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -381,3 +384,35 @@ def test_readme_example_is_the_text_output(capsys):
     code, out = run(capsys, command.split()[2:])
     assert code == 0
     assert out == example
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["--list"], 0),
+        (["export", "hasse", "--target", "fdl", "--generators", "4", "--format", "dot"], 0),
+        (["verify", "psi", "--n", "2", "--samples", "1", "--format", "json"], 0),
+        (["verify", "psi", "--n", "2", "--samples", "1"], 0),
+        (["verify", "freeness", "--n", "2", "--samples", "1", "--generator-map", "1=0"], 1),
+    ],
+    ids=["list", "hasse-dot", "psi-json", "psi-text", "refuted-control"],
+)
+def test_a_closed_stdout_keeps_the_status_quietly(argv, status):
+    # stdout is a pipe whose reader is gone before the first write, as with
+    # `| head` once head has exited: the write fails at once, every time
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tqps.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == status

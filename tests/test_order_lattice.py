@@ -368,15 +368,14 @@ def test_an_asymmetric_table_is_named():
 def test_entries_outside_the_index_range_are_refused():
     # a negative entry v - 3 or v - 6 of the chain of three would read as v
     # through a list index, or through that list padded to 2n; each cell,
-    # mirrored, of either table is refused by name, as is an entry that is
-    # no index at all
+    # mirrored, of either table is refused by name
     lat = FiniteDistributiveLattice.from_upper_sets(Poset.chain(2))
     for name, table in (("join", lat.join_table), ("meet", lat.meet_table)):
         for a in range(3):
             for b in range(3):
                 v = table[a][b]
                 first = (min(a, b), max(a, b))
-                for bad_v in (v - 3, v - 6, v + 0.5, "x"):
+                for bad_v in (v - 3, v - 6):
                     bad = _with_cell(lat, name, a, b, bad_v, True)
                     message = r"%s table entry %s at \(%d, %d\) is not in 0..2" % (
                         name,
@@ -399,6 +398,31 @@ def test_entries_outside_the_index_range_are_refused():
             FiniteDistributiveLattice(["0", "1"], join, meet).validate()
     with pytest.raises(LatticeError, match="meet table has 3 rows, expected 2"):
         FiniteDistributiveLattice(["0", "1"], [[0, 1], [1, 1]], meet + [[0, 1]]).validate()
+
+
+def test_entries_that_are_no_int_are_refused_by_the_constructor():
+    # 1.0 or True in a cell that holds 1, and 0.0 or False in one that holds
+    # 0, would read as that index; 0.5 and "x" are no index at all.  The
+    # constructor refuses each, in any cell of either table, by its cell
+    lat = FiniteDistributiveLattice.from_upper_sets(Poset.chain(2))
+    seen = set()
+    for name, table in (("join", lat.join_table), ("meet", lat.meet_table)):
+        for a in range(3):
+            for b in range(3):
+                v = table[a][b]
+                bools = (bool(v),) if v in (0, 1) else ()
+                for bad_v in (float(v), v + 0.5, "x") + bools:
+                    message = r"^%s table entry %s at \(%d, %d\) is not an int$" % (
+                        name,
+                        re.escape(repr(bad_v)),
+                        a,
+                        b,
+                    )
+                    with pytest.raises(LatticeError, match=message):
+                        _with_cell(lat, name, a, b, bad_v, False)
+                    seen.add((name, repr(bad_v)))
+    for name in ("join", "meet"):
+        assert {(name, "1.0"), (name, "True")} <= seen
 
 
 def _set_tables(elements):

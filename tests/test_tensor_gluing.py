@@ -248,18 +248,42 @@ def test_psi_ij_matches_the_three_rewrite_composite():
 
 def test_glue_matches_the_stepwise_composite():
     rng = rng_for("glue-oracle")
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         for src in range(n + 1):
             for dst in range(n + 1):
                 if src == dst:
                     continue
                 for _ in range(5):
                     x = random_tensor_element(rng, n, max_terms=4)
-                    y = glue(x, src, dst)
+                    y = canonical(glue(x, src, dst))
                     assert y == stepwise_glue(x, src, dst)
                     assert y.circle_slot == slot_for(dst, src)
+                # a matrix unit in every term of the symbol slot: the symbol
+                # drops every term
+                killed = random_tensor_element(
+                    rng, n, max_terms=4, compact_slots={slot_for(src, dst)}
+                )
+                zero = TensorElement.zero(n, slot_for(dst, src))
+                assert glue(killed, src, dst) == zero == stepwise_glue(killed, src, dst)
     with pytest.raises(ValueError):
         glue(TensorElement.one(2), 1, 1)
+
+
+def test_glue_refuses_in_its_own_words():
+    bare = TensorElement.pure((("T", 1), ("T", 0), ("T", 2)))
+    # a component with a circle slot, at the symbol slot or elsewhere
+    for circle_slot in (1, 3):
+        with pytest.raises(ValueError, match="^glue expects pure Toeplitz slots"):
+            glue(TensorElement.one(3, circle_slot), 0, 1)
+    # chart 4 is tracked at slot 4 of a component with three slots, as the
+    # symbol slot and as the target slot
+    with pytest.raises(ValueError, match="^glue: symbol slot 4 out of range"):
+        glue(bare, 0, 4)
+    with pytest.raises(ValueError, match="^glue: target slot 4 out of range"):
+        glue(bare, 4, 0)
+    # equal charts keep slot_for's refusal
+    with pytest.raises(ValueError, match="a chart does not track its own index"):
+        glue(bare, 2, 2)
 
 
 def test_psi_ij_rejects_a_misplaced_circle_slot():
