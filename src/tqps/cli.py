@@ -66,7 +66,10 @@ def _generator_map(text):
 def _write(lines):
     """Print lines to stdout and flush it.  If the reader has closed it, the
     rest is dropped without a word: stdout is pointed at os.devnull, so the
-    flush at exit cannot raise again, and the caller's exit status stands."""
+    flush at exit cannot raise again, and the caller's exit status stands.
+    Started with no stdout at all (sys.stdout is None), it writes nothing."""
+    if sys.stdout is None:
+        return
     try:
         for line in lines:
             print(line)

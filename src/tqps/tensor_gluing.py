@@ -231,8 +231,9 @@ def _move_circle(x, src, dst, name, reflect=False, symbol=False):
     reflect, the circle exponent h becomes -(d + h), d the total degree of
     the other slots.  With symbol, glue's move, x must have no circle slot
     and src must be a slot: its atom becomes its symbol first, a matrix
-    unit dropping the term and ("T", a) becoming the exponent a, so glue is
-    one pass.  symbol needs reflect, which builds the new circle atom.
+    unit dropping the term and ("T", a) becoming the exponent a, and is
+    then moved and reflected, so glue is one pass.  symbol implies reflect,
+    which builds the new circle atom.
 
     The result is built trusted, which is sound because the map on the
     keys it keeps is injective and sends valid keys to valid keys: the
@@ -250,6 +251,7 @@ def _move_circle(x, src, dst, name, reflect=False, symbol=False):
         raise ValueError("%s expects the circle slot at position %r" % (name, src))
     if not 1 <= dst <= n_slots:
         raise ValueError("%s: target slot %r out of range" % (name, dst))
+    reflect = reflect or symbol
     cut, at = src - 1, dst - 1
     terms = {}
     for atoms, c in x.terms.items():
@@ -370,9 +372,7 @@ def glue(x, src, dst):
     slots come from slot_for.  Two components at charts i and j agree when
     glue(comps[j], j, i) equals the symbol of comps[i] at slot_for(i, j).
     """
-    return _move_circle(
-        x, slot_for(src, dst), slot_for(dst, src), "glue", reflect=True, symbol=True
-    )
+    return _move_circle(x, slot_for(src, dst), slot_for(dst, src), "glue", symbol=True)
 
 
 class QuotientClass:

@@ -386,6 +386,7 @@ def test_readme_example_is_the_text_output(capsys):
     assert out == example
 
 
+@pytest.mark.parametrize("stdout", ["reader-gone", "no-descriptor"])
 @pytest.mark.parametrize(
     "argv, status",
     [
@@ -397,20 +398,26 @@ def test_readme_example_is_the_text_output(capsys):
     ],
     ids=["list", "hasse-dot", "psi-json", "psi-text", "refuted-control"],
 )
-def test_a_closed_stdout_keeps_the_status_quietly(argv, status):
-    # stdout is a pipe whose reader is gone before the first write, as with
-    # `| head` once head has exited: the write fails at once, every time
+def test_a_closed_stdout_keeps_the_status_quietly(argv, status, stdout):
+    # reader-gone: stdout is a pipe whose reader is gone before the first
+    # write, as with `| head` once head has exited, so the write fails at
+    # once, every time.  no-descriptor: descriptor 1 is closed, as by
+    # `>&-`, and Python starts with sys.stdout set to None
     read_end, write_end = os.pipe()
     os.close(read_end)
+    if stdout == "reader-gone":
+        redirect = {"stdout": write_end}
+    else:
+        redirect = {"preexec_fn": lambda: os.close(1)}
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "tqps.cli", *argv],
-            stdout=write_end,
             stderr=subprocess.PIPE,
             env=env,
             timeout=120,
+            **redirect,
         )
     finally:
         os.close(write_end)

@@ -297,17 +297,21 @@ def _accepts(check, lat):
     return True
 
 
-def _with_cell(lat, name, a, b, v, mirrored):
+def _with_cell(lat, name, a, b, v, mirrored, scanned=True):
     """A copy of lat with entry (a, b) of one table, and (b, a) if mirrored,
-    set to v."""
-    tables = {
-        "join": [row[:] for row in lat.join_table],
-        "meet": [row[:] for row in lat.meet_table],
-    }
-    tables[name][a][b] = v
+    set to v.  v is written into the built copy's tables, as a caller may
+    change them; if scanned, the copy is then built again, so that the
+    constructor's scan sees v too."""
+    out = FiniteDistributiveLattice(
+        lat.elements, [row[:] for row in lat.join_table], [row[:] for row in lat.meet_table]
+    )
+    table = getattr(out, name + "_table")
+    table[a][b] = v
     if mirrored:
-        tables[name][b][a] = v
-    return FiniteDistributiveLattice(lat.elements, tables["join"], tables["meet"])
+        table[b][a] = v
+    if scanned:
+        out = FiniteDistributiveLattice(out.elements, out.join_table, out.meet_table)
+    return out
 
 
 def _single_cell_corruptions(lat):
@@ -368,15 +372,16 @@ def test_an_asymmetric_table_is_named():
 def test_entries_outside_the_index_range_are_refused():
     # a negative entry v - 3 or v - 6 of the chain of three would read as v
     # through a list index, or through that list padded to 2n; each cell,
-    # mirrored, of either table is refused by name
+    # mirrored, of either table is refused by name, as is an entry that is
+    # no index at all, written after the constructor's type scan
     lat = FiniteDistributiveLattice.from_upper_sets(Poset.chain(2))
     for name, table in (("join", lat.join_table), ("meet", lat.meet_table)):
         for a in range(3):
             for b in range(3):
                 v = table[a][b]
                 first = (min(a, b), max(a, b))
-                for bad_v in (v - 3, v - 6):
-                    bad = _with_cell(lat, name, a, b, bad_v, True)
+                for bad_v in (v - 3, v - 6, v + 0.5, "x"):
+                    bad = _with_cell(lat, name, a, b, bad_v, True, scanned=False)
                     message = r"%s table entry %s at \(%d, %d\) is not in 0..2" % (
                         name,
                         re.escape(repr(bad_v)),
