@@ -102,11 +102,11 @@ class Scalar:
         return self.re != 0 or self.im != 0
 
     def __eq__(self, other):
+        if isinstance(other, Scalar):
+            return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            return self.im == 0 and self.re == other
+        return NotImplemented
 
     def __hash__(self):
         # A real Scalar equals its int or Fraction, so it must hash like one.
@@ -209,26 +209,16 @@ class Terms:
     def _trusted(cls, terms, shape=()):
         """Element holding `terms` as given, built without __init__.
 
-        Sound only when every key is already valid for the shape and every
-        coefficient nonzero.  The paths that build this way, and what makes
-        each sound:
-        - arithmetic (+, -, scale and the products): keys of validated
-          operands, merged through collect;
-        - the single-slot maps of toeplitz_core (adjoint,
-          homogeneous_parts): keys of a validated element, mapped
-          injectively onto valid keys or split by degree;
-        - the relocation maps of tensor_gluing: _move_circle (chi,
-          chi_inv, psi, psi_ij, psi_ij_inv and glue) and _rewrite
-          (slot_symbol, lift_circle and project_slots), each a map
-          injective on the keys of a validated tensor, onto valid keys;
-        - TensorElement.zero and random_tensor_element: a shape checked up
-          front, keys built from valid atoms and merged through collect;
-        - the atom tensors of psi_involution_check: keys valid for the
-          swept shape, one per tensor;
-        - the candidate component of multipullback.extend: keys lifted
-          from relocated constraints, none merged by addition.
-        Everything else (the constructor, and TensorElement.pure and one)
-        validates every key through _key.
+        Every caller meets this condition, which is what makes skipping
+        validation sound:
+        - every key is valid for the shape;
+        - every coefficient is nonzero (collect drops the zero sums);
+        - a map that rewrites the keys of another element is injective on
+          the terms it keeps, so no two coefficients merge;
+        - it branches on atom kind, never on a degree value, so it acts
+          alike on every degree, symbolic ones included.
+        The constructor, and TensorElement.pure and one, validate every key
+        through _key instead.
         """
         out = object.__new__(cls)
         out.shape = shape

@@ -190,8 +190,7 @@ def extend(partial, n):
         terms = {}
         for t in sorted(comps):
             terms.update(transition_representative(comps[t], m, t).terms)
-        # lifted constraints hold valid keys and nonzero coefficients, and
-        # no two were added, so the component is built trusted
+        # keys of lifted constraints, none summed; the final check sees a clash
         comps[m] = TensorElement._trusted(terms, (n, None))
     new_pairs = [
         (i, j) for i, j in itertools.combinations(range(n + 1), 2) if i in built or j in built

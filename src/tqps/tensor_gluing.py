@@ -37,16 +37,11 @@ it with the section into the transition between two quotient charts,
 which the cocycle check samples.
 
 On pure atom tensors each of these maps (chi, psi, psi_ij, glue, the symbol,
-its section and the projection) only rewrites term keys, and injectively,
-so none validates its result again.  Every circle move, glue's included,
-is one call of _move_circle, which holds the relocation checks and builds
-its result in one loop; the symbol, its section and the projection go
-through one primitive, _rewrite.  The other internal builders skip
-validation too, each on keys valid by construction:
-random_tensor_element and TensorElement.zero check the shape up front and
-build keys from valid atoms, the psi sweep builds each atom tensor from one
-key valid for its shape, and extend's candidate holds the keys of lifted
-constraints.  Only the public constructor, pure and one validate every key.
+its section and the projection) only rewrites term keys, injectively, so
+none validates its result again; circle_hopf.Terms._trusted states when
+that is sound.  Every circle move, glue's included, is one call of
+_move_circle, which holds the relocation checks; the symbol, its section
+and the projection are each one loop of their own.
 """
 
 from functools import lru_cache
@@ -123,6 +118,7 @@ class TensorElement(Terms):
 
     @classmethod
     def zero(cls, n_slots, circle_slot=None):
+        # no terms, and _shape checks the shape
         return cls._trusted({}, _shape(n_slots, circle_slot))
 
     @classmethod
@@ -161,6 +157,7 @@ class TensorElement(Terms):
                     for combo in product(*slots):
                         atoms, signs = zip(*combo)
                         pairs.append((atoms, c if prod(signs) > 0 else -c))
+        # products of valid atoms, summed through collect
         return TensorElement._trusted(collect(pairs), self.shape)
 
     __hash__ = None
@@ -200,28 +197,6 @@ def embed_toeplitz(elements):
     return TensorElement(len(elements), None, collect(combos))
 
 
-def _rewrite(x, n_slots, circle_slot, row):
-    """Tensor of the given shape whose terms are those of x with each key
-    replaced by row(key); a row of None drops the term.
-
-    The result is built through TensorElement._trusted, so the caller owns
-    the condition that makes that sound: row is injective on the keys it
-    keeps and sends every valid key of x to a valid key of the new shape.
-    Then no two coefficients merge, each stays nonzero, and nothing needs to
-    be validated again.  Every caller meets it:
-    - slot_symbol: ("T", a) -> ("u", a) is injective, and keys with a
-      matrix unit in the slot are dropped;
-    - lift_circle: ("u", m) -> ("T", m) is injective;
-    - project_slots: the identity on the keys it keeps.
-    """
-    terms = {}
-    for atoms, c in x.terms.items():
-        key = row(atoms)
-        if key is not None:
-            terms[key] = c
-    return TensorElement._trusted(terms, (n_slots, circle_slot))
-
-
 def _move_circle(x, src, dst, name, reflect=False, symbol=False):
     """Move the circle atom from slot src to slot dst, keeping Toeplitz order.
 
@@ -234,12 +209,6 @@ def _move_circle(x, src, dst, name, reflect=False, symbol=False):
     unit dropping the term and ("T", a) becoming the exponent a, and is
     then moved and reflected, so glue is one pass.  symbol implies reflect,
     which builds the new circle atom.
-
-    The result is built trusted, which is sound because the map on the
-    keys it keeps is injective and sends valid keys to valid keys: the
-    symbol is injective on the terms it keeps, moving the circle atom
-    permutes slots, and for a fixed Toeplitz part the reflection is a
-    bijection of h.  So no two coefficients merge and each stays nonzero.
     """
     n_slots, circle_slot = x.shape
     if symbol:
@@ -268,6 +237,7 @@ def _move_circle(x, src, dst, name, reflect=False, symbol=False):
                 h += a[1] - a[2] if a[0] == "E" else a[1]
             circle = ("u", -h)
         terms[rest[:at] + (circle,) + rest[at:]] = c
+    # the symbol, the slot permutation and the reflection are injective
     return TensorElement._trusted(terms, (n_slots, dst))
 
 
@@ -319,14 +289,16 @@ def slot_symbol(x, k):
         raise ValueError("slot_symbol expects pure Toeplitz slots")
     if type(k) is not int or not 1 <= k <= x.n_slots:
         raise ValueError("slot must be an integer from 1 to %d, got %r" % (x.n_slots, k))
-
-    def row(atoms):
-        atom = atoms[k - 1]
-        if atom[0] == "E":
-            return None
-        return atoms[: k - 1] + (("u", atom[1]),) + atoms[k:]
-
-    return _rewrite(x, x.n_slots, k, row)
+    cut = k - 1
+    # ("T", a) -> ("u", a) is injective; a matrix unit at k drops the term
+    return TensorElement._trusted(
+        {
+            atoms[:cut] + (("u", atoms[cut][1]),) + atoms[k:]: c
+            for atoms, c in x.terms.items()
+            if atoms[cut][0] != "E"
+        },
+        (x.n_slots, k),
+    )
 
 
 def lift_circle(x):
@@ -334,8 +306,11 @@ def lift_circle(x):
     k = x.circle_slot
     if k is None:
         raise ValueError("lift_circle expects a circle slot")
-    return _rewrite(
-        x, x.n_slots, None, lambda atoms: atoms[: k - 1] + (("T", atoms[k - 1][1]),) + atoms[k:]
+    cut = k - 1
+    # ("u", m) -> ("T", m) is injective
+    return TensorElement._trusted(
+        {atoms[:cut] + (("T", atoms[cut][1]),) + atoms[k:]: c for atoms, c in x.terms.items()},
+        (x.n_slots, None),
     )
 
 
@@ -346,13 +321,11 @@ def project_slots(x, slots):
     of the slot kernels: the kernel of the symbol at slot s is spanned by
     the terms with a matrix unit in slot s.
     """
-    slots = _toeplitz_slots(slots, x.shape, "project")
-    return _rewrite(
-        x,
-        x.n_slots,
-        x.circle_slot,
-        lambda atoms: None if any(atoms[s - 1][0] == "E" for s in slots) else atoms,
-    )
+    terms = x.terms
+    for s in _toeplitz_slots(slots, x.shape, "project"):
+        terms = {atoms: c for atoms, c in terms.items() if atoms[s - 1][0] != "E"}
+    # the kept keys stay as they are; no element edits its term map
+    return TensorElement._trusted(terms, x.shape)
 
 
 def slot_for(side, idx):
@@ -491,6 +464,7 @@ def random_tensor_element(
                     d = getrandbits(degree_bits)
                 atoms.append((kind, d - b))
         pairs.append((tuple(atoms), scalar(rng)))
+    # keys of valid atoms for the checked shape, summed through collect
     return TensorElement._trusted(collect(pairs), shape)
 
 
@@ -525,8 +499,7 @@ def psi_involution_check(n, samples=1000, seed=DEFAULT_SEED):
     atoms = [("T", a) for a in degrees] + [
         ("E", j, k) for j in range(PSI_MAX_INDEX + 1) for k in range(PSI_MAX_INDEX + 1)
     ]
-    # every swept key is valid for the shape (n slots, circle at n), so
-    # each atom tensor is built trusted
+    # one key per tensor, valid for the shape (n slots, circle at n)
     shape = (n, n)
     for prefix in product(atoms, repeat=n - 1):
         for h in degrees:

@@ -128,10 +128,12 @@ class ToeplitzElement(Terms):
                 if product:
                     c = c1 * c2
                     terms.extend((atom, c if sign > 0 else -c) for atom, sign in product)
+        # products of valid atoms, summed through collect
         return ToeplitzElement._trusted(collect(terms))
 
     def adjoint(self):
         """T(u^a)* = T(u^-a) and E_{jk}* = E_{kj}, coefficients conjugated."""
+        # both rewrites are injective and keep atoms valid
         return ToeplitzElement._trusted(
             {
                 (("T", -atom[1]) if atom[0] == "T" else ("E", atom[2], atom[1])): c.conjugate()
@@ -149,6 +151,7 @@ class ToeplitzElement(Terms):
         parts = {}
         for atom, c in self.terms.items():
             parts.setdefault(atom_degree(atom), {})[atom] = c
+        # each part keeps some of the keys of self, unchanged
         return {d: ToeplitzElement._trusted(terms) for d, terms in parts.items()}
 
     def render(self):

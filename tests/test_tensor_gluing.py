@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -186,6 +187,142 @@ def test_relocation_maps_build_canonical_tensors():
         i = int(rng.randint(0, n - 1))
         c = random_tensor_element(rng, n, circle_slot=i + 1, max_terms=4)
         canonical(psi_ij_inv(canonical(psi_ij(c, i, n)), i, n))
+        for src, dst in permutations(range(n + 1), 2):
+            canonical(glue(x, src, dst))
+
+
+class Aff:
+    """Integer affine form const + sum(coef * var): a degree carried
+    symbolically.  It adds, subtracts, negates and hashes, equals only
+    another form, and has no order and no truth value, so a map that
+    branched on a degree value would raise TypeError on it."""
+
+    __slots__ = ("const", "coefs")
+
+    def __init__(self, const=0, coefs=()):
+        self.const = const
+        self.coefs = tuple(sorted((v, c) for v, c in dict(coefs).items() if c))
+
+    def _plus(self, other, sign):
+        if type(other) is not Aff:
+            return NotImplemented
+        coefs = dict(self.coefs)
+        for v, c in other.coefs:
+            coefs[v] = coefs.get(v, 0) + sign * c
+        return Aff(self.const + sign * other.const, coefs)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return Aff(-self.const, {v: -c for v, c in self.coefs})
+
+    def __eq__(self, other):
+        if type(other) is not Aff:
+            raise TypeError("an affine form compares only with another")
+        return self.const == other.const and self.coefs == other.coefs
+
+    def __hash__(self):
+        return hash((self.const, self.coefs))
+
+    def _unordered(self, other):
+        raise TypeError("affine forms have no order")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    def __bool__(self):
+        raise TypeError("an affine form has no truth value")
+
+
+def symbolic_tensor(n, circle_slot=None):
+    """Tensor of shape (n, circle_slot) with one term per kind pattern of its
+    Toeplitz slots, each degree and index a variable of its own."""
+    toeplitz = [s for s in range(1, n + 1) if s != circle_slot]
+    terms = {}
+    for t, kinds in enumerate(product("TE", repeat=len(toeplitz))):
+        kind_at = dict(zip(toeplitz, kinds))
+        atoms = []
+        for s in range(1, n + 1):
+            name = "%d.%d" % (t, s)
+            if s == circle_slot:
+                atoms.append(("u", Aff(0, {"h" + name: 1})))
+            elif kind_at[s] == "T":
+                atoms.append(("T", Aff(0, {"a" + name: 1})))
+            else:
+                atoms.append(("E", Aff(0, {"j" + name: 1}), Aff(0, {"k" + name: 1})))
+        terms[tuple(atoms)] = Scalar(t + 1)
+    # every key fits the shape, and no two share a kind pattern
+    return TensorElement._trusted(terms, (n, circle_slot))
+
+
+def total_degree(atoms):
+    out = Aff()
+    for atom in atoms:
+        out = out + (atom[1] - atom[2] if atom[0] == "E" else atom[1])
+    return out
+
+
+def moved(atoms, src, dst, exponent):
+    """atoms with slot src taken out and ("u", exponent) put in at slot dst."""
+    rest = list(atoms)
+    del rest[src - 1]
+    rest.insert(dst - 1, ("u", exponent))
+    return tuple(rest)
+
+
+def test_maps_branch_on_atom_kind_only():
+    a, b = Aff(0, {"a": 1}), Aff(2, {"b": 1})
+    for refused in (lambda: a < b, lambda: a >= b, lambda: bool(a), lambda: a == 0):
+        with pytest.raises(TypeError):
+            refused()
+    assert (a + b) - b == a and -(-a) == a and a - a == Aff()
+    for n in (1, 2, 3):
+        x = symbolic_tensor(n)
+        for k in range(1, n + 1):
+            kept = {atoms: c for atoms, c in x.terms.items() if atoms[k - 1][0] == "T"}
+            symbol = {
+                atoms[: k - 1] + (("u", atoms[k - 1][1]),) + atoms[k:]: c
+                for atoms, c in kept.items()
+            }
+            y = slot_symbol(x, k)
+            assert y == TensorElement._trusted(symbol, (n, k))
+            assert lift_circle(y) == project_slots(x, {k}) == TensorElement._trusted(kept, (n, None))
+        every_shift = {a: c for a, c in x.terms.items() if all(t[0] == "T" for t in a)}
+        assert project_slots(x, range(1, n + 1)) == TensorElement._trusted(every_shift, (n, None))
+        # glue: the symbol exponent a at slot s becomes -(a + the degree of
+        # the other slots) at slot t
+        for src, dst in permutations(range(n + 1), 2):
+            s, t = slot_for(src, dst), slot_for(dst, src)
+            glued = {}
+            for atoms, c in x.terms.items():
+                if atoms[s - 1][0] == "T":
+                    rest = atoms[: s - 1] + atoms[s:]
+                    glued[moved(atoms, s, t, -(atoms[s - 1][1] + total_degree(rest)))] = c
+            assert glue(x, src, dst) == TensorElement._trusted(glued, (n, t))
+        # psi: the circle exponent h becomes -(h + the Toeplitz degree)
+        w = symbolic_tensor(n, n)
+        reflected = {
+            moved(atoms, n, n, -(atoms[-1][1] + total_degree(atoms[:-1]))): c
+            for atoms, c in w.terms.items()
+        }
+        assert psi(w) == TensorElement._trusted(reflected, (n, n))
+        assert psi(psi(w)) == w
+        for j in range(1, n + 1):
+            front = {moved(atoms, n, j, atoms[-1][1]): c for atoms, c in w.terms.items()}
+            assert chi(w, j) == TensorElement._trusted(front, (n, j))
+            assert chi_inv(chi(w, j), j) == w
+        for i in range(n):
+            v = symbolic_tensor(n, i + 1)
+            for j in range(i + 1, n + 1):
+                out = {}
+                for atoms, c in v.terms.items():
+                    rest = atoms[:i] + atoms[i + 1 :]
+                    out[moved(atoms, i + 1, j, -(atoms[i][1] + total_degree(rest)))] = c
+                assert psi_ij(v, i, j) == TensorElement._trusted(out, (n, j))
+                assert psi_ij_inv(psi_ij(v, i, j), i, j) == v
 
 
 def test_psi_matches_stepwise_oracle():
