@@ -49,7 +49,6 @@ from .tensor_gluing import (
     chi,
     chi_inv,
     cocycle_check,
-    embed_toeplitz,
     glue,
     kernel_image_check,
     lift_circle,
@@ -62,7 +61,6 @@ from .tensor_gluing import (
     slot_for,
     slot_symbol,
 )
-from .toeplitz_core import ToeplitzElement
 
 __version__ = "0.1.0"
 

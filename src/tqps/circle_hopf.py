@@ -3,8 +3,8 @@ combination in tqps is built on.
 
 Each Scalar component is an exact int or Fraction; no floating point
 enters this module.  Terms is the one representation of a finite sum of
-basis keys with nonzero Scalar coefficients: Toeplitz elements over their
-shift and matrix-unit atoms, and the tensor powers built on those atoms.
+basis keys with nonzero Scalar coefficients: the tensor powers over
+Toeplitz atoms, whose one-slot tensors are the single-slot operators.
 collect is its one way to sum coefficients of repeated keys.
 
 The circle algebra, Laurent polynomials in the unitary u, has no class of

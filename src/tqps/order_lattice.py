@@ -286,12 +286,13 @@ def upper_sets(poset):
 
 def _mirror(lower):
     """Complete a lower-triangular table (row i holds columns 0..i) to the
-    symmetric square, in place: row i gains column i below the diagonal.
-    Each new row is built at its exact size, and each old row is freed
-    once the column walk has read past it, so no second table is held."""
+    symmetric square of tuple rows: row i gains column i below the
+    diagonal.  Each new row is built at its exact size in place of the old
+    one, which is freed once the column walk has read past it, so no second
+    table is held."""
     for i, col in enumerate(itertools.zip_longest(*lower)):
-        lower[i] = lower[i] + list(col[i + 1 :])
-    return lower
+        lower[i] = tuple(lower[i]) + col[i + 1 :]
+    return tuple(lower)
 
 
 class FiniteDistributiveLattice:
@@ -299,7 +300,9 @@ class FiniteDistributiveLattice:
 
     Elements are arbitrary distinct values; tables hold element indices,
     each an int: the constructor refuses any other entry, naming its cell,
-    since a float or bool equal to an index would read as that index.
+    since a float or bool equal to an index would read as that index.  Each
+    table is stored as a tuple of tuple rows, so no cell changes after that
+    scan.
     validate() checks the lattice axioms and the distributive law on every
     table, whatever its size, through Birkhoff's embedding.  The class
     holds only what that check reads: the tables, n, leq and top.  Up-sets
@@ -317,17 +320,18 @@ class FiniteDistributiveLattice:
                             "%s table entry %r at (%d, %d) is not an int" % (name, v, a, b)
                         )
         self.elements = list(elements)
-        self.join_table = join_table
-        self.meet_table = meet_table
+        self.join_table = tuple(map(tuple, join_table))
+        self.meet_table = tuple(map(tuple, meet_table))
 
     @classmethod
     def _int_tables(cls, elements, join_table, meet_table):
         """The lattice on tables of ints built here, without the
-        constructor's scan of every entry."""
+        constructor's scan of every entry; rows that are tuples already
+        are kept as they are."""
         out = object.__new__(cls)
         out.elements = list(elements)
-        out.join_table = join_table
-        out.meet_table = meet_table
+        out.join_table = tuple(map(tuple, join_table))
+        out.meet_table = tuple(map(tuple, meet_table))
         return out
 
     @classmethod
@@ -351,15 +355,11 @@ class FiniteDistributiveLattice:
             if e in pos:
                 raise ValueError("duplicate element %r" % (e,))
             pos[e] = i
-        join = [[0] * len(elements) for _ in elements]
-        meet = [[0] * len(elements) for _ in elements]
-        for i, a in enumerate(elements):
-            for j, b in enumerate(elements):
-                try:
-                    join[i][j] = pos[join_fn(a, b)]
-                    meet[i][j] = pos[meet_fn(a, b)]
-                except KeyError:
-                    raise ValueError("join or meet escapes the element list")
+        try:
+            join = [tuple([pos[join_fn(a, b)] for b in elements]) for a in elements]
+            meet = [tuple([pos[meet_fn(a, b)] for b in elements]) for a in elements]
+        except KeyError:
+            raise ValueError("join or meet escapes the element list")
         return cls._int_tables(elements, join, meet)
 
     @property
@@ -490,7 +490,7 @@ def _transform(lat):
                 raise LatticeError("meet does not map to union at (%d, %d)" % (a, b))
     for name, table in (("join", jt), ("meet", mt)):
         for a, (row, col) in enumerate(zip(table, zip(*table))):
-            if tuple(row) != col:
+            if row != col:
                 b = next(b for b in range(a + 1, n) if row[b] != col[b])
                 raise LatticeError("%s table is not symmetric at (%d, %d)" % (name, a, b))
     return BirkhoffResult(poset, mirr, mapping)

@@ -1,13 +1,12 @@
-"""Seeded random generators for scalars, algebra elements, posets and
-antichain families.
+"""Seeded random generators for scalars, posets and antichain families;
+tensor_gluing.random_tensor_element draws algebra elements.
 
 Every generator takes an explicit random.Random so callers control
 reproducibility; derived_rng in util builds independent streams from a
 seed and a label path.
 """
 
-from .circle_hopf import _scalar, collect
-from .toeplitz_core import ToeplitzElement
+from .circle_hopf import _scalar
 from .order_lattice import AntichainForm, Poset, UpSet
 from .util import DEFAULT_SEED, _index  # noqa: F401  (DEFAULT_SEED re-exported for callers)
 
@@ -39,25 +38,6 @@ def random_nonzero_scalar(rng):
             im = getrandbits(bits)
         if re != b or im != b:
             return _scalar(re - b, im - b)
-
-
-def random_toeplitz_element(rng, max_degree=4, max_index=4, max_terms=3):
-    """Random element: up to max_terms shifts of degree in
-    [-max_degree, max_degree], then up to max_terms matrix units with
-    indices in [0, max_index], each with a nonzero coefficient.  The
-    three counts are read before the first draw."""
-    max_degree = _index(max_degree, "max_degree", 0)
-    max_index = _index(max_index, "max_index", 0)
-    max_terms = _index(max_terms, "max_terms", 0)
-    pairs = [
-        (("T", rng.randint(-max_degree, max_degree)), random_nonzero_scalar(rng))
-        for _ in range(rng.randint(0, max_terms))
-    ]
-    pairs += [
-        (("E", rng.randint(0, max_index), rng.randint(0, max_index)), random_nonzero_scalar(rng))
-        for _ in range(rng.randint(0, max_terms))
-    ]
-    return ToeplitzElement(collect(pairs))
 
 
 def random_poset(rng, size):

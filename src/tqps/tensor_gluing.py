@@ -2,13 +2,15 @@
 
 Elements of a tensor power are exact linear combinations of pure atom
 tensors.  Each slot of a pure tensor holds one Toeplitz atom, a shift
-("T", a) or a matrix unit ("E", j, k), the keys of a ToeplitzElement; at
-most one distinguished slot holds a circle monomial ("u", m) instead.
-toeplitz_core validates atoms and multiplies them.  The tensor product
-multiplies the coefficients of each term pair once and reads each slot's
-atom product, as atoms with an int sign, from _mul_toeplitz_atoms, a cache
-of atom_product, which the single-slot product calls too.  Slot positions
-are 1-based throughout the public surface.
+("T", a) or a matrix unit ("E", j, k); at most one distinguished slot
+holds a circle monomial ("u", m) instead.  A single-slot operator is a
+one-slot tensor, TensorElement(1).  toeplitz_core validates atoms and
+multiplies them.  The tensor product multiplies the coefficients of each
+term pair once and reads each slot's atom product, as atoms with an int
+sign, from _mul_toeplitz_atoms, a cache of atom_product.  The adjoint acts
+slotwise, T(u^a)* = T(u^-a), E_{jk}* = E_{kj} and (u^m)* = u^-m, with
+conjugated coefficients.  Slot positions are 1-based throughout the public
+surface.
 
 The gauge grading, toeplitz_core's atom_degree, gives every atom an integer
 degree (a for a shift, j - k for a matrix unit, m for a circle monomial).
@@ -23,7 +25,7 @@ done as one move that relocates the circle slot and reflects its exponent.
 The slotwise symbol map, slot_symbol, turns a Toeplitz slot into a circle
 slot by killing matrix units, and lift_circle is its linear section.  They
 are the package's one symbol map and section: on one slot they go between
-ToeplitzElements, as TensorElement(1), and circle functions, which are
+single-slot operators, TensorElement(1), and circle functions, which are
 TensorElement(1, circle_slot=1).  Quotient classes modulo two slot kernels
 are canonicalized by dropping every term with a matrix unit in a killed slot.
 
@@ -37,11 +39,11 @@ it with the section into the transition between two quotient charts,
 which the cocycle check samples.
 
 On pure atom tensors each of these maps (chi, psi, psi_ij, glue, the symbol,
-its section and the projection) only rewrites term keys, injectively, so
-none validates its result again; circle_hopf.Terms._trusted states when
-that is sound.  Every circle move, glue's included, is one call of
-_move_circle, which holds the relocation checks; the symbol, its section
-and the projection are each one loop of their own.
+its section, the projection and the adjoint) only rewrites term keys,
+injectively, so none validates its result again; circle_hopf.Terms._trusted
+states when that is sound.  Every circle move, glue's included, is one call
+of _move_circle, which holds the relocation checks; the symbol, its
+section, the projection and the adjoint are each one loop of their own.
 """
 
 from functools import lru_cache
@@ -160,6 +162,16 @@ class TensorElement(Terms):
         # products of valid atoms, summed through collect
         return TensorElement._trusted(collect(pairs), self.shape)
 
+    def adjoint(self):
+        """Slotwise adjoint: T(u^a)* = T(u^-a), E_{jk}* = E_{kj} and, in a
+        circle slot, (u^m)* = u^-m, every coefficient conjugated."""
+        terms = {
+            tuple(("E", a[2], a[1]) if a[0] == "E" else (a[0], -a[1]) for a in atoms): c.conjugate()
+            for atoms, c in self.terms.items()
+        }
+        # the slotwise rewrite is injective and keeps each atom's kind and slot
+        return TensorElement._trusted(terms, self.shape)
+
     __hash__ = None
 
     def __repr__(self):
@@ -184,17 +196,6 @@ class TensorElement(Terms):
                 for atoms, c in sorted(self.terms.items())
             ],
         }
-
-
-def embed_toeplitz(elements):
-    """Pure tensor of ToeplitzElements as a TensorElement (distributing atoms)."""
-    combos = [((), ONE)]
-    for x in elements:
-        expansion = list(x.atoms())
-        combos = [
-            (prefix + (atom,), c * ac) for prefix, c in combos for atom, ac in expansion
-        ]
-    return TensorElement(len(elements), None, collect(combos))
 
 
 def _move_circle(x, src, dst, name, reflect=False, symbol=False):

@@ -1,10 +1,11 @@
 """Independent reference implementations the tests check the library against.
 
 Each oracle recomputes a quantity through a different representation than
-the library uses: operator products through truncated matrices read
-straight off the shift and matrix-unit coefficients, gluings and tensor
-products through stepwise single-slot arithmetic with circle exponents
-added and reflected as plain ints, order-theoretic counts through
+the library uses: operator products and adjoints through truncated
+matrices read straight off the shift and matrix-unit coefficients of a
+one-slot tensor, gluings through atom degrees read off those matrices and
+circle exponents added and reflected as plain ints, tensor products one
+slot at a time through atom_product, order-theoretic counts through
 exhaustive filters, chart gluings through three relocations instead of
 one and with their slots worked out by hand, free-lattice join and meet
 through frozensets of index sets instead of up-set bitmasks, the Birkhoff
@@ -21,13 +22,14 @@ from tqps.circle_hopf import Scalar, ZERO, collect
 from tqps.order_lattice import LatticeError, Poset, upper_set_masks
 from tqps.sampling import _SCALAR_BOUND
 from tqps.tensor_gluing import RANDOM_BOUND, TensorElement, chi, chi_inv, psi, slot_symbol
-from tqps.toeplitz_core import ToeplitzElement
+from tqps.toeplitz_core import atom_product
 
 
 def element_band(x):
-    """Bound covering the symbol support and compact indices of x."""
+    """Bound covering the symbol support and compact indices of the
+    one-slot tensor x."""
     b = 0
-    for atom in x.terms:
+    for (atom,) in x.terms:
         if atom[0] == "T":
             b = max(b, abs(atom[1]))
         else:
@@ -36,11 +38,12 @@ def element_band(x):
 
 
 def toeplitz_matrix(x, d):
-    """Truncation of x to the upper-left d by d corner: entry (j, k) is
-    the coefficient of the shift T(u^(j-k)) plus that of E_{jk}."""
+    """Truncation of the one-slot tensor x to the upper-left d by d corner:
+    entry (j, k) is the coefficient of the shift T(u^(j-k)) plus that of
+    E_{jk}."""
     terms = x.terms
     return [
-        [terms.get(("T", j - k), ZERO) + terms.get(("E", j, k), ZERO) for k in range(d)]
+        [terms.get((("T", j - k),), ZERO) + terms.get((("E", j, k),), ZERO) for k in range(d)]
         for j in range(d)
     ]
 
@@ -90,26 +93,24 @@ def adjoint_matches_truncation(x, adjoint):
     return all(oracle[j][k] == claimed[j][k] for j in range(m) for k in range(m))
 
 
-def _atom_degree_via_grading(atom):
-    """Degree of one atom read off the single-slot gauge grading."""
-    if atom[0] == "T":
-        elem = ToeplitzElement.shift(atom[1])
-    else:
-        elem = ToeplitzElement.matrix_unit(atom[1], atom[2])
-    parts = elem.homogeneous_parts()
-    (deg,) = parts.keys()
+def matrix_degree(atom):
+    """Gauge degree of one Toeplitz atom read off its truncated matrix: the
+    diagonal offset j - k of its nonzero entries."""
+    x = TensorElement.pure([atom])
+    m = toeplitz_matrix(x, element_band(x) + 1)
+    (deg,) = {j - k for j, row in enumerate(m) for k, v in enumerate(row) if v}
     return deg
 
 
 def stepwise_psi(x):
     """Gluing recomputed term by term: the degrees of the Toeplitz slots
-    read off the single-slot grading and added to the circle exponent as
+    read off their truncated matrices and added to the circle exponent as
     ints, then the sum reflected, u^h -> u^-h."""
     out = {}
     for atoms, c in x.terms.items():
         total = atoms[-1][1]
         for atom in atoms[:-1]:
-            total += _atom_degree_via_grading(atom)
+            total += matrix_degree(atom)
         row = atoms[:-1] + (("u", -total),)
         out[row] = out.get(row, ZERO) + c
     return TensorElement(x.n_slots, x.n_slots, out)
@@ -133,8 +134,8 @@ def stepwise_glue(x, src, dst):
 
 def slotwise_product(x, y):
     """Tensor product expanded one slot at a time: every slot's atom product
-    read off a product of one-atom ToeplitzElements (in the circle slot,
-    the exponents added as ints), and one Scalar product per slot term."""
+    read off atom_product as (atom, sign) terms (in the circle slot, the
+    exponents added as ints), and one Scalar product per slot term."""
     out = {}
     for t1, c1 in x.terms.items():
         for t2, c2 in y.terms.items():
@@ -143,7 +144,7 @@ def slotwise_product(x, y):
                 if pos == x.circle_slot:
                     slot = [(("u", a[1] + b[1]), 1)]
                 else:
-                    slot = (ToeplitzElement({a: 1}) * ToeplitzElement({b: 1})).terms.items()
+                    slot = atom_product(a, b)
                 rows = [(row + (atom,), c * ac) for row, c in rows for atom, ac in slot]
             for row, c in rows:
                 out[row] = out.get(row, ZERO) + c

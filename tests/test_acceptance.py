@@ -29,19 +29,16 @@ from tqps.sampling import (
     DEFAULT_SEED,
     random_antichain_form,
     random_poset,
-    random_toeplitz_element,
 )
 from tqps.tensor_gluing import (
     TensorElement,
     cocycle_check,
-    embed_toeplitz,
     kernel_image_check,
     psi_involution_check,
     random_tensor_element,
     slot_for,
     slot_symbol,
 )
-from tqps.toeplitz_core import ToeplitzElement
 from tqps.util import derived_rng
 
 
@@ -166,8 +163,8 @@ def test_08_mirror_membership_is_the_antipode_relation():
         member = is_member(PullbackElement([x0, x1]))
         relation = slot_symbol(x0, 1) == _antipode(slot_symbol(x1, 1))
         assert member == relation, t
-    z = embed_toeplitz([ToeplitzElement.z()])
-    z_star = embed_toeplitz([ToeplitzElement.z_star()])
+    z = TensorElement.pure([("T", 1)])
+    z_star = z.adjoint()
     assert not is_member(PullbackElement([z, z]))
     assert is_member(PullbackElement([z, z_star]))
 
@@ -192,10 +189,11 @@ def test_09_classical_lattice_maps_invert_and_transitions_roundtrip():
 
 
 def test_10_operator_products_match_truncated_matrices():
-    """1000 seeded operator pairs multiply identically to the truncated
-    matrix computation on the exact window."""
+    """1000 seeded pairs of single-slot operators, one-slot tensors,
+    multiply identically to the truncated matrix computation on the exact
+    window."""
     rng = _rng("toeplitz-oracle")
     for t in range(1000):
-        x = random_toeplitz_element(rng, max_degree=3, max_index=3, max_terms=3)
-        y = random_toeplitz_element(rng, max_degree=3, max_index=3, max_terms=3)
+        x = random_tensor_element(rng, 1)
+        y = random_tensor_element(rng, 1)
         assert product_matches_truncation(x, y, x * y), t

@@ -15,17 +15,15 @@ from tqps.multipullback import (
     witness_TmI,
     witness_xI,
 )
-from tqps.sampling import DEFAULT_SEED, random_toeplitz_element
+from tqps.sampling import DEFAULT_SEED
 from tqps.tensor_gluing import (
     TensorElement,
-    embed_toeplitz,
     glue,
     project_slots,
     random_tensor_element,
     slot_for,
     slot_symbol,
 )
-from tqps.toeplitz_core import ToeplitzElement
 from tqps.util import derived_rng
 
 
@@ -34,7 +32,7 @@ def rng_for(name):
 
 
 def tensor_z(n):
-    return embed_toeplitz([ToeplitzElement.z()] * n)
+    return TensorElement.pure([("T", 1)] * n)
 
 
 def test_element_validation():

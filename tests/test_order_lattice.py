@@ -284,9 +284,36 @@ def test_a_join_off_the_intersection_is_rejected():
     # only the pair check can see it
     lat = FiniteDistributiveLattice.from_upper_sets(Poset.antichain(2))
     assert lat.join_table[1][2] == 0
-    lat.join_table[1][2] = 3
+    bad = _with_cell(lat, "join", 1, 2, 3, False)
     with pytest.raises(LatticeError, match=r"join does not map to intersection at \(1, 2\)"):
-        birkhoff_transform(lat)
+        birkhoff_transform(bad)
+
+
+_TWO_ELEMENT_TABLES = [[0, 1], [1, 1]], [[0, 0], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FiniteDistributiveLattice(["0", "1"], *_TWO_ELEMENT_TABLES),
+        lambda: FiniteDistributiveLattice._int_tables(["0", "1"], *_TWO_ELEMENT_TABLES),
+        lambda: FiniteDistributiveLattice.from_upper_sets(Poset.chain(2)),
+        lambda: FiniteDistributiveLattice.from_elements([0, 1, 2], max, min),
+    ],
+    ids=["constructor", "int-tables", "upper-sets", "elements"],
+)
+def test_a_built_lattice_keeps_its_cells(build):
+    # a 1.0 written into a cell that holds 1 after the constructor's int
+    # scan would read as index 1 and pass validate(); each table is a tuple
+    # of tuple rows, however the lattice was built, so no cell or row can be
+    # written
+    lat = build()
+    for table in (lat.join_table, lat.meet_table):
+        with pytest.raises(TypeError):
+            table[1][1] = 1.0
+        with pytest.raises(TypeError):
+            table[1] = [1, 1]
+    lat.validate()
 
 
 def _accepts(check, lat):
@@ -299,19 +326,18 @@ def _accepts(check, lat):
 
 def _with_cell(lat, name, a, b, v, mirrored, scanned=True):
     """A copy of lat with entry (a, b) of one table, and (b, a) if mirrored,
-    set to v.  v is written into the built copy's tables, as a caller may
-    change them; if scanned, the copy is then built again, so that the
-    constructor's scan sees v too."""
-    out = FiniteDistributiveLattice(
-        lat.elements, [row[:] for row in lat.join_table], [row[:] for row in lat.meet_table]
-    )
-    table = getattr(out, name + "_table")
+    set to v: built through the constructor, whose scan sees v, or, unless
+    scanned, through _int_tables, which reads no entry."""
+    tables = {
+        "join": [list(row) for row in lat.join_table],
+        "meet": [list(row) for row in lat.meet_table],
+    }
+    table = tables[name]
     table[a][b] = v
     if mirrored:
         table[b][a] = v
-    if scanned:
-        out = FiniteDistributiveLattice(out.elements, out.join_table, out.meet_table)
-    return out
+    build = FiniteDistributiveLattice if scanned else FiniteDistributiveLattice._int_tables
+    return build(lat.elements, tables["join"], tables["meet"])
 
 
 def _single_cell_corruptions(lat):
@@ -364,9 +390,9 @@ def test_an_asymmetric_table_is_named():
         birkhoff_transform(bad)
     with pytest.raises(LatticeError, match="not symmetric"):
         bad.validate()
-    # rows are compared by value, whatever sequence holds them
-    as_tuples = [[tuple(row) for row in t] for t in (lat.join_table, lat.meet_table)]
-    FiniteDistributiveLattice(lat.elements, *as_tuples).validate()
+    # the tables are stored as tuple rows, whatever sequence held them
+    as_lists = [[list(row) for row in t] for t in (lat.join_table, lat.meet_table)]
+    FiniteDistributiveLattice(lat.elements, *as_lists).validate()
 
 
 def test_entries_outside_the_index_range_are_refused():
@@ -432,8 +458,8 @@ def test_entries_that_are_no_int_are_refused_by_the_constructor():
 
 def _set_tables(elements):
     pos = {e: i for i, e in enumerate(elements)}
-    join = [[pos[a & b] for b in elements] for a in elements]
-    meet = [[pos[a | b] for b in elements] for a in elements]
+    join = tuple(tuple(pos[a & b] for b in elements) for a in elements)
+    meet = tuple(tuple(pos[a | b] for b in elements) for a in elements)
     return join, meet
 
 

@@ -9,7 +9,6 @@ from tqps.sampling import (
     random_antichain_form,
     random_nonzero_scalar,
     random_poset,
-    random_toeplitz_element,
 )
 from tqps.tensor_gluing import random_tensor_element
 
@@ -64,11 +63,6 @@ _NOT_COUNTS = (True, 1.5, "2")
         (random_tensor_element, {"min_terms": 4}),
         *((random_poset, {"size": v}) for v in (*_NOT_COUNTS, -1)),
         *((random_antichain_form, {"n_generators": v}) for v in (*_NOT_COUNTS, 0)),
-        *(
-            (random_toeplitz_element, {count: v})
-            for count in ("max_degree", "max_index", "max_terms")
-            for v in (*_NOT_COUNTS, -1)
-        ),
     ],
     ids=lambda p: p.__name__ if callable(p) else repr(p),
 )

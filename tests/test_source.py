@@ -3,7 +3,10 @@
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tqps"
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tqps"
 
 
 def test_no_check_is_an_assert_statement():
@@ -17,3 +20,22 @@ def test_no_check_is_an_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def _files_naming(name, paths):
+    return sorted(str(path.relative_to(ROOT)) for path in paths if name in path.read_text())
+
+
+# A single-slot operator is a one-slot TensorElement.  ToeplitzElement
+# survives only in toeplitz_core, for the benchmark's traced product, and no
+# converter or second sampler comes back.
+
+
+def test_only_toeplitz_core_names_the_stub_operator_class():
+    assert _files_naming("ToeplitzElement", SRC.glob("*.py")) == ["src/tqps/toeplitz_core.py"]
+
+
+@pytest.mark.parametrize("name", ["embed_toeplitz", "random_toeplitz_element"])
+def test_no_second_single_slot_route_returns(name):
+    tests = [path for path in (ROOT / "tests").glob("*.py") if path.name != "test_source.py"]
+    assert _files_naming(name, [*SRC.glob("*.py"), *tests, ROOT / "README.md"]) == []

@@ -6,9 +6,9 @@ from itertools import permutations, product
 
 import pytest
 
-from oracles import slotwise_product, stepwise_glue, stepwise_psi, stepwise_psi_ij
+from oracles import matrix_degree, slotwise_product, stepwise_glue, stepwise_psi, stepwise_psi_ij
 from tqps import classical_cpn, multipullback, order_lattice, tensor_gluing
-from tqps.circle_hopf import Scalar
+from tqps.circle_hopf import I, Scalar, collect
 from tqps.classical_cpn import classical_freeness, transition_agreement
 from tqps.multipullback import PullbackElement, extend, verify_freeness, witness_TmI, witness_xI
 from tqps.order_lattice import (
@@ -17,7 +17,7 @@ from tqps.order_lattice import (
     fdl_enumerate,
     freeness_by_types,
 )
-from tqps.sampling import DEFAULT_SEED, random_toeplitz_element
+from tqps.sampling import DEFAULT_SEED
 from tqps.tensor_gluing import (
     QuotientClass,
     TensorElement,
@@ -25,7 +25,6 @@ from tqps.tensor_gluing import (
     chi,
     chi_inv,
     cocycle_check,
-    embed_toeplitz,
     glue,
     kernel_image_check,
     lift_circle,
@@ -40,7 +39,6 @@ from tqps.tensor_gluing import (
     slot_symbol,
     transition_representative,
 )
-from tqps.toeplitz_core import ToeplitzElement
 from tqps.util import derived_rng
 
 
@@ -55,19 +53,33 @@ def canonical(y):
     return y
 
 
+def pure_tensor(factors, circle_slot=None):
+    """The tensor product of one-slot tensors, one per slot, its terms
+    distributed: the factor at circle_slot is a circle function."""
+    combos = [((), Scalar(1))]
+    for f in factors:
+        combos = [(row + key, c * fc) for row, c in combos for key, fc in f.terms.items()]
+    return TensorElement(len(factors), circle_slot, collect(combos))
+
+
 def test_atom_degree():
     assert atom_degree(("T", 3)) == 3
     assert atom_degree(("E", 4, 1)) == 3
     assert atom_degree(("u", -2)) == -2
+    # the degree is the diagonal each atom's truncated matrix sits on
+    for a in range(-3, 4):
+        assert atom_degree(("T", a)) == matrix_degree(("T", a))
+    for j, k in product(range(4), repeat=2):
+        assert atom_degree(("E", j, k)) == matrix_degree(("E", j, k))
 
 
-def test_embed_matches_slotwise_products():
-    rng = rng_for("embed")
+def test_pure_tensors_multiply_slotwise():
+    rng = rng_for("pure-tensor")
     for _ in range(40):
-        xs = [random_toeplitz_element(rng, max_degree=2, max_index=2, max_terms=2) for _ in range(2)]
-        ys = [random_toeplitz_element(rng, max_degree=2, max_index=2, max_terms=2) for _ in range(2)]
-        left = embed_toeplitz(xs) * embed_toeplitz(ys)
-        right = embed_toeplitz([x * y for x, y in zip(xs, ys)])
+        xs = [random_tensor_element(rng, 1, max_terms=2) for _ in range(2)]
+        ys = [random_tensor_element(rng, 1, max_terms=2) for _ in range(2)]
+        left = pure_tensor(xs) * pure_tensor(ys)
+        right = pure_tensor([x * y for x, y in zip(xs, ys)])
         assert left == right
 
 
@@ -144,6 +156,33 @@ def test_product_makes_one_scalar_product_per_term_pair(monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("circle_slot", CIRCLE_SLOTS)
+def test_adjoint_is_an_involutive_conjugate_linear_antihomomorphism(circle_slot):
+    # three slots, with and without a circle slot; the coefficients have
+    # imaginary parts, so a dropped conjugation shows
+    rng = rng_for("adjoint-%s" % circle_slot)
+    for _ in range(15):
+        x = random_tensor_element(rng, 3, circle_slot=circle_slot, max_terms=4)
+        y = random_tensor_element(rng, 3, circle_slot=circle_slot, max_terms=4)
+        assert (x * y).adjoint() == y.adjoint() * x.adjoint()
+        assert (x + y).adjoint() == x.adjoint() + y.adjoint()
+        assert x.scale(I).adjoint() == x.adjoint().scale(-I)
+        assert x.adjoint().adjoint() == x
+
+
+@pytest.mark.parametrize("circle_slot", CIRCLE_SLOTS)
+def test_adjoint_acts_slot_by_slot(circle_slot):
+    # the adjoint of a pure tensor is the tensor of its factors' adjoints,
+    # each of which the truncated-matrix oracle checks on one slot
+    rng = rng_for("adjoint-slotwise-%s" % circle_slot)
+    for _ in range(10):
+        factors = [
+            random_tensor_element(rng, 1, 1 if pos == circle_slot else None) for pos in (1, 2, 3)
+        ]
+        x = pure_tensor(factors, circle_slot)
+        assert x.adjoint() == pure_tensor([f.adjoint() for f in factors], circle_slot)
+
+
 def test_shape_mismatch_rejected():
     x = TensorElement.one(2)
     y = TensorElement.one(2, circle_slot=1)
@@ -177,16 +216,19 @@ def test_relocation_maps_build_canonical_tensors():
         n = int(rng.randint(1, 4))
         x = random_tensor_element(rng, n, max_terms=4)
         canonical(project_slots(x, {int(rng.randint(1, n))}))
+        canonical(x.adjoint())
         k = int(rng.randint(1, n))
         w = canonical(slot_symbol(x, k))
         canonical(lift_circle(w))
         t = random_tensor_element(rng, n, circle_slot=n, max_terms=4)
         canonical(psi(t))
+        canonical(t.adjoint())
         j = int(rng.randint(1, n))
         canonical(chi_inv(canonical(chi(t, j)), j))
         i = int(rng.randint(0, n - 1))
         c = random_tensor_element(rng, n, circle_slot=i + 1, max_terms=4)
         canonical(psi_ij_inv(canonical(psi_ij(c, i, n)), i, n))
+        canonical(c.adjoint())
         for src, dst in permutations(range(n + 1), 2):
             canonical(glue(x, src, dst))
 
@@ -292,6 +334,16 @@ def test_maps_branch_on_atom_kind_only():
             assert lift_circle(y) == project_slots(x, {k}) == TensorElement._trusted(kept, (n, None))
         every_shift = {a: c for a, c in x.terms.items() if all(t[0] == "T" for t in a)}
         assert project_slots(x, range(1, n + 1)) == TensorElement._trusted(every_shift, (n, None))
+        # adjoint: T(a) -> T(-a), E(j, k) -> E(k, j), u^h -> u^-h, on every
+        # shape, each coefficient conjugated
+        for circle_slot in (None, *range(1, n + 1)):
+            v = symbolic_tensor(n, circle_slot).scale(Scalar(1, 2))
+            starred = {}
+            for atoms, c in v.terms.items():
+                key = tuple(("E", t[2], t[1]) if t[0] == "E" else (t[0], -t[1]) for t in atoms)
+                starred[key] = c.conjugate()
+            assert v.adjoint() == TensorElement._trusted(starred, (n, circle_slot))
+            assert v.adjoint().adjoint() == v
         # glue: the symbol exponent a at slot s becomes -(a + the degree of
         # the other slots) at slot t
         for src, dst in permutations(range(n + 1), 2):
@@ -531,7 +583,7 @@ def test_quotient_class_canonicalization():
 def test_transition_representative_worked_example():
     # the component z (x) E00 over the last chart of the 2-dimensional
     # space maps to E00 (x) u^-1 over chart 0
-    x = embed_toeplitz([ToeplitzElement.z(), ToeplitzElement.matrix_unit(0, 0)])
+    x = TensorElement.pure((("T", 1), ("E", 0, 0)))
     w = slot_symbol(x, 1)
     out = psi_ij(w, 0, 2)
     assert out == TensorElement.pure((("E", 0, 0), ("u", -1)), circle_slot=2)
@@ -985,5 +1037,5 @@ def test_render():
     )
     # the same atom reads the same in a tensor and in a single slot
     assert y.render() == "(1+2i)*T(u^-1) & E[0,2]"
-    assert ToeplitzElement.shift(-1).render() == "T(u^-1)"
+    assert TensorElement.pure([("T", -1)]).render() == "T(u^-1)"
     assert TensorElement.zero(2).render() == "0"

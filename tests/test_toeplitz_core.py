@@ -1,4 +1,5 @@
-"""Checks for the shift-plus-finite-rank operator algebra.
+"""Checks for the shift-plus-finite-rank operator algebra: single-slot
+operators, the one-slot tensors TensorElement(1).
 
 The product is computed in src through the correction identity; the tests
 compare it against literal truncated-matrix arithmetic from oracles.py.
@@ -9,17 +10,17 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     adjoint_matches_truncation,
+    matrix_degree,
     product_matches_truncation,
 )
-from tqps.circle_hopf import Scalar
+from tqps.circle_hopf import I, Scalar
 from tqps.tensor_gluing import (
     TensorElement,
     _mul_toeplitz_atoms,
-    embed_toeplitz,
     lift_circle,
     slot_symbol,
 )
-from tqps.toeplitz_core import ToeplitzElement, atom_product
+from tqps.toeplitz_core import atom_degree, atom_product
 
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 scalars = st.builds(Scalar, fracs, fracs)
@@ -37,52 +38,85 @@ def unit_atoms(bound):
     return st.tuples(st.just("E"), st.integers(0, bound), st.integers(0, bound))
 
 
+def operator(terms):
+    """The single-slot operator with the given atom -> coefficient terms."""
+    return TensorElement(1, None, {(atom,): c for atom, c in terms.items()})
+
+
 def terms(atoms, size):
-    return st.dictionaries(atoms, scalars, max_size=size).map(ToeplitzElement)
+    return st.dictionaries(atoms, scalars, max_size=size).map(operator)
 
 
 compacts = terms(unit_atoms(3), 3)
-elements = st.builds(ToeplitzElement.__add__, terms(shift_atoms(4), 3), compacts)
+elements = st.builds(TensorElement.__add__, terms(shift_atoms(4), 3), compacts)
 small_elements = st.builds(
-    ToeplitzElement.__add__, terms(shift_atoms(2), 2), terms(unit_atoms(2), 2)
+    TensorElement.__add__, terms(shift_atoms(2), 2), terms(unit_atoms(2), 2)
 )
 
 # Every atom with shift degree in [-4, 4] and matrix-unit indices in [0, 3].
 ATOMS = [("T", a) for a in range(-4, 5)] + [("E", j, k) for j in range(4) for k in range(4)]
 
 
+def shift(degree, coeff=1):
+    return TensorElement.pure([("T", degree)], coeff=coeff)
+
+
+def unit(j, k, coeff=1):
+    return TensorElement.pure([("E", j, k)], coeff=coeff)
+
+
 def symbol(x):
-    """The symbol of a ToeplitzElement: slot_symbol of it as a one-slot tensor."""
-    return slot_symbol(embed_toeplitz([x]), 1)
+    return slot_symbol(x, 1)
+
+
+def homogeneous_parts(x):
+    """x split by the gauge degree of its atoms, read through atom_degree."""
+    parts = {}
+    for key, c in x.terms.items():
+        parts.setdefault(atom_degree(key[0]), {})[key] = c
+    return {d: TensorElement(1, None, piece) for d, piece in parts.items()}
 
 
 def test_shift_relations():
-    z = ToeplitzElement.z()
-    z_star = ToeplitzElement.z_star()
-    assert z_star * z == ToeplitzElement.one()
-    assert z * z_star == ToeplitzElement.one() - ToeplitzElement.matrix_unit(0, 0)
-    assert ToeplitzElement.shift(2) * ToeplitzElement.shift(3) == ToeplitzElement.shift(5)
+    z = shift(1)
+    one = TensorElement.one(1)
+    assert z.adjoint() == shift(-1)
+    assert z.adjoint() * z == one
+    assert z * z.adjoint() == one - unit(0, 0)
+    assert shift(2) * shift(3) == shift(5)
 
 
 def test_matrix_unit_products():
-    e = ToeplitzElement.matrix_unit
+    e = unit
+    zero = TensorElement.zero(1)
     assert e(0, 1) * e(1, 2) == e(0, 2)
-    assert e(0, 1) * e(0, 1) == ToeplitzElement.zero()
-    z = ToeplitzElement.z()
+    assert e(0, 1) * e(0, 1) == zero
+    z = shift(1)
     assert z * e(0, 0) == e(1, 0)
     assert e(0, 0) * z.adjoint() == e(0, 1)
     # entries pushed past the corner vanish
-    assert z.adjoint() * e(0, 0) == ToeplitzElement.zero()
-    assert e(0, 0) * z == ToeplitzElement.zero()
+    assert z.adjoint() * e(0, 0) == zero
+    assert e(0, 0) * z == zero
 
 
 def test_every_atom_product_and_adjoint_matches_matrix_oracle():
     for a in ATOMS:
-        x = ToeplitzElement({a: 1})
+        x = TensorElement.pure([a])
         assert adjoint_matches_truncation(x, x.adjoint()), a
         for b in ATOMS:
-            y = ToeplitzElement({b: 1})
+            y = TensorElement.pure([b])
             assert product_matches_truncation(x, y, x * y), (a, b)
+
+
+def test_every_atom_product_is_graded():
+    # each term of a product of two atoms has the sum of their degrees:
+    # the grading is multiplicative on the basis, and atom_degree agrees
+    # with the diagonal each atom's truncated matrix sits on
+    for a in ATOMS:
+        assert atom_degree(a) == matrix_degree(a), a
+        for b in ATOMS:
+            for atom, _ in atom_product(a, b):
+                assert atom_degree(atom) == atom_degree(a) + atom_degree(b), (a, b)
 
 
 def test_cached_atom_products_are_the_signed_atom_products():
@@ -97,7 +131,7 @@ def test_cached_atom_products_are_the_signed_atom_products():
 
 def test_product_with_a_non_element_raises():
     with pytest.raises(ValueError):
-        ToeplitzElement.z() * 3
+        shift(1) * 3
 
 
 @pytest.mark.parametrize(
@@ -105,7 +139,7 @@ def test_product_with_a_non_element_raises():
 )
 def test_keys_must_be_toeplitz_atoms(atom):
     with pytest.raises(ValueError):
-        ToeplitzElement({atom: 1})
+        TensorElement(1, None, {(atom,): 1})
 
 
 @settings(deadline=None)
@@ -119,10 +153,12 @@ def test_adjoint_matches_matrix_oracle(x):
     assert adjoint_matches_truncation(x, x.adjoint())
 
 
-@given(elements, elements)
-def test_adjoint_is_an_antihomomorphism(x, y):
+@given(elements, elements, scalars)
+def test_adjoint_is_an_involutive_conjugate_linear_antihomomorphism(x, y, c):
     assert (x * y).adjoint() == y.adjoint() * x.adjoint()
     assert x.adjoint().adjoint() == x
+    assert (x + y.scale(c)).adjoint() == x.adjoint() + y.adjoint().scale(c.conjugate())
+    assert x.scale(I).adjoint() == x.adjoint().scale(-I)
 
 
 @settings(deadline=None)
@@ -159,7 +195,7 @@ def test_lift_is_not_multiplicative():
     lifted = lift_circle(u) * lift_circle(u_inv)
     assert lifted != lift_circle(u * u_inv)
     # T(u) T(u^-1) = 1 - E_00
-    assert lifted == embed_toeplitz([ToeplitzElement.one() - ToeplitzElement.matrix_unit(0, 0)])
+    assert lifted == TensorElement.one(1) - unit(0, 0)
     assert slot_symbol(lifted, 1) == u * u_inv
 
 
@@ -170,53 +206,40 @@ def test_compacts_form_an_ideal(x, k):
 
 
 @given(elements)
-def test_atoms_reconstruct_the_element(x):
-    total = ToeplitzElement.zero()
-    for atom, c in x.atoms():
-        if atom[0] == "T":
-            total = total + ToeplitzElement.shift(atom[1], c)
-        else:
-            total = total + ToeplitzElement.matrix_unit(atom[1], atom[2], c)
-    assert total == x
-
-
-@given(elements)
 def test_homogeneous_parts_partition_by_degree(x):
-    parts = x.homogeneous_parts()
-    total = ToeplitzElement.zero()
-    for d, piece in parts.items():
-        for atom, _ in piece.atoms():
-            deg = atom[1] if atom[0] == "T" else atom[1] - atom[2]
-            assert deg == d
+    # each piece holds the atoms whose truncated matrices sit on its
+    # diagonal, and the pieces sum to x
+    total = TensorElement.zero(1)
+    for d, piece in homogeneous_parts(x).items():
+        assert all(matrix_degree(atom) == d for (atom,) in piece.terms)
         total = total + piece
     assert total == x
 
 
 @given(small_elements, small_elements)
 def test_grading_is_multiplicative(x, y):
-    parts_x = x.homogeneous_parts()
-    parts_y = y.homogeneous_parts()
     expected = {}
-    for a, px in parts_x.items():
-        for b, py in parts_y.items():
+    for a, px in homogeneous_parts(x).items():
+        for b, py in homogeneous_parts(y).items():
             d = a + b
-            expected[d] = expected.get(d, ToeplitzElement.zero()) + px * py
+            expected[d] = expected.get(d, TensorElement.zero(1)) + px * py
     expected = {d: p for d, p in expected.items() if not p.is_zero()}
-    assert (x * y).homogeneous_parts() == expected
+    assert homogeneous_parts(x * y) == expected
 
 
 @given(compacts)
 def test_coaction_restricts_to_compacts(k):
-    for piece in k.homogeneous_parts().values():
+    for piece in homogeneous_parts(k).values():
         assert symbol(piece).is_zero()
 
 
 def test_render():
-    x = ToeplitzElement.shift(-1) + ToeplitzElement.matrix_unit(0, 2, Scalar(0, 1))
-    assert x.render() == "T(u^-1) + i*E[0,2]"
-    assert ToeplitzElement.zero().render() == "0"
-    assert ToeplitzElement.one().render() == "T(1)"
-    y = ToeplitzElement.z() - ToeplitzElement.matrix_unit(1, 0, Scalar(2, 1))
-    assert y.render() == "T(u) + (-2-i)*E[1,0]"
-    assert (-ToeplitzElement.z()).render() == "-T(u)"
+    # terms read in key order: matrix units before shifts
+    x = shift(-1) + unit(0, 2, Scalar(0, 1))
+    assert x.render() == "i*E[0,2] + T(u^-1)"
+    assert TensorElement.zero(1).render() == "0"
+    assert TensorElement.one(1).render() == "T(1)"
+    y = shift(1) - unit(1, 0, Scalar(2, 1))
+    assert y.render() == "(-2-i)*E[1,0] + T(u)"
+    assert (-shift(1)).render() == "-T(u)"
 
