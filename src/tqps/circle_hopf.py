@@ -251,11 +251,6 @@ class Terms:
             return NotImplemented
         return self.shape == other.shape and self.terms == other.terms
 
-    def __hash__(self):
-        # The type is left out: hashing a class reads its address, which
-        # would make the hash differ from run to run.
-        return hash((self.shape, frozenset(self.terms.items())))
-
     def __repr__(self):
         return "%s(%r)" % (
             type(self).__name__,

@@ -12,7 +12,8 @@ and verifies that the map is injective and a homomorphism, which by
 itself proves every lattice law and distributivity on every triple and,
 by Birkhoff's theorem, makes the image exactly the upper sets.
 FiniteDistributiveLattice keeps only the join and meet tables that check
-reads.
+reads; its constructor is the one check of their shape and entries, so
+the transform reads them as positions without a second scan.
 
 By Birkhoff's theorem an element of the free distributive lattice on
 generators g_0..g_{n-1} is an up-set of the Boolean lattice of index sets:
@@ -298,11 +299,11 @@ def _mirror(lower):
 class FiniteDistributiveLattice:
     """Finite lattice with explicit join and meet tables.
 
-    Elements are arbitrary distinct values; tables hold element indices,
-    each an int: the constructor refuses any other entry, naming its cell,
-    since a float or bool equal to an index would read as that index.  Each
-    table is stored as a tuple of tuple rows, so no cell changes after that
-    scan.
+    Elements are arbitrary distinct values; tables hold element indices.
+    The constructor is the one check of the tables: n rows of n entries,
+    each an int in 0..n-1 (a float or bool equal to an index would read as
+    it), naming the first cell that fails.  Elements and table rows are
+    stored as tuples, so nothing that scan read changes after it.
     validate() checks the lattice axioms and the distributive law on every
     table, whatever its size, through Birkhoff's embedding.  The class
     holds only what that check reads: the tables, n, leq and top.  Up-sets
@@ -312,24 +313,36 @@ class FiniteDistributiveLattice:
     __slots__ = ("elements", "join_table", "meet_table")
 
     def __init__(self, elements, join_table, meet_table):
-        for name, table in (("join", join_table), ("meet", meet_table)):
+        self.elements = tuple(elements)
+        self.join_table = tuple(map(tuple, join_table))
+        self.meet_table = tuple(map(tuple, meet_table))
+        n = len(self.elements)
+        for name, table in (("join", self.join_table), ("meet", self.meet_table)):
+            if len(table) != n:
+                raise LatticeError("%s table has %d rows, expected %d" % (name, len(table), n))
             for a, row in enumerate(table):
+                if len(row) != n:
+                    raise LatticeError(
+                        "%s table row %d has %d entries, expected %d" % (name, a, len(row), n)
+                    )
                 for b, v in enumerate(row):
                     if type(v) is not int:
                         raise LatticeError(
                             "%s table entry %r at (%d, %d) is not an int" % (name, v, a, b)
                         )
-        self.elements = list(elements)
-        self.join_table = tuple(map(tuple, join_table))
-        self.meet_table = tuple(map(tuple, meet_table))
+                    if not 0 <= v < n:
+                        raise LatticeError(
+                            "%s table entry %r at (%d, %d) is not in 0..%d"
+                            % (name, v, a, b, n - 1)
+                        )
 
     @classmethod
     def _int_tables(cls, elements, join_table, meet_table):
-        """The lattice on tables of ints built here, without the
-        constructor's scan of every entry; rows that are tuples already
-        are kept as they are."""
+        """The lattice without the constructor's scan.  Every caller meets
+        its condition, which makes skipping it sound: n x n tables of int
+        positions in 0..n-1, each read from the caller's position dict."""
         out = object.__new__(cls)
-        out.elements = list(elements)
+        out.elements = tuple(elements)
         out.join_table = tuple(map(tuple, join_table))
         out.meet_table = tuple(map(tuple, meet_table))
         return out
@@ -378,10 +391,10 @@ class FiniteDistributiveLattice:
     def validate(self):
         """Check the lattice laws and distributivity through birkhoff_transform.
 
-        The check there reads every entry of both tables of every lattice:
-        the pairs a <= b through the images, the rest through symmetry.
-        Passing it proves every law on every triple; a failure raises
-        LatticeError.
+        The constructor has checked the tables' shape and entries; the
+        check there reads every entry of both tables of every lattice: the
+        pairs a <= b through the images, the rest through symmetry.  Passing
+        it proves every law on every triple; a failure raises LatticeError.
         """
         birkhoff_transform(self)
 
@@ -409,41 +422,22 @@ class BirkhoffResult:
         self.mapping = mapping
 
 
-def _refuse_malformed(lat, entries):
-    """Raise LatticeError unless both tables have n rows of n entries and,
-    if entries is set, every entry is an index in 0..n-1."""
-    n = lat.n
-    indices = range(n)
-    for name, table in (("join", lat.join_table), ("meet", lat.meet_table)):
-        if len(table) != n:
-            raise LatticeError("%s table has %d rows, expected %d" % (name, len(table), n))
-        for a, row in enumerate(table):
-            if len(row) != n:
-                raise LatticeError(
-                    "%s table row %d has %d entries, expected %d" % (name, a, len(row), n)
-                )
-            if not entries:
-                continue
-            for b, v in enumerate(row):
-                if v not in indices:
-                    raise LatticeError(
-                        "%s table entry %r at (%d, %d) is not in 0..%d" % (name, v, a, b, n - 1)
-                    )
-
-
 def birkhoff_transform(lat):
     """Map each element to the set of meet irreducibles above it.
 
     Returns the poset of meet irreducibles (labelled by their positions in
     the irreducible list) together with the images, each an int mask over
-    irreducible positions as upper_set_masks encodes them.  On every
-    lattice it first verifies that both tables are n x n over 0..n-1, that
-    the map is injective, and that it turns joins into intersections and
-    meets into unions on every pair: the pairs a <= b through the images,
-    the rest through the symmetry of both tables, so every entry is read.
-    An injective map with those two properties makes the tables a family
-    of sets closed under intersection and union, so passing proves every
-    lattice law and distributivity; any failure raises LatticeError.
+    irreducible positions as upper_set_masks encodes them.  The constructor
+    has checked that both tables are n x n over 0..n-1; on every lattice
+    this verifies that the map is injective and that it turns joins into
+    intersections and meets into unions on every pair: the pairs a <= b
+    through the images, the rest through the symmetry of both tables, so
+    every entry is read.  An injective map with those two properties makes
+    the tables a family of sets closed under intersection and union, so
+    passing proves every lattice law and distributivity; any failure raises
+    LatticeError.  The pairs a <= b are read in row-major order before each
+    table is compared with its transpose, so on symmetric tables the first
+    failing pair named is the one a check of every pair would name.
 
     The image is then exactly the upper sets of the irreducible poset, as
     Birkhoff's theorem says, so no onto pass is run: a <= b reads as
@@ -453,25 +447,6 @@ def birkhoff_transform(lat):
     unions, so every union of principal upper sets, which is every upper
     set, is an image.
     """
-    _refuse_malformed(lat, entries=False)
-    try:
-        return _transform(lat)
-    except (KeyError, LatticeError):
-        # a refused table, or one whose entry outside 0..n-1 the image
-        # lookup missed, is refused for its first such entry, as a scan
-        # ahead of the check would; the scan reads every
-        # entry, as dear as the pair check itself, so it runs only here
-        _refuse_malformed(lat, entries=True)
-        raise
-
-
-def _transform(lat):
-    """birkhoff_transform on tables of the right shape.  The image law is
-    read on the pairs a <= b in row-major order, then each table against
-    its transpose: on symmetric tables the first failing pair a <= b is
-    the first failing pair of all, so each message names the pair a check
-    of every pair would.  Images are read from a dict, which raises
-    KeyError on an entry outside 0..n-1 where a list index would wrap."""
     n = lat.n
     mirr = meet_irreducibles(lat)
     jt, mt = lat.join_table, lat.meet_table
@@ -480,13 +455,12 @@ def _transform(lat):
     poset = Poset(range(len(mirr)), pairs)
     if len(set(mapping)) != n:
         raise LatticeError("transform not injective; lattice is not distributive")
-    images = dict(enumerate(mapping))
     for a, fa in enumerate(mapping):
         ja, ma = jt[a], mt[a]
         for b, fb in enumerate(mapping[a:], a):
-            if images[ja[b]] != fa & fb:
+            if mapping[ja[b]] != fa & fb:
                 raise LatticeError("join does not map to intersection at (%d, %d)" % (a, b))
-            if images[ma[b]] != fa | fb:
+            if mapping[ma[b]] != fa | fb:
                 raise LatticeError("meet does not map to union at (%d, %d)" % (a, b))
     for name, table in (("join", jt), ("meet", mt)):
         for a, (row, col) in enumerate(zip(table, zip(*table))):

@@ -172,8 +172,6 @@ class TensorElement(Terms):
         # the slotwise rewrite is injective and keeps each atom's kind and slot
         return TensorElement._trusted(terms, self.shape)
 
-    __hash__ = None
-
     def __repr__(self):
         return "TensorElement(%d, circle=%r, %d terms)" % (
             self.n_slots,
@@ -403,7 +401,8 @@ def phi(cls, i, j, k):
     return QuotientClass(y, (slot_for(i, j), slot_for(i, k)))
 
 
-# Largest |degree| and matrix unit index that random_tensor_element draws.
+# Largest |degree| and matrix unit index that random_tensor_element draws
+# and the psi sweep runs through.
 RANDOM_BOUND = 3
 
 
@@ -469,11 +468,6 @@ def random_tensor_element(
     return TensorElement._trusted(collect(pairs), shape)
 
 
-# The psi sweep's range: shift and circle degrees in [-3, 3] and matrix unit
-# indices in [0, 3], so it covers 23^(n-1) * 7 atoms.
-PSI_MAX_DEGREE = 3
-PSI_MAX_INDEX = 3
-
 # Non-ordered triples the cocycle check also runs: an ordered triple i < k < j
 # glues only from a higher chart to a lower one, so these are the only
 # triples that glue upward (src < dst).
@@ -496,10 +490,11 @@ def psi_involution_check(n, samples=1000, seed=DEFAULT_SEED):
         if psi(psi(x)) != x:
             failures.append(x.to_json())
 
-    degrees = range(-PSI_MAX_DEGREE, PSI_MAX_DEGREE + 1)
-    atoms = [("T", a) for a in degrees] + [
-        ("E", j, k) for j in range(PSI_MAX_INDEX + 1) for k in range(PSI_MAX_INDEX + 1)
-    ]
+    # shift and circle degrees in [-3, 3], matrix unit indices in [0, 3]:
+    # 23^(n-1) * 7 atoms
+    b = RANDOM_BOUND
+    degrees = range(-b, b + 1)
+    atoms = [("T", a) for a in degrees] + [("E", j, k) for j in range(b + 1) for k in range(b + 1)]
     # one key per tensor, valid for the shape (n slots, circle at n)
     shape = (n, n)
     for prefix in product(atoms, repeat=n - 1):

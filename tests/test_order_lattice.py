@@ -303,16 +303,20 @@ _TWO_ELEMENT_TABLES = [[0, 1], [1, 1]], [[0, 0], [0, 1]]
     ids=["constructor", "int-tables", "upper-sets", "elements"],
 )
 def test_a_built_lattice_keeps_its_cells(build):
-    # a 1.0 written into a cell that holds 1 after the constructor's int
-    # scan would read as index 1 and pass validate(); each table is a tuple
-    # of tuple rows, however the lattice was built, so no cell or row can be
-    # written
+    # a 1.0 written into a cell that holds 1 after the constructor's scan
+    # would read as index 1 and pass validate(); each table is a tuple of
+    # tuple rows, however the lattice was built, so no cell or row can be
+    # written.  n is the length of the elements the scan read against, and
+    # they are a tuple too, so no append grows n past the tables
     lat = build()
     for table in (lat.join_table, lat.meet_table):
         with pytest.raises(TypeError):
             table[1][1] = 1.0
         with pytest.raises(TypeError):
             table[1] = [1, 1]
+    with pytest.raises(AttributeError):
+        lat.elements.append("2")
+    assert lat.n == len(lat.join_table) == len(lat.meet_table)
     lat.validate()
 
 
@@ -324,10 +328,9 @@ def _accepts(check, lat):
     return True
 
 
-def _with_cell(lat, name, a, b, v, mirrored, scanned=True):
+def _with_cell(lat, name, a, b, v, mirrored):
     """A copy of lat with entry (a, b) of one table, and (b, a) if mirrored,
-    set to v: built through the constructor, whose scan sees v, or, unless
-    scanned, through _int_tables, which reads no entry."""
+    set to v, built through the constructor, whose scan sees v."""
     tables = {
         "join": [list(row) for row in lat.join_table],
         "meet": [list(row) for row in lat.meet_table],
@@ -336,8 +339,7 @@ def _with_cell(lat, name, a, b, v, mirrored, scanned=True):
     table[a][b] = v
     if mirrored:
         table[b][a] = v
-    build = FiniteDistributiveLattice if scanned else FiniteDistributiveLattice._int_tables
-    return build(lat.elements, tables["join"], tables["meet"])
+    return FiniteDistributiveLattice(lat.elements, tables["join"], tables["meet"])
 
 
 def _single_cell_corruptions(lat):
@@ -397,26 +399,23 @@ def test_an_asymmetric_table_is_named():
 
 def test_entries_outside_the_index_range_are_refused():
     # a negative entry v - 3 or v - 6 of the chain of three would read as v
-    # through a list index, or through that list padded to 2n; each cell,
-    # mirrored, of either table is refused by name, as is an entry that is
-    # no index at all, written after the constructor's type scan
+    # through a list index, or through that list padded to 2n, and v + 3 is
+    # past the end; the constructor refuses each cell, mirrored, of either
+    # table by the first of the two in row-major order, with no validate()
     lat = FiniteDistributiveLattice.from_upper_sets(Poset.chain(2))
     for name, table in (("join", lat.join_table), ("meet", lat.meet_table)):
         for a in range(3):
             for b in range(3):
                 v = table[a][b]
                 first = (min(a, b), max(a, b))
-                for bad_v in (v - 3, v - 6, v + 0.5, "x"):
-                    bad = _with_cell(lat, name, a, b, bad_v, True, scanned=False)
-                    message = r"%s table entry %s at \(%d, %d\) is not in 0..2" % (
+                for bad_v in (v - 3, v - 6, v + 3):
+                    message = r"^%s table entry %d at \(%d, %d\) is not in 0..2$" % (
                         name,
-                        re.escape(repr(bad_v)),
+                        bad_v,
                         *first,
                     )
                     with pytest.raises(LatticeError, match=message):
-                        bad.validate()
-                    with pytest.raises(LatticeError, match=message):
-                        birkhoff_transform(bad)
+                        _with_cell(lat, name, a, b, bad_v, True)
     # an index past the end, a row too long, a row too short, a row missing
     meet = [[0, 0], [0, 1]]
     for join, message in [
@@ -426,9 +425,37 @@ def test_entries_outside_the_index_range_are_refused():
         ([[0, 1]], "join table has 1 rows, expected 2"),
     ]:
         with pytest.raises(LatticeError, match=message):
-            FiniteDistributiveLattice(["0", "1"], join, meet).validate()
+            FiniteDistributiveLattice(["0", "1"], join, meet)
     with pytest.raises(LatticeError, match="meet table has 3 rows, expected 2"):
-        FiniteDistributiveLattice(["0", "1"], [[0, 1], [1, 1]], meet + [[0, 1]]).validate()
+        FiniteDistributiveLattice(["0", "1"], [[0, 1], [1, 1]], meet + [[0, 1]])
+
+
+def test_an_entry_out_of_range_is_refused_before_a_reader_sees_it():
+    # the meet of {0} and {1} is {0, 1}, index 4 of the eight upper sets of
+    # three points.  Read unchecked, -4 there would leave meet_irreducibles
+    # counting 4 as irreducible, [1, 2, 3, 4]; the constructor refuses it,
+    # so no reader of the tables sees it
+    lat = FiniteDistributiveLattice.from_upper_sets(Poset.antichain(3))
+    assert lat.meet_table[1][2] == 4 and meet_irreducibles(lat) == [1, 2, 3]
+    with pytest.raises(LatticeError, match=r"^meet table entry -4 at \(1, 2\) is not in 0..7$"):
+        _with_cell(lat, "meet", 1, 2, -4, True)
+
+
+def test_the_trusted_builders_meet_the_constructor_scan():
+    # from_upper_sets and from_elements skip the scan through _int_tables,
+    # so every table they build must pass it.  from_elements reads the same
+    # upper sets, shuffled, with intersection and union as callables
+    rng = rng_for("trusted-tables")
+    for k in range(11):
+        poset = random_poset(rng, k)
+        family = upper_sets(poset)
+        rng.shuffle(family)
+        built = (
+            FiniteDistributiveLattice.from_upper_sets(poset),
+            FiniteDistributiveLattice.from_elements(family, frozenset.__and__, frozenset.__or__),
+        )
+        for lat in built:
+            FiniteDistributiveLattice(lat.elements, lat.join_table, lat.meet_table)
 
 
 def test_entries_that_are_no_int_are_refused_by_the_constructor():
