@@ -16,7 +16,6 @@ from .classical_cpn import (
 )
 from .multipullback import (
     ExtensionError,
-    FreenessEvidence,
     IncompatiblePartialFamily,
     PullbackElement,
     extend,

@@ -30,6 +30,7 @@ import itertools
 
 from .order_lattice import (
     AntichainForm,
+    FreenessReport,
     UpSet,
     antichain_count,
     fdl_enumerate,
@@ -259,10 +260,10 @@ def classical_freeness(n):
 
     The test point of each nonempty proper index set a peaks exactly on a,
     so its type under the chartwise sets should be a; freeness_by_types
-    decides freeness from the types the probes find.  The report gives the
-    probe count and, for a FREE verdict with n at most 4, the size of the
-    generated lattice, which the theorem makes the free size: the free
-    lattice sizes are tabulated up to n + 1 = 5 generators.
+    decides freeness from the types the probes find.  The report's details
+    give the probe count and, for a FREE verdict with n at most 4, the size
+    of the generated lattice, which the theorem makes the free size: the
+    free lattice sizes are tabulated up to n + 1 = 5 generators.
     """
     n = _index(n, "n", 1)
     gens = covering_generators(n)
@@ -271,11 +272,11 @@ def classical_freeness(n):
         for a in itertools.combinations(range(n + 1), r):
             x = probe_point(a, n)
             types.append(sum(1 << i for i, g in enumerate(gens) if g.contains_point(x)))
-    report = freeness_by_types(n + 1, types)
-    report.details["probes"] = len(types)
-    if report.free and n <= 4:
-        report.details["sublattice_size"] = antichain_count(n + 1) - 2
-    return report
+    found = freeness_by_types(n + 1, types)
+    details = {"probes": len(types)}
+    if found.free and n <= 4:
+        details["sublattice_size"] = antichain_count(n + 1) - 2
+    return FreenessReport(found.verdict, found.witness, details=details)
 
 
 def covering_lattice(n):

@@ -172,8 +172,8 @@ def _classical_lattice(n):
         "n": n,
         "verdict": report.verdict,
         "witness": report.witness,
-        "probes": report.details["probes"],
-        "sublattice_size": report.details.get("sublattice_size"),
+        "probes": report.bundle["details"]["probes"],
+        "sublattice_size": report.bundle["details"].get("sublattice_size"),
         "passed": report.free,
     }
 

@@ -30,13 +30,14 @@ order as certified containment of one intersection in another, the
 irreducibility as those projections.  Every inequality it relies on is
 grounded in a constructed witness, a degenerate generator assignment is
 reported as NOT_FREE with the violating pair, and the verdict reads only
-this evidence, never a listing of the free lattice.
+this evidence, never a listing of the free lattice.  The FreenessReport
+it returns holds every separation and irreducibility row in its bundle.
 """
 
 import functools
 import itertools
 
-from .order_lattice import check_freeness_criterion
+from .order_lattice import FreenessReport, check_freeness_criterion
 from .tensor_gluing import (
     TensorElement,
     glue,
@@ -278,29 +279,6 @@ def sample_kernel_intersection(rng, n, charts):
     return p
 
 
-class FreenessEvidence:
-    """Verdict plus the witness data behind it, JSON-ready."""
-
-    __slots__ = ("bundle",)
-
-    def __init__(self, bundle):
-        self.bundle = bundle
-
-    @property
-    def verdict(self):
-        return self.bundle["verdict"]
-
-    @property
-    def free(self):
-        return self.verdict == "FREE"
-
-    def to_json(self):
-        return self.bundle
-
-    def __repr__(self):
-        return "FreenessEvidence(%s)" % self.verdict
-
-
 def _generator_charts(n, generator_map):
     """Chart of each generator 0..n: generator i sits on chart i unless
     generator_map reassigns it; an entry outside 0..n raises ValueError."""
@@ -439,16 +417,15 @@ def verify_freeness(n, seed=0, samples=200, generator_map=None):
     # (I | J)-intersection contains the J-intersection
     report = check_freeness_criterion(n + 1, lambda I, J: contains(I | J, J), irreducibility=prover)
 
-    bundle = {
-        "schema": 2,
-        "check": "kernel-lattice-freeness",
-        "n": n,
-        "seed": seed,
-        "samples": samples,
-        "generator_map": list(gmap),
-        "verdict": report.verdict,
-        "witness": report.witness,
-        "separations": separations,
-        "irreducibility": irreducibility,
-    }
-    return FreenessEvidence(bundle)
+    return FreenessReport(
+        report.verdict,
+        report.witness,
+        schema=2,
+        check="kernel-lattice-freeness",
+        n=n,
+        seed=seed,
+        samples=samples,
+        generator_map=list(gmap),
+        separations=separations,
+        irreducibility=irreducibility,
+    )

@@ -34,7 +34,8 @@ them exactly when every join over a nonempty proper index set is meet
 irreducible and the order between such joins is index-set inclusion.
 Both conditions are about index sets, so check_freeness_criterion takes
 the order as leq(I, J) and the irreducibility evidence as a callback on
-I, as the kernel lattice of multipullback supplies them.
+I, as the kernel lattice of multipullback supplies them.  Every freeness
+test returns one FreenessReport: verdict, witness and evidence in a dict.
 """
 
 import functools
@@ -252,28 +253,33 @@ def _label_json(lab):
 def upper_set_masks(poset, limit=1 << 14):
     """All upper sets of the poset as bitmasks, sorted by (size, mask).
 
-    Elements are decided maximal-first; a point may join only when its
-    strict up-set is already in, so every search node is a valid partial
-    choice and the run time is at most the output times the number of
-    elements.  The search keeps its own stack, so a deep poset costs no
-    recursion; more than `limit` upper sets raise ValueError.
+    Each search node decides the first undecided element x of a linear
+    extension, minimal elements first.  Taking an element takes its whole
+    up-set, so nothing below an undecided x was taken: leaving x out forces
+    nothing, and taking x in takes up[x].  Both branches end in at least one upper
+    set, and a node with nothing left undecided is one, so the search
+    visits fewer than twice as many nodes as it returns.  It keeps its own
+    stack, so a deep poset costs no recursion; more than `limit` upper sets
+    raise ValueError.
     """
     limit = _index(limit, "limit", 0)
-    # (bit, strict up-set) of each element, maximal elements first
-    steps = [(1 << i, poset.up[i] & ~(1 << i)) for i in reversed(poset.linear_extension())]
+    # (bit, up-set) of each element, minimal elements first
+    steps = [(1 << i, poset.up[i]) for i in poset.linear_extension()]
     out = []
-    stack = [(0, 0)]
+    # (position in steps, undecided mask, taken mask)
+    stack = [(0, (1 << poset.n) - 1, 0)]
     while stack:
-        pos, mask = stack.pop()
-        if pos == len(steps):
+        pos, rest, taken = stack.pop()
+        if not rest:
             if len(out) == limit:
                 raise ValueError("more than %d upper sets" % limit)
-            out.append(mask)
+            out.append(taken)
             continue
-        bit, strict = steps[pos]
-        if not strict & ~mask:
-            stack.append((pos + 1, mask | bit))
-        stack.append((pos + 1, mask))
+        while not rest & steps[pos][0]:
+            pos += 1
+        bit, up = steps[pos]
+        stack.append((pos + 1, rest & ~up, taken | up))
+        stack.append((pos + 1, rest & ~bit, taken))
     out.sort(key=lambda m: (m.bit_count(), m))
     return out
 
@@ -296,14 +302,45 @@ def _mirror(lower):
     return tuple(lower)
 
 
+def _checked_table(name, table, n):
+    """table as tuple rows once it is n rows of n ints in 0..n-1; otherwise
+    LatticeError names the table and the first row or cell that fails."""
+    try:
+        table = tuple(table)
+    except TypeError:
+        raise LatticeError("%s table is not a sequence" % name) from None
+    if len(table) != n:
+        raise LatticeError("%s table has %d rows, expected %d" % (name, len(table), n))
+    rows = []
+    for a, row in enumerate(table):
+        try:
+            row = tuple(row)
+        except TypeError:
+            raise LatticeError("%s table row %d is not a sequence" % (name, a)) from None
+        if len(row) != n:
+            raise LatticeError(
+                "%s table row %d has %d entries, expected %d" % (name, a, len(row), n)
+            )
+        for b, v in enumerate(row):
+            if type(v) is not int:
+                raise LatticeError("%s table entry %r at (%d, %d) is not an int" % (name, v, a, b))
+            if not 0 <= v < n:
+                raise LatticeError(
+                    "%s table entry %r at (%d, %d) is not in 0..%d" % (name, v, a, b, n - 1)
+                )
+        rows.append(row)
+    return tuple(rows)
+
+
 class FiniteDistributiveLattice:
     """Finite lattice with explicit join and meet tables.
 
     Elements are arbitrary distinct values; tables hold element indices.
     The constructor is the one check of the tables: n rows of n entries,
     each an int in 0..n-1 (a float or bool equal to an index would read as
-    it), naming the first cell that fails.  Elements and table rows are
-    stored as tuples, so nothing that scan read changes after it.
+    it), naming the first table, row or cell that fails.  Elements and
+    table rows are stored as tuples, so nothing that scan read changes
+    after it.
     validate() checks the lattice axioms and the distributive law on every
     table, whatever its size, through Birkhoff's embedding.  The class
     holds only what that check reads: the tables, n, leq and top.  Up-sets
@@ -314,27 +351,9 @@ class FiniteDistributiveLattice:
 
     def __init__(self, elements, join_table, meet_table):
         self.elements = tuple(elements)
-        self.join_table = tuple(map(tuple, join_table))
-        self.meet_table = tuple(map(tuple, meet_table))
         n = len(self.elements)
-        for name, table in (("join", self.join_table), ("meet", self.meet_table)):
-            if len(table) != n:
-                raise LatticeError("%s table has %d rows, expected %d" % (name, len(table), n))
-            for a, row in enumerate(table):
-                if len(row) != n:
-                    raise LatticeError(
-                        "%s table row %d has %d entries, expected %d" % (name, a, len(row), n)
-                    )
-                for b, v in enumerate(row):
-                    if type(v) is not int:
-                        raise LatticeError(
-                            "%s table entry %r at (%d, %d) is not an int" % (name, v, a, b)
-                        )
-                    if not 0 <= v < n:
-                        raise LatticeError(
-                            "%s table entry %r at (%d, %d) is not in 0..%d"
-                            % (name, v, a, b, n - 1)
-                        )
+        self.join_table = _checked_table("join", join_table, n)
+        self.meet_table = _checked_table("meet", meet_table, n)
 
     @classmethod
     def _int_tables(cls, elements, join_table, meet_table):
@@ -645,25 +664,32 @@ def fdl_enumerate(n):
 
 
 class FreenessReport:
-    """Outcome of the generator-freeness test.
+    """Outcome of a freeness test, as one JSON-ready dict, `bundle`.
 
-    verdict is FREE or NOT_FREE, the latter with a witness identifying the
-    violated clause.
+    bundle holds the verdict, FREE or NOT_FREE, the witness naming the
+    violated clause (None when FREE) and whatever evidence the test passes
+    as keyword arguments; every property reads it and to_json returns it.
     """
 
-    __slots__ = ("verdict", "witness", "details")
+    __slots__ = ("bundle",)
 
-    def __init__(self, verdict, witness=None, details=None):
-        self.verdict = verdict
-        self.witness = witness
-        self.details = details or {}
+    def __init__(self, verdict, witness=None, **evidence):
+        self.bundle = {"verdict": verdict, "witness": witness, **evidence}
+
+    @property
+    def verdict(self):
+        return self.bundle["verdict"]
+
+    @property
+    def witness(self):
+        return self.bundle["witness"]
 
     @property
     def free(self):
         return self.verdict == "FREE"
 
     def to_json(self):
-        return {"verdict": self.verdict, "witness": self.witness, "details": self.details}
+        return self.bundle
 
     def __repr__(self):
         return "FreenessReport(%s)" % self.verdict

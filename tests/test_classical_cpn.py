@@ -128,7 +128,7 @@ def test_classical_freeness_verdicts():
         report = classical_freeness(n)
         assert report.free, report.witness
         sizes = {"sublattice_size": [4, 18, 166, 7579][n - 1]} if n <= 4 else {}
-        assert report.details == {"probes": 2 ** (n + 1) - 2, **sizes}
+        assert report.bundle["details"] == {"probes": 2 ** (n + 1) - 2, **sizes}
     with pytest.raises(ValueError):
         classical_freeness(0)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from tqps import multipullback, order_lattice, tensor_gluing
+from tqps.classical_cpn import classical_freeness
 from tqps.multipullback import (
     ExtensionError,
     IncompatiblePartialFamily,
@@ -376,3 +377,52 @@ def test_freeness_bundle_records_separations():
     evidence = verify_freeness(1, samples=10)
     assert all(row["separated"] for row in evidence.bundle["separations"])
     assert all(row["ok"] for row in evidence.bundle["irreducibility"])
+
+
+_KERNEL_EVIDENCE = (
+    "schema",
+    "check",
+    "n",
+    "seed",
+    "samples",
+    "generator_map",
+    "separations",
+    "irreducibility",
+)
+
+
+@pytest.mark.parametrize(
+    "run, verdict, evidence",
+    [
+        pytest.param(lambda: order_lattice.freeness_by_types(2, [1, 2]), "FREE", (), id="types"),
+        pytest.param(
+            lambda: order_lattice.freeness_by_types(2, [1]), "NOT_FREE", (), id="types-missing"
+        ),
+        pytest.param(
+            lambda: order_lattice.check_freeness_criterion(
+                2, lambda I, J: I <= J, lambda I: (True, None)
+            ),
+            "FREE",
+            (),
+            id="criterion",
+        ),
+        pytest.param(lambda: classical_freeness(3), "FREE", ("details",), id="classical"),
+        pytest.param(lambda: verify_freeness(2), "FREE", _KERNEL_EVIDENCE, id="kernels"),
+        pytest.param(
+            lambda: verify_freeness(2, generator_map={1: 0}),
+            "NOT_FREE",
+            _KERNEL_EVIDENCE,
+            id="kernels-control",
+        ),
+    ],
+)
+def test_every_freeness_test_returns_one_report(run, verdict, evidence):
+    # one report type: its bundle holds verdict, witness and the test's
+    # evidence, and every accessor reads that dict
+    report = run()
+    assert type(report) is order_lattice.FreenessReport
+    assert report.to_json() is report.bundle
+    assert set(report.bundle) == {"verdict", "witness", *evidence}
+    assert report.verdict == report.bundle["verdict"] == verdict
+    assert report.witness is report.bundle["witness"]
+    assert report.free == (verdict == "FREE") == (report.witness is None)

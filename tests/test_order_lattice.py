@@ -430,6 +430,20 @@ def test_entries_outside_the_index_range_are_refused():
         FiniteDistributiveLattice(["0", "1"], [[0, 1], [1, 1]], meet + [[0, 1]])
 
 
+@pytest.mark.parametrize(
+    "join, meet, message",
+    [
+        pytest.param([0], [[0]], "join table row 0 is not a sequence", id="row"),
+        pytest.param(5, [[0]], "join table is not a sequence", id="join"),
+        pytest.param([[0]], None, "meet table is not a sequence", id="meet"),
+    ],
+)
+def test_a_table_or_row_that_is_no_sequence_is_refused(join, meet, message):
+    # a LatticeError naming the table and row, not a TypeError from reading it
+    with pytest.raises(LatticeError, match="^%s$" % message):
+        FiniteDistributiveLattice(["0"], join, meet)
+
+
 def test_an_entry_out_of_range_is_refused_before_a_reader_sees_it():
     # the meet of {0} and {1} is {0, 1}, index 4 of the eight upper sets of
     # three points.  Read unchecked, -4 there would leave meet_irreducibles
@@ -750,7 +764,6 @@ def test_criterion_on_index_sets():
     assert report.to_json() == {
         "verdict": "NOT_FREE",
         "witness": {"clause": "irreducibility", "I": [1], "info": {"rows": 3}},
-        "details": {},
     }
     for k in (0, 1):
         with pytest.raises(ValueError):

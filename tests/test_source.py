@@ -35,7 +35,20 @@ def test_only_toeplitz_core_names_the_stub_operator_class():
     assert _files_naming("ToeplitzElement", SRC.glob("*.py")) == ["src/tqps/toeplitz_core.py"]
 
 
+def _library_tests_and_readme():
+    tests = [path for path in (ROOT / "tests").glob("*.py") if path.name != "test_source.py"]
+    return [*SRC.glob("*.py"), *tests, ROOT / "README.md"]
+
+
 @pytest.mark.parametrize("name", ["embed_toeplitz", "random_toeplitz_element"])
 def test_no_second_single_slot_route_returns(name):
-    tests = [path for path in (ROOT / "tests").glob("*.py") if path.name != "test_source.py"]
-    assert _files_naming(name, [*SRC.glob("*.py"), *tests, ROOT / "README.md"]) == []
+    assert _files_naming(name, _library_tests_and_readme()) == []
+
+
+# Every freeness test returns order_lattice.FreenessReport, whose bundle
+# holds the verdict, the witness and the evidence; no second report class
+# comes back.
+
+
+def test_no_second_freeness_report_returns():
+    assert _files_naming("FreenessEvidence", _library_tests_and_readme()) == []
