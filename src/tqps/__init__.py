@@ -43,7 +43,6 @@ from .order_lattice import (
     upper_sets,
 )
 from .tensor_gluing import (
-    QuotientClass,
     TensorElement,
     chi,
     chi_inv,

@@ -132,11 +132,12 @@ class ChartPoint:
             raise ValueError(
                 "circle slot must be an integer from 1 to %d, got %r" % (len(coords), circle_slot)
             )
+        # "not ... <=" refuses a NaN modulus, which compares false both ways
         for s, c in enumerate(coords, start=1):
             if s == circle_slot:
-                if abs(abs(c) - 1.0) > TRANSITION_TOL:
+                if not abs(abs(c) - 1.0) <= TRANSITION_TOL:
                     raise ValueError("circle coordinate has modulus %r" % abs(c))
-            elif abs(c) > 1.0 + TRANSITION_TOL:
+            elif not abs(c) <= 1.0 + TRANSITION_TOL:
                 raise ValueError("disc coordinate has modulus %r" % abs(c))
         self.coords = coords
         self.circle_slot = circle_slot

@@ -335,12 +335,12 @@ def _checked_table(name, table, n):
 class FiniteDistributiveLattice:
     """Finite lattice with explicit join and meet tables.
 
-    Elements are arbitrary distinct values; tables hold element indices.
-    The constructor is the one check of the tables: n rows of n entries,
-    each an int in 0..n-1 (a float or bool equal to an index would read as
-    it), naming the first table, row or cell that fails.  Elements and
-    table rows are stored as tuples, so nothing that scan read changes
-    after it.
+    Elements are distinct hashable values; tables hold element indices.
+    The constructor refuses a repeated element, then is the one check of
+    the tables: n rows of n entries, each an int in 0..n-1 (a float or bool
+    equal to an index would read as it), naming the first table, row or
+    cell that fails.  Elements and table rows are stored as tuples, so
+    nothing that scan read changes after it.
     validate() checks the lattice axioms and the distributive law on every
     table, whatever its size, through Birkhoff's embedding.  The class
     holds only what that check reads: the tables, n, leq and top.  Up-sets
@@ -350,7 +350,17 @@ class FiniteDistributiveLattice:
     __slots__ = ("elements", "join_table", "meet_table")
 
     def __init__(self, elements, join_table, meet_table):
-        self.elements = tuple(elements)
+        try:
+            self.elements = tuple(elements)
+        except TypeError:
+            raise LatticeError("elements are not a sequence") from None
+        pos = {}
+        for i, e in enumerate(self.elements):
+            try:
+                if pos.setdefault(e, i) != i:
+                    raise LatticeError("duplicate element %r" % (e,))
+            except TypeError:
+                raise LatticeError("element %r is not hashable" % (e,)) from None
         n = len(self.elements)
         self.join_table = _checked_table("join", join_table, n)
         self.meet_table = _checked_table("meet", meet_table, n)

@@ -26,8 +26,8 @@ The slotwise symbol map, slot_symbol, turns a Toeplitz slot into a circle
 slot by killing matrix units, and lift_circle is its linear section.  They
 are the package's one symbol map and section: on one slot they go between
 single-slot operators, TensorElement(1), and circle functions, which are
-TensorElement(1, circle_slot=1).  Quotient classes modulo two slot kernels
-are canonicalized by dropping every term with a matrix unit in a killed slot.
+TensorElement(1, circle_slot=1).  A class modulo slot kernels is the tensor
+project_slots keeps, every term with a matrix unit in a killed slot dropped.
 
 glue is the one chart change on components: glue(x, src, dst) takes the
 symbol of x at the slot tracking dst, moves the circle to the slot tracking
@@ -35,8 +35,8 @@ src and reflects it, in one move that takes the symbol itself, so it reads
 each term of x once whatever the index order.  Only slot_for says which
 slot tracks which chart.  The multipullback's gluing law, the transition
 on representatives and the kernel-image check all read glue; phi composes
-it with the section into the transition between two quotient charts,
-which the cocycle check samples.
+it with the section and the projections into the transition between two
+quotient charts, a map of canonical tensors, which the cocycle check samples.
 
 On pure atom tensors each of these maps (chi, psi, psi_ij, glue, the symbol,
 its section, the projection and the adjoint) only rewrites term keys,
@@ -347,36 +347,6 @@ def glue(x, src, dst):
     return _move_circle(x, slot_for(src, dst), slot_for(dst, src), "glue", symbol=True)
 
 
-class QuotientClass:
-    """Class of a pure Toeplitz tensor modulo two slot kernels.
-
-    The representative is canonical: every term with a matrix unit in a
-    killed slot is dropped, so class equality is representative equality.
-    """
-
-    __slots__ = ("rep", "killed")
-
-    def __init__(self, rep, killed):
-        a, b = killed
-        if a == b:
-            raise ValueError("killed slots must differ")
-        self.rep = project_slots(rep, (a, b))
-        self.killed = frozenset((a, b))
-
-    def __eq__(self, other):
-        if not isinstance(other, QuotientClass):
-            return NotImplemented
-        return self.killed == other.killed and self.rep == other.rep
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "QuotientClass(killed=%s, %r)" % (sorted(self.killed), self.rep)
-
-    def to_json(self):
-        return {"killed_slots": sorted(self.killed), "representative": self.rep.to_json()}
-
-
 def transition_representative(x, i, j):
     """Raw chart transition on representatives, without canonicalization.
 
@@ -386,19 +356,14 @@ def transition_representative(x, i, j):
     return lift_circle(glue(x, j, i))
 
 
-def phi(cls, i, j, k):
-    """Transition between quotient charts: the class over chart j, with the
-    kernels of i and k removed, maps to the matching class over chart i.
-    """
-    i, j, k = _charts(cls.rep.n_slots, i, j, k)
-    expected = frozenset((slot_for(j, i), slot_for(j, k)))
-    if cls.killed != expected:
-        raise ValueError(
-            "class kills slots %s, transition %d<-%d needs %s"
-            % (sorted(cls.killed), i, j, sorted(expected))
-        )
-    y = transition_representative(cls.rep, i, j)
-    return QuotientClass(y, (slot_for(i, j), slot_for(i, k)))
+def phi(x, i, j, k):
+    """Transition between quotient charts: x, a tensor over chart j modulo
+    the kernels of charts i and k, maps to its class over chart i.  Each
+    class is its canonical tensor, x and the result projected at the two
+    killed slots."""
+    i, j, k = _charts(x.n_slots, i, j, k)
+    y = transition_representative(project_slots(x, (slot_for(j, i), slot_for(j, k))), i, j)
+    return project_slots(y, (slot_for(i, j), slot_for(i, k)))
 
 
 # Largest |degree| and matrix unit index that random_tensor_element draws
@@ -577,14 +542,14 @@ def kernel_image_check(n, i, j, k, samples=50, seed=DEFAULT_SEED):
 def cocycle_check(n, samples=100, seed=DEFAULT_SEED):
     """Sampled check of the transition cocycle on quotient classes.
 
-    For each ordered triple i < k < j the identity phi_ij = phi_ik o phi_kj
-    (with matching killed kernels) must hold exactly.  Those triples glue
-    only from a higher chart to a lower one, so a couple of non-ordered
-    triples are spot-checked as well: they are the only ones that glue
-    upward.  Every sample also re-runs the raw pipeline on a representative
-    perturbed by a kernel term, which certifies that class output does not
-    depend on the choice of representative.  With fewer than three charts
-    there is no triple, so n must be at least 2.
+    Each class is its canonical tensor.  For each ordered triple i < k < j,
+    phi(x, i, j, k) == phi(phi(x, k, j, i), i, k, j) must hold exactly on
+    sampled tensors x over chart j.  Those triples glue only from a higher
+    chart to a lower one, so a couple of non-ordered triples are
+    spot-checked as well: they are the only ones that glue upward.  Every
+    sample also projects the raw pipeline on x perturbed by a kernel term,
+    which certifies that phi does not depend on the choice of representative.
+    With fewer than three charts there is no triple, so n must be at least 2.
     """
     n, samples = _index(n, "n", 2), _index(samples, "samples", 1)
     triples = [(i, j, k) for i, k, j in combinations(range(n + 1), 3)]
@@ -597,18 +562,17 @@ def cocycle_check(n, samples=100, seed=DEFAULT_SEED):
         rng = derived_rng(seed, "cocycle", n, i, j, k)
         for s in range(samples):
             x = random_tensor_element(rng, n)
-            cls = QuotientClass(x, (slot_for(j, i), slot_for(j, k)))
-            lhs = phi(cls, i, j, k)
-            rhs = phi(phi(cls, k, j, i), i, k, j)
+            lhs = phi(x, i, j, k)
+            rhs = phi(phi(x, k, j, i), i, k, j)
             if lhs != rhs:
                 failures.append(
                     {"triple": [i, j, k], "sample": s, "reason": "cocycle violated"}
                 )
                 continue
-            kernel_slot = min(cls.killed)
+            kernel_slot = min(slot_for(j, i), slot_for(j, k))
             noise = random_tensor_element(rng, n, compact_slots={kernel_slot})
             raw = transition_representative(x + noise, i, j)
-            perturbed = QuotientClass(raw, (slot_for(i, j), slot_for(i, k)))
+            perturbed = project_slots(raw, (slot_for(i, j), slot_for(i, k)))
             if perturbed != lhs:
                 failures.append(
                     {

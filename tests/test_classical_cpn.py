@@ -139,6 +139,10 @@ def test_chart_point_validation():
         ChartPoint([0.5, 1.0], 1)  # slot 1 is not on the circle
     with pytest.raises(ValueError):
         ChartPoint([0.5, 2.0], 2)  # modulus beyond the disc
+    nan = float("nan")
+    for coords, slot in (([nan], 1), ([nan, 1.0], 2), ([0.5, complex(nan, 0)], 2)):
+        with pytest.raises(ValueError, match="modulus nan"):
+            ChartPoint(coords, slot)  # a NaN modulus compares false both ways
     for slot in (3, 1.5, 2.0, True, "2"):
         with pytest.raises(ValueError):
             ChartPoint([0.5, 1.0], slot)  # slot out of range or not an int

@@ -444,6 +444,25 @@ def test_a_table_or_row_that_is_no_sequence_is_refused(join, meet, message):
         FiniteDistributiveLattice(["0"], join, meet)
 
 
+@pytest.mark.parametrize(
+    "elements, join, meet, message",
+    [
+        pytest.param(5, [[0]], [[0]], "elements are not a sequence", id="no-sequence"),
+        pytest.param(["a", "a"], *_TWO_ELEMENT_TABLES, "duplicate element 'a'", id="duplicate"),
+        pytest.param(
+            [[0], [1]], *_TWO_ELEMENT_TABLES, r"element \[0\] is not hashable", id="unhashable"
+        ),
+    ],
+)
+def test_elements_that_are_no_sequence_of_distinct_values_are_refused(
+    elements, join, meet, message
+):
+    # a LatticeError before the table scan, as from_elements refuses a
+    # repeated element: two positions never name one element
+    with pytest.raises(LatticeError, match="^%s$" % message):
+        FiniteDistributiveLattice(elements, join, meet)
+
+
 def test_an_entry_out_of_range_is_refused_before_a_reader_sees_it():
     # the meet of {0} and {1} is {0, 1}, index 4 of the eight upper sets of
     # three points.  Read unchecked, -4 there would leave meet_irreducibles

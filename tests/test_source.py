@@ -52,3 +52,12 @@ def test_no_second_single_slot_route_returns(name):
 
 def test_no_second_freeness_report_returns():
     assert _files_naming("FreenessEvidence", _library_tests_and_readme()) == []
+
+
+# A class modulo slot kernels is its canonical tensor, which project_slots
+# keeps, and phi maps those tensors; no class wrapping a representative
+# comes back.
+
+
+def test_no_quotient_class_wrapper_returns():
+    assert _files_naming("QuotientClass", _library_tests_and_readme()) == []

@@ -19,7 +19,6 @@ from tqps.order_lattice import (
 )
 from tqps.sampling import DEFAULT_SEED
 from tqps.tensor_gluing import (
-    QuotientClass,
     TensorElement,
     atom_degree,
     chi,
@@ -375,6 +374,12 @@ def test_maps_branch_on_atom_kind_only():
                     out[moved(atoms, i + 1, j, -(atoms[i][1] + total_degree(rest)))] = c
                 assert psi_ij(v, i, j) == TensorElement._trusted(out, (n, j))
                 assert psi_ij_inv(psi_ij(v, i, j), i, j) == v
+    # phi: the cocycle holds on one term per kind pattern, each degree and
+    # index a variable, so it holds on every tensor of that many slots
+    for n in (2, 3, 4, 5):
+        x = symbolic_tensor(n)
+        for i, j, k in permutations(range(n + 1), 3):
+            assert phi(x, i, j, k) == phi(phi(x, k, j, i), i, k, j)
 
 
 def test_psi_matches_stepwise_oracle():
@@ -569,15 +574,16 @@ def test_slot_for_table():
             slot_for(side, idx)
 
 
-def test_quotient_class_canonicalization():
+def test_a_class_is_its_canonical_tensor():
+    # two tensors lie in one class modulo the kernels of slots 1 and 2
+    # exactly when their projections there are equal
     x = TensorElement.pure((("T", 1), ("T", 2)))
     noise = TensorElement.pure((("E", 0, 0), ("T", 2)), coeff=3) + TensorElement.pure(
         (("T", 1), ("E", 1, 1)), coeff=-2
     )
-    assert QuotientClass(x + noise, (1, 2)) == QuotientClass(x, (1, 2))
-    assert QuotientClass(x, (1, 2)) != QuotientClass(x + x, (1, 2))
-    with pytest.raises(ValueError):
-        QuotientClass(x, (1, 1))
+    assert project_slots(x + noise, (1, 2)) == project_slots(x, (1, 2)) == x
+    assert project_slots(x, (1, 2)) != project_slots(x + x, (1, 2))
+    assert project_slots(noise, (1, 2)).is_zero()
 
 
 def test_transition_representative_worked_example():
@@ -592,29 +598,31 @@ def test_transition_representative_worked_example():
     assert rep == TensorElement.pure((("E", 0, 0), ("T", -1)))
 
 
-def test_phi_validates_killed_slots():
-    x = TensorElement.pure((("T", 1), ("T", 0)))
-    cls = QuotientClass(x, (1, 2))  # over chart 1, killing charts 0 and 2
-    out = phi(cls, 0, 1, 2)
-    assert out.killed == frozenset((slot_for(0, 1), slot_for(0, 2)))
+def test_phi_maps_canonical_tensors_and_validates_its_charts():
+    x = TensorElement.pure((("T", 1), ("T", 0)))  # over chart 1
+    out = phi(x, 0, 1, 2)
+    assert type(out) is TensorElement and out.shape == (2, None)
+    assert out == project_slots(out, (slot_for(0, 1), slot_for(0, 2)))
     for i, j, k in [(2, 1, 2), (0, 1, 2.0), (True, 1, 2), (0, "1", 2), (0, 1, 3)]:
         with pytest.raises(ValueError):
-            phi(cls, i, j, k)  # a repeated chart, a chart that is no int or out of range
-    # with three slots the killed pair pins down which transition applies
-    y = TensorElement.pure((("T", 1), ("T", 0), ("T", 2)))
-    bad = QuotientClass(y, (1, 2))  # over chart 1, killing charts 0 and 2
-    with pytest.raises(ValueError):
-        phi(bad, 0, 1, 3)  # needs the kernel of chart 3, which was kept
+            phi(x, i, j, k)  # a repeated chart, a chart that is no int or out of range
+    # with three slots the charts say which kernels x is read modulo: the
+    # matrix unit at slot 3 tracks chart 3, so only phi(., 0, 1, 3) kills it
+    y = TensorElement.pure((("T", 1), ("T", 0), ("E", 0, 0)))  # over chart 1
+    assert phi(y, 0, 1, 3).is_zero()
+    assert phi(y, 0, 1, 2) == TensorElement.pure((("T", -1), ("T", 0), ("E", 0, 0)))
 
 
 def test_phi_respects_representatives():
+    # on every triple at n = 3, a kernel term in either killed slot of the
+    # source chart leaves the class phi returns as it was
     rng = rng_for("phi-reps")
-    for _ in range(20):
-        x = random_tensor_element(rng, 2)
-        noise = random_tensor_element(rng, 2, compact_slots=(1, 2))
-        a = QuotientClass(x, (1, 2))
-        b = QuotientClass(x + noise, (1, 2))
-        assert phi(a, 0, 1, 2) == phi(b, 0, 1, 2)
+    for i, j, k in permutations(range(4), 3):
+        for _ in range(3):
+            x = random_tensor_element(rng, 3)
+            noise = random_tensor_element(rng, 3, compact_slots={slot_for(j, i)})
+            noise += random_tensor_element(rng, 3, compact_slots={slot_for(j, k)})
+            assert phi(x + noise, i, j, k) == phi(x, i, j, k)
 
 
 def test_involution_check_report():
@@ -750,6 +758,21 @@ def test_transition_agreement_reports_a_skewed_transition(monkeypatch):
     assert report["passed"] is False
     # at n = 1 the circle is the only coordinate, so the mutant changes nothing
     assert transition_agreement(1, trials=2)["passed"] is True
+
+
+def test_transition_agreement_cannot_pass_a_nan_transition(monkeypatch):
+    # NaN compares false with every tolerance, so a disc slot of NaN must be
+    # refused where the point is built, or no distance would exceed the tolerance
+    real = classical_cpn.transition
+
+    def nan_discs(p, src, dst):
+        q = real(p, src, dst)
+        coords = [c if s == q.circle_slot else float("nan") for s, c in enumerate(q.coords, 1)]
+        return classical_cpn.ChartPoint(coords, q.circle_slot)
+
+    monkeypatch.setattr(classical_cpn, "transition", nan_discs)
+    with pytest.raises(ValueError, match="^disc coordinate has modulus nan$"):
+        transition_agreement(2, trials=3)
 
 
 @pytest.mark.parametrize(
@@ -923,8 +946,8 @@ def test_psi_sweep_atoms_are_canonical(monkeypatch):
         lambda: project_slots(TensorElement.one(2), {1.0}),
         lambda: random_tensor_element(rng_for("bad-shape"), 2, compact_slots={"1"}),
         lambda: random_tensor_element(rng_for("bad-shape"), 2, compact_slots={True}),
-        lambda: QuotientClass(TensorElement.one(2), ("1", 2)),
-        lambda: QuotientClass(TensorElement.one(2), (True, 2)),
+        lambda: project_slots(TensorElement.one(2), ("1", 2)),
+        lambda: project_slots(TensorElement.one(2), (True, 2)),
     ],
 )
 def test_trusted_constructions_check_the_shape(call):
