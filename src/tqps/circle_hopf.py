@@ -1,11 +1,9 @@
-"""Exact Gaussian rational scalars, and the term map every exact linear
-combination in tqps is built on.
+"""Exact Gaussian rational scalars, and the sums of their terms.
 
 Each Scalar component is an exact int or Fraction; no floating point
-enters this module.  Terms is the one representation of a finite sum of
-basis keys with nonzero Scalar coefficients: the tensor powers over
-Toeplitz atoms, whose one-slot tensors are the single-slot operators.
-collect is its one way to sum coefficients of repeated keys.
+enters this module.  collect sums coefficients of repeated keys for
+tensor_gluing.TensorElement, the one term map of tqps, and _render_terms
+writes a sum of terms as text.
 
 The circle algebra, Laurent polynomials in the unitary u, has no class of
 its own: a circle function is a one-slot tensor whose slot is the circle
@@ -15,7 +13,6 @@ lift_circle its linear section.
 """
 
 from fractions import Fraction
-from itertools import chain
 
 
 def _frac(v):
@@ -182,77 +179,3 @@ def _render_terms(pairs):
             parts.append("%s*%s" % (cs, name))
     return " + ".join(parts) or "0"
 
-
-class Terms:
-    """Exact linear combination of basis keys: `terms` maps each key to its
-    nonzero Scalar coefficient, so equal term maps are equal elements.
-
-    A subclass fixes its keys through _key, which validates one key and
-    returns it normalized, and may carry a `shape` that only elements of
-    the same shape combine with.  Equality reads (type, shape, terms).
-    The constructor takes a mapping of key to coefficient or an iterable
-    of (key, coefficient) pairs; each key is validated before it is
-    hashed, so a malformed key raises ValueError, not TypeError.
-    """
-
-    __slots__ = ("shape", "terms")
-
-    def __init__(self, terms=None, shape=()):
-        self.shape = shape
-        pairs = terms.items() if hasattr(terms, "items") else terms or ()
-        self.terms = collect((self._key(key), Scalar.coerce(c)) for key, c in pairs)
-
-    def _key(self, key):
-        raise NotImplementedError
-
-    @classmethod
-    def _trusted(cls, terms, shape=()):
-        """Element holding `terms` as given, built without __init__.
-
-        Every caller meets this condition, which is what makes skipping
-        validation sound:
-        - every key is valid for the shape;
-        - every coefficient is nonzero (collect drops the zero sums);
-        - a map that rewrites the keys of another element is injective on
-          the terms it keeps, so no two coefficients merge;
-        - it branches on atom kind, never on a degree value, so it acts
-          alike on every degree, symbolic ones included.
-        The constructor, and TensorElement.pure and one, validate every key
-        through _key instead.
-        """
-        out = object.__new__(cls)
-        out.shape = shape
-        out.terms = terms
-        return out
-
-    def is_zero(self):
-        return not self.terms
-
-    def _check(self, other):
-        if type(other) is not type(self) or other.shape != self.shape:
-            raise ValueError("cannot combine %r with %r" % (self, other))
-
-    def __add__(self, other):
-        self._check(other)
-        return self._trusted(collect(chain(self.terms.items(), other.terms.items())), self.shape)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._trusted({key: -c for key, c in self.terms.items()}, self.shape)
-
-    def scale(self, scalar):
-        scalar = Scalar.coerce(scalar)
-        return self._trusted(collect((key, c * scalar) for key, c in self.terms.items()), self.shape)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.shape == other.shape and self.terms == other.terms
-
-    def __repr__(self):
-        return "%s(%r)" % (
-            type(self).__name__,
-            {key: (c.re, c.im) for key, c in sorted(self.terms.items())},
-        )

@@ -49,8 +49,11 @@ def probe_point(a, n):
 
 
 def max_index_set(x):
-    """Indices where |x_i| attains the maximum, up to MEMBERSHIP_TOL."""
+    """Indices where |x_i| attains the maximum, up to MEMBERSHIP_TOL; a
+    modulus that is not finite, which max reads by position, raises ValueError."""
     mags = [abs(c) for c in x]
+    if not all(map(cmath.isfinite, mags)):
+        raise ValueError("coordinate moduli must be finite, got %r" % (mags,))
     m = max(mags)
     return frozenset(i for i, v in enumerate(mags) if v >= m - MEMBERSHIP_TOL)
 
@@ -164,6 +167,8 @@ class ChartPoint:
 
 def chart(i, x):
     """Affine coordinates of the chart at index i: divide through by x_i."""
+    if type(i) is not int or not 0 <= i < len(x):
+        raise ValueError("chart index must be an integer from 0 to %d, got %r" % (len(x) - 1, i))
     if abs(x[i]) == 0:
         raise ValueError("point misses the chart")
     return tuple(c / x[i] for pos, c in enumerate(x) if pos != i)
@@ -172,6 +177,8 @@ def chart(i, x):
 def chart_inv(i, coords):
     """Homogeneous representative with 1 in position i."""
     coords = tuple(coords)
+    if type(i) is not int or not 0 <= i <= len(coords):
+        raise ValueError("chart index must be an integer from 0 to %d, got %r" % (len(coords), i))
     return coords[:i] + (1.0 + 0.0j,) + coords[i:]
 
 

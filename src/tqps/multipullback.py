@@ -77,10 +77,12 @@ class PullbackElement:
 
     @classmethod
     def zero(cls, n):
+        n = _index(n, "n", 1)
         return cls([TensorElement.zero(n) for _ in range(n + 1)])
 
     @classmethod
     def unit(cls, n):
+        n = _index(n, "n", 1)
         return cls([TensorElement.one(n) for _ in range(n + 1)])
 
     @property

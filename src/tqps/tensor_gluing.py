@@ -1,16 +1,16 @@
 """Tensor powers of the Toeplitz model and the gluing machinery.
 
 Elements of a tensor power are exact linear combinations of pure atom
-tensors.  Each slot of a pure tensor holds one Toeplitz atom, a shift
-("T", a) or a matrix unit ("E", j, k); at most one distinguished slot
-holds a circle monomial ("u", m) instead.  A single-slot operator is a
-one-slot tensor, TensorElement(1).  toeplitz_core validates atoms and
-multiplies them.  The tensor product multiplies the coefficients of each
-term pair once and reads each slot's atom product, as atoms with an int
-sign, from _mul_toeplitz_atoms, a cache of atom_product.  The adjoint acts
-slotwise, T(u^a)* = T(u^-a), E_{jk}* = E_{kj} and (u^m)* = u^-m, with
-conjugated coefficients.  Slot positions are 1-based throughout the public
-surface.
+tensors, held by TensorElement, the library's one term map.  Each slot of
+a pure tensor holds one Toeplitz atom, a shift ("T", a) or a matrix unit
+("E", j, k); at most one distinguished slot holds a circle monomial
+("u", m) instead.  A single-slot operator is a one-slot tensor,
+TensorElement(1).  toeplitz_core validates atoms and multiplies them.  The
+tensor product multiplies the coefficients of each term pair once and
+reads each slot's atom product, as atoms with an int sign, from
+_mul_toeplitz_atoms, a cache of atom_product.  The adjoint acts slotwise,
+T(u^a)* = T(u^-a), E_{jk}* = E_{kj} and (u^m)* = u^-m, with conjugated
+coefficients.  Slot positions are 1-based throughout the public surface.
 
 The gauge grading, toeplitz_core's atom_degree, gives every atom an integer
 degree (a for a shift, j - k for a matrix unit, m for a circle monomial).
@@ -40,17 +40,17 @@ quotient charts, a map of canonical tensors, which the cocycle check samples.
 
 On pure atom tensors each of these maps (chi, psi, psi_ij, glue, the symbol,
 its section, the projection and the adjoint) only rewrites term keys,
-injectively, so none validates its result again; circle_hopf.Terms._trusted
+injectively, so none validates its result again; TensorElement._trusted
 states when that is sound.  Every circle move, glue's included, is one call
 of _move_circle, which holds the relocation checks; the symbol, its
 section, the projection and the adjoint are each one loop of their own.
 """
 
 from functools import lru_cache
-from itertools import combinations, islice, permutations, product
+from itertools import chain, combinations, islice, permutations, product
 from math import prod
 
-from .circle_hopf import ONE, Terms, _render_terms, collect
+from .circle_hopf import ONE, Scalar, _render_terms, collect
 from .toeplitz_core import (  # noqa: F401  (atom_degree re-exported)
     _render_atom,
     _validate_atom,
@@ -89,18 +89,26 @@ def _mul_toeplitz_atoms(a, b):
     return tuple(atom_product(a, b))
 
 
-class TensorElement(Terms):
-    """Exact linear combination of pure atom tensors of a fixed shape.
+class TensorElement:
+    """Exact linear combination of pure atom tensors of a fixed shape: the
+    one term map of tqps.  `terms` maps each key to its nonzero Scalar
+    coefficient, so equal term maps are equal elements.
 
     The shape is (n_slots, circle_slot): n_slots counts all slots,
     circle_slot is the 1-based position of the distinguished circle slot or
-    None.  Every key is an atom tuple that fits the shape.
+    None.  Every key is an atom tuple that fits the shape, and only
+    elements of the same shape combine.  Equality reads (type, shape,
+    terms).  The constructor takes a mapping of key to coefficient or an
+    iterable of (key, coefficient) pairs; _key validates each key before it
+    is hashed, so a malformed key raises ValueError, not TypeError.
     """
 
-    __slots__ = ()
+    __slots__ = ("shape", "terms")
 
     def __init__(self, n_slots, circle_slot=None, terms=None):
-        super().__init__(terms, _shape(n_slots, circle_slot))
+        self.shape = _shape(n_slots, circle_slot)
+        pairs = terms.items() if hasattr(terms, "items") else terms or ()
+        self.terms = collect((self._key(key), Scalar.coerce(c)) for key, c in pairs)
 
     def _key(self, atoms):
         n_slots, circle_slot = self.shape
@@ -109,6 +117,52 @@ class TensorElement(Terms):
         return tuple(
             _validate_atom(atom, pos == circle_slot) for pos, atom in enumerate(atoms, start=1)
         )
+
+    @classmethod
+    def _trusted(cls, terms, shape):
+        """Element holding `terms` as given, built without __init__.
+
+        Every caller meets this condition, which is what makes skipping
+        validation sound:
+        - every key is valid for the shape;
+        - every coefficient is nonzero (collect drops the zero sums);
+        - a map that rewrites the keys of another element is injective on
+          the terms it keeps, so no two coefficients merge;
+        - it branches on atom kind, never on a degree value, so it acts
+          alike on every degree, symbolic ones included.
+        The constructor, and pure and one, validate every key through _key
+        instead.
+        """
+        out = object.__new__(cls)
+        out.shape = shape
+        out.terms = terms
+        return out
+
+    def is_zero(self):
+        return not self.terms
+
+    def _check(self, other):
+        if type(other) is not type(self) or other.shape != self.shape:
+            raise ValueError("cannot combine %r with %r" % (self, other))
+
+    def __add__(self, other):
+        self._check(other)
+        return self._trusted(collect(chain(self.terms.items(), other.terms.items())), self.shape)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._trusted({key: -c for key, c in self.terms.items()}, self.shape)
+
+    def scale(self, scalar):
+        scalar = Scalar.coerce(scalar)
+        return self._trusted(collect((key, c * scalar) for key, c in self.terms.items()), self.shape)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.shape == other.shape and self.terms == other.terms
 
     @property
     def n_slots(self):
@@ -125,6 +179,7 @@ class TensorElement(Terms):
 
     @classmethod
     def one(cls, n_slots, circle_slot=None):
+        n_slots, circle_slot = _shape(n_slots, circle_slot)
         atoms = tuple(
             ("u", 0) if (pos == circle_slot) else ("T", 0) for pos in range(1, n_slots + 1)
         )

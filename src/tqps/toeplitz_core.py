@@ -21,10 +21,11 @@ The gauge circle action rotates the shift: atom_degree gives T(u^a)
 degree a and E_{jk} degree j - k, the degree the coaction tags with the
 matching circle monomial.  A tensor's circle slot holds a circle monomial
 ("u", m) of degree m; _validate_atom is the one check of all three atom
-kinds.
+kinds.  ToeplitzElement is a stub that holds no terms and multiplies
+nothing, kept only as a name the benchmark's tracer pins.
 """
 
-from .circle_hopf import Terms, _render_power, collect
+from .circle_hopf import _render_power
 from .util import _index
 
 
@@ -85,31 +86,12 @@ def atom_product(a, b):
     return [(("E", a[1], b[2]), 1)] if a[2] == b[1] else []
 
 
-class ToeplitzElement(Terms):
-    """A one-slot operator keyed by bare atoms, kept only for its product.
-
-    Every single-slot operator of the library is a one-slot TensorElement,
-    whose product, adjoint and rendering tensor_gluing holds.  This class
-    stays because perfbench/tracing.py's LAYERS names
-    ToeplitzElement.__mul__ and tests/test_bench_contract.py's
-    test_traced_layer_exists pins that row; once the benchmark drops it,
-    the class goes.
-    """
+class ToeplitzElement:
+    """Nothing builds it; a single-slot operator is a one-slot TensorElement.
+    The LAYERS row of perfbench/tracing.py and test_traced_layer_exists
+    keep the name, and the benchmark refresh that drops that row deletes it."""
 
     __slots__ = ()
 
-    def _key(self, atom):
-        return _validate_atom(atom)
-
     def __mul__(self, other):
-        """Product atom by atom through atom_product, never via matrix truncation."""
-        self._check(other)
-        terms = []
-        for a, c1 in self.terms.items():
-            for b, c2 in other.terms.items():
-                product = atom_product(a, b)
-                if product:
-                    c = c1 * c2
-                    terms.extend((atom, c if sign > 0 else -c) for atom, sign in product)
-        # products of valid atoms, summed through collect
-        return ToeplitzElement._trusted(collect(terms))
+        return NotImplemented

@@ -157,6 +157,33 @@ def test_chart_maps_invert():
         chart(1, (1.0, 0.0, 0.5))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: chart(-1, (1, 0.5, 0.25)),  # would divide by the last coordinate
+        lambda: chart(True, (1, 0.5, 0.25)),  # would read as chart 1
+        lambda: chart(3, (1, 0.5, 0.25)),
+        lambda: chart_inv(-1, (0.5, 0.25)),  # would put the 1 in the middle
+        lambda: chart_inv(3, (0.5, 0.25)),
+        lambda: chart_inv(1.0, (0.5, 0.25)),
+    ],
+)
+def test_chart_maps_refuse_an_index_off_the_charts(call):
+    with pytest.raises(ValueError, match="chart index must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "x", [(float("nan"), 1.0, 0.5), (1.0, float("nan"), 0.5), (1.0, float("inf"), 0.5)]
+)
+def test_a_modulus_that_is_not_finite_has_no_peak_set(x):
+    # max reads a NaN by its position: first it wins, later it loses
+    with pytest.raises(ValueError, match="must be finite"):
+        max_index_set(x)
+    with pytest.raises(ValueError, match="must be finite"):
+        CoveringSet.basic(2, 0).contains_point(x)
+
+
 def test_transition_on_the_circle():
     # one dimension: the transition inverts the circle coordinate
     s = cmath.exp(0.7j)

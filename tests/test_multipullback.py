@@ -43,6 +43,9 @@ def test_element_validation():
         PullbackElement([TensorElement.one(1), TensorElement.one(2)])
     with pytest.raises(ValueError):
         PullbackElement([TensorElement.one(1), TensorElement.one(1, circle_slot=1)])
+    for call in (lambda: PullbackElement.zero("2"), lambda: PullbackElement.unit(2.5)):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            call()  # read before range(n + 1) is built
 
 
 def test_unit_and_zero_are_members():

@@ -5,6 +5,9 @@ import pathlib
 
 import pytest
 
+from tqps.tensor_gluing import TensorElement
+from tqps.toeplitz_core import ToeplitzElement
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "tqps"
 
@@ -35,6 +38,14 @@ def test_only_toeplitz_core_names_the_stub_operator_class():
     assert _files_naming("ToeplitzElement", SRC.glob("*.py")) == ["src/tqps/toeplitz_core.py"]
 
 
+def test_the_stub_operator_class_is_a_name_only():
+    # no base to inherit a term map from, and no method but the traced one
+    assert ToeplitzElement.__bases__ == (object,)
+    assert [k for k, v in vars(ToeplitzElement).items() if callable(v)] == ["__mul__"]
+    with pytest.raises(TypeError):
+        ToeplitzElement() * ToeplitzElement()
+
+
 def _library_tests_and_readme():
     tests = [path for path in (ROOT / "tests").glob("*.py") if path.name != "test_source.py"]
     return [*SRC.glob("*.py"), *tests, ROOT / "README.md"]
@@ -61,3 +72,12 @@ def test_no_second_freeness_report_returns():
 
 def test_no_quotient_class_wrapper_returns():
     assert _files_naming("QuotientClass", _library_tests_and_readme()) == []
+
+
+# TensorElement is the one term map, built on object; no generic base class
+# of term maps comes back.
+
+
+def test_no_second_term_map_class_returns():
+    assert TensorElement.__bases__ == (object,)
+    assert _files_naming("Terms", _library_tests_and_readme()) == []

@@ -948,6 +948,8 @@ def test_psi_sweep_atoms_are_canonical(monkeypatch):
         lambda: random_tensor_element(rng_for("bad-shape"), 2, compact_slots={True}),
         lambda: project_slots(TensorElement.one(2), ("1", 2)),
         lambda: project_slots(TensorElement.one(2), (True, 2)),
+        lambda: TensorElement.one("3"),
+        lambda: TensorElement.one(2.5),
     ],
 )
 def test_trusted_constructions_check_the_shape(call):
