@@ -23,7 +23,8 @@ the index set with mask t, so join is `|`, meet is `&` and the order is a
 subset test.  AntichainForm (k = n) is that element; the covering sets of
 classical_cpn (k = n + 1) share the encoding.  A list of such elements is
 its own lattice: its Hasse diagram is the Poset of their `<=`, with no
-tables built.
+tables built.  fdl_enumerate lists FD(n) in the order of minimal_sets(),
+computed from one ranking of the 2^n - 1 index tuples per call.
 
 Two freeness tests follow from the theorem.  Sets G_0..G_{k-1} generate
 a free distributive lattice exactly when every nonempty proper index set
@@ -507,13 +508,24 @@ def _lacking(k):
     return tuple((1 << i, full // ((1 << (1 << i)) + 1)) for i in range(k))
 
 
+def _minimal_masks(k, up):
+    """Bits of the members of the up-set up on k points with no member one
+    point smaller: shifting the members that lack point i by 2^i marks each
+    set that has a member below it."""
+    covered = 0
+    for step, lacking in _lacking(k):
+        covered |= (up & lacking) << step
+    return up & ~covered
+
+
 class UpSet:
     """Up-set of the Boolean lattice of index sets on k points, as one int.
 
     Bit t of `up` stands for the index set with mask t.  Join is union
     (`|`), meet is intersection (`&`) and the order is inclusion (`<=`);
-    equality and hashing read (type, k, up) only.  Subclasses validate a
-    family in their constructors and read it back through minimal_sets().
+    equality reads (type, k, up) only, and the hash up alone.  Subclasses
+    validate a family in their constructors and read it back through
+    minimal_sets().
     """
 
     __slots__ = ("k", "up")
@@ -551,25 +563,32 @@ class UpSet:
 
     def minimal_sets(self):
         """Sorted index tuples of the members with no member one point smaller."""
-        covered = 0
-        for step, lacking in _lacking(self.k):
-            covered |= (self.up & lacking) << step
-        return self._index_sets(self.up & ~covered)
+        return self._index_sets(_minimal_masks(self.k, self.up))
 
-    def _check(self, other):
-        if type(other) is not type(self) or self.k != other.k:
-            raise ValueError("cannot combine %r with %r" % (self, other))
+    def _mismatch(self, other):
+        return ValueError("cannot combine %r with %r" % (self, other))
 
+    # The operators run once per table cell, so each tests type and k and
+    # builds its result in line rather than through _mismatch or _from_up.
     def __or__(self, other):
-        self._check(other)
-        return self._from_up(self.k, self.up | other.up)
+        cls = type(self)
+        if type(other) is not cls or self.k != other.k:
+            raise self._mismatch(other)
+        out = object.__new__(cls)
+        out.k, out.up = self.k, self.up | other.up
+        return out
 
     def __and__(self, other):
-        self._check(other)
-        return self._from_up(self.k, self.up & other.up)
+        cls = type(self)
+        if type(other) is not cls or self.k != other.k:
+            raise self._mismatch(other)
+        out = object.__new__(cls)
+        out.k, out.up = self.k, self.up & other.up
+        return out
 
     def __le__(self, other):
-        self._check(other)
+        if type(other) is not type(self) or self.k != other.k:
+            raise self._mismatch(other)
         return not self.up & ~other.up
 
     def __eq__(self, other):
@@ -578,7 +597,8 @@ class UpSet:
         return self.k == other.k and self.up == other.up
 
     def __hash__(self):
-        return hash((self.k, self.up))
+        # equal elements share up, and an int hashes alike in every process
+        return hash(self.up)
 
 
 class AntichainForm(UpSet):
@@ -660,17 +680,24 @@ def fdl_enumerate(n):
     """All elements of the free distributive lattice on n generators.
 
     The up-sets of the subset lattice other than the empty one and the one
-    holding the empty set; the list is sorted canonically by antichain and
-    has antichain_count(n) - 2 entries, so n is read against the same table.
+    holding the empty set; the list has antichain_count(n) - 2 entries, so n
+    is read against the same table.  It is sorted as minimal_sets() orders
+    the forms, without building those lists: the 2^n - 1 index tuples are
+    ranked once, and a form's key, the sorted ranks of its minimal masks,
+    compares as the sorted list of their tuples does.
     """
     n = _index(n, "tabulated generator count", 0, 5)
-    forms = [
-        AntichainForm._from_up(n, up)
+    rank = [0] * (1 << n)
+    for r, t in enumerate(sorted(range(1, 1 << n), key=lambda t: tuple(_bits(t)))):
+        rank[t] = r
+    keyed = [
+        (sorted([rank[t] for t in _bits(_minimal_masks(n, up))]), up)
         for up in upper_set_masks(_boolean_poset(n))
         if up and not up & 1
     ]
-    forms.sort(key=AntichainForm.minimal_sets)
-    return forms
+    # distinct forms have distinct minimal sets, so no two keys tie
+    keyed.sort()
+    return [AntichainForm._from_up(n, up) for _, up in keyed]
 
 
 class FreenessReport:

@@ -4,11 +4,13 @@ import cmath
 
 import pytest
 
+from oracles import closure_size
 from tqps.classical_cpn import (
     DEFAULT_SEED,
     TRANSITION_TOL,
     ChartPoint,
     CoveringSet,
+    _generated_size,
     chart,
     chart_inv,
     chart_overlap_point,
@@ -123,7 +125,8 @@ def test_covering_lattice_sizes():
 
 
 def test_classical_freeness_verdicts():
-    # any n: the lattice size is reported only where the Dedekind table reaches
+    # any n: the lattice size is measured up to n = 4, where it has 7579
+    # elements; at n = 5 it would have 7828352
     for n in range(1, 9):
         report = classical_freeness(n)
         assert report.free, report.witness
@@ -131,6 +134,22 @@ def test_classical_freeness_verdicts():
         assert report.bundle["details"] == {"probes": 2 ** (n + 1) - 2, **sizes}
     with pytest.raises(ValueError):
         classical_freeness(0)
+
+
+def _member_sets(family):
+    return [[t for t in range(1 << g.k) if g.up >> t & 1] for g in family]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_generated_size_is_measured(n):
+    gens = covering_generators(n)
+    assert _generated_size(gens) == [4, 18, 166][n - 1]
+    # two equal generators, or one the meet of two others, generate less
+    for family in (gens[:-1] + gens[:1], gens[:-1] + [gens[0] & gens[1]]):
+        size = _generated_size(family)
+        assert size == closure_size(_member_sets(family))
+        assert size < _generated_size(gens)
+    assert _generated_size(gens[:-1] + gens[:1]) == _generated_size(gens[:-1])
 
 
 def test_chart_point_validation():
@@ -182,6 +201,16 @@ def test_a_modulus_that_is_not_finite_has_no_peak_set(x):
         max_index_set(x)
     with pytest.raises(ValueError, match="must be finite"):
         CoveringSet.basic(2, 0).contains_point(x)
+
+
+@pytest.mark.parametrize("x", [(2**2000, 1), (1, 0.5, -(2**1024)), (2**2000, 2**2000)])
+def test_a_modulus_past_float_range_has_no_peak_set(x):
+    # the tolerance is a float, so such a modulus cannot be compared with it
+    with pytest.raises(ValueError, match="past float range"):
+        max_index_set(x)
+    with pytest.raises(ValueError, match="past float range"):
+        CoveringSet.basic(len(x) - 1, 0).contains_point(x)
+    assert max_index_set((2**1000, 1)) == frozenset({0})
 
 
 def test_transition_on_the_circle():

@@ -160,7 +160,7 @@ def test_classical_lattice(capsys, monkeypatch):
     # the verdict comes from the point types alone
     monkeypatch.setattr(cli.classical_cpn, "covering_lattice", no_tables)
     monkeypatch.setattr(cli.order_lattice.FiniteDistributiveLattice, "from_elements", no_tables)
-    # past n = 4 the Dedekind table gives no size; the cap is n = 8
+    # past n = 4 the size is not measured; the cap is n = 8
     for n, size in ((1, 4), (2, 18), (3, 166), (8, None)):
         code, payload = run_json(capsys, ["classical", "lattice", "--n", str(n)])
         assert code == 0

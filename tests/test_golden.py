@@ -44,6 +44,12 @@ GOLDEN = [
      "f19b33c9000535fe8588862a75e84982ee9c1ee4278b26e6045f58ffdda28d0a"),
     (["export", "hasse", "--target", "kernels", "--n", "2"], 0,
      "eab2f47cd979d82e8e87730160271b4a6d058b3bd5cb3bcd75f5ebd4f5e88371"),
+    (["export", "hasse", "--target", "fdl", "--generators", "4"], 0,
+     "93f6a3d0be6a58278a2f396b63373eaf8a9323dfb62e031a1ec54563266a02a8"),
+    (["export", "hasse", "--target", "kernels", "--n", "3"], 0,
+     "9ffbf81c3dac4cc292b5ab47458f2e2c9678595216decd0e6d9c71e7092ba0ba"),
+    (["classical", "lattice", "--n", "4"], 0,
+     "8f3493f794bfd872cf15f177480276717338787a312e3e4769c3d4e79970d090"),
 ]
 
 

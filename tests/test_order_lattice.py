@@ -1,5 +1,6 @@
 """Checks for posets, distributive lattices, and the freeness criterion."""
 
+import operator
 import re
 
 import pytest
@@ -683,6 +684,40 @@ def test_free_lattice_is_the_antichain_count_without_bounds():
     # the Dedekind table, independent of the listing
     for n in (0, 1, 2, 3, 4):
         assert len(fdl_enumerate(n)) == antichain_count(n) - 2
+
+
+def test_the_listing_is_ordered_by_minimal_sets():
+    # the listing sorts by ranks of index tuples; no golden pins n = 5
+    for n in range(6):
+        keys = [form.minimal_sets() for form in fdl_enumerate(n)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), n
+
+
+def test_equal_joins_and_meets_hash_equal():
+    forms = fdl_enumerate(3)
+    listed = {form.up: form for form in forms}
+    for x in forms:
+        for y in forms:
+            for result in (x | y, x & y):
+                form = listed[result.up]
+                assert result == form and hash(result) == hash(form)
+
+
+@pytest.mark.parametrize("op", [operator.or_, operator.and_, operator.le])
+def test_up_sets_of_another_kind_or_size_do_not_combine(op):
+    form = AntichainForm.generator(0, 3)
+    for other in (AntichainForm.generator(0, 2), CoveringSet.basic(2, 0)):
+        for a, b in ((form, other), (other, form)):
+            with pytest.raises(ValueError, match=re.escape("cannot combine %r with %r" % (a, b))):
+                op(a, b)
+
+
+def test_a_free_lattice_element_is_no_covering_set():
+    # the same up-set on three points, read as g0 and as V0
+    form, cover = AntichainForm.generator(0, 3), CoveringSet.basic(2, 0)
+    assert form.up == cover.up and form.k == cover.k
+    assert form != cover and cover != form
+    assert len({form, cover}) == 2
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
