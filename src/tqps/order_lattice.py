@@ -23,8 +23,9 @@ the index set with mask t, so join is `|`, meet is `&` and the order is a
 subset test.  AntichainForm (k = n) is that element; the covering sets of
 classical_cpn (k = n + 1) share the encoding.  A list of such elements is
 its own lattice: its Hasse diagram is the Poset of their `<=`, with no
-tables built.  fdl_enumerate lists FD(n) in the order of minimal_sets(),
-computed from one ranking of the 2^n - 1 index tuples per call.
+tables built.  fdl_enumerate lists FD(n) in the order of minimal_sets()
+by one depth-first walk over the antichains of ranked index sets, with
+no up-set search and no sort.
 
 Two freeness tests follow from the theorem.  Sets G_0..G_{k-1} generate
 a free distributive lattice exactly when every nonempty proper index set
@@ -531,9 +532,11 @@ class UpSet:
     __slots__ = ("k", "up")
 
     def __init__(self, k, masks):
-        """Up-closure of a set of distinct masks on k points."""
+        """Up-closure of the masks on k points, each an int in 0..2^k - 1;
+        a repeated mask counts once."""
         k = _index(k, "point count", 0)
-        up = sum(1 << t for t in masks)
+        high = (1 << k) - 1
+        up = sum(1 << t for t in {_index(t, "mask", 0, high) for t in masks})
         for step, lacking in _lacking(k):
             up |= (up & lacking) << step
         self.k, self.up = k, up
@@ -661,12 +664,6 @@ def fdl_leq(x, y):
     return x <= y
 
 
-def _boolean_poset(n):
-    """All subsets of an n-point set by inclusion; a subset's index is its mask."""
-    pairs = [(t, t | 1 << i) for t in range(1 << n) for i in range(n)]
-    return Poset(range(1 << n), pairs)
-
-
 def antichain_count(n):
     """Number of antichains of subsets of an n-point set, empty ones included.
 
@@ -679,25 +676,37 @@ def antichain_count(n):
 def fdl_enumerate(n):
     """All elements of the free distributive lattice on n generators.
 
-    The up-sets of the subset lattice other than the empty one and the one
-    holding the empty set; the list has antichain_count(n) - 2 entries, so n
-    is read against the same table.  It is sorted as minimal_sets() orders
-    the forms, without building those lists: the 2^n - 1 index tuples are
-    ranked once, and a form's key, the sorted ranks of its minimal masks,
-    compares as the sorted list of their tuples does.
+    One form per nonempty antichain of nonempty index sets, which makes
+    antichain_count(n) - 2 forms, so n is read against the same table.
+    With the index sets ranked by their index tuples, a depth-first walk
+    emits each antichain, as a rising rank list, before its extensions and
+    a smaller last rank first: the order of minimal_sets(), with no sort.
+    It keeps its own stack, as a recursive closure would hold each listing
+    in a reference cycle until a full garbage collection.
     """
     n = _index(n, "tabulated generator count", 0, 5)
-    rank = [0] * (1 << n)
-    for r, t in enumerate(sorted(range(1, 1 << n), key=lambda t: tuple(_bits(t)))):
-        rank[t] = r
-    keyed = [
-        (sorted([rank[t] for t in _bits(_minimal_masks(n, up))]), up)
-        for up in upper_set_masks(_boolean_poset(n))
-        if up and not up & 1
-    ]
-    # distinct forms have distinct minimal sets, so no two keys tie
-    keyed.sort()
-    return [AntichainForm._from_up(n, up) for _, up in keyed]
+    sets = sorted(range(1, 1 << n), key=lambda t: tuple(_bits(t)))
+    # above[r]: bits of the masks containing set r; clash[r]: ranks of the
+    # sets comparable with set r, r itself included
+    above = [sum(1 << u for u in range(1 << n) if u & t == t) for t in sets]
+    clash = [sum(1 << r for r, u in enumerate(sets) if u & t in (t, u)) for t in sets]
+    full = (1 << len(sets)) - 1
+    # (up-set of a rank list, ranks above its last that clash with none of
+    # it), siblings pushed largest first; forms are built as _from_up does
+    stack = [(above[r], full & ~((1 << r) - 1 | clash[r])) for r in reversed(range(len(sets)))]
+    out = []
+    new = object.__new__
+    while stack:
+        up, free = stack.pop()
+        form = new(AntichainForm)
+        form.k, form.up = n, up
+        out.append(form)
+        rest = free
+        while rest:
+            r = rest.bit_length() - 1
+            rest ^= 1 << r  # now the ranks of free below r
+            stack.append((up | above[r], free & ~(rest | clash[r])))
+    return out
 
 
 class FreenessReport:

@@ -10,8 +10,10 @@ exhaustive filters, chart gluings through three relocations instead of
 one and with their slots worked out by hand, free-lattice join and meet
 through frozensets of index sets instead of up-set bitmasks, the Birkhoff
 lattice check through every pair of both tables and an onto pass instead
-of one triangle and symmetry, freeness of a set family through the size
-of its closure instead of point types, and seeded samples through
+of one triangle and symmetry, the free-lattice listing through the
+upper-set search over the Boolean poset and a sort instead of a walk over
+antichains, freeness of a set family through the size of its closure
+instead of point types, and seeded samples through
 random.Random.randint instead of getrandbits.  Keeping these routes
 separate from the library is the point; do not fold them into src.
 """
@@ -19,7 +21,7 @@ separate from the library is the point; do not fold them into src.
 from operator import and_, or_
 
 from tqps.circle_hopf import Scalar, ZERO, collect
-from tqps.order_lattice import LatticeError, Poset, upper_set_masks
+from tqps.order_lattice import AntichainForm, LatticeError, Poset, upper_set_masks
 from tqps.sampling import _SCALAR_BOUND
 from tqps.tensor_gluing import RANDOM_BOUND, TensorElement, chi, chi_inv, psi, slot_symbol
 from tqps.toeplitz_core import atom_product
@@ -229,6 +231,15 @@ def full_pair_birkhoff(lat):
     if not onto:
         raise LatticeError("image is not the full upper set family")
     return poset, mirr, mapping
+
+
+def searched_free_lattice(n):
+    """FD(n) as the upper-set search over the Boolean poset of masks on n
+    points finds it: every up-set but the empty one and the one holding the
+    empty set, sorted by minimal sets."""
+    boolean = Poset(range(1 << n), [(t, t | 1 << i) for t in range(1 << n) for i in range(n)])
+    forms = [AntichainForm._from_up(n, up) for up in upper_set_masks(boolean) if up and not up & 1]
+    return sorted(forms, key=AntichainForm.minimal_sets)
 
 
 def naive_antichain_count(n):

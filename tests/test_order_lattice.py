@@ -1,5 +1,6 @@
 """Checks for posets, distributive lattices, and the freeness criterion."""
 
+import gc
 import operator
 import re
 
@@ -15,6 +16,7 @@ from oracles import (
     full_pair_birkhoff,
     minimal_sets,
     naive_antichain_count,
+    searched_free_lattice,
 )
 from tqps.classical_cpn import CoveringSet, covering_generators
 from tqps.order_lattice import (
@@ -573,6 +575,9 @@ COUNTS_OUT_OF_RANGE = [
     pytest.param(lambda: CoveringSet.basic(1.0, 0), _NOT_AN_INT, id="basic(1.0)"),
     pytest.param(lambda: covering_generators(1.5), _NOT_AN_INT, id="covering_generators(1.5)"),
     pytest.param(lambda: UpSet(-1, []), _NOT_AN_INT, id="UpSet(-1)"),
+    pytest.param(lambda: UpSet(2, [True]), _NOT_AN_INT, id="UpSet mask True"),
+    pytest.param(lambda: UpSet(2, [7]), "must be between 0 and 3, got 7", id="UpSet mask 7"),
+    pytest.param(lambda: UpSet(2, [-1]), "must be between 0 and 3, got -1", id="UpSet mask -1"),
     pytest.param(
         lambda: upper_set_masks(Poset.chain(3), limit=-1), _NOT_AN_INT, id="limit=-1"
     ),
@@ -588,6 +593,10 @@ def test_counts_and_indices_are_read_as_ints(call, words):
     # with a TypeError deep inside
     with pytest.raises(ValueError, match=words):
         call()
+
+
+def test_a_repeated_mask_counts_once():
+    assert UpSet(2, [1, 1]) == UpSet(2, [1])
 
 
 def test_antichain_form_validation():
@@ -687,10 +696,25 @@ def test_free_lattice_is_the_antichain_count_without_bounds():
 
 
 def test_the_listing_is_ordered_by_minimal_sets():
-    # the listing sorts by ranks of index tuples; no golden pins n = 5
+    # the walk emits rank lists in preorder and sorts nothing, so this
+    # checks that preorder is the minimal_sets() order; no golden pins n = 5
     for n in range(6):
         keys = [form.minimal_sets() for form in fdl_enumerate(n)]
         assert all(a < b for a, b in zip(keys, keys[1:])), n
+
+
+def test_the_listing_is_the_searched_up_sets_in_order():
+    # the goldens pin only the text at n = 4
+    for n in range(6):
+        listed = [(type(f), f.k, f.up) for f in fdl_enumerate(n)]
+        assert listed == [(type(f), f.k, f.up) for f in searched_free_lattice(n)], n
+
+
+def test_a_dropped_listing_leaves_no_cyclic_garbage():
+    gc.collect()
+    forms = fdl_enumerate(5)
+    del forms
+    assert gc.collect() == 0
 
 
 def test_equal_joins_and_meets_hash_equal():

@@ -875,7 +875,7 @@ def test_integer_arguments_are_read_before_any_work(monkeypatch, entry, value):
         (multipullback, "slot_for"),
         (classical_cpn, "derived_rng"),
         (classical_cpn, "covering_generators"),
-        (order_lattice, "_boolean_poset"),
+        (order_lattice, "_bits"),
     ]:
         monkeypatch.setattr(module, name, _work)
     with pytest.raises(ValueError, match="must be an integer"):
