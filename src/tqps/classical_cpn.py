@@ -27,6 +27,7 @@ transition agreement at 1e-10.
 
 import cmath
 import itertools
+from operator import sub
 
 from .order_lattice import (
     AntichainForm,
@@ -40,6 +41,7 @@ from .util import DEFAULT_SEED, _index, derived_rng
 
 MEMBERSHIP_TOL = 1e-12
 TRANSITION_TOL = 1e-10
+_DISC_BOUND = 1.0 + TRANSITION_TOL
 
 
 def probe_point(a, n):
@@ -130,23 +132,38 @@ def lattice_L(cov):
 
 
 class ChartPoint:
-    """Point of a chart in closed-disc coordinates with one circle slot."""
+    """Point of a chart in closed-disc coordinates with one circle slot.
+
+    The moduli are tested in one scan: the circle slot within
+    TRANSITION_TOL of 1, then every slot at most 1 + TRANSITION_TOL, which
+    a passing circle slot meets.  Only when that scan fails, or a modulus
+    overflows, are the slots walked in order, so the error names the first
+    failing slot.  Every test reads as "not ... <=" or "bound >=", which
+    refuses a NaN modulus, since NaN compares false both ways.
+    """
 
     __slots__ = ("coords", "circle_slot")
 
     def __init__(self, coords, circle_slot):
-        coords = tuple(complex(c) for c in coords)
+        coords = tuple(map(complex, coords))
         if type(circle_slot) is not int or not 1 <= circle_slot <= len(coords):
             raise ValueError(
                 "circle slot must be an integer from 1 to %d, got %r" % (len(coords), circle_slot)
             )
-        # "not ... <=" refuses a NaN modulus, which compares false both ways
-        for s, c in enumerate(coords, start=1):
-            if s == circle_slot:
-                if not abs(abs(c) - 1.0) <= TRANSITION_TOL:
-                    raise ValueError("circle coordinate has modulus %r" % abs(c))
-            elif not abs(c) <= 1.0 + TRANSITION_TOL:
-                raise ValueError("disc coordinate has modulus %r" % abs(c))
+        try:
+            mods = list(map(abs, coords))
+            ok = abs(mods[circle_slot - 1] - 1.0) <= TRANSITION_TOL and all(
+                map(_DISC_BOUND.__ge__, mods)
+            )
+        except OverflowError:
+            ok = False
+        if not ok:
+            for s, c in enumerate(coords, start=1):
+                if s == circle_slot:
+                    if not abs(abs(c) - 1.0) <= TRANSITION_TOL:
+                        raise ValueError("circle coordinate has modulus %r" % abs(c))
+                elif not abs(c) <= _DISC_BOUND:
+                    raise ValueError("disc coordinate has modulus %r" % abs(c))
         self.coords = coords
         self.circle_slot = circle_slot
 
@@ -162,9 +179,9 @@ class ChartPoint:
     __hash__ = None
 
     def distance(self, other):
-        if self.circle_slot != other.circle_slot or self.n != other.n:
+        if self.circle_slot != other.circle_slot or len(self.coords) != len(other.coords):
             return float("inf")
-        return max(abs(a - b) for a, b in zip(self.coords, other.coords))
+        return max(map(abs, map(sub, self.coords, other.coords)))
 
     def __repr__(self):
         return "ChartPoint(circle=%d, %r)" % (self.circle_slot, self.coords)
@@ -174,9 +191,10 @@ def chart(i, x):
     """Affine coordinates of the chart at index i: divide through by x_i."""
     if type(i) is not int or not 0 <= i < len(x):
         raise ValueError("chart index must be an integer from 0 to %d, got %r" % (len(x) - 1, i))
-    if abs(x[i]) == 0:
+    xi = x[i]
+    if abs(xi) == 0:
         raise ValueError("point misses the chart")
-    return tuple(c / x[i] for pos, c in enumerate(x) if pos != i)
+    return tuple([c / xi for c in x[:i]] + [c / xi for c in x[i + 1 :]])
 
 
 def chart_inv(i, coords):
@@ -198,32 +216,42 @@ def transition(p, src, dst):
     """Chart change from index src to index dst, dividing by the circle.
 
     The input tracks dst in its circle slot; the output tracks src.  The
-    output slot tracking chart h reads the input slot tracking h (the
-    coordinate 1 when h is src) times the inverse circle value.
+    output slot tracking chart h reads the input coordinate tracking h,
+    which sits at index h - (h > src), times the inverse circle value; the
+    output coordinate tracking src is the inverse circle value itself.
     """
     if type(src) is not int or type(dst) is not int:
         raise ValueError("chart indices must be integers, got %r and %r" % (src, dst))
-    if src == dst or not (0 <= src <= p.n and 0 <= dst <= p.n):
+    coords = p.coords
+    n = len(coords)
+    if src == dst or not (0 <= src <= n and 0 <= dst <= n):
         raise ValueError("need two distinct chart indices in 0..n")
-    if p.circle_slot != slot_for(src, dst):
+    slot = slot_for(src, dst)
+    if p.circle_slot != slot:
         raise ValueError("input circle slot tracks the wrong index")
-    inv = 1.0 / p.coords[slot_for(src, dst) - 1]
-    out = [
-        inv if h == src else inv * p.coords[slot_for(src, h) - 1]
-        for h in range(p.n + 1)
-        if h != dst
-    ]
+    inv = 1.0 / coords[slot - 1]
+    out = [inv if h == src else inv * coords[h - (h > src)] for h in range(n + 1) if h != dst]
     return ChartPoint(out, slot_for(dst, src))
 
 
 def random_overlap_point(rng, n, i, j):
-    """Homogeneous point with unit modulus at i and j, smaller elsewhere."""
+    """Homogeneous point with unit modulus at i and j, smaller elsewhere.
+
+    n, i and j must be ints, with i and j distinct in 0..n; anything else
+    raises ValueError before the first draw.  Each draw uniform(0, b) is
+    read as b * random(), the value uniform computes.
+    """
+    if type(n) is not int or type(i) is not int or type(j) is not int:
+        raise ValueError("n and chart indices must be integers, got %r, %r and %r" % (n, i, j))
+    if i == j or not (0 <= i <= n and 0 <= j <= n):
+        raise ValueError("need two distinct chart indices in 0..%d, got %d and %d" % (n, i, j))
+    random, exp, tau = rng.random, cmath.exp, 2 * cmath.pi
     x = []
     for t in range(n + 1):
-        if t in (i, j):
-            x.append(cmath.exp(1j * rng.uniform(0, 2 * cmath.pi)))
+        if t == i or t == j:
+            x.append(exp(1j * (tau * random())))
         else:
-            x.append(rng.uniform(0, 0.9) * cmath.exp(1j * rng.uniform(0, 2 * cmath.pi)))
+            x.append(0.9 * random() * exp(1j * (tau * random())))
     return tuple(x)
 
 
@@ -232,23 +260,29 @@ def transition_agreement(n, trials=1000, seed=DEFAULT_SEED):
 
     Random overlap points go through both paths for every pair i < j; the
     report records the worst coordinate deviation, the inverse roundtrip
-    error, and any trial beyond tolerance.
+    error, and any trial beyond tolerance.  Each pair's two slots are read
+    once, and every point is built, and so checked, by ChartPoint.
     """
     n, trials = _index(n, "n", 1), _index(trials, "trials", 1)
     failures = []
     worst = 0.0
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
+            slot_ij, slot_ji = slot_for(i, j), slot_for(j, i)
             rng = derived_rng(seed, "overlap", n, i, j)
             for t in range(trials):
                 x = random_overlap_point(rng, n, i, j)
-                p = chart_overlap_point(x, i, j)
+                p = ChartPoint(chart(i, x), slot_ij)
                 via_formula = transition(p, i, j)
-                via_charts = chart_overlap_point(chart_inv(i, p.coords), j, i)
+                via_charts = ChartPoint(chart(j, chart_inv(i, p.coords)), slot_ji)
                 err = via_formula.distance(via_charts)
-                back = transition(via_formula, j, i)
-                err = max(err, back.distance(p))
-                worst = max(worst, err)
+                back = transition(via_formula, j, i).distance(p)
+                # max(err, back), then max(worst, err): max keeps its first
+                # argument unless a later one compares greater
+                if back > err:
+                    err = back
+                if err > worst:
+                    worst = err
                 if err > TRANSITION_TOL:
                     failures.append({"pair": [i, j], "trial": t, "error": err})
     return {

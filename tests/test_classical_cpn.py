@@ -158,6 +158,11 @@ def test_chart_point_validation():
         ChartPoint([0.5, 1.0], 1)  # slot 1 is not on the circle
     with pytest.raises(ValueError):
         ChartPoint([0.5, 2.0], 2)  # modulus beyond the disc
+    # the error names the first failing slot, whichever test it fails
+    with pytest.raises(ValueError, match="^disc coordinate has modulus 2.0$"):
+        ChartPoint([2.0, 0.5], 2)  # slot 1 comes before the failing circle
+    with pytest.raises(ValueError, match="^circle coordinate has modulus 0.5$"):
+        ChartPoint([0.5, 2.0], 1)
     nan = float("nan")
     for coords, slot in (([nan], 1), ([nan, 1.0], 2), ([0.5, complex(nan, 0)], 2)):
         with pytest.raises(ValueError, match="modulus nan"):
@@ -252,6 +257,27 @@ def test_transition_matches_chart_composite():
                     assert via_formula.distance(via_charts) < TRANSITION_TOL
                     back = transition(via_formula, dst, src)
                     assert back.distance(p) < TRANSITION_TOL
+
+
+@pytest.mark.parametrize(
+    "n, i, j",
+    [
+        (3, 1, 1),  # would give one unit coordinate
+        (3, 7, 9),  # would give none
+        (-1, 0, 1),  # would give the empty point
+        (True, 0, 1),  # would read as n = 1
+        (2.0, 0, 1),
+        (3, 0, 1.0),
+        (3, "0", 1),
+        (3, -1, 1),
+    ],
+)
+def test_random_overlap_point_refuses_bad_input_before_drawing(n, i, j):
+    rng = rng_for("overlap-input")
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        random_overlap_point(rng, n, i, j)
+    assert rng.getstate() == state
 
 
 def test_transition_agreement_report():

@@ -1,6 +1,7 @@
 """Golden outputs: the canonical JSON of every CLI suite, pinned by sha256.
 
-Each case runs one suite at a small size with its default seed.  A refactor
+Each case runs one suite at a small size with its default seed; chart
+transitions are also pinned past the CLI cap, as library calls.  A refactor
 that changes no behaviour leaves every hash in place; a change that alters a
 report on purpose updates the hash here and says why.
 """
@@ -9,7 +10,9 @@ import hashlib
 
 import pytest
 
+from tqps.classical_cpn import transition_agreement
 from tqps.cli import main
+from tqps.util import canonical_json
 
 GOLDEN = [
     (["fdl", "enumerate", "--generators", "4"], 0,
@@ -60,3 +63,17 @@ def test_canonical_json_is_unchanged(capsys, argv, code, digest):
     assert main(argv + ["--format", "json"]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The CLI caps classical transitions at n = 3; the float operations of the
+# chart layer are pinned past that cap through the library call.
+TRANSITIONS_PAST_CAP = [
+    (4, "d66b5fa1387ef188d1b2028feb9751781d5c7955e7dec39251ee84328a73328c"),
+    (5, "3edde29d8efba10c9e38894e59c348a0c2ba438cbda86eef0ae496b190aeed6a"),
+]
+
+
+@pytest.mark.parametrize("n, digest", TRANSITIONS_PAST_CAP, ids=["n=4", "n=5"])
+def test_transition_agreement_past_the_cli_cap_is_unchanged(n, digest):
+    report = transition_agreement(n, trials=50, seed=7)
+    assert hashlib.sha256(canonical_json(report).encode()).hexdigest() == digest
