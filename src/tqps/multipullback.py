@@ -5,6 +5,13 @@ chart, each a pure Toeplitz tensor with n slots.  Slot slot_for(i, k) of
 component i tracks chart k.  Components i < j agree when the slotwise
 symbol of component i at slot_for(i, j) equals glue(component j, j, i),
 the symbol of component j seen from chart i; is_member checks all pairs.
+Both sides only rewrite term keys, so both are linear: a zero component's
+side is the zero tensor, and a pair with a zero component holds exactly
+when the other side has no terms.  The pair check builds only that side,
+and nothing for two zero components.  A member of a kernel intersection
+is zero on every chart of the intersection, so most pairs the freeness
+machinery checks have a zero component.  compatibility_failures and
+extend read a family through one reader, _components, before any pair.
 
 extend completes a compatible partial family to a full member with
 minimal support: a missing component m must have the symbol
@@ -127,29 +134,69 @@ class PullbackElement:
         return {"n": self.n, "components": [c.to_json() for c in self.components]}
 
 
+def _components(family, n=None):
+    """A partial family as a dict of int chart index to component.
+
+    Raises ValueError unless every component is a pure Toeplitz tensor, all
+    have the same slot count n (the first component's when n is not given)
+    and every key is a chart index in 0..n.
+    """
+    comps = {}
+    for k, v in dict(family).items():
+        if not isinstance(v, TensorElement) or v.shape[1] is not None:
+            raise ValueError("component %r must be a pure Toeplitz tensor" % (k,))
+        if n is None:
+            n = v.shape[0]
+        elif v.shape[0] != n:
+            raise ValueError("component %r must have %d slots, got %d" % (k, n, v.shape[0]))
+        # dict keys are distinct already, so each is read alone
+        comps[_index(k, "chart index", 0, n)] = v
+    return comps
+
+
 def compatibility_failures(components):
     """Violated gluing constraints among the given chart components.
 
     Accepts a PullbackElement, or a dict of chart index to component for a
-    partial family; only pairs with both charts present are checked.
+    partial family; only pairs with both charts present are checked.  A
+    dict is read by _components first, so a malformed one raises
+    ValueError before any pair is checked.
     """
     if isinstance(components, PullbackElement):
         comps = dict(enumerate(components.components))
     else:
-        comps = dict(components)
+        comps = _components(components)
     return _pair_failures(comps, itertools.combinations(sorted(comps), 2))
 
 
 def _pair_failures(comps, pairs):
-    """Violated gluing constraints among the given chart pairs i < j."""
+    """Violated gluing constraints among the given chart pairs i < j.
+
+    slot_symbol and glue rewrite term keys, so both sides are linear and a
+    zero component's side is the zero tensor: a pair with one zero
+    component builds the other side and holds when it has no terms, and a
+    pair of zero components builds nothing.  A failing pair builds both
+    sides, so every failure reports both in full.
+    """
     out = []
     for i, j in pairs:
-        lhs = slot_symbol(comps[i], slot_for(i, j))
-        rhs = glue(comps[j], j, i)
-        if lhs != rhs:
-            out.append(
-                {"pair": [i, j], "from_low": lhs.to_json(), "from_high": rhs.to_json()}
-            )
+        low, high = comps[i], comps[j]
+        # a tensor is zero exactly when it has no terms
+        if not low.terms and not high.terms:
+            continue
+        lhs = slot_symbol(low, slot_for(i, j)) if low.terms else None
+        rhs = glue(high, j, i) if high.terms else None
+        if lhs is None:
+            if not rhs.terms:
+                continue
+            lhs = slot_symbol(low, slot_for(i, j))
+        elif rhs is None:
+            if not lhs.terms:
+                continue
+            rhs = glue(high, j, i)
+        elif lhs == rhs:
+            continue
+        out.append({"pair": [i, j], "from_low": lhs.to_json(), "from_high": rhs.to_json()})
     return out
 
 
@@ -176,13 +223,7 @@ def extend(partial, n):
     symbol at that term, so the final check also catches those.
     """
     n = _index(n, "n", 1)
-    comps = {}
-    for k, v in dict(partial).items():
-        # dict keys are distinct already, so each is read alone
-        k = _index(k, "chart index", 0, n)
-        if not isinstance(v, TensorElement) or v.n_slots != n or v.circle_slot is not None:
-            raise ValueError("component %r must be a pure Toeplitz tensor with %d slots" % (k, n))
-        comps[k] = v
+    comps = _components(partial, n)
     if not comps:
         return PullbackElement.zero(n)
     failures = compatibility_failures(comps)
@@ -192,7 +233,9 @@ def extend(partial, n):
     for m in built:
         terms = {}
         for t in sorted(comps):
-            terms.update(transition_representative(comps[t], m, t).terms)
+            # a zero component's lifted constraint has no terms to add
+            if comps[t].terms:
+                terms.update(transition_representative(comps[t], m, t).terms)
         # keys of lifted constraints, none summed; the final check sees a clash
         comps[m] = TensorElement._trusted(terms, (n, None))
     new_pairs = [
@@ -273,7 +316,7 @@ def sample_kernel_intersection(rng, n, charts):
     m0 = free[rng.randrange(len(free))]
     forced = {slot_for(m0, c) for c in charts}
     y = random_tensor_element(rng, n, compact_slots=forced)
-    partial = {c: TensorElement.zero(n) for c in charts}
+    partial = dict.fromkeys(charts, TensorElement.zero(n))
     partial[m0] = y
     p = extend(partial, n)
     if not all(p.components[c].is_zero() for c in charts):

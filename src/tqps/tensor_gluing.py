@@ -375,8 +375,11 @@ def project_slots(x, slots):
     of the slot kernels: the kernel of the symbol at slot s is spanned by
     the terms with a matrix unit in slot s.
     """
+    slots = _toeplitz_slots(slots, x.shape, "project")
+    if x.is_zero():
+        return x  # no term to drop
     terms = x.terms
-    for s in _toeplitz_slots(slots, x.shape, "project"):
+    for s in slots:
         terms = {atoms: c for atoms, c in terms.items() if atoms[s - 1][0] != "E"}
     # the kept keys stay as they are; no element edits its term map
     return TensorElement._trusted(terms, x.shape)

@@ -1,5 +1,7 @@
 """Checks for pullback membership, extension, and the freeness evidence."""
 
+import itertools
+
 import pytest
 
 from tqps import multipullback, order_lattice, tensor_gluing
@@ -24,6 +26,7 @@ from tqps.tensor_gluing import (
     random_tensor_element,
     slot_for,
     slot_symbol,
+    transition_representative,
 )
 from tqps.util import derived_rng
 
@@ -182,6 +185,187 @@ def test_compatibility_failures_are_symmetric_in_presence():
     z = tensor_z(2)
     assert compatibility_failures({0: z}) == []
     assert compatibility_failures({1: z}) == []
+
+
+def test_a_malformed_family_is_refused_before_any_pair():
+    # one reader for compatibility_failures and extend: chart keys in 0..n,
+    # one slot count n, pure Toeplitz components
+    z = TensorElement.zero(2)
+    for family in (
+        {"a": z, 1: z},
+        {0: z, 1: TensorElement.zero(3)},
+        {0: "junk"},
+        {0: TensorElement.zero(2, circle_slot=1), 1: z},
+        {0: z, 3: z},
+        {0: z, -1: z},
+        {True: z},
+    ):
+        with pytest.raises(ValueError):
+            compatibility_failures(family)
+        with pytest.raises(ValueError):
+            is_member(family)
+        with pytest.raises(ValueError):
+            extend(family, 2)
+    assert compatibility_failures({}) == []
+    assert compatibility_failures({0: z, 2: z}) == []
+
+
+def _two_sided_failures(comps):
+    """The pair check building both sides of every pair, zero or not."""
+    out = []
+    for i, j in itertools.combinations(sorted(comps), 2):
+        lhs = slot_symbol(comps[i], slot_for(i, j))
+        rhs = glue(comps[j], j, i)
+        if lhs != rhs:
+            out.append({"pair": [i, j], "from_low": lhs.to_json(), "from_high": rhs.to_json()})
+    return out
+
+
+def _extend_every_constraint(partial, n):
+    """extend's completion lifting the constraint of every known component,
+    zero ones included, with both sides of every pair checked."""
+    comps = dict(partial)
+    failures = _two_sided_failures(comps)
+    if failures:
+        raise IncompatiblePartialFamily(failures)
+    for m in range(n + 1):
+        if m not in partial:
+            terms = {}
+            for t in sorted(comps):
+                terms.update(transition_representative(comps[t], m, t).terms)
+            comps[m] = TensorElement(n, None, terms)
+    if _two_sided_failures(comps):
+        raise ExtensionError("final membership check")
+    return PullbackElement([comps[i] for i in range(n + 1)])
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except IncompatiblePartialFamily as exc:
+        return IncompatiblePartialFamily, exc.failures
+    except ExtensionError:
+        return ExtensionError
+
+
+def _mixed_families(n, rng):
+    """Seeded families over charts 0..n whose components are zero, have a
+    matrix unit in every slot, or are drawn at random: members of kernel
+    intersections, members with a zero or random component swapped in, and
+    free mixes."""
+    every_slot = range(1, n + 1)
+    zero = TensorElement.zero(n)
+
+    def draw():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return zero
+        if kind == 1:
+            return random_tensor_element(rng, n, compact_slots=every_slot)
+        return random_tensor_element(rng, n)
+
+    families = []
+    for _ in range(12):
+        charts = set(rng.sample(range(n + 1), rng.randrange(n + 1)))
+        member = list(sample_kernel_intersection(rng, n, charts).components)
+        families.append(member)
+        broken = list(member)
+        broken[rng.randrange(n + 1)] = draw()
+        families.append(broken)
+        families.append([draw() for _ in range(n + 1)])
+    return families
+
+
+def test_compatibility_failures_match_the_two_sided_check():
+    for n in (1, 2, 3):
+        rng = rng_for("two-sided-%d" % n)
+        families = _mixed_families(n, rng)
+        seen = {"pass": 0, "fail": 0}
+        for family in families:
+            comps = dict(enumerate(family))
+            expected = _two_sided_failures(comps)
+            seen["fail" if expected else "pass"] += 1
+            assert compatibility_failures(PullbackElement(family)) == expected
+            assert compatibility_failures(comps) == expected
+            # and on partial families, every pair with both charts present
+            keep = rng.sample(range(n + 1), rng.randrange(n + 2))
+            partial = {k: comps[k] for k in keep}
+            assert compatibility_failures(partial) == _two_sided_failures(partial)
+        assert seen["pass"] and seen["fail"]
+
+
+def test_extension_from_zero_components_matches_every_constraint_lifted():
+    for n in (1, 2, 3):
+        rng = rng_for("extend-zeros-%d" % n)
+        zero = TensorElement.zero(n)
+        kinds = set()
+        for _ in range(20):
+            charts = set(rng.sample(range(n + 1), rng.randrange(1, n + 1)))
+            free = sorted(set(range(n + 1)) - charts)
+            m0 = free[rng.randrange(len(free))]
+            # forced matrix units on the slots tracking the zero charts keep
+            # the family compatible; without them it usually is not
+            forced = {slot_for(m0, c) for c in charts} if rng.randrange(2) else set()
+            partial = dict.fromkeys(charts, zero)
+            partial[m0] = random_tensor_element(rng, n, compact_slots=forced)
+            if rng.randrange(2) and len(free) > 1:
+                # a second known component from a member of the intersection
+                m1 = next(m for m in free if m != m0)
+                partial[m1] = sample_kernel_intersection(rng, n, charts).components[m1]
+            got = _outcome(extend, partial, n)
+            assert got == _outcome(_extend_every_constraint, partial, n)
+            kinds.add(type(got))
+        assert PullbackElement in kinds and tuple in kinds
+
+
+def test_a_zero_component_builds_no_side_of_its_pairs(monkeypatch):
+    # a count of calls, not a timing: a pair of zero components builds no
+    # side, a pair with one zero component builds only the other side, and
+    # it builds the zero side too only when the pair fails
+    built = []
+    for name in ("slot_symbol", "glue"):
+        real = getattr(multipullback, name)
+
+        def counted(*args, real=real):
+            built.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(multipullback, name, counted)
+    members = []
+    for n in (1, 2, 3):
+        rng = rng_for("zero-count-%d" % n)
+        members.append(PullbackElement.zero(n))
+        for charts in ({0}, set(range(1, n + 1)), set(range(n))):
+            members.append(sample_kernel_intersection(rng, n, charts))
+            members.append(witness_xI(charts, n))
+    for p in members:
+        assert is_member(p)
+        n = p.n
+        expected = 0
+        for i, j in itertools.combinations(range(n + 1), 2):
+            a, b = p.components[i], p.components[j]
+            pair_sides = (not a.is_zero()) + (not b.is_zero())
+            del built[:]
+            assert compatibility_failures({i: a, j: b}) == []
+            assert len(built) == pair_sides
+            assert not any(c.is_zero() for c in built)
+            expected += pair_sides
+        del built[:]
+        assert compatibility_failures(p) == []
+        assert len(built) == expected
+    zero_pairs = sum(
+        p.components[i].is_zero() or p.components[j].is_zero()
+        for p in members
+        for i, j in itertools.combinations(range(p.n + 1), 2)
+    )
+    assert zero_pairs > 10
+    # a failing pair with a zero component builds both sides, once each
+    z = tensor_z(2)
+    family = {0: z, 1: TensorElement.zero(2)}
+    del built[:]
+    failures = compatibility_failures(family)
+    assert len(built) == 2
+    assert failures == _two_sided_failures(family)
 
 
 def test_empty_extension():

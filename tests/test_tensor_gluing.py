@@ -562,6 +562,22 @@ def test_project_slots_idempotent_and_commuting():
         assert project_slots(project_slots(x, (2,)), (1,)) == p12
 
 
+def test_project_slots_reads_the_slots_of_a_zero_tensor():
+    # a tensor with no terms is its own projection, but only once its slots
+    # have been read: a slot off the shape or the circle slot still raises
+    for n in (1, 2, 3):
+        zero = TensorElement.zero(n)
+        for slots in [(), (1,), tuple(range(1, n + 1))]:
+            assert project_slots(zero, slots) == zero
+        for bad in (0, n + 1, "1", True, 1.0):
+            with pytest.raises(ValueError, match="cannot project slot"):
+                project_slots(zero, (bad,))
+        circle_zero = TensorElement.zero(n, circle_slot=n)
+        with pytest.raises(ValueError, match="cannot project slot %d" % n):
+            project_slots(circle_zero, (n,))
+        assert project_slots(circle_zero, range(1, n)) == circle_zero
+
+
 def test_slot_for_table():
     assert slot_for(0, 1) == 1
     assert slot_for(0, 2) == 2
