@@ -205,13 +205,6 @@ def chart_inv(i, coords):
     return coords[:i] + (1.0 + 0.0j,) + coords[i:]
 
 
-def chart_overlap_point(x, i, j):
-    """ChartPoint of x in the chart at i, circle slot tracking index j."""
-    if i == j:
-        raise ValueError("need two distinct chart indices")
-    return ChartPoint(chart(i, x), slot_for(i, j))
-
-
 def transition(p, src, dst):
     """Chart change from index src to index dst, dividing by the circle.
 

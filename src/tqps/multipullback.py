@@ -10,17 +10,17 @@ side is the zero tensor, and a pair with a zero component holds exactly
 when the other side has no terms.  The pair check builds only that side,
 and nothing for two zero components.  A member of a kernel intersection
 is zero on every chart of the intersection, so most pairs the freeness
-machinery checks have a zero component.  compatibility_failures and
-extend read a family through one reader, _components, before any pair.
+machinery checks have a zero component.  A member's components and every
+partial family are read by one reader, _components, before any pair.
 
 extend completes a compatible partial family to a full member with
 minimal support: a missing component m must have the symbol
-glue(component t, t, m) at slot_for(m, t) for every known chart t, and it
-is the union of those constraints lifted by transition_representative,
-with every unconstrained all-matrix-unit pattern left at zero.  The pair
-check that defines membership is the only check, on every pair with a
-built component, so an inconsistent family raises instead of silently
-producing a non-member.
+glue(component t, t, m) at slot_for(m, t) for every given chart t, and it
+is the union of those constraints lifted by transition_representative
+from the given components, with every unconstrained all-matrix-unit
+pattern left at zero.  The pair check that defines membership is the only
+check, on every pair with a built component, so an inconsistent family
+raises instead of silently producing a non-member.
 
 The freeness machinery certifies that the chart kernels generate a free
 distributive lattice.  Pure intersections of kernels are compared through
@@ -75,12 +75,12 @@ class PullbackElement:
     __slots__ = ("components",)
 
     def __init__(self, components):
-        components = list(components)
-        n = _index(len(components), "chart count", 2) - 1
-        for c in components:
-            if not isinstance(c, TensorElement) or c.n_slots != n or c.circle_slot is not None:
-                raise ValueError("components must be pure Toeplitz tensors with %d slots" % n)
-        self.components = tuple(components)
+        try:
+            family = dict(enumerate(components))
+        except TypeError:
+            raise ValueError("components must be a sequence, got %r" % (components,)) from None
+        n = _index(len(family), "chart count", 2) - 1
+        self.components = tuple(_components(family, n).values())
 
     @classmethod
     def zero(cls, n):
@@ -137,12 +137,17 @@ class PullbackElement:
 def _components(family, n=None):
     """A partial family as a dict of int chart index to component.
 
-    Raises ValueError unless every component is a pure Toeplitz tensor, all
-    have the same slot count n (the first component's when n is not given)
-    and every key is a chart index in 0..n.
+    Raises ValueError unless dict() reads family as a mapping, every
+    component is a pure Toeplitz tensor, all have the same slot count n (the
+    first component's when n is not given) and every key is a chart index
+    in 0..n.
     """
+    try:
+        family = dict(family)
+    except (TypeError, ValueError):
+        raise ValueError("family must map charts to components, got %r" % (family,)) from None
     comps = {}
-    for k, v in dict(family).items():
+    for k, v in family.items():
         if not isinstance(v, TensorElement) or v.shape[1] is not None:
             raise ValueError("component %r must be a pure Toeplitz tensor" % (k,))
         if n is None:
@@ -208,34 +213,32 @@ def extend(partial, n):
     """Complete a compatible partial family to a full pullback member.
 
     The completion has minimal support: each missing component carries
-    exactly the terms its constraints prescribe, and every term pattern no
-    constraint sees (a matrix unit in every constrained slot) gets
-    coefficient zero.  Raises IncompatiblePartialFamily if the given
-    components already disagree, ExtensionError naming the failing pairs
-    if the completion is not a member.  An empty family completes to the
-    zero member.
+    exactly the terms its constraints prescribe, lifted from the given
+    nonzero components only, and every term pattern no constraint sees (a
+    matrix unit in every constrained slot) gets coefficient zero.  Raises
+    IncompatiblePartialFamily if the given components already disagree,
+    ExtensionError naming the failing pairs if the completion is not a
+    member.  An empty family completes to the zero member.
 
-    The membership pair check is the one check, and each chart pair runs
-    it once.  The pairs of given components are checked up front; the
-    final membership check runs only the pairs with at least one built
-    component, so it runs nothing when the family was already complete.
-    Two constraints giving one term different coefficients leave a wrong
-    symbol at that term, so the final check also catches those.
+    The family is read once, and the membership pair check is the one
+    check, each chart pair running it once: the given pairs up front, then
+    the pairs with a built component.  A built component's terms are lifts
+    of given ones, so lifting it on to a later chart adds nothing while the
+    law holds, and two constraints giving one term different coefficients
+    leave a wrong symbol there, which the final check catches.
     """
     n = _index(n, "n", 1)
     comps = _components(partial, n)
-    if not comps:
-        return PullbackElement.zero(n)
-    failures = compatibility_failures(comps)
+    failures = _pair_failures(comps, itertools.combinations(sorted(comps), 2))
     if failures:
         raise IncompatiblePartialFamily(failures)
+    # a zero component's lifted constraint has no terms to add
+    sources = [(t, c) for t, c in sorted(comps.items()) if c.terms]
     built = [m for m in range(n + 1) if m not in comps]
     for m in built:
         terms = {}
-        for t in sorted(comps):
-            # a zero component's lifted constraint has no terms to add
-            if comps[t].terms:
-                terms.update(transition_representative(comps[t], m, t).terms)
+        for t, c in sources:
+            terms.update(transition_representative(c, m, t).terms)
         # keys of lifted constraints, none summed; the final check sees a clash
         comps[m] = TensorElement._trusted(terms, (n, None))
     new_pairs = [
@@ -245,7 +248,9 @@ def extend(partial, n):
     if failures:
         pairs = [f["pair"] for f in failures]
         raise ExtensionError("completion failed the final membership check on pairs %s" % pairs)
-    return PullbackElement([comps[i] for i in range(n + 1)])
+    member = object.__new__(PullbackElement)  # each component read or built
+    member.components = tuple([comps[i] for i in range(n + 1)])
+    return member
 
 
 def witness_xI(zero_charts, n, seed=DEFAULT_SEED):
@@ -307,9 +312,14 @@ def sample_kernel_intersection(rng, n, charts):
 
     Seeds one free chart with a random tensor whose slots tracking
     `charts` are forced to matrix units, then completes by extension; the
-    completion vanishes on `charts` because its constraints there do.
+    completion vanishes on `charts` because its constraints there do.  n
+    and each chart are read before the first draw.
     """
+    n = _index(n, "n", 1)
     charts = frozenset(charts)
+    for c in charts:  # in line, not _charts: a freeness request samples hundreds of times
+        if not (type(c) is int and 0 <= c <= n):
+            raise ValueError("chart index must be an integer between 0 and %d, got %r" % (n, c))
     free = sorted(set(range(n + 1)) - charts)
     if not free:
         return PullbackElement.zero(n)

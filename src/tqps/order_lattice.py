@@ -334,6 +334,23 @@ def _checked_table(name, table, n):
     return tuple(rows)
 
 
+def _elements(elements):
+    """elements as a tuple, and the position of each; LatticeError unless
+    they are a sequence of distinct hashable values."""
+    try:
+        elements = tuple(elements)
+    except TypeError:
+        raise LatticeError("elements are not a sequence") from None
+    pos = {}
+    for i, e in enumerate(elements):
+        try:
+            if pos.setdefault(e, i) != i:
+                raise LatticeError("duplicate element %r" % (e,))
+        except TypeError:
+            raise LatticeError("element %r is not hashable" % (e,)) from None
+    return elements, pos
+
+
 class FiniteDistributiveLattice:
     """Finite lattice with explicit join and meet tables.
 
@@ -352,17 +369,7 @@ class FiniteDistributiveLattice:
     __slots__ = ("elements", "join_table", "meet_table")
 
     def __init__(self, elements, join_table, meet_table):
-        try:
-            self.elements = tuple(elements)
-        except TypeError:
-            raise LatticeError("elements are not a sequence") from None
-        pos = {}
-        for i, e in enumerate(self.elements):
-            try:
-                if pos.setdefault(e, i) != i:
-                    raise LatticeError("duplicate element %r" % (e,))
-            except TypeError:
-                raise LatticeError("element %r is not hashable" % (e,)) from None
+        self.elements = _elements(elements)[0]
         n = len(self.elements)
         self.join_table = _checked_table("join", join_table, n)
         self.meet_table = _checked_table("meet", meet_table, n)
@@ -390,15 +397,11 @@ class FiniteDistributiveLattice:
 
     @classmethod
     def from_elements(cls, elements, join_fn, meet_fn):
-        """Tables from callables; elements must be hashable and closed."""
-        elements = list(elements)
+        """Tables from callables; elements must be distinct, hashable and
+        closed under both."""
+        elements, pos = _elements(elements)
         if len(elements) > MAX_TABLE_ELEMENTS:
             raise ValueError("too many elements for explicit tables")
-        pos = {}
-        for i, e in enumerate(elements):
-            if e in pos:
-                raise ValueError("duplicate element %r" % (e,))
-            pos[e] = i
         try:
             join = [tuple([pos[join_fn(a, b)] for b in elements]) for a in elements]
             meet = [tuple([pos[meet_fn(a, b)] for b in elements]) for a in elements]
@@ -509,16 +512,6 @@ def _lacking(k):
     return tuple((1 << i, full // ((1 << (1 << i)) + 1)) for i in range(k))
 
 
-def _minimal_masks(k, up):
-    """Bits of the members of the up-set up on k points with no member one
-    point smaller: shifting the members that lack point i by 2^i marks each
-    set that has a member below it."""
-    covered = 0
-    for step, lacking in _lacking(k):
-        covered |= (up & lacking) << step
-    return up & ~covered
-
-
 class UpSet:
     """Up-set of the Boolean lattice of index sets on k points, as one int.
 
@@ -553,26 +546,24 @@ class UpSet:
             masks.add(sum(1 << i for i in s))
         return masks
 
-    @classmethod
-    def _from_up(cls, k, up):
-        out = object.__new__(cls)
-        out.k, out.up = k, up
-        return out
-
     @staticmethod
     def _index_sets(bits):
         """Sorted index tuples of the masks set in bits."""
         return sorted(tuple(_bits(t)) for t in _bits(bits))
 
     def minimal_sets(self):
-        """Sorted index tuples of the members with no member one point smaller."""
-        return self._index_sets(_minimal_masks(self.k, self.up))
+        """Sorted index tuples of the members with no member one point smaller:
+        the members lacking point i, shifted by 2^i, mark the rest."""
+        up, covered = self.up, 0
+        for step, lacking in _lacking(self.k):
+            covered |= (up & lacking) << step
+        return self._index_sets(up & ~covered)
 
     def _mismatch(self, other):
         return ValueError("cannot combine %r with %r" % (self, other))
 
     # The operators run once per table cell, so each tests type and k and
-    # builds its result in line rather than through _mismatch or _from_up.
+    # builds its result in line, k and up set on a bare object.
     def __or__(self, other):
         cls = type(self)
         if type(other) is not cls or self.k != other.k:
@@ -692,7 +683,7 @@ def fdl_enumerate(n):
     clash = [sum(1 << r for r, u in enumerate(sets) if u & t in (t, u)) for t in sets]
     full = (1 << len(sets)) - 1
     # (up-set of a rank list, ranks above its last that clash with none of
-    # it), siblings pushed largest first; forms are built as _from_up does
+    # it), siblings pushed largest first; forms are built in line
     stack = [(above[r], full & ~((1 << r) - 1 | clash[r])) for r in reversed(range(len(sets)))]
     out = []
     new = object.__new__
@@ -748,11 +739,13 @@ def freeness_by_types(k, types):
     with bit i set when x lies in G_i.  By Birkhoff's theorem the sets are free exactly when every
     nonempty proper index set occurs as a type; otherwise the missing set S
     is the witness, as the up-sets above S with and without S itself then
-    evaluate to the same set.
+    evaluate to the same set.  A type that is no int in 0..2^k - 1 raises
+    ValueError before any verdict.
     """
     k = _index(k, "k", 2)
-    seen = set(types)
-    for mask in range(1, (1 << k) - 1):
+    full = (1 << k) - 1
+    seen = {_index(t, "type", 0, full) for t in types}
+    for mask in range(1, full):
         if mask not in seen:
             return FreenessReport("NOT_FREE", witness={"clause": "type", "I": list(_bits(mask))})
     return FreenessReport("FREE")

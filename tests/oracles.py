@@ -236,9 +236,15 @@ def full_pair_birkhoff(lat):
 def searched_free_lattice(n):
     """FD(n) as the upper-set search over the Boolean poset of masks on n
     points finds it: every up-set but the empty one and the one holding the
-    empty set, sorted by minimal sets."""
+    empty set, sorted by minimal sets.  Each form is built from the minimal
+    sets of its up-set's members, each member t read as the points of t."""
     boolean = Poset(range(1 << n), [(t, t | 1 << i) for t in range(1 << n) for i in range(n)])
-    forms = [AntichainForm._from_up(n, up) for up in upper_set_masks(boolean) if up and not up & 1]
+    points = [frozenset(i for i in range(n) if t >> i & 1) for t in range(1 << n)]
+    forms = []
+    for up in upper_set_masks(boolean):
+        if up and not up & 1:
+            members = [s for t, s in enumerate(points) if up >> t & 1]
+            forms.append(AntichainForm(n, minimal_sets(members)))
     return sorted(forms, key=AntichainForm.minimal_sets)
 
 

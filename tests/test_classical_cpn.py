@@ -13,7 +13,6 @@ from tqps.classical_cpn import (
     _generated_size,
     chart,
     chart_inv,
-    chart_overlap_point,
     classical_freeness,
     covering_generators,
     covering_lattice,
@@ -251,9 +250,10 @@ def test_transition_matches_chart_composite():
                     continue
                 for _ in range(25):
                     x = random_overlap_point(rng, n, src, dst)
-                    p = chart_overlap_point(x, src, dst)
+                    p = ChartPoint(chart(src, x), slot_for(src, dst))
                     via_formula = transition(p, src, dst)
-                    via_charts = chart_overlap_point(chart_inv(src, p.coords), dst, src)
+                    q = chart_inv(src, p.coords)
+                    via_charts = ChartPoint(chart(dst, q), slot_for(dst, src))
                     assert via_formula.distance(via_charts) < TRANSITION_TOL
                     back = transition(via_formula, dst, src)
                     assert back.distance(p) < TRANSITION_TOL

@@ -46,6 +46,8 @@ def test_element_validation():
         PullbackElement([TensorElement.one(1), TensorElement.one(2)])
     with pytest.raises(ValueError):
         PullbackElement([TensorElement.one(1), TensorElement.one(1, circle_slot=1)])
+    with pytest.raises(ValueError):
+        PullbackElement(5)
     for call in (lambda: PullbackElement.zero("2"), lambda: PullbackElement.unit(2.5)):
         with pytest.raises(ValueError, match="^n must be an integer"):
             call()  # read before range(n + 1) is built
@@ -188,10 +190,12 @@ def test_compatibility_failures_are_symmetric_in_presence():
 
 
 def test_a_malformed_family_is_refused_before_any_pair():
-    # one reader for compatibility_failures and extend: chart keys in 0..n,
-    # one slot count n, pure Toeplitz components
+    # one reader for compatibility_failures and extend: a mapping, chart
+    # keys in 0..n, one slot count n, pure Toeplitz components
     z = TensorElement.zero(2)
     for family in (
+        5,
+        None,
         {"a": z, 1: z},
         {0: z, 1: TensorElement.zero(3)},
         {0: "junk"},
@@ -368,6 +372,73 @@ def test_a_zero_component_builds_no_side_of_its_pairs(monkeypatch):
     assert failures == _two_sided_failures(family)
 
 
+def test_extend_reads_its_family_once_and_lifts_only_given_components(monkeypatch):
+    # a count, not a timing: one read of the family, and each built chart
+    # lifts the one given component, never a chart built before it
+    reads, lifts = [], []
+    read, lift = multipullback._components, multipullback.transition_representative
+
+    def counted_read(family, *args):
+        reads.append(family)
+        return read(family, *args)
+
+    def counted_lift(x, i, j):
+        lifts.append((i, j))
+        return lift(x, i, j)
+
+    monkeypatch.setattr(multipullback, "_components", counted_read)
+    monkeypatch.setattr(multipullback, "transition_representative", counted_lift)
+    p = extend({0: tensor_z(3)}, 3)
+    assert len(reads) == 1
+    assert lifts == [(1, 0), (2, 0), (3, 0)]
+    # every built component is nonzero, so lifting them too would run more
+    assert not any(c.is_zero() for c in p.components)
+    assert is_member(p)
+
+
+def _extend_lifting_built_components(partial, n):
+    """extend's completion lifting each built component, too, on to every
+    chart built after it."""
+    comps = dict(partial)
+    failures = compatibility_failures(comps)
+    if failures:
+        raise IncompatiblePartialFamily(failures)
+    for m in range(n + 1):
+        if m not in partial:
+            terms = {}
+            for t in sorted(comps):
+                if comps[t].terms:
+                    terms.update(transition_representative(comps[t], m, t).terms)
+            comps[m] = TensorElement(n, None, terms)
+    if compatibility_failures(comps):
+        raise ExtensionError("final membership check")
+    return PullbackElement([comps[i] for i in range(n + 1)])
+
+
+def test_lifting_built_components_too_changes_no_extension():
+    # a built component's terms are lifts of given ones, so gluing them on
+    # to a later chart adds nothing while the law holds
+    shapes = {}
+    for n in (1, 2, 3, 4):
+        rng = rng_for("lift-built-%d" % n)
+        for _ in range(25):
+            charts = set(rng.sample(range(n + 1), rng.randrange(n + 1)))
+            member = sample_kernel_intersection(rng, n, charts).components
+            keep = rng.sample(range(n + 1), rng.randrange(1, n + 1))
+            partial = {k: member[k] for k in keep}
+            if rng.randrange(4) == 0:
+                # a random component in place of one kept: often refused
+                partial[keep[0]] = random_tensor_element(rng, n)
+            got = _outcome(extend, partial, n)
+            assert got == _outcome(_extend_lifting_built_components, partial, n)
+            given = sum(not partial[k].is_zero() for k in partial)
+            shape = (type(got), len(partial) > 1, given < len(partial))
+            shapes[shape] = shapes.get(shape, 0) + 1
+    assert shapes.get((PullbackElement, True, True), 0) > 5  # several charts, a zero among them
+    assert shapes.get((PullbackElement, False, False), 0) > 5  # one nonzero chart
+    assert shapes.get((tuple, True, False), 0) > 0  # refused up front
+
+
 def test_empty_extension():
     assert extend({}, 2) == PullbackElement.zero(2)
 
@@ -435,6 +506,25 @@ def test_kernel_ideal_sampling():
             assert all(p.components[c].is_zero() for c in charts)
             assert is_member(p)
     assert sample_kernel_intersection(rng, 2, {0, 1, 2}).is_zero()
+
+
+@pytest.mark.parametrize(
+    "n, charts, message",
+    [
+        (2.0, {0}, "^n must be an integer, got 2.0$"),
+        (2, {-1}, "^chart index must be an integer between 0 and 2, got -1$"),
+        (2, {3}, "^chart index must be an integer between 0 and 2, got 3$"),
+        (2, {True}, "^chart index must be an integer between 0 and 2, got True$"),
+        (2, {1.0}, "^chart index must be an integer between 0 and 2, got 1.0$"),
+        (2, {"0"}, "^chart index must be an integer between 0 and 2, got '0'$"),
+    ],
+)
+def test_kernel_sample_reads_its_input_before_drawing(n, charts, message):
+    rng = rng_for("sample-input")
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=message):
+        sample_kernel_intersection(rng, n, charts)
+    assert rng.getstate() == state
 
 
 def test_kernel_sample_fails_loudly_when_it_does_not_vanish(monkeypatch):

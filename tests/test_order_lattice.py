@@ -460,10 +460,13 @@ def test_a_table_or_row_that_is_no_sequence_is_refused(join, meet, message):
 def test_elements_that_are_no_sequence_of_distinct_values_are_refused(
     elements, join, meet, message
 ):
-    # a LatticeError before the table scan, as from_elements refuses a
-    # repeated element: two positions never name one element
+    # a LatticeError before the table scan, never a TypeError, from the
+    # one reader the constructor and from_elements share: two positions
+    # never name one element
     with pytest.raises(LatticeError, match="^%s$" % message):
         FiniteDistributiveLattice(elements, join, meet)
+    with pytest.raises(LatticeError, match="^%s$" % message):
+        FiniteDistributiveLattice.from_elements(elements, max, min)
 
 
 def test_an_entry_out_of_range_is_refused_before_a_reader_sees_it():
@@ -778,6 +781,21 @@ def test_criterion_accepts_free_generators():
         report = freeness_by_types(n, types)
         assert report.free
         assert report.verdict == "FREE"
+
+
+@pytest.mark.parametrize(
+    "types, message",
+    [
+        pytest.param([True, 2], "^type must be an integer, got True$", id="bool"),
+        pytest.param([1, 2, 99, -4], "^type must be between 0 and 3, got 99$", id="range"),
+        pytest.param([1.5, 2], "^type must be an integer, got 1.5$", id="float"),
+    ],
+)
+def test_a_type_that_is_no_mask_is_refused_before_a_verdict(types, message):
+    # each list holds 1 and 2, the two nonempty proper masks on two points,
+    # or a value that reads as one; read as it stands each gave a verdict
+    with pytest.raises(ValueError, match=message):
+        freeness_by_types(2, types)
 
 
 def test_type_criterion_matches_the_closure_oracle():

@@ -81,3 +81,31 @@ def test_no_quotient_class_wrapper_returns():
 def test_no_second_term_map_class_returns():
     assert TensorElement.__bases__ == (object,)
     assert _files_naming("Terms", _library_tests_and_readme()) == []
+
+
+# A private helper no one calls is a second path left beside the one in
+# use: every private function or class in src/tqps (one leading underscore,
+# no dunder) is named somewhere in src/tqps other than by its definition.
+
+
+def _private_definitions_and_names():
+    defined, named = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append((path.name, node.lineno, node.name))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.asname or node.name)
+    return defined, named
+
+
+def test_every_private_helper_has_a_reference():
+    defined, named = _private_definitions_and_names()
+    assert len(defined) > 10
+    unused = ["%s:%d %s" % d for d in defined if d[2] not in named]
+    assert unused == []
