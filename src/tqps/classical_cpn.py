@@ -167,10 +167,6 @@ class ChartPoint:
         self.coords = coords
         self.circle_slot = circle_slot
 
-    @property
-    def n(self):
-        return len(self.coords)
-
     def __eq__(self, other):
         if not isinstance(other, ChartPoint):
             return NotImplemented

@@ -5,13 +5,13 @@ chart, each a pure Toeplitz tensor with n slots.  Slot slot_for(i, k) of
 component i tracks chart k.  Components i < j agree when the slotwise
 symbol of component i at slot_for(i, j) equals glue(component j, j, i),
 the symbol of component j seen from chart i; is_member checks all pairs.
-Both sides only rewrite term keys, so both are linear: a zero component's
-side is the zero tensor, and a pair with a zero component holds exactly
-when the other side has no terms.  The pair check builds only that side,
-and nothing for two zero components.  A member of a kernel intersection
-is zero on every chart of the intersection, so most pairs the freeness
-machinery checks have a zero component.  A member's components and every
-partial family are read by one reader, _components, before any pair.
+Both sides only rewrite term keys, so both are linear and a zero
+component's side is the zero tensor: the pair check builds only the sides
+of nonzero components and decides the pair with one comparison of their
+term maps.  Most pairs the freeness machinery checks have a zero
+component, since a member of a kernel intersection is zero on its charts.
+_components reads every member and partial family given from outside;
+every member tqps builds goes through PullbackElement._trusted.
 
 extend completes a compatible partial family to a full member with
 minimal support: a missing component m must have the symbol
@@ -43,6 +43,7 @@ it returns holds every separation and irreducibility row in its bundle.
 
 import functools
 import itertools
+import operator
 
 from .order_lattice import FreenessReport, check_freeness_criterion
 from .tensor_gluing import (
@@ -83,14 +84,27 @@ class PullbackElement:
         self.components = tuple(_components(family, n).values())
 
     @classmethod
+    def _trusted(cls, components):
+        """Element holding the tuple `components` as given, without __init__.
+
+        Sound when they are n + 1 pure Toeplitz tensors of n slots, n >= 1.
+        Componentwise arithmetic keeps that: members of different n differ
+        in length and slot count, so the first pair raises ValueError in
+        TensorElement._check before zip can drop a component.
+        """
+        out = object.__new__(cls)
+        out.components = components
+        return out
+
+    @classmethod
     def zero(cls, n):
         n = _index(n, "n", 1)
-        return cls([TensorElement.zero(n) for _ in range(n + 1)])
+        return cls._trusted(tuple(TensorElement.zero(n) for _ in range(n + 1)))
 
     @classmethod
     def unit(cls, n):
         n = _index(n, "n", 1)
-        return cls([TensorElement.one(n) for _ in range(n + 1)])
+        return cls._trusted(tuple(TensorElement.one(n) for _ in range(n + 1)))
 
     @property
     def n(self):
@@ -103,26 +117,25 @@ class PullbackElement:
 
     __hash__ = None
 
-    def __add__(self, other):
+    def _zip(self, other, op):
         if not isinstance(other, PullbackElement):
             return NotImplemented
-        return PullbackElement([a + b for a, b in zip(self.components, other.components)])
+        return self._trusted(tuple(map(op, self.components, other.components)))
+
+    def __add__(self, other):
+        return self._zip(other, operator.add)
 
     def __sub__(self, other):
-        if not isinstance(other, PullbackElement):
-            return NotImplemented
-        return PullbackElement([a - b for a, b in zip(self.components, other.components)])
-
-    def __neg__(self):
-        return PullbackElement([-a for a in self.components])
+        return self._zip(other, operator.sub)
 
     def __mul__(self, other):
-        if not isinstance(other, PullbackElement):
-            return NotImplemented
-        return PullbackElement([a * b for a, b in zip(self.components, other.components)])
+        return self._zip(other, operator.mul)
+
+    def __neg__(self):
+        return self._trusted(tuple(-a for a in self.components))
 
     def scale(self, scalar):
-        return PullbackElement([a.scale(scalar) for a in self.components])
+        return self._trusted(tuple(a.scale(scalar) for a in self.components))
 
     def is_zero(self):
         return all(c.is_zero() for c in self.components)
@@ -159,6 +172,16 @@ def _components(family, n=None):
     return comps
 
 
+def _chart_collection(charts, what, kind=tuple):
+    """charts read by kind, tuple or frozenset; raises ValueError naming the
+    argument `what` when kind cannot read it (an int, or a list for a set)."""
+    try:
+        return kind(charts)
+    except TypeError:
+        message = "%s must be a collection of chart indices, got %r" % (what, charts)
+        raise ValueError(message) from None
+
+
 def compatibility_failures(components):
     """Violated gluing constraints among the given chart components.
 
@@ -178,10 +201,10 @@ def _pair_failures(comps, pairs):
     """Violated gluing constraints among the given chart pairs i < j.
 
     slot_symbol and glue rewrite term keys, so both sides are linear and a
-    zero component's side is the zero tensor: a pair with one zero
-    component builds the other side and holds when it has no terms, and a
-    pair of zero components builds nothing.  A failing pair builds both
-    sides, so every failure reports both in full.
+    zero component's side is the zero tensor: only nonzero components build
+    their sides, and as both sides have shape (n, slot_for(i, j)), one
+    comparison of term maps decides the pair, a side not built having none.
+    A failing pair builds its missing side, so each failure reports both.
     """
     out = []
     for i, j in pairs:
@@ -191,16 +214,10 @@ def _pair_failures(comps, pairs):
             continue
         lhs = slot_symbol(low, slot_for(i, j)) if low.terms else None
         rhs = glue(high, j, i) if high.terms else None
-        if lhs is None:
-            if not rhs.terms:
-                continue
-            lhs = slot_symbol(low, slot_for(i, j))
-        elif rhs is None:
-            if not lhs.terms:
-                continue
-            rhs = glue(high, j, i)
-        elif lhs == rhs:
+        if (lhs.terms if lhs else {}) == (rhs.terms if rhs else {}):
             continue
+        lhs = lhs or slot_symbol(low, slot_for(i, j))
+        rhs = rhs or glue(high, j, i)
         out.append({"pair": [i, j], "from_low": lhs.to_json(), "from_high": rhs.to_json()})
     return out
 
@@ -248,9 +265,8 @@ def extend(partial, n):
     if failures:
         pairs = [f["pair"] for f in failures]
         raise ExtensionError("completion failed the final membership check on pairs %s" % pairs)
-    member = object.__new__(PullbackElement)  # each component read or built
-    member.components = tuple([comps[i] for i in range(n + 1)])
-    return member
+    # each component read by _components or built with n slots
+    return PullbackElement._trusted(tuple([comps[i] for i in range(n + 1)]))
 
 
 def witness_xI(zero_charts, n, seed=DEFAULT_SEED):
@@ -264,14 +280,14 @@ def witness_xI(zero_charts, n, seed=DEFAULT_SEED):
     projection and in no other.
     """
     n = _index(n, "n", 1)
-    zero_charts = frozenset(_charts(n, *zero_charts))
+    zero_charts = frozenset(_charts(n, *_chart_collection(zero_charts, "zero_charts")))
     rng = derived_rng(seed, "compact-witness", n, sorted(zero_charts))
     every_slot = range(1, n + 1)
     x = random_tensor_element(rng, n, compact_slots=every_slot)
     while x.is_zero():
         x = random_tensor_element(rng, n, compact_slots=every_slot)
     zero = TensorElement.zero(n)
-    p = PullbackElement([zero if i in zero_charts else x for i in range(n + 1)])
+    p = PullbackElement._trusted(tuple(zero if i in zero_charts else x for i in range(n + 1)))
     if not is_member(p):
         raise ValueError("witness on charts %s fails a gluing constraint" % sorted(zero_charts))
     return p
@@ -290,7 +306,7 @@ def witness_TmI(m, charts, n):
     alive, and the symbol at sigma composed with the projection to chart m
     kills the kernel of every chart projection outside `charts`.
     """
-    m, *charts = _charts(_index(n, "n", 1), m, *charts)
+    m, *charts = _charts(_index(n, "n", 1), m, *_chart_collection(charts, "charts"))
     charts = frozenset(charts)
     atoms = []
     sigma_slots = set()
@@ -316,7 +332,7 @@ def sample_kernel_intersection(rng, n, charts):
     and each chart are read before the first draw.
     """
     n = _index(n, "n", 1)
-    charts = frozenset(charts)
+    charts = _chart_collection(charts, "charts", frozenset)
     for c in charts:  # in line, not _charts: a freeness request samples hundreds of times
         if not (type(c) is int and 0 <= c <= n):
             raise ValueError("chart index must be an integer between 0 and %d, got %r" % (n, c))

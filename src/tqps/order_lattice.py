@@ -40,6 +40,7 @@ I, as the kernel lattice of multipullback supplies them.  Every freeness
 test returns one FreenessReport: verdict, witness and evidence in a dict.
 """
 
+import collections
 import functools
 import itertools
 
@@ -447,13 +448,7 @@ def meet_irreducibles(lat):
     return [c for c in range(lat.n) if c != top and c not in reducible]
 
 
-class BirkhoffResult:
-    __slots__ = ("poset", "irreducibles", "mapping")
-
-    def __init__(self, poset, irreducibles, mapping):
-        self.poset = poset
-        self.irreducibles = irreducibles
-        self.mapping = mapping
+BirkhoffResult = collections.namedtuple("BirkhoffResult", ["poset", "irreducibles", "mapping"])
 
 
 def birkhoff_transform(lat):

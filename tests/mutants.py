@@ -1,0 +1,61 @@
+"""Named mutants of the gluing maps, each a one-line change of the library.
+
+Each mutant is a function of a pytest MonkeyPatch that patches the broken
+map in; the patch is undone with the MonkeyPatch.  (a), (b) and (c)
+rewrite one line of tensor_gluing._move_circle, the one relocation behind
+glue, chi, psi and psi_ij, built from the function's own source: a line
+that is not found exactly once raises LookupError, so a mutant never
+silently equals the library.  (s) negates glue whenever it moves a
+component down the charts, src > dst, in tensor_gluing and in
+multipullback, which imports glue by name.
+"""
+
+import inspect
+
+from tqps import multipullback, tensor_gluing
+
+DEGREE_LINE = 'h += a[1] - a[2] if a[0] == "E" else a[1]'
+
+
+def _rewritten_move_circle(old, new):
+    """tensor_gluing._move_circle with its one line `old` (stripped of its
+    indent) replaced by `new` at the same indent."""
+    lines = inspect.getsource(tensor_gluing._move_circle).splitlines(keepends=True)
+    found = [k for k, line in enumerate(lines) if line.strip() == old]
+    if len(found) != 1:
+        raise LookupError("_move_circle has %d lines %r, not one" % (len(found), old))
+    k = found[0]
+    lines[k] = lines[k][: len(lines[k]) - len(lines[k].lstrip())] + new + "\n"
+    namespace = dict(vars(tensor_gluing))
+    exec(compile("".join(lines), "<mutant of _move_circle>", "exec"), namespace)
+    return namespace["_move_circle"]
+
+
+def _move_circle_mutant(old, new):
+    def apply(monkeypatch):
+        monkeypatch.setattr(tensor_gluing, "_move_circle", _rewritten_move_circle(old, new))
+
+    return apply
+
+
+def _negated_downward(monkeypatch):
+    real = tensor_gluing.glue
+
+    def glue(x, src, dst):
+        y = real(x, src, dst)
+        return -y if src > dst else y
+
+    for module in (tensor_gluing, multipullback):
+        monkeypatch.setattr(module, "glue", glue)
+
+
+MUTANTS = {
+    # a matrix unit adds 0 to the degree the reflection reads
+    "a": _move_circle_mutant(DEGREE_LINE, 'h += 0 if a[0] == "E" else a[1]'),
+    # a matrix unit E_jk adds k - j, not j - k
+    "b": _move_circle_mutant(DEGREE_LINE, 'h += a[2] - a[1] if a[0] == "E" else a[1]'),
+    # the reflected circle exponent is 1 - h, not -h
+    "c": _move_circle_mutant('circle = ("u", -h)', 'circle = ("u", 1 - h)'),
+    # glue is negated when src > dst
+    "s": _negated_downward,
+}

@@ -13,7 +13,8 @@ import pytest
 from tqps import classical_cpn, cli, multipullback, tensor_gluing
 from tqps.cli import main
 from tqps.order_lattice import FiniteDistributiveLattice, Poset, fdl_enumerate, fdl_join, fdl_meet
-from tqps.util import canonical_json
+from tqps.sampling import random_poset
+from tqps.util import canonical_json, derived_rng
 
 
 def run(capsys, argv):
@@ -87,6 +88,41 @@ def test_birkhoff_roundtrip(capsys):
     assert code == 0
     assert payload["passed"] is True
     assert payload["trials"] == 20
+
+
+def test_birkhoff_roundtrip_skips_a_trial_without_a_lattice(capsys, monkeypatch):
+    real = FiniteDistributiveLattice.from_upper_sets
+    calls = []
+
+    def refusing_the_second(poset):
+        calls.append(poset)
+        if len(calls) == 2:
+            raise ValueError("too many upper sets")
+        return real(poset)
+
+    monkeypatch.setattr(FiniteDistributiveLattice, "from_upper_sets", refusing_the_second)
+    code, payload = run_json(
+        capsys, ["birkhoff", "roundtrip", "--poset-size", "4", "--trials", "3"]
+    )
+    assert len(calls) == 3
+    assert code == 0
+    assert payload["skipped_trials"] == [1]
+    assert payload["failures"] == []
+    assert payload["passed"] is True
+
+
+def test_birkhoff_roundtrip_reports_each_failed_trial(capsys, monkeypatch):
+    monkeypatch.setattr(Poset, "isomorphic", lambda self, other: False)
+    code, payload = run_json(
+        capsys, ["birkhoff", "roundtrip", "--poset-size", "4", "--trials", "3", "--seed", "5"]
+    )
+    assert code == 1
+    assert payload["passed"] is False
+    assert payload["skipped_trials"] == []
+    assert payload["failures"] == [
+        {"trial": t, "poset": random_poset(derived_rng(5, "roundtrip", 4, t), 4).to_json()}
+        for t in range(3)
+    ]
 
 
 def test_verify_psi(capsys):

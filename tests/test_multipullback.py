@@ -1,8 +1,11 @@
 """Checks for pullback membership, extension, and the freeness evidence."""
 
 import itertools
+import operator
 
 import pytest
+
+from mutants import MUTANTS
 
 from tqps import multipullback, order_lattice, tensor_gluing
 from tqps.classical_cpn import classical_freeness
@@ -132,6 +135,44 @@ def test_members_form_an_algebra():
         assert is_member(p + q)
         assert is_member(p * q)
         assert is_member(p.scale(3) - q)
+
+
+def test_member_arithmetic_reads_no_result_again(monkeypatch):
+    # a count, not a timing: each result is n + 1 components of n slots by
+    # construction, so none goes back through the family reader
+    rng = rng_for("no-reread")
+    a = extend({0: random_tensor_element(rng, 2, max_terms=2)}, 2)
+    b = extend({1: random_tensor_element(rng, 2, max_terms=2)}, 2)
+    reads = []
+    read = multipullback._components
+
+    def counted_read(family, *args):
+        reads.append(family)
+        return read(family, *args)
+
+    monkeypatch.setattr(multipullback, "_components", counted_read)
+    results = [a + b, a - b, a * b, -a, a.scale(2)]
+    assert reads == []
+    assert all(is_member(r) for r in results)
+
+
+def test_negation_and_scaling_act_componentwise():
+    rng = rng_for("componentwise")
+    for n in (1, 2, 3):
+        p = extend({0: random_tensor_element(rng, n, max_terms=3)}, n)
+        assert not p.is_zero()
+        assert -p == PullbackElement([-c for c in p.components])
+        assert p.scale(2) == PullbackElement([c.scale(2) for c in p.components])
+        assert (-p + p).is_zero() and -p == p.scale(-1)
+
+
+def test_members_of_different_n_do_not_combine():
+    # the first component pair has different slot counts, so nothing is
+    # returned whichever side has more charts
+    for a, b in itertools.permutations((PullbackElement.unit(1), PullbackElement.unit(2))):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError, match="^cannot combine"):
+                op(a, b)
 
 
 def test_arithmetic_with_a_non_element_is_a_type_error():
@@ -296,6 +337,52 @@ def test_compatibility_failures_match_the_two_sided_check():
             partial = {k: comps[k] for k in keep}
             assert compatibility_failures(partial) == _two_sided_failures(partial)
         assert seen["pass"] and seen["fail"]
+
+
+def _pair_failures_by_zero_pattern(comps, pairs):
+    """The pair check with a branch per zero pattern of a pair: both zero,
+    a zero low side, a zero high side, neither."""
+    out = []
+    for i, j in pairs:
+        low, high = comps[i], comps[j]
+        if not low.terms and not high.terms:
+            continue
+        lhs = multipullback.slot_symbol(low, slot_for(i, j)) if low.terms else None
+        rhs = multipullback.glue(high, j, i) if high.terms else None
+        if lhs is None:
+            if not rhs.terms:
+                continue
+            lhs = multipullback.slot_symbol(low, slot_for(i, j))
+        elif rhs is None:
+            if not lhs.terms:
+                continue
+            rhs = multipullback.glue(high, j, i)
+        elif lhs == rhs:
+            continue
+        out.append({"pair": [i, j], "from_low": lhs.to_json(), "from_high": rhs.to_json()})
+    return out
+
+
+@pytest.mark.parametrize("mutant", [None, "s"])
+def test_one_comparison_per_pair_matches_a_branch_per_zero_pattern(monkeypatch, mutant):
+    # the families are drawn first: under the sign mutant (s), which
+    # negates glue down the charts, extend fails and most members fail
+    cases = []
+    for n in (1, 2, 3, 4):
+        pairs = list(itertools.combinations(range(n + 1), 2))
+        families = _mixed_families(n, rng_for("zero-pattern-%d" % n))
+        cases += [(dict(enumerate(f)), pairs) for f in families]
+    if mutant:
+        MUTANTS[mutant](monkeypatch)
+    patterns = set()
+    for comps, pairs in cases:
+        expected = _pair_failures_by_zero_pattern(comps, pairs)
+        assert multipullback._pair_failures(comps, pairs) == expected
+        failing = [f["pair"] for f in expected]
+        for i, j in pairs:
+            patterns.add((comps[i].is_zero(), comps[j].is_zero(), [i, j] in failing))
+    # every zero pattern of a pair, holding and failing, except two zeros failing
+    assert len(patterns) == 7
 
 
 def test_extension_from_zero_components_matches_every_constraint_lifted():
@@ -474,6 +561,8 @@ def test_compact_witness_fails_loudly_off_the_pullback(monkeypatch):
 def test_compact_witness_validates_input():
     with pytest.raises(ValueError):
         witness_xI({5}, 2)
+    with pytest.raises(ValueError, match="^zero_charts must be a collection of chart indices"):
+        witness_xI(5, 2)
 
 
 def test_irreducibility_witness_shape():
@@ -483,6 +572,8 @@ def test_irreducibility_witness_shape():
     assert not project_slots(T, sigma).is_zero()
     with pytest.raises(ValueError):
         witness_TmI(1, {1}, 2)  # m inside the chart set
+    with pytest.raises(ValueError, match="^charts must be a collection of chart indices, got 5$"):
+        witness_TmI(0, 5, 2)
 
 
 def test_irreducibility_functional_kills_other_kernels():
@@ -517,6 +608,8 @@ def test_kernel_ideal_sampling():
         (2, {True}, "^chart index must be an integer between 0 and 2, got True$"),
         (2, {1.0}, "^chart index must be an integer between 0 and 2, got 1.0$"),
         (2, {"0"}, "^chart index must be an integer between 0 and 2, got '0'$"),
+        (2, 5, "^charts must be a collection of chart indices, got 5$"),
+        (2, [[0]], r"^charts must be a collection of chart indices, got \[\[0\]\]$"),
     ],
 )
 def test_kernel_sample_reads_its_input_before_drawing(n, charts, message):

@@ -128,6 +128,22 @@ def test_isomorphism_sees_orientation():
     assert vee.isomorphic(relabeled)
 
 
+def test_isomorphism_refuses_a_size_mismatch():
+    assert not Poset(range(3)).isomorphic(Poset(range(4)))
+
+
+def test_isomorphism_backtracks_past_a_wrong_first_choice():
+    # every element shares its profile with another, and the first
+    # candidates the search tries do not extend: it backtracks three times
+    # before it finds the relabelling
+    pairs = [(0, 1), (0, 3), (1, 5), (2, 6), (3, 6), (4, 5)]
+    relabel = [4, 2, 5, 6, 3, 1, 0]
+    p = Poset(range(7), pairs)
+    q = Poset(range(7), [(relabel[a], relabel[b]) for a, b in pairs])
+    assert p.isomorphic(q) and q.isomorphic(p)
+    assert not p.isomorphic(Poset(range(7), pairs[:-1] + [(4, 6)]))
+
+
 @given(posets())
 def test_upper_sets_match_exhaustive_filter(p):
     assert set(upper_sets(p)) == set(brute_upper_sets(p))
