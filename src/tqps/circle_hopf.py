@@ -16,9 +16,14 @@ from fractions import Fraction
 
 
 def _frac(v):
+    """v as an exact int or Fraction; raises ValueError, naming v, unless
+    Fraction reads it (ints and Fractions return as they are)."""
     if type(v) is int or isinstance(v, Fraction):
         return v
-    return Fraction(v)
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("not an exact scalar component: %r" % (v,)) from None
 
 
 def _scalar(re, im):
@@ -115,18 +120,15 @@ class Scalar:
         return "Scalar(%s, %s)" % (self.re, self.im)
 
     def render(self):
-        """Compact human form: 1, -2, i, 2i, 1/2, 1+2i, 3/2-i."""
+        """Compact human form: 1, -2, i, 2i, 1/2, 1+2i, 3/2-i, and a
+        fractional imaginary part in parentheses, (1/2)i or 1-(1/2)i."""
         if self.im == 0:
             return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            return "%si" % self.im
-        sign = "+" if self.im > 0 else "-"
         mag = abs(self.im)
-        istr = "i" if mag == 1 else "%si" % mag
+        istr = "i" if mag == 1 else ("%si" if mag.denominator == 1 else "(%s)i") % mag
+        sign = "+" if self.im > 0 else "-"
+        if self.re == 0:
+            return istr if sign == "+" else sign + istr
         return "%s%s%s" % (self.re, sign, istr)
 
     def to_json(self):

@@ -7,8 +7,8 @@ a pure tensor holds one Toeplitz atom, a shift ("T", a) or a matrix unit
 ("u", m) instead.  A single-slot operator is a one-slot tensor,
 TensorElement(1).  toeplitz_core validates atoms and multiplies them.  The
 tensor product multiplies the coefficients of each term pair once and
-reads each slot's atom product, as atoms with an int sign, from
-_mul_toeplitz_atoms, a cache of atom_product.  The adjoint acts slotwise,
+reads every slot's atom product, the circle slot's included, from
+_mul_toeplitz_atoms, one cached rule.  The adjoint acts slotwise,
 T(u^a)* = T(u^-a), E_{jk}* = E_{kj} and (u^m)* = u^-m, with conjugated
 coefficients.  Slot positions are 1-based throughout the public surface.
 
@@ -84,8 +84,12 @@ def _toeplitz_slots(slots, shape, what):
 
 @lru_cache(maxsize=None)
 def _mul_toeplitz_atoms(a, b):
-    """atom_product(a, b) as a tuple of (atom, sign) terms, each sign the
-    int 1 or -1: the shift first, then matrix units by rising index."""
+    """Product of two atoms of one slot as a tuple of (atom, sign) terms,
+    each sign the int 1 or -1: circle monomials add exponents, and any other
+    pair gives atom_product(a, b), the shift first, then matrix units by
+    rising index.  Matched shapes meet a circle atom only with another."""
+    if a[0] == "u":
+        return ((("u", a[1] + b[1]), 1),)
     return tuple(atom_product(a, b))
 
 
@@ -192,23 +196,19 @@ class TensorElement:
 
     def __mul__(self, other):
         """Slotwise product: each term pair multiplies its coefficients once,
-        and every combination of its slots' atom products (the circle slot
-        adds exponents) gets that coefficient times the product of the
-        slots' signs.  A pair with a slot product of zero adds nothing."""
+        and every combination of its slots' atom products (each slot's, the
+        circle slot's too, from _mul_toeplitz_atoms) gets that coefficient
+        times the product of the slots' signs.  A pair with a slot product
+        of zero adds nothing."""
         self._check(other)
-        circle_index = None if self.circle_slot is None else self.circle_slot - 1
         pairs = []
         for t1, c1 in self.terms.items():
             for t2, c2 in other.terms.items():
                 slots = []
-                for s, (a, b) in enumerate(zip(t1, t2)):
-                    if s == circle_index:
-                        slots.append(((("u", a[1] + b[1]), 1),))
-                    else:
-                        slot_terms = _mul_toeplitz_atoms(a, b)
-                        if not slot_terms:
-                            break
-                        slots.append(slot_terms)
+                for slot_terms in map(_mul_toeplitz_atoms, t1, t2):
+                    if not slot_terms:
+                        break
+                    slots.append(slot_terms)
                 else:
                     c = c1 * c2
                     for combo in product(*slots):

@@ -7,12 +7,13 @@ glue, chi, psi and psi_ij, built from the function's own source: a line
 that is not found exactly once raises LookupError, so a mutant never
 silently equals the library.  (s) negates glue whenever it moves a
 component down the charts, src > dst, in tensor_gluing and in
-multipullback, which imports glue by name.
+multipullback, which imports glue by name.  (t) scales every coordinate
+of classical_cpn.transition's result but its circle slot by 1 + 1e-6.
 """
 
 import inspect
 
-from tqps import multipullback, tensor_gluing
+from tqps import classical_cpn, multipullback, tensor_gluing
 
 DEGREE_LINE = 'h += a[1] - a[2] if a[0] == "E" else a[1]'
 
@@ -49,13 +50,32 @@ def _negated_downward(monkeypatch):
         monkeypatch.setattr(module, "glue", glue)
 
 
+def _skewed_transition(monkeypatch):
+    real = classical_cpn.transition
+
+    def skewed(p, src, dst):
+        q = real(p, src, dst)
+        coords = [
+            c if s == q.circle_slot else c * (1 + 1e-6) for s, c in enumerate(q.coords, start=1)
+        ]
+        return classical_cpn.ChartPoint(coords, q.circle_slot)
+
+    monkeypatch.setattr(classical_cpn, "transition", skewed)
+
+
 MUTANTS = {
-    # a matrix unit adds 0 to the degree the reflection reads
     "a": _move_circle_mutant(DEGREE_LINE, 'h += 0 if a[0] == "E" else a[1]'),
-    # a matrix unit E_jk adds k - j, not j - k
     "b": _move_circle_mutant(DEGREE_LINE, 'h += a[2] - a[1] if a[0] == "E" else a[1]'),
-    # the reflected circle exponent is 1 - h, not -h
     "c": _move_circle_mutant('circle = ("u", -h)', 'circle = ("u", 1 - h)'),
-    # glue is negated when src > dst
     "s": _negated_downward,
+    "t": _skewed_transition,
+}
+
+# what each mutant breaks, one line each
+DESCRIPTIONS = {
+    "a": "a matrix unit adds 0 to the degree the reflection reads",
+    "b": "a matrix unit E_jk adds k - j, not j - k",
+    "c": "the reflected circle exponent is 1 - h, not -h",
+    "s": "glue is negated when src > dst",
+    "t": "the classical transition scales each disc coordinate by 1 + 1e-6",
 }

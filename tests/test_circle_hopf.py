@@ -14,6 +14,7 @@ from tqps.circle_hopf import (
     Scalar,
     collect,
 )
+from tqps.multipullback import PullbackElement
 from tqps.tensor_gluing import TensorElement, lift_circle, psi, slot_symbol
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=8)
@@ -114,6 +115,34 @@ def test_scalar_render():
     assert Scalar(0, -1).render() == "-i"
     assert Scalar(Fraction(3, 2), -1).render() == "3/2-i"
     assert Scalar(1, 2).render() == "1+2i"
+    assert Scalar(0, -2).render() == "-2i"
+    assert Scalar(0, Fraction(4, 2)).render() == "2i"
+    # a fractional imaginary part reads as a coefficient of i, never as 1/(2i)
+    assert Scalar(0, Fraction(1, 2)).render() == "(1/2)i"
+    assert Scalar(0, Fraction(-1, 2)).render() == "-(1/2)i"
+    assert Scalar(1, Fraction(-1, 2)).render() == "1-(1/2)i"
+    assert Scalar(Fraction(1, 3), Fraction(3, 2)).render() == "1/3+(3/2)i"
+
+
+@pytest.mark.parametrize("value", [None, 1j, [1], float("inf"), float("-inf"), float("nan")])
+def test_a_coefficient_that_is_not_a_number_is_refused_by_name(value):
+    entries = [
+        lambda: Scalar(value),
+        lambda: Scalar(1, value),
+        lambda: Scalar.coerce(value),
+        lambda: TensorElement.pure([("T", 1)], coeff=value),
+        lambda: TensorElement.one(2, 1).scale(value),
+        lambda: PullbackElement.unit(2).scale(value),
+    ]
+    for entry in entries:
+        with pytest.raises(ValueError, match="^not an exact scalar component: "):
+            entry()
+
+
+def test_floats_bools_and_numeric_strings_keep_their_reading():
+    assert Scalar(0.5, -0.25) == Scalar(Fraction(1, 2), Fraction(-1, 4))
+    assert Scalar(True, False) == Scalar(1, 0)
+    assert Scalar("1/3", "-2") == Scalar(Fraction(1, 3), -2)
 
 
 @given(polys, polys, polys)

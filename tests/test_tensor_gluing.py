@@ -3,9 +3,11 @@
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import prod
 
 import pytest
 
+import mutants
 from oracles import matrix_degree, slotwise_product, stepwise_glue, stepwise_psi, stepwise_psi_ij
 from tqps import classical_cpn, multipullback, order_lattice, tensor_gluing
 from tqps.circle_hopf import I, Scalar, collect
@@ -155,6 +157,45 @@ def test_product_makes_one_scalar_product_per_term_pair(monkeypatch):
     assert calls
 
 
+def position_tested_product(x, y):
+    """Term map of x * y through a slot loop that tests each slot's position
+    and adds the circle slot's exponents in line, reading only the Toeplitz
+    slots from the atom product cache."""
+    circle_index = None if x.circle_slot is None else x.circle_slot - 1
+    pairs = []
+    for t1, c1 in x.terms.items():
+        for t2, c2 in y.terms.items():
+            slots = []
+            for s, (a, b) in enumerate(zip(t1, t2)):
+                if s == circle_index:
+                    slots.append(((("u", a[1] + b[1]), 1),))
+                else:
+                    slot_terms = tensor_gluing._mul_toeplitz_atoms(a, b)
+                    if not slot_terms:
+                        break
+                    slots.append(slot_terms)
+            else:
+                c = c1 * c2
+                for combo in product(*slots):
+                    atoms, signs = zip(*combo)
+                    pairs.append((atoms, c if prod(signs) > 0 else -c))
+    return collect(pairs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_product_reads_the_circle_slot_through_the_atom_cache(n):
+    # one rule for every slot gives the terms of the position-tested loop,
+    # in the same order, with no circle slot and with it at each position
+    rng = rng_for("one-rule-%d" % n)
+    for circle_slot in (None, *range(1, n + 1)):
+        for _ in range(10):
+            x = random_tensor_element(rng, n, circle_slot=circle_slot, max_terms=6)
+            y = random_tensor_element(rng, n, circle_slot=circle_slot, max_terms=6)
+            terms, expected = (x * y).terms, position_tested_product(x, y)
+            assert terms == expected
+            assert list(terms) == list(expected)
+
+
 @pytest.mark.parametrize("circle_slot", CIRCLE_SLOTS)
 def test_adjoint_is_an_involutive_conjugate_linear_antihomomorphism(circle_slot):
     # three slots, with and without a circle slot; the coefficients have
@@ -276,6 +317,14 @@ class Aff:
 
     def __bool__(self):
         raise TypeError("an affine form has no truth value")
+
+
+def test_circle_monomials_multiply_on_kind_only():
+    # symbolic exponents add: the circle rule never reads an exponent's value
+    a, b = Aff(1, {"a": 1}), Aff(-2, {"b": 3})
+    x = TensorElement._trusted({(("u", a),): Scalar(2)}, (1, 1))
+    y = TensorElement._trusted({(("u", b),): I}, (1, 1))
+    assert (x * y).terms == {(("u", a + b),): Scalar(0, 2)}
 
 
 def symbolic_tensor(n, circle_slot=None):
@@ -758,16 +807,7 @@ def test_cocycle_check_reports_representative_dependence(monkeypatch):
 
 
 def test_transition_agreement_reports_a_skewed_transition(monkeypatch):
-    real = classical_cpn.transition
-
-    def skewed(p, src, dst):
-        q = real(p, src, dst)
-        coords = [
-            c if s == q.circle_slot else c * (1 + 1e-6) for s, c in enumerate(q.coords, start=1)
-        ]
-        return classical_cpn.ChartPoint(coords, q.circle_slot)
-
-    monkeypatch.setattr(classical_cpn, "transition", skewed)
+    mutants.MUTANTS["t"](monkeypatch)
     report = transition_agreement(2, trials=2)
     # three chart pairs, two trials each
     assert len(report["failures"]) == 6

@@ -127,6 +127,10 @@ def test_cached_atom_products_are_the_signed_atom_products():
             cached = _mul_toeplitz_atoms(a, b)
             assert set(cached) == set(atom_product(a, b)), (a, b)
             assert all(type(sign) is int and sign in (1, -1) for _, sign in cached), (a, b)
+    # the circle slot reads the same cache: two circle monomials add exponents
+    for m in range(-3, 4):
+        for k in range(-3, 4):
+            assert _mul_toeplitz_atoms(("u", m), ("u", k)) == ((("u", m + k), 1),)
 
 
 def test_product_with_a_non_element_raises():
