@@ -36,7 +36,6 @@ from .order_lattice import (
     check_freeness_criterion,
     fdl_enumerate,
     fdl_join,
-    fdl_leq,
     fdl_meet,
     freeness_by_types,
     meet_irreducibles,

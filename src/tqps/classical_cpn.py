@@ -101,10 +101,6 @@ class CoveringSet(UpSet):
     def n(self):
         return self.k - 1
 
-    @property
-    def members(self):
-        return frozenset(frozenset(s) for s in self._index_sets(self.up))
-
     def contains_point(self, x):
         if len(x) != self.k:
             raise ValueError("point has wrong length")
@@ -134,37 +130,36 @@ def lattice_L(cov):
 class ChartPoint:
     """Point of a chart in closed-disc coordinates with one circle slot.
 
-    The moduli are tested in one scan: the circle slot within
-    TRANSITION_TOL of 1, then every slot at most 1 + TRANSITION_TOL, which
-    a passing circle slot meets.  Only when that scan fails, or a modulus
-    overflows, are the slots walked in order, so the error names the first
-    failing slot.  Every test reads as "not ... <=" or "bound >=", which
-    refuses a NaN modulus, since NaN compares false both ways.
+    The slots are walked in order, each read as a complex number and
+    tested, so the error names the first failing slot: the circle slot
+    within TRANSITION_TOL of modulus 1, every other slot at most
+    1 + TRANSITION_TOL.  Every test reads as "not ... <=", which refuses a
+    NaN modulus, since NaN compares false both ways; a coordinate or
+    modulus past float range is refused with the kind of its slot.
     """
 
     __slots__ = ("coords", "circle_slot")
 
     def __init__(self, coords, circle_slot):
-        coords = tuple(map(complex, coords))
+        coords = tuple(coords)
         if type(circle_slot) is not int or not 1 <= circle_slot <= len(coords):
             raise ValueError(
                 "circle slot must be an integer from 1 to %d, got %r" % (len(coords), circle_slot)
             )
+        out = []
         try:
-            mods = list(map(abs, coords))
-            ok = abs(mods[circle_slot - 1] - 1.0) <= TRANSITION_TOL and all(
-                map(_DISC_BOUND.__ge__, mods)
-            )
-        except OverflowError:
-            ok = False
-        if not ok:
             for s, c in enumerate(coords, start=1):
+                c = complex(c)
                 if s == circle_slot:
                     if not abs(abs(c) - 1.0) <= TRANSITION_TOL:
                         raise ValueError("circle coordinate has modulus %r" % abs(c))
                 elif not abs(c) <= _DISC_BOUND:
                     raise ValueError("disc coordinate has modulus %r" % abs(c))
-        self.coords = coords
+                out.append(c)
+        except OverflowError:
+            kind = "circle" if s == circle_slot else "disc"
+            raise ValueError("%s coordinate has a modulus past float range" % kind) from None
+        self.coords = tuple(out)
         self.circle_slot = circle_slot
 
     def __eq__(self, other):
@@ -266,12 +261,8 @@ def transition_agreement(n, trials=1000, seed=DEFAULT_SEED):
                 via_charts = ChartPoint(chart(j, chart_inv(i, p.coords)), slot_ji)
                 err = via_formula.distance(via_charts)
                 back = transition(via_formula, j, i).distance(p)
-                # max(err, back), then max(worst, err): max keeps its first
-                # argument unless a later one compares greater
-                if back > err:
-                    err = back
-                if err > worst:
-                    worst = err
+                err = max(err, back)
+                worst = max(worst, err)
                 if err > TRANSITION_TOL:
                     failures.append({"pair": [i, j], "trial": t, "error": err})
     return {

@@ -73,8 +73,11 @@ class Poset:
     __slots__ = ("labels", "_index", "up")
 
     def __init__(self, labels, pairs=()):
-        self.labels = list(labels)
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        try:
+            self.labels = list(labels)
+            self._index = {lab: i for i, lab in enumerate(self.labels)}
+        except TypeError:
+            raise LatticeError("labels are not a sequence of hashable values") from None
         if len(self._index) != len(self.labels):
             raise LatticeError("duplicate labels")
         n = len(self.labels)
@@ -86,6 +89,8 @@ class Poset:
                     above[i].append(j)
         except KeyError as exc:
             raise LatticeError("pair names unknown label %r" % (exc.args[0],)) from None
+        except (TypeError, ValueError):
+            raise LatticeError("pairs are not a sequence of label pairs") from None
         # up[i] is 0 before the search reaches i, -1 while i is on the
         # search path and the closed up-set once every element above is
         up = [0] * n
@@ -534,11 +539,14 @@ class UpSet:
         """Distinct masks of the index sets in family, each a nonempty set
         of ints in 0..k-1."""
         masks = set()
-        for s in family:
-            s = frozenset(s)
-            if not s or not all(type(i) is int and 0 <= i < k for i in s):
-                raise LatticeError("bad index set %r" % (s,))
-            masks.add(sum(1 << i for i in s))
+        try:
+            for s in family:
+                s = frozenset(s)
+                if not s or not all(type(i) is int and 0 <= i < k for i in s):
+                    raise LatticeError("bad index set %r" % (s,))
+                masks.add(sum(1 << i for i in s))
+        except TypeError:
+            raise LatticeError("family is not a sequence of index sets") from None
         return masks
 
     @staticmethod
@@ -611,14 +619,6 @@ class AntichainForm(UpSet):
         if len(self.minimal_sets()) != len(masks):
             raise LatticeError("family is not an antichain")
 
-    @classmethod
-    def generator(cls, i, n_generators):
-        return cls(n_generators, [frozenset([i])])
-
-    @classmethod
-    def pure_join(cls, indices, n_generators):
-        return cls(n_generators, [frozenset([i]) for i in indices])
-
     @property
     def n_generators(self):
         return self.k
@@ -644,10 +644,6 @@ def fdl_join(x, y):
 
 def fdl_meet(x, y):
     return x & y
-
-
-def fdl_leq(x, y):
-    return x <= y
 
 
 def antichain_count(n):
@@ -739,7 +735,10 @@ def freeness_by_types(k, types):
     """
     k = _index(k, "k", 2)
     full = (1 << k) - 1
-    seen = {_index(t, "type", 0, full) for t in types}
+    try:
+        seen = {_index(t, "type", 0, full) for t in types}
+    except TypeError:
+        raise ValueError("types are not a sequence of masks") from None
     for mask in range(1, full):
         if mask not in seen:
             return FreenessReport("NOT_FREE", witness={"clause": "type", "I": list(_bits(mask))})

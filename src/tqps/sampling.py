@@ -1,4 +1,4 @@
-"""Seeded random generators for scalars, posets and antichain families;
+"""Seeded random generators for scalars and posets;
 tensor_gluing.random_tensor_element draws algebra elements.
 
 Every generator takes an explicit random.Random so callers control
@@ -7,12 +7,11 @@ seed and a label path.
 """
 
 from .circle_hopf import _scalar
-from .order_lattice import AntichainForm, Poset, UpSet
+from .order_lattice import Poset
 from .util import DEFAULT_SEED, _index  # noqa: F401  (DEFAULT_SEED re-exported for callers)
 
 _SCALAR_BOUND = 3
 _POSET_DENSITY = 0.35
-_MAX_SETS = 3
 
 
 def random_nonzero_scalar(rng):
@@ -54,16 +53,3 @@ def random_poset(rng, size):
             if rng.random() < _POSET_DENSITY:
                 pairs.add((order[a], order[b]))
     return Poset(list(range(size)), pairs)
-
-
-def random_antichain_form(rng, n_generators):
-    """Random join of meets over the given generators: the minimal sets of
-    a randomly drawn family of 1 to _MAX_SETS index sets; n_generators
-    is read before the first draw."""
-    n_generators = _index(n_generators, "n_generators", 1)
-    universe = list(range(n_generators))
-    masks = set()
-    for _ in range(rng.randint(1, _MAX_SETS)):
-        k = rng.randint(1, n_generators)
-        masks.add(sum(1 << i for i in rng.sample(universe, k)))
-    return AntichainForm(n_generators, UpSet(n_generators, masks).minimal_sets())

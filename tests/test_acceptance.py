@@ -25,11 +25,7 @@ from tqps.order_lattice import (
     fdl_meet,
     meet_irreducibles,
 )
-from tqps.sampling import (
-    DEFAULT_SEED,
-    random_antichain_form,
-    random_poset,
-)
+from tqps.sampling import DEFAULT_SEED, random_poset
 from tqps.tensor_gluing import (
     TensorElement,
     cocycle_check,
@@ -170,18 +166,14 @@ def test_08_mirror_membership_is_the_antipode_relation():
 
 
 def test_09_classical_lattice_maps_invert_and_transitions_roundtrip():
-    """The covering-set maps are mutually inverse (exhaustively for 1 and 2
-    dimensions, 10000 seeded samples for 3) and chart transitions agree
-    with the chart-map composites to 1e-10 over 1000 trials per pair."""
-    for n in (1, 2):
+    """The covering-set maps are mutually inverse (exhaustively for 1, 2
+    and 3 dimensions) and chart transitions agree with the chart-map
+    composites to 1e-10 over 1000 trials per pair."""
+    for n in (1, 2, 3):
         for form in fdl_enumerate(n + 1):
             cov = lattice_R(form)
             assert lattice_L(cov) == form
             assert lattice_R(lattice_L(cov)) == cov
-    rng = _rng("classical-roundtrip", 3)
-    for _ in range(10000):
-        form = random_antichain_form(rng, 4)
-        assert lattice_L(lattice_R(form)) == form
     for n in (1, 2, 3):
         report = transition_agreement(n, trials=1000)
         assert report["passed"] is True, report["failures"][:3]

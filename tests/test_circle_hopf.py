@@ -107,6 +107,15 @@ def test_reflected_subtraction_and_division():
 def test_scalar_hash_agrees_with_eq():
     assert len({Scalar(1), 1, Fraction(1)}) == 1
     assert len({Scalar(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    # a value off the real line hashes by both parts
+    assert hash(Scalar(Fraction(2, 2), 3)) == hash(Scalar(1, 3))
+    assert len({Scalar(1, 3), Scalar(Fraction(2, 2), Fraction(6, 2)), Scalar(3, 1)}) == 2
+
+
+def test_a_scalar_equals_no_value_that_is_not_a_number():
+    # __eq__ gives the other side its turn, which finds no match either
+    assert Scalar(1).__eq__("1") is NotImplemented
+    assert Scalar(1) != "1" and "1" != Scalar(1)
 
 
 def test_scalar_render():

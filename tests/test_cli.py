@@ -189,6 +189,19 @@ def test_verify_freeness_control_fails(capsys):
     assert payload["witness"]["clause"] == "order"
 
 
+def test_an_empty_generator_map_entry_is_skipped(capsys):
+    argv = ["verify", "freeness", "--n", "2", "--samples", "1", "--generator-map"]
+    assert run_json(capsys, argv + ["1=0,"]) == run_json(capsys, argv + ["1=0"])
+
+
+def test_text_output_indents_the_witness(capsys):
+    argv = ["verify", "freeness", "--n", "2", "--samples", "1", "--generator-map", "1=0"]
+    code, out = run(capsys, argv + ["--format", "text"])
+    assert code == 1
+    witness = "witness:\n  I: 0\n  J: 1\n  clause: order\n"
+    assert witness + "  expected_leq: False\n  observed_leq: True\n" in out
+
+
 def test_classical_lattice(capsys, monkeypatch):
     def no_tables(*args, **kwargs):
         raise AssertionError("the covering lattice was tabulated")

@@ -31,15 +31,14 @@ from tqps.order_lattice import (
     check_freeness_criterion,
     fdl_enumerate,
     fdl_join,
-    fdl_leq,
     fdl_meet,
     freeness_by_types,
     meet_irreducibles,
     upper_set_masks,
     upper_sets,
 )
-from tqps.sampling import DEFAULT_SEED, random_antichain_form, random_poset
-from tqps.util import derived_rng
+from tqps.sampling import DEFAULT_SEED, random_poset
+from tqps.util import _index, canonical_json, derived_rng
 
 
 def rng_for(name):
@@ -590,7 +589,7 @@ COUNTS_OUT_OF_RANGE = [
     pytest.param(lambda: Poset.subsets(-3), _NOT_AN_INT, id="subsets(-3)"),
     pytest.param(lambda: AntichainForm(True, [[0]]), _NOT_AN_INT, id="AntichainForm(True)"),
     pytest.param(lambda: AntichainForm(2.0, [[0]]), _NOT_AN_INT, id="AntichainForm(2.0)"),
-    pytest.param(lambda: AntichainForm.generator(0.0, 2), "bad index set", id="generator(0.0)"),
+    pytest.param(lambda: AntichainForm(2, [[0.0]]), "bad index set", id="AntichainForm([[0.0]])"),
     pytest.param(lambda: CoveringSet.basic(1.0, 0), _NOT_AN_INT, id="basic(1.0)"),
     pytest.param(lambda: covering_generators(1.5), _NOT_AN_INT, id="covering_generators(1.5)"),
     pytest.param(lambda: UpSet(-1, []), _NOT_AN_INT, id="UpSet(-1)"),
@@ -614,6 +613,39 @@ def test_counts_and_indices_are_read_as_ints(call, words):
         call()
 
 
+def test_an_integral_that_is_no_int_reads_as_its_int():
+    class Count(int):
+        pass
+
+    value = _index(Count(3), "count", 0)
+    assert value == 3 and type(value) is int
+    assert Poset.chain(Count(3)).labels == [0, 1, 2]
+
+
+# Each call hands a poset or an index-set family an argument that is no
+# sequence of the right values, with the words that refuse it.
+_LABELS = "labels are not a sequence of hashable values"
+_PAIRS = "pairs are not a sequence of label pairs"
+_FAMILY = "family is not a sequence of index sets"
+SHAPES_REFUSED = [
+    pytest.param(lambda: Poset(5), _LABELS, id="Poset(5)"),
+    pytest.param(lambda: Poset([[0]]), _LABELS, id="Poset([[0]])"),
+    pytest.param(lambda: Poset(["a"], 5), _PAIRS, id="pairs 5"),
+    pytest.param(lambda: Poset(["a"], [("a",)]), _PAIRS, id="pair ('a',)"),
+    pytest.param(lambda: Poset(["a"], [("a", ["b"])]), _PAIRS, id="pair ('a', ['b'])"),
+    pytest.param(lambda: AntichainForm(2, 5), _FAMILY, id="AntichainForm(2, 5)"),
+    pytest.param(lambda: AntichainForm(2, [5]), _FAMILY, id="AntichainForm(2, [5])"),
+    pytest.param(lambda: CoveringSet(1, 5), _FAMILY, id="CoveringSet(1, 5)"),
+]
+
+
+@pytest.mark.parametrize("call, words", SHAPES_REFUSED)
+def test_arguments_of_the_wrong_shape_are_refused_by_name(call, words):
+    # a LatticeError in the constructor's words, not a TypeError from its loop
+    with pytest.raises(LatticeError, match="^%s$" % re.escape(words)):
+        call()
+
+
 def test_a_repeated_mask_counts_once():
     assert UpSet(2, [1, 1]) == UpSet(2, [1])
 
@@ -627,9 +659,9 @@ def test_antichain_form_validation():
         AntichainForm(2, [frozenset()])  # empty join
     with pytest.raises(LatticeError):
         AntichainForm(2, [frozenset({5})])  # index out of range
-    form = AntichainForm.pure_join({0, 2}, 3)
+    form = AntichainForm(3, [[0], [2]])
     assert form.render() == "g0 v g2"
-    meet = fdl_meet(AntichainForm.generator(0, 3), AntichainForm.generator(1, 3))
+    meet = fdl_meet(AntichainForm(3, [[0]]), AntichainForm(3, [[1]]))
     assert meet.render() == "g0^g1"
 
 
@@ -659,19 +691,19 @@ def test_fdl_lattice_axioms(x, y, z):
 
 
 @given(antichain_forms(), antichain_forms())
-def test_fdl_leq_is_an_order(x, y):
-    assert fdl_leq(x, x)
-    if fdl_leq(x, y) and fdl_leq(y, x):
+def test_fdl_order_is_a_partial_order(x, y):
+    assert x <= x
+    if x <= y and y <= x:
         assert x == y
-    assert fdl_leq(x, fdl_join(x, y))
-    assert fdl_leq(fdl_meet(x, y), x)
+    assert x <= fdl_join(x, y)
+    assert fdl_meet(x, y) <= x
 
 
 def _assert_operations_match_oracle(x, y):
     a, b = x.antichain, y.antichain
     assert fdl_join(x, y).antichain == antichain_join(a, b)
     assert fdl_meet(x, y).antichain == antichain_meet(a, b)
-    assert fdl_leq(x, y) == antichain_leq(a, b)
+    assert (x <= y) == antichain_leq(a, b)
 
 
 def test_fdl_operations_match_the_antichain_oracle_exhaustively():
@@ -748,8 +780,8 @@ def test_equal_joins_and_meets_hash_equal():
 
 @pytest.mark.parametrize("op", [operator.or_, operator.and_, operator.le])
 def test_up_sets_of_another_kind_or_size_do_not_combine(op):
-    form = AntichainForm.generator(0, 3)
-    for other in (AntichainForm.generator(0, 2), CoveringSet.basic(2, 0)):
+    form = AntichainForm(3, [[0]])
+    for other in (AntichainForm(2, [[0]]), CoveringSet.basic(2, 0)):
         for a, b in ((form, other), (other, form)):
             with pytest.raises(ValueError, match=re.escape("cannot combine %r with %r" % (a, b))):
                 op(a, b)
@@ -757,7 +789,7 @@ def test_up_sets_of_another_kind_or_size_do_not_combine(op):
 
 def test_a_free_lattice_element_is_no_covering_set():
     # the same up-set on three points, read as g0 and as V0
-    form, cover = AntichainForm.generator(0, 3), CoveringSet.basic(2, 0)
+    form, cover = AntichainForm(3, [[0]]), CoveringSet.basic(2, 0)
     assert form.up == cover.up and form.k == cover.k
     assert form != cover and cover != form
     assert len({form, cover}) == 2
@@ -792,7 +824,7 @@ def test_free_lattice_order_poset_matches_subsets(n):
 def test_criterion_accepts_free_generators():
     # g_i = {T : i in T} over the index sets T: the point T has type T
     for n in (2, 3):
-        gens = [AntichainForm.generator(i, n) for i in range(n)]
+        gens = [AntichainForm(n, [[i]]) for i in range(n)]
         types = [sum(1 << i for i, g in enumerate(gens) if g.up >> t & 1) for t in range(1 << n)]
         report = freeness_by_types(n, types)
         assert report.free
@@ -805,11 +837,13 @@ def test_criterion_accepts_free_generators():
         pytest.param([True, 2], "^type must be an integer, got True$", id="bool"),
         pytest.param([1, 2, 99, -4], "^type must be between 0 and 3, got 99$", id="range"),
         pytest.param([1.5, 2], "^type must be an integer, got 1.5$", id="float"),
+        pytest.param(5, "^types are not a sequence of masks$", id="no-sequence"),
     ],
 )
 def test_a_type_that_is_no_mask_is_refused_before_a_verdict(types, message):
     # each list holds 1 and 2, the two nonempty proper masks on two points,
-    # or a value that reads as one; read as it stands each gave a verdict
+    # or a value that reads as one; read as it stands each gave a verdict.
+    # types that are no sequence are a ValueError naming them, no TypeError
     with pytest.raises(ValueError, match=message):
         freeness_by_types(2, types)
 
@@ -861,7 +895,7 @@ def test_criterion_on_index_sets():
 
         report = check_freeness_criterion(
             k,
-            lambda I, J: AntichainForm.pure_join(I, k) <= AntichainForm.pure_join(J, k),
+            lambda I, J: AntichainForm(k, [[i] for i in I]) <= AntichainForm(k, [[j] for j in J]),
             irreducibility,
         )
         assert report.verdict == "FREE"
@@ -895,23 +929,15 @@ def test_random_poset_sampler_is_valid():
             assert p.leq(a, b) and not p.leq(b, a)
 
 
-def test_random_antichain_form_keeps_the_minimal_sets_of_its_draw():
-    # a replayed stream redraws the family; no draw may raise
-    rng, replay = rng_for("antichain-sampler"), rng_for("antichain-sampler")
-    for _ in range(1000):
-        form = random_antichain_form(rng, 4)
-        family = [
-            frozenset(replay.sample(range(4), replay.randint(1, 4)))
-            for _ in range(replay.randint(1, 3))
-        ]
-        assert form.antichain == minimal_sets(family)
-
-
 def test_poset_serialization():
     p = Poset.chain(3)
     dot = p.to_dot()
     assert "digraph" in dot and "->" in dot
     data = p.to_json()
     assert data["labels"] == [0, 1, 2]
+    # set labels are written as sorted lists
+    assert canonical_json(Poset.subsets(2).to_json()) == (
+        '{"labels":[[0],[1],[0,1]],"strict_pairs":[[0,2],[1,2]]}'
+    )
     chain = Poset(["c", "a", "b"], [("a", "b"), ("b", "c")])
     assert chain.to_json()["strict_pairs"] == [[1, 0], [1, 2], [2, 0]]

@@ -5,11 +5,7 @@ import random
 import pytest
 
 from oracles import randint_nonzero_scalar, randint_tensor_element
-from tqps.sampling import (
-    random_antichain_form,
-    random_nonzero_scalar,
-    random_poset,
-)
+from tqps.sampling import random_nonzero_scalar, random_poset
 from tqps.tensor_gluing import random_tensor_element
 
 
@@ -62,7 +58,6 @@ _NOT_COUNTS = (True, 1.5, "2")
         (random_tensor_element, {"min_terms": 3, "max_terms": 2}),
         (random_tensor_element, {"min_terms": 4}),
         *((random_poset, {"size": v}) for v in (*_NOT_COUNTS, -1)),
-        *((random_antichain_form, {"n_generators": v}) for v in (*_NOT_COUNTS, 0)),
     ],
     ids=lambda p: p.__name__ if callable(p) else repr(p),
 )

@@ -601,6 +601,15 @@ def test_slot_symbol_kills_matrix_units():
             slot_symbol(x, k)
 
 
+def test_symbol_and_lift_refuse_the_other_shape():
+    # the symbol reads a pure Toeplitz tensor, its section a circle tensor
+    circle = TensorElement.pure((("T", 1), ("u", 2)), circle_slot=2)
+    with pytest.raises(ValueError, match="^slot_symbol expects pure Toeplitz slots$"):
+        slot_symbol(circle, 1)
+    with pytest.raises(ValueError, match="^lift_circle expects a circle slot$"):
+        lift_circle(TensorElement.pure((("T", 1), ("T", 2))))
+
+
 def test_project_slots_idempotent_and_commuting():
     rng = rng_for("project")
     for _ in range(20):

@@ -119,6 +119,11 @@ def test_every_atom_product_is_graded():
                 assert atom_degree(atom) == atom_degree(a) + atom_degree(b), (a, b)
 
 
+def test_the_degree_of_an_unknown_atom_kind_is_refused():
+    with pytest.raises(ValueError, match=r"^unknown atom kind \('X', 1\)$"):
+        atom_degree(("X", 1))
+
+
 def test_cached_atom_products_are_the_signed_atom_products():
     # the tensor product reads its slots' products from the cache, as
     # int signs it never multiplies into a Scalar
