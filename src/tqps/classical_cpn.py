@@ -27,6 +27,7 @@ transition agreement at 1e-10.
 
 import cmath
 import itertools
+from numbers import Number
 from operator import sub
 
 from .order_lattice import (
@@ -51,10 +52,16 @@ def probe_point(a, n):
 
 def max_index_set(x):
     """Indices where |x_i| attains the maximum, up to MEMBERSHIP_TOL; a
-    modulus that is not finite, which max reads by position, or too large
-    for a float, which the tolerance cannot be subtracted from, raises
-    ValueError."""
-    mags = [abs(c) for c in x]
+    coordinate that is not a number, a modulus that is not finite, which
+    max reads by position, or one too large for a float, which the
+    tolerance cannot be subtracted from, raises ValueError."""
+    try:
+        mags = [abs(c) for c in x]
+    except TypeError:
+        for i, c in enumerate(x):
+            if not isinstance(c, Number):
+                raise ValueError("coordinate %d, %r, is not a number" % (i, c)) from None
+        raise
     try:
         finite = all(map(cmath.isfinite, mags))
     except OverflowError:
@@ -135,7 +142,9 @@ class ChartPoint:
     within TRANSITION_TOL of modulus 1, every other slot at most
     1 + TRANSITION_TOL.  Every test reads as "not ... <=", which refuses a
     NaN modulus, since NaN compares false both ways; a coordinate or
-    modulus past float range is refused with the kind of its slot.
+    modulus past float range is refused with the kind of its slot, and a
+    coordinate that is not a number, a string included, with its slot.  A
+    complex coordinate is taken as it is, with no conversion.
     """
 
     __slots__ = ("coords", "circle_slot")
@@ -149,7 +158,12 @@ class ChartPoint:
         out = []
         try:
             for s, c in enumerate(coords, start=1):
-                c = complex(c)
+                t = type(c)
+                if t is not complex:
+                    # complex() reads a string too, and only a string
+                    if t is not float and isinstance(c, str):
+                        raise TypeError
+                    c = complex(c)
                 if s == circle_slot:
                     if not abs(abs(c) - 1.0) <= TRANSITION_TOL:
                         raise ValueError("circle coordinate has modulus %r" % abs(c))
@@ -159,6 +173,9 @@ class ChartPoint:
         except OverflowError:
             kind = "circle" if s == circle_slot else "disc"
             raise ValueError("%s coordinate has a modulus past float range" % kind) from None
+        except TypeError:
+            kind = "circle" if s == circle_slot else "disc"
+            raise ValueError("%s coordinate %r in slot %d is not a number" % (kind, c, s)) from None
         self.coords = tuple(out)
         self.circle_slot = circle_slot
 

@@ -30,7 +30,8 @@ provably kills every kernel outside the index set and visibly does not
 kill the intersection itself.  _irreducibility_rows builds those rows in
 one walk over every (index set, chart, finer index set) entry; its
 sampled cross-check of the kills draws each kernel intersection's members
-once and shares them among every entry that reads that intersection.
+once, from one _kernel_members stream that reads its charts once, and
+shares them among every entry that reads that intersection.
 check_freeness_criterion reads both on index sets of generators, which
 differ from chart sets when generator_map reassigns a generator: the
 order as certified containment of one intersection in another, the
@@ -48,9 +49,9 @@ import operator
 from .order_lattice import FreenessReport, check_freeness_criterion
 from .tensor_gluing import (
     TensorElement,
+    _draws,
     glue,
     project_slots,
-    random_tensor_element,
     slot_for,
     slot_symbol,
     transition_representative,
@@ -282,10 +283,10 @@ def witness_xI(zero_charts, n, seed=DEFAULT_SEED):
     n = _index(n, "n", 1)
     zero_charts = frozenset(_charts(n, *_chart_collection(zero_charts, "zero_charts")))
     rng = derived_rng(seed, "compact-witness", n, sorted(zero_charts))
-    every_slot = range(1, n + 1)
-    x = random_tensor_element(rng, n, compact_slots=every_slot)
+    draws = _draws(rng, n, compact_slots=range(1, n + 1))
+    x = next(draws)
     while x.is_zero():
-        x = random_tensor_element(rng, n, compact_slots=every_slot)
+        x = next(draws)
     zero = TensorElement.zero(n)
     p = PullbackElement._trusted(tuple(zero if i in zero_charts else x for i in range(n + 1)))
     if not is_member(p):
@@ -323,31 +324,53 @@ def witness_TmI(m, charts, n):
     return T, frozenset(sigma_slots)
 
 
-def sample_kernel_intersection(rng, n, charts):
-    """Random member vanishing on every chart in `charts`.
+def _kernel_members(rng, n, charts):
+    """Stream of random members vanishing on every chart in `charts`, one
+    per next(), each drawn as sample_kernel_intersection draws it from rng.
 
-    Seeds one free chart with a random tensor whose slots tracking
-    `charts` are forced to matrix units, then completes by extension; the
-    completion vanishes on `charts` because its constraints there do.  n
-    and each chart are read before the first draw.
+    n and each chart are read once, on the first next() and before its
+    first draw.  Each member picks a free chart with randrange, seeds it
+    from that chart's _draws stream, opened on rng the first time the chart
+    is picked, with the slots tracking `charts` forced to matrix units, and
+    completes by extension; the completion vanishes on `charts` because its
+    constraints there do, which each member checks.
     """
     n = _index(n, "n", 1)
     charts = _chart_collection(charts, "charts", frozenset)
-    for c in charts:  # in line, not _charts: a freeness request samples hundreds of times
+    for c in charts:  # a set has no duplicate for _charts to refuse
         if not (type(c) is int and 0 <= c <= n):
             raise ValueError("chart index must be an integer between 0 and %d, got %r" % (n, c))
     free = sorted(set(range(n + 1)) - charts)
     if not free:
-        return PullbackElement.zero(n)
-    m0 = free[rng.randrange(len(free))]
-    forced = {slot_for(m0, c) for c in charts}
-    y = random_tensor_element(rng, n, compact_slots=forced)
-    partial = dict.fromkeys(charts, TensorElement.zero(n))
-    partial[m0] = y
-    p = extend(partial, n)
-    if not all(p.components[c].is_zero() for c in charts):
-        raise ExtensionError("completion does not vanish on charts %s" % sorted(charts))
-    return p
+        while True:
+            yield PullbackElement.zero(n)
+    randrange, count = rng.randrange, len(free)
+    zero, streams = TensorElement.zero(n), {}
+    while True:
+        m0 = free[randrange(count)]
+        draws = streams.get(m0)
+        if draws is None:
+            forced = {slot_for(m0, c) for c in charts}
+            draws = streams[m0] = _draws(rng, n, compact_slots=forced)
+        partial = dict.fromkeys(charts, zero)
+        partial[m0] = next(draws)
+        p = extend(partial, n)
+        if not all(p.components[c].is_zero() for c in charts):
+            raise ExtensionError("completion does not vanish on charts %s" % sorted(charts))
+        yield p
+
+
+def sample_kernel_intersection(rng, n, charts):
+    """Random member vanishing on every chart in `charts`: one next() of a
+    fresh _kernel_members stream, so n and each chart are read before the
+    first draw.  A caller that draws many members of one intersection from
+    one rng holds one stream and has them read once.
+
+    Seeds one free chart with a random tensor whose slots tracking
+    `charts` are forced to matrix units, then completes by extension; the
+    completion vanishes on `charts` because its constraints there do.
+    """
+    return next(_kernel_members(rng, n, charts))
 
 
 def _generator_charts(n, generator_map):
@@ -365,8 +388,9 @@ def _irreducibility_rows(n, gmap, seed, samples):
     One walk over the (I, m, J) entries: chart m outside D = gmap(I) gets
     one witness_TmI and one extend, and each strict superset J of I one
     annihilation entry, filed under the chart set gmap(J) it samples.  Each
-    chart set then draws `samples` members once from its own derived
-    stream, and every entry filed under it counts the members that
+    chart set then draws `samples` members once from one _kernel_members
+    stream on its own derived rng, which reads the chart set once, before
+    its first draw, and every entry filed under it counts the members that
     project_slots at its sigma keeps alive, so entries reading one chart
     set share their members.  A row is ok when its witness survives the
     projection, no other generator lands inside D and no sample failed.
@@ -407,9 +431,9 @@ def _irreducibility_rows(n, gmap, seed, samples):
                 }
             )
     for DJ, entries in readers.items():
-        rng = derived_rng(seed, "annihilation", n, sorted(DJ))
+        members = _kernel_members(derived_rng(seed, "annihilation", n, sorted(DJ)), n, DJ)
         for _ in range(samples):
-            y = sample_kernel_intersection(rng, n, DJ)
+            y = next(members)
             for entry, m, sigma in entries:
                 if not project_slots(y.components[m], sigma).is_zero():
                     entry["failures"] += 1

@@ -44,6 +44,12 @@ injectively, so none validates its result again; TensorElement._trusted
 states when that is sound.  Every circle move, glue's included, is one call
 of _move_circle, which holds the relocation checks; the symbol, its
 section, the projection and the adjoint are each one loop of their own.
+
+random_tensor_element draws seeded random elements.  It is one next() of
+_draws, a stream that checks each argument and builds its plan once, before
+its first draw, then draws one element per next().  Every check that draws
+many elements from one rng holds one stream, which draws the same values
+from the same random stream as one random_tensor_element call per element.
 """
 
 from functools import lru_cache
@@ -429,26 +435,14 @@ def phi(x, i, j, k):
 RANDOM_BOUND = 3
 
 
-def random_tensor_element(
-    rng,
-    n_slots,
-    circle_slot=None,
-    min_terms=1,
-    max_terms=3,
-    compact_slots=(),
-):
-    """Seeded random element: uniform degrees in [-RANDOM_BOUND, RANDOM_BOUND],
-    matrix unit indices in [0, RANDOM_BOUND]^2, min_terms..max_terms terms
-    drawn (1..3 by default) before like terms are collected.
-    compact_slots forces a matrix unit in those slots of every term; each
-    must be a Toeplitz slot.  The shape, the slots and the term counts are
-    checked before the first draw.
-
-    Each bounded int is drawn as rng.randint draws it: getrandbits of the
-    width's bit length, redrawn while at least the width.  So the values
-    and the stream consumed are those of randint, and seeded reports and
-    their golden hashes stay byte-identical, without randint's three frames
-    per draw.
+def _draws(rng, n_slots, circle_slot=None, min_terms=1, max_terms=3, compact_slots=()):
+    """Stream of seeded random elements, one per next(), each drawn as
+    random_tensor_element draws it from rng.  The shape, the slots and the
+    term counts are checked, and the plan built, once, on the first next()
+    and before its first draw, so a refused argument leaves rng untouched.
+    A stream draws from rng only inside next(), so streams opened on one rng
+    interleave: each next() consumes exactly what one random_tensor_element
+    call would at that point.
     """
     shape = _shape(n_slots, circle_slot)
     n_slots, circle_slot = shape
@@ -466,29 +460,57 @@ def random_tensor_element(
     degrees, indices, count = 2 * b + 1, b + 1, max_terms - min_terms + 1
     degree_bits, index_bits, count_bits = degrees.bit_length(), indices.bit_length(), count.bit_length()
     getrandbits, coin, scalar = rng.getrandbits, rng.random, sampling.random_nonzero_scalar
-    terms = getrandbits(count_bits)
-    while terms >= count:
+    trusted = TensorElement._trusted
+    while True:
         terms = getrandbits(count_bits)
-    pairs = []
-    for _ in range(min_terms + terms):
-        atoms = []
-        for kind in plan:
-            if kind == "E" or kind == "T" and coin() >= 0.5:
-                j = getrandbits(index_bits)
-                while j >= indices:
+        while terms >= count:
+            terms = getrandbits(count_bits)
+        pairs = []
+        for _ in range(min_terms + terms):
+            atoms = []
+            for kind in plan:
+                if kind == "E" or kind == "T" and coin() >= 0.5:
                     j = getrandbits(index_bits)
-                k = getrandbits(index_bits)
-                while k >= indices:
+                    while j >= indices:
+                        j = getrandbits(index_bits)
                     k = getrandbits(index_bits)
-                atoms.append(("E", j, k))
-            else:
-                d = getrandbits(degree_bits)
-                while d >= degrees:
+                    while k >= indices:
+                        k = getrandbits(index_bits)
+                    atoms.append(("E", j, k))
+                else:
                     d = getrandbits(degree_bits)
-                atoms.append((kind, d - b))
-        pairs.append((tuple(atoms), scalar(rng)))
-    # keys of valid atoms for the checked shape, summed through collect
-    return TensorElement._trusted(collect(pairs), shape)
+                    while d >= degrees:
+                        d = getrandbits(degree_bits)
+                    atoms.append((kind, d - b))
+            pairs.append((tuple(atoms), scalar(rng)))
+        # keys of valid atoms for the checked shape, summed through collect
+        yield trusted(collect(pairs), shape)
+
+
+def random_tensor_element(
+    rng,
+    n_slots,
+    circle_slot=None,
+    min_terms=1,
+    max_terms=3,
+    compact_slots=(),
+):
+    """Seeded random element: uniform degrees in [-RANDOM_BOUND, RANDOM_BOUND],
+    matrix unit indices in [0, RANDOM_BOUND]^2, min_terms..max_terms terms
+    drawn (1..3 by default) before like terms are collected.
+    compact_slots forces a matrix unit in those slots of every term; each
+    must be a Toeplitz slot.  It is one next() of a fresh _draws stream, so
+    the shape, the slots and the term counts are checked before the first
+    draw; a caller that draws many elements from one rng holds one stream
+    and has them checked once.
+
+    Each bounded int is drawn as rng.randint draws it: getrandbits of the
+    width's bit length, redrawn while at least the width.  So the values
+    and the stream consumed are those of randint, and seeded reports and
+    their golden hashes stay byte-identical, without randint's three frames
+    per draw.
+    """
+    return next(_draws(rng, n_slots, circle_slot, min_terms, max_terms, compact_slots))
 
 
 # Non-ordered triples the cocycle check also runs: an ordered triple i < k < j
@@ -505,27 +527,25 @@ def psi_involution_check(n, samples=1000, seed=DEFAULT_SEED):
     """
     n, samples = _index(n, "n", 1), _index(samples, "samples", 0)
     failures = []
-    checked = 0
-
-    def check(x):
-        nonlocal checked
-        checked += 1
-        if psi(psi(x)) != x:
-            failures.append(x.to_json())
-
     # shift and circle degrees in [-3, 3], matrix unit indices in [0, 3]:
     # 23^(n-1) * 7 atoms
     b = RANDOM_BOUND
     degrees = range(-b, b + 1)
     atoms = [("T", a) for a in degrees] + [("E", j, k) for j in range(b + 1) for k in range(b + 1)]
+    circles = [("u", h) for h in degrees]
     # one key per tensor, valid for the shape (n slots, circle at n)
-    shape = (n, n)
+    shape, trusted = (n, n), TensorElement._trusted
     for prefix in product(atoms, repeat=n - 1):
-        for h in degrees:
-            check(TensorElement._trusted({prefix + (("u", h),): ONE}, shape))
-    rng = derived_rng(seed, "psi", n)
+        for circle in circles:
+            x = trusted({prefix + (circle,): ONE}, shape)
+            if psi(psi(x)) != x:
+                failures.append(x.to_json())
+    draws = _draws(derived_rng(seed, "psi", n), n, n)
     for _ in range(samples):
-        check(random_tensor_element(rng, n, circle_slot=n))
+        x = next(draws)
+        if psi(psi(x)) != x:
+            failures.append(x.to_json())
+    checked = len(atoms) ** (n - 1) * len(circles) + samples
     return {
         "schema": 1,
         "check": "gluing-involution",
@@ -563,8 +583,9 @@ def kernel_image_check(n, i, j, k, samples=50, seed=DEFAULT_SEED):
     for source, target in ((i, j), (j, i)):
         kernel_slot = slot_for(source, k)
         rng = derived_rng(seed, "kernel-image", n, i, j, k, source)
+        draws = _draws(rng, n, compact_slots={kernel_slot})
         for idx in range(samples):
-            x = random_tensor_element(rng, n, compact_slots={kernel_slot})
+            x = next(draws)
             # the lower chart's side of the gluing is the bare symbol
             if source < target:
                 image = slot_symbol(x, slot_for(source, target))
@@ -617,9 +638,12 @@ def cocycle_check(n, samples=100, seed=DEFAULT_SEED):
     )
     failures = []
     for i, j, k in triples:
+        # two streams on the triple's one rng, each drawing where it is read
         rng = derived_rng(seed, "cocycle", n, i, j, k)
+        kernel_slot = min(slot_for(j, i), slot_for(j, k))
+        xs, noises = _draws(rng, n), _draws(rng, n, compact_slots={kernel_slot})
         for s in range(samples):
-            x = random_tensor_element(rng, n)
+            x = next(xs)
             lhs = phi(x, i, j, k)
             rhs = phi(phi(x, k, j, i), i, k, j)
             if lhs != rhs:
@@ -627,9 +651,7 @@ def cocycle_check(n, samples=100, seed=DEFAULT_SEED):
                     {"triple": [i, j, k], "sample": s, "reason": "cocycle violated"}
                 )
                 continue
-            kernel_slot = min(slot_for(j, i), slot_for(j, k))
-            noise = random_tensor_element(rng, n, compact_slots={kernel_slot})
-            raw = transition_representative(x + noise, i, j)
+            raw = transition_representative(x + next(noises), i, j)
             perturbed = project_slots(raw, (slot_for(i, j), slot_for(i, k)))
             if perturbed != lhs:
                 failures.append(

@@ -89,8 +89,9 @@ def test_04_gluing_map_is_an_involution():
         report = psi_involution_check(n, samples=1000)
         assert report["passed"] is True, report["failures"][:3]
         assert report["failures"] == []
-        # the sweep covers the exhaustive atom grid plus the seeded samples
-        assert report["atoms_and_samples"] > 1000
+        # the sweep covers the exhaustive atom grid, 23 Toeplitz atoms per
+        # slot and 7 circle atoms, plus the seeded samples
+        assert report["atoms_and_samples"] == 23 ** (n - 1) * 7 + 1000
 
 
 def test_05_kernel_images_exchange_under_every_transition():

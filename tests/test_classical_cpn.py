@@ -174,6 +174,27 @@ def test_a_coordinate_past_float_range_is_refused_by_slot_kind(coords, slot, kin
         ChartPoint(coords, slot)
 
 
+def test_a_string_coordinate_is_refused_by_slot():
+    # complex() would read it as a number
+    with pytest.raises(ValueError, match=r"^disc coordinate '0.5' in slot 1 is not a number$"):
+        ChartPoint(["0.5", "1"], 2)
+
+
+def test_a_coordinate_that_is_no_number_is_refused_by_slot():
+    with pytest.raises(ValueError, match="^disc coordinate None in slot 1 is not a number$"):
+        ChartPoint([None, 1], 2)
+    with pytest.raises(ValueError, match="^circle coordinate None in slot 2 is not a number$"):
+        ChartPoint([0.5, None], 2)
+
+
+def test_a_point_with_a_coordinate_that_is_no_number_has_no_peak_set():
+    message = "^coordinate 0, 'a', is not a number$"
+    with pytest.raises(ValueError, match=message):
+        max_index_set(["a", 1])
+    with pytest.raises(ValueError, match=message):
+        CoveringSet.basic(1, 0).contains_point(["a", 1])
+
+
 def test_chart_points_compare_by_slot_and_coordinates():
     p = ChartPoint([0.5, 1.0], 2)
     assert p == ChartPoint((0.5 + 0j, 1), 2)

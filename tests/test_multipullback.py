@@ -6,6 +6,7 @@ import operator
 import pytest
 
 from mutants import MUTANTS
+from oracles import randint_tensor_element
 
 from tqps import multipullback, order_lattice, tensor_gluing
 from tqps.classical_cpn import classical_freeness
@@ -599,6 +600,34 @@ def test_kernel_ideal_sampling():
     assert sample_kernel_intersection(rng, 2, {0, 1, 2}).is_zero()
 
 
+def _randrange_member(rng, n, charts):
+    """sample_kernel_intersection drawn through randrange and randint: a
+    free chart, its tensor with the slots tracking `charts` forced to
+    matrix units, and the extension."""
+    free = sorted(set(range(n + 1)) - charts)
+    if not free:
+        return PullbackElement.zero(n)
+    m0 = free[rng.randrange(len(free))]
+    partial = dict.fromkeys(charts, TensorElement.zero(n))
+    partial[m0] = randint_tensor_element(rng, n, compact_slots={slot_for(m0, c) for c in charts})
+    return extend(partial, n)
+
+
+def test_one_member_stream_draws_what_one_call_per_member_draws():
+    # every chart set up to four charts, the empty and the full one too
+    for n in (1, 2, 3):
+        for r in range(n + 2):
+            for charts in map(frozenset, itertools.combinations(range(n + 1), r)):
+                name = "member-stream-%d-%s" % (n, sorted(charts))
+                rng, calls, ref = rng_for(name), rng_for(name), rng_for(name)
+                members = multipullback._kernel_members(rng, n, charts)
+                for _ in range(4):
+                    p = next(members)
+                    assert p == sample_kernel_intersection(calls, n, charts)
+                    assert p == _randrange_member(ref, n, charts)
+                    assert rng.getstate() == calls.getstate() == ref.getstate()
+
+
 @pytest.mark.parametrize(
     "n, charts, message",
     [
@@ -675,11 +704,12 @@ def test_freeness_past_the_old_cap_of_four():
 def test_freeness_draws_each_intersection_once(monkeypatch):
     drawn = []
     calls = {"witness_TmI": 0, "witness_xI": 0}
-    sample = multipullback.sample_kernel_intersection
+    members = multipullback._kernel_members
 
     def counted(rng, n, charts):
-        drawn.append(frozenset(charts))
-        return sample(rng, n, charts)
+        for p in members(rng, n, charts):
+            drawn.append(frozenset(charts))
+            yield p
 
     def counting(name):
         real = getattr(multipullback, name)
@@ -690,7 +720,7 @@ def test_freeness_draws_each_intersection_once(monkeypatch):
 
         monkeypatch.setattr(multipullback, name, call)
 
-    monkeypatch.setattr(multipullback, "sample_kernel_intersection", counted)
+    monkeypatch.setattr(multipullback, "_kernel_members", counted)
     counting("witness_TmI")
     counting("witness_xI")
     evidence = verify_freeness(2, samples=5)
@@ -713,10 +743,11 @@ def test_freeness_draws_each_intersection_once(monkeypatch):
 
 
 def test_a_sample_the_projection_keeps_refutes_irreducibility(monkeypatch):
-    def unit_sample(rng, n, charts):
-        return PullbackElement.unit(n)
+    def unit_members(rng, n, charts):
+        while True:
+            yield PullbackElement.unit(n)
 
-    monkeypatch.setattr(multipullback, "sample_kernel_intersection", unit_sample)
+    monkeypatch.setattr(multipullback, "_kernel_members", unit_members)
     evidence = verify_freeness(2, samples=5)
     assert evidence.verdict == "NOT_FREE"
     witness = evidence.bundle["witness"]

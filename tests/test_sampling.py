@@ -6,7 +6,7 @@ import pytest
 
 from oracles import randint_nonzero_scalar, randint_tensor_element
 from tqps.sampling import random_nonzero_scalar, random_poset
-from tqps.tensor_gluing import random_tensor_element
+from tqps.tensor_gluing import _draws, random_tensor_element
 
 
 def _configs():
@@ -33,6 +33,30 @@ def test_tensor_draws_are_the_randint_draws():
             n, c, compact, (low, high) = _CONFIGS[(3 * seed + t) % len(_CONFIGS)]
             x = random_tensor_element(rng, n, c, low, high, compact)
             assert x == randint_tensor_element(ref, n, c, low, high, compact)
+            assert rng.getstate() == ref.getstate()
+
+
+def test_one_stream_draws_what_one_call_per_draw_draws():
+    # each next() is one randint draw, and the stream is left where the
+    # draws leave it, in every configuration
+    for seed, (n, c, compact, (low, high)) in enumerate(_CONFIGS):
+        rng, ref = random.Random(seed), random.Random(seed)
+        draws = _draws(rng, n, c, low, high, compact)
+        for _ in range(4):
+            assert next(draws) == randint_tensor_element(ref, n, c, low, high, compact)
+            assert rng.getstate() == ref.getstate()
+
+
+def test_two_streams_on_one_rng_draw_what_interleaved_calls_draw():
+    # as cocycle_check holds them: an x stream and a noise stream on one
+    # rng, the noise drawn only for some of the xs
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        xs, noises = _draws(rng, 3), _draws(rng, 3, compact_slots={2})
+        for t in range(6):
+            assert next(xs) == randint_tensor_element(ref, 3)
+            if (seed + t) % 3:
+                assert next(noises) == randint_tensor_element(ref, 3, compact_slots={2})
             assert rng.getstate() == ref.getstate()
 
 
@@ -75,3 +99,24 @@ def test_empty_counts_are_drawn():
     rng = random.Random(7)
     assert random_tensor_element(rng, 2, min_terms=0, max_terms=0).is_zero()
     assert random_poset(rng, 0).labels == []
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        ((0,), {}),
+        ((3, 4), {}),
+        ((2,), {"compact_slots": {3}}),
+        ((2, 1), {"compact_slots": {1}}),
+        ((2,), {"compact_slots": {True}}),
+        ((2,), {"min_terms": 3, "max_terms": 2}),
+        ((2,), {"max_terms": 1.5}),
+    ],
+)
+def test_a_stream_refuses_a_bad_argument_on_its_first_next_before_drawing(args, kwargs):
+    rng = random.Random(7)
+    state = rng.getstate()
+    draws = _draws(rng, *args, **kwargs)  # opening a stream reads nothing
+    with pytest.raises(ValueError):
+        next(draws)
+    assert rng.getstate() == state

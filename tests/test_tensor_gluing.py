@@ -707,6 +707,36 @@ def test_involution_check_report():
     assert report["n"] == 2
 
 
+def test_involution_sweep_at_four_charts():
+    # 23^3 Toeplitz prefixes times 7 circle atoms
+    report = psi_involution_check(4, samples=0)
+    assert report["passed"] is True
+    assert report["atoms_and_samples"] == 23**3 * 7 == 85169
+
+
+def test_kernel_image_check_checks_one_stream_per_source(monkeypatch):
+    # a count, not a timing: each source's stream checks its shape once,
+    # before its first draw, not once per draw
+    opened, shapes = [], []
+    draws, shape = tensor_gluing._draws, tensor_gluing._shape
+
+    def counted_draws(rng, *args, **kwargs):
+        opened.append(kwargs["compact_slots"])
+        return draws(rng, *args, **kwargs)
+
+    def counted_shape(*args):
+        shapes.append(args)
+        return shape(*args)
+
+    monkeypatch.setattr(tensor_gluing, "_draws", counted_draws)
+    monkeypatch.setattr(tensor_gluing, "_shape", counted_shape)
+    report = kernel_image_check(3, 0, 1, 2, samples=5)
+    assert report["passed"] is True
+    # the kernel slot of chart 2 seen from source 0, then from source 1
+    assert opened == [{2}, {2}]
+    assert shapes == [(3, None)] * 2
+
+
 def test_kernel_image_check_all_triples():
     for n in (2,):
         for i in range(n + 1):
