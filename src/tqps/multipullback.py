@@ -391,9 +391,10 @@ def _irreducibility_rows(n, gmap, seed, samples):
     chart set then draws `samples` members once from one _kernel_members
     stream on its own derived rng, which reads the chart set once, before
     its first draw, and every entry filed under it counts the members that
-    project_slots at its sigma keeps alive, so entries reading one chart
-    set share their members.  A row is ok when its witness survives the
-    projection, no other generator lands inside D and no sample failed.
+    project_slots at its sigma keeps alive, so entries reading one chart set
+    share their members; a member is zero at each chart of its set, and a
+    zero component is not projected.  A row is ok when its witness survives
+    the projection, no other generator lands inside D and no sample failed.
     """
     gens = range(n + 1)
     index_sets = [frozenset(c) for r in range(1, n + 2) for c in itertools.combinations(gens, r)]
@@ -435,7 +436,8 @@ def _irreducibility_rows(n, gmap, seed, samples):
         for _ in range(samples):
             y = next(members)
             for entry, m, sigma in entries:
-                if not project_slots(y.components[m], sigma).is_zero():
+                component = y.components[m]
+                if component.terms and project_slots(component, sigma).terms:
                     entry["failures"] += 1
     for row in itertools.chain.from_iterable(rows.values()):
         # set once every sample is in, as the row's last field

@@ -44,6 +44,9 @@ injectively, so none validates its result again; TensorElement._trusted
 states when that is sound.  Every circle move, glue's included, is one call
 of _move_circle, which holds the relocation checks; the symbol, its
 section, the projection and the adjoint are each one loop of their own.
+Per call, each map reads x.shape, never the n_slots or circle_slot
+property, builds its result through _trusted, TensorElement._trusted bound
+once at module level, and passes _move_circle its flags by position.
 
 random_tensor_element draws seeded random elements.  It is one next() of
 _draws, a stream that checks each argument and builds its plan once, before
@@ -234,11 +237,7 @@ class TensorElement:
         return TensorElement._trusted(terms, self.shape)
 
     def __repr__(self):
-        return "TensorElement(%d, circle=%r, %d terms)" % (
-            self.n_slots,
-            self.circle_slot,
-            len(self.terms),
-        )
+        return "TensorElement(%d, circle=%r, %d terms)" % (*self.shape, len(self.terms))
 
     def render(self):
         return _render_terms(
@@ -255,6 +254,9 @@ class TensorElement:
                 for atoms, c in sorted(self.terms.items())
             ],
         }
+
+
+_trusted = TensorElement._trusted
 
 
 def _move_circle(x, src, dst, name, reflect=False, symbol=False):
@@ -280,7 +282,6 @@ def _move_circle(x, src, dst, name, reflect=False, symbol=False):
         raise ValueError("%s expects the circle slot at position %r" % (name, src))
     if not 1 <= dst <= n_slots:
         raise ValueError("%s: target slot %r out of range" % (name, dst))
-    reflect = reflect or symbol
     cut, at = src - 1, dst - 1
     terms = {}
     for atoms, c in x.terms.items():
@@ -288,7 +289,7 @@ def _move_circle(x, src, dst, name, reflect=False, symbol=False):
         if symbol and circle[0] == "E":
             continue
         rest = atoms[:cut] + atoms[src:]
-        if reflect:
+        if reflect or symbol:
             # atom_degree summed in line: every slot of rest is Toeplitz,
             # and a circle atom, or the shift that symbol reads as one,
             # holds its exponent at index 1
@@ -298,17 +299,17 @@ def _move_circle(x, src, dst, name, reflect=False, symbol=False):
             circle = ("u", -h)
         terms[rest[:at] + (circle,) + rest[at:]] = c
     # the symbol, the slot permutation and the reflection are injective
-    return TensorElement._trusted(terms, (n_slots, dst))
+    return _trusted(terms, (n_slots, dst))
 
 
 def chi(x, j):
     """Relocate the trailing circle slot to position j, keeping Toeplitz order."""
-    return _move_circle(x, x.n_slots, _index(j, "chi: target slot"), "chi")
+    return _move_circle(x, x.shape[0], _index(j, "chi: target slot"), "chi")
 
 
 def chi_inv(x, j):
     """Relocate the circle slot from position j back to the end."""
-    return _move_circle(x, _index(j, "chi_inv: circle slot"), x.n_slots, "chi_inv")
+    return _move_circle(x, _index(j, "chi_inv: circle slot"), x.shape[0], "chi_inv")
 
 
 def psi(x):
@@ -317,8 +318,8 @@ def psi(x):
     Replaces the circle exponent h of each term by -(d + h), d the total
     degree of the Toeplitz slots.  Applying it twice is the identity.
     """
-    n = x.n_slots
-    return _move_circle(x, n, n, "psi", reflect=True)
+    n = x.shape[0]
+    return _move_circle(x, n, n, "psi", True)
 
 
 def psi_ij(x, i, j):
@@ -329,49 +330,47 @@ def psi_ij(x, i, j):
     total degree of the Toeplitz slots, which no relocation changes.
     """
     i, j = _index(i, "psi_ij: i"), _index(j, "psi_ij: j")
-    if not 0 <= i < j <= x.n_slots:
+    if not 0 <= i < j <= x.shape[0]:
         raise ValueError("psi_ij: need 0 <= i < j <= slot count")
-    return _move_circle(x, i + 1, j, "psi_ij", reflect=True)
+    return _move_circle(x, i + 1, j, "psi_ij", True)
 
 
 def psi_ij_inv(x, i, j):
     """Inverse of psi_ij: the circle slot moves from j back to i+1 and its
     exponent is reflected again, in one move."""
     i, j = _index(i, "psi_ij_inv: i"), _index(j, "psi_ij_inv: j")
-    if not 0 <= i < j <= x.n_slots:
+    if not 0 <= i < j <= x.shape[0]:
         raise ValueError("psi_ij_inv: need 0 <= i < j <= slot count")
-    return _move_circle(x, j, i + 1, "psi_ij_inv", reflect=True)
+    return _move_circle(x, j, i + 1, "psi_ij_inv", True)
 
 
 def slot_symbol(x, k):
     """Slotwise symbol map: kill matrix units in slot k, shifts become circle monomials."""
-    if x.circle_slot is not None:
+    n_slots, circle_slot = x.shape
+    if circle_slot is not None:
         raise ValueError("slot_symbol expects pure Toeplitz slots")
-    if type(k) is not int or not 1 <= k <= x.n_slots:
-        raise ValueError("slot must be an integer from 1 to %d, got %r" % (x.n_slots, k))
+    if type(k) is not int or not 1 <= k <= n_slots:
+        raise ValueError("slot must be an integer from 1 to %d, got %r" % (n_slots, k))
     cut = k - 1
+    terms = {}
+    for atoms, c in x.terms.items():
+        if atoms[cut][0] != "E":
+            terms[atoms[:cut] + (("u", atoms[cut][1]),) + atoms[k:]] = c
     # ("T", a) -> ("u", a) is injective; a matrix unit at k drops the term
-    return TensorElement._trusted(
-        {
-            atoms[:cut] + (("u", atoms[cut][1]),) + atoms[k:]: c
-            for atoms, c in x.terms.items()
-            if atoms[cut][0] != "E"
-        },
-        (x.n_slots, k),
-    )
+    return _trusted(terms, (n_slots, k))
 
 
 def lift_circle(x):
     """Linear section of the slotwise symbol: the circle slot becomes a shift slot."""
-    k = x.circle_slot
+    n_slots, k = x.shape
     if k is None:
         raise ValueError("lift_circle expects a circle slot")
     cut = k - 1
+    terms = {}
+    for atoms, c in x.terms.items():
+        terms[atoms[:cut] + (("T", atoms[cut][1]),) + atoms[k:]] = c
     # ("u", m) -> ("T", m) is injective
-    return TensorElement._trusted(
-        {atoms[:cut] + (("T", atoms[cut][1]),) + atoms[k:]: c for atoms, c in x.terms.items()},
-        (x.n_slots, None),
-    )
+    return _trusted(terms, (n_slots, None))
 
 
 def project_slots(x, slots):
@@ -382,13 +381,13 @@ def project_slots(x, slots):
     the terms with a matrix unit in slot s.
     """
     slots = _toeplitz_slots(slots, x.shape, "project")
-    if x.is_zero():
+    if not x.terms:
         return x  # no term to drop
     terms = x.terms
     for s in slots:
         terms = {atoms: c for atoms, c in terms.items() if atoms[s - 1][0] != "E"}
     # the kept keys stay as they are; no element edits its term map
-    return TensorElement._trusted(terms, x.shape)
+    return _trusted(terms, x.shape)
 
 
 def slot_for(side, idx):
@@ -408,7 +407,7 @@ def glue(x, src, dst):
     slots come from slot_for.  Two components at charts i and j agree when
     glue(comps[j], j, i) equals the symbol of comps[i] at slot_for(i, j).
     """
-    return _move_circle(x, slot_for(src, dst), slot_for(dst, src), "glue", symbol=True)
+    return _move_circle(x, slot_for(src, dst), slot_for(dst, src), "glue", True, True)
 
 
 def transition_representative(x, i, j):
@@ -425,7 +424,7 @@ def phi(x, i, j, k):
     the kernels of charts i and k, maps to its class over chart i.  Each
     class is its canonical tensor, x and the result projected at the two
     killed slots."""
-    i, j, k = _charts(x.n_slots, i, j, k)
+    i, j, k = _charts(x.shape[0], i, j, k)
     y = transition_representative(project_slots(x, (slot_for(j, i), slot_for(j, k))), i, j)
     return project_slots(y, (slot_for(i, j), slot_for(i, k)))
 
@@ -460,7 +459,6 @@ def _draws(rng, n_slots, circle_slot=None, min_terms=1, max_terms=3, compact_slo
     degrees, indices, count = 2 * b + 1, b + 1, max_terms - min_terms + 1
     degree_bits, index_bits, count_bits = degrees.bit_length(), indices.bit_length(), count.bit_length()
     getrandbits, coin, scalar = rng.getrandbits, rng.random, sampling.random_nonzero_scalar
-    trusted = TensorElement._trusted
     while True:
         terms = getrandbits(count_bits)
         while terms >= count:
@@ -484,7 +482,7 @@ def _draws(rng, n_slots, circle_slot=None, min_terms=1, max_terms=3, compact_slo
                     atoms.append((kind, d - b))
             pairs.append((tuple(atoms), scalar(rng)))
         # keys of valid atoms for the checked shape, summed through collect
-        yield trusted(collect(pairs), shape)
+        yield _trusted(collect(pairs), shape)
 
 
 def random_tensor_element(
@@ -534,10 +532,10 @@ def psi_involution_check(n, samples=1000, seed=DEFAULT_SEED):
     atoms = [("T", a) for a in degrees] + [("E", j, k) for j in range(b + 1) for k in range(b + 1)]
     circles = [("u", h) for h in degrees]
     # one key per tensor, valid for the shape (n slots, circle at n)
-    shape, trusted = (n, n), TensorElement._trusted
+    shape = (n, n)
     for prefix in product(atoms, repeat=n - 1):
         for circle in circles:
-            x = trusted({prefix + (circle,): ONE}, shape)
+            x = _trusted({prefix + (circle,): ONE}, shape)
             if psi(psi(x)) != x:
                 failures.append(x.to_json())
     draws = _draws(derived_rng(seed, "psi", n), n, n)

@@ -9,5 +9,5 @@ def test_verify_psi_reaches_the_gluing_and_no_product():
     assert ("tqps.tensor_gluing", "psi") in calls
     assert ("tqps.tensor_gluing", "_move_circle") in calls
     # a decorated def is found by its decorator line or its def line
-    assert ("tqps.tensor_gluing", "TensorElement.n_slots") in calls
+    assert ("tqps.tensor_gluing", "TensorElement._trusted") in calls
     assert ("tqps.tensor_gluing", "TensorElement.__mul__") not in calls

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import prod
 
 import pytest
@@ -622,18 +622,58 @@ def test_project_slots_idempotent_and_commuting():
 
 def test_project_slots_reads_the_slots_of_a_zero_tensor():
     # a tensor with no terms is its own projection, but only once its slots
-    # have been read: a slot off the shape or the circle slot still raises
+    # have been read: a slot off the shape or the circle slot still raises.
+    # verify_freeness counts a zero component as no failure without
+    # projecting it, which this makes sound on every slot set
     for n in (1, 2, 3):
-        zero = TensorElement.zero(n)
-        for slots in [(), (1,), tuple(range(1, n + 1))]:
-            assert project_slots(zero, slots) == zero
-        for bad in (0, n + 1, "1", True, 1.0):
-            with pytest.raises(ValueError, match="cannot project slot"):
-                project_slots(zero, (bad,))
-        circle_zero = TensorElement.zero(n, circle_slot=n)
-        with pytest.raises(ValueError, match="cannot project slot %d" % n):
-            project_slots(circle_zero, (n,))
-        assert project_slots(circle_zero, range(1, n)) == circle_zero
+        for circle_slot in (None, *range(1, n + 1)):
+            zero = TensorElement.zero(n, circle_slot)
+            toeplitz = [s for s in range(1, n + 1) if s != circle_slot]
+            for r in range(len(toeplitz) + 1):
+                for slots in combinations(toeplitz, r):
+                    out = project_slots(zero, slots)
+                    assert out.shape == zero.shape and out.terms == {}
+            for bad in (0, n + 1, "1", True, 1.0, circle_slot):
+                if bad is None:
+                    continue
+                with pytest.raises(ValueError, match="cannot project slot %r$" % (bad,)):
+                    project_slots(zero, (bad,))
+
+
+def test_the_maps_read_no_shape_property(monkeypatch):
+    # every map reads x.shape itself: with the n_slots and circle_slot
+    # properties refusing, each returns what it returns with them
+    n = 3
+    keys = [(("T", 1), ("E", 0, 1), ("T", -2)), (("E", 1, 0), ("T", 3), ("T", 0))]
+    flat = [TensorElement.pure(key, coeff=Scalar(2, -1)) for key in keys]
+    circle = {
+        c: [TensorElement.pure(key[: c - 1] + (("u", 2),) + key[c:], c) for key in keys]
+        for c in range(1, n + 1)
+    }
+    pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+    charts = range(n + 1)
+    calls = [lambda: psi(w) for w in circle[n]]
+    calls += [lambda w=w, j=j: chi(w, j) for w in circle[n] for j in range(1, n + 1)]
+    calls += [lambda w=w, j=j: chi_inv(w, j) for j in range(1, n + 1) for w in circle[j]]
+    calls += [lambda w=w, i=i, j=j: psi_ij(w, i, j) for i, j in pairs for w in circle[i + 1]]
+    calls += [lambda w=w, i=i, j=j: psi_ij_inv(w, i, j) for i, j in pairs for w in circle[j]]
+    calls += [lambda w=w: lift_circle(w) for c in circle for w in circle[c]]
+    for x in flat:
+        calls += [lambda x=x, k=k: slot_symbol(x, k) for k in range(1, n + 1)]
+        calls += [lambda x=x, s=s: project_slots(x, s) for s in ((), (1,), (2, 3), (1, 2, 3))]
+        calls += [lambda x=x, a=a: glue(x, *a) for a in permutations(charts, 2)]
+        calls += [lambda x=x, a=a: transition_representative(x, *a) for a in permutations(charts, 2)]
+        calls += [lambda x=x, a=a: phi(x, *a) for a in permutations(charts, 3)]
+    calls += [lambda w=w: project_slots(w, (1,)) for w in circle[n]]
+    expected = [(y.shape, y.terms) for y in (call() for call in calls)]
+    assert any(terms for _, terms in expected)
+
+    def refuse(self):
+        raise AssertionError("a map read a shape property")
+
+    monkeypatch.setattr(TensorElement, "n_slots", property(refuse))
+    monkeypatch.setattr(TensorElement, "circle_slot", property(refuse))
+    assert [(y.shape, y.terms) for y in (call() for call in calls)] == expected
 
 
 def test_slot_for_table():
