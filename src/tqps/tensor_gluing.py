@@ -82,13 +82,16 @@ def _shape(n_slots, circle_slot):
 
 def _toeplitz_slots(slots, shape, what):
     """slots as a set; raises ValueError, saying what it cannot do to the
-    slot, unless each is a Toeplitz slot of the shape."""
-    slots = set(slots)
+    slot, unless each is a Toeplitz slot of the shape.  Each slot is checked
+    before it joins the set, so a bool or float equal to a valid slot is
+    refused, not merged into it."""
     n_slots, circle_slot = shape
+    out = set()
     for s in slots:
         if type(s) is not int or not 1 <= s <= n_slots or s == circle_slot:
             raise ValueError("cannot %s slot %r" % (what, s))
-    return slots
+        out.add(s)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -522,6 +525,17 @@ def psi_involution_check(n, samples=1000, seed=DEFAULT_SEED):
 
     Works on tensors with n - 1 Toeplitz slots and a trailing circle slot,
     matching the gluing domain for the n-chart construction.
+
+    The sweep checks the atom tensors in batches: one tensor per choice of
+    the first n - 2 Toeplitz slots, whose terms are the 23 * 7 = 161 atom
+    keys with that prefix (the 7 circle atoms when n = 1), the r-th key
+    carrying the coefficient r.  psi is one _move_circle, which rewrites
+    each key on its own and keeps its coefficient, so a batch with
+    psi(psi(batch)) == batch passes every atom in it: a key that psi o psi
+    moved would carry its rank with it, and two keys it merged would lose
+    a term.  A batch that fails reruns its atoms one tensor each, so the
+    failures are those of the atom-by-atom sweep, in its order, whatever
+    psi does.
     """
     n, samples = _index(n, "n", 1), _index(samples, "samples", 0)
     failures = []
@@ -531,11 +545,19 @@ def psi_involution_check(n, samples=1000, seed=DEFAULT_SEED):
     degrees = range(-b, b + 1)
     atoms = [("T", a) for a in degrees] + [("E", j, k) for j in range(b + 1) for k in range(b + 1)]
     circles = [("u", h) for h in degrees]
-    # one key per tensor, valid for the shape (n slots, circle at n)
+    # a batch's keys are its prefix and each tail (the last Toeplitz atom,
+    # if any, and the circle), the r-th key ranked r
+    tails = list(product(atoms, circles)) if n > 1 else [(c,) for c in circles]
+    ranks = [Scalar(r) for r in range(1, len(tails) + 1)]
+    # keys valid for the shape (n slots, circle at n), nonzero ranks
     shape = (n, n)
-    for prefix in product(atoms, repeat=n - 1):
-        for circle in circles:
-            x = _trusted({prefix + (circle,): ONE}, shape)
+    for prefix in product(atoms, repeat=max(n - 2, 0)):
+        keys = [prefix + tail for tail in tails]
+        batch = _trusted(dict(zip(keys, ranks)), shape)
+        if psi(psi(batch)) == batch:
+            continue
+        for key in keys:
+            x = _trusted({key: ONE}, shape)
             if psi(psi(x)) != x:
                 failures.append(x.to_json())
     draws = _draws(derived_rng(seed, "psi", n), n, n)

@@ -13,13 +13,16 @@ lattice check through every pair of both tables and an onto pass instead
 of one triangle and symmetry, the free-lattice listing through the
 upper-set search over the Boolean poset and a sort instead of a walk over
 antichains, freeness of a set family through the size of its closure
-instead of point types, and seeded samples through
-random.Random.randint instead of getrandbits.  Keeping these routes
+instead of point types, seeded samples through random.Random.randint
+instead of getrandbits, and the psi sweep one atom tensor at a time
+instead of one ranked batch per shared prefix.  Keeping these routes
 separate from the library is the point; do not fold them into src.
 """
 
+from itertools import product
 from operator import and_, or_
 
+from tqps import tensor_gluing
 from tqps.circle_hopf import Scalar, ZERO, collect
 from tqps.order_lattice import AntichainForm, LatticeError, Poset, upper_set_masks
 from tqps.sampling import _SCALAR_BOUND
@@ -116,6 +119,24 @@ def stepwise_psi(x):
         row = atoms[:-1] + (("u", -total),)
         out[row] = out.get(row, ZERO) + c
     return TensorElement(x.n_slots, x.n_slots, out)
+
+
+def atomwise_psi_failures(n):
+    """The psi sweep's failures found one atom tensor at a time: for every
+    key of n - 1 Toeplitz atoms (shifts, then matrix units) and a trailing
+    circle atom, in that order, the JSON of the one-term tensor with
+    coefficient 1 that psi applied twice does not give back.  It reads
+    tensor_gluing.psi on each call, so a patched psi is the one swept."""
+    b = RANDOM_BOUND
+    degrees = range(-b, b + 1)
+    atoms = [("T", a) for a in degrees] + [("E", j, k) for j in range(b + 1) for k in range(b + 1)]
+    failures = []
+    for prefix in product(atoms, repeat=n - 1):
+        for h in degrees:
+            x = TensorElement(n, n, {prefix + (("u", h),): 1})
+            if tensor_gluing.psi(tensor_gluing.psi(x)) != x:
+                failures.append(x.to_json())
+    return failures
 
 
 def stepwise_psi_ij(x, src, dst):

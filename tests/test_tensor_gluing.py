@@ -8,7 +8,14 @@ from math import prod
 import pytest
 
 import mutants
-from oracles import matrix_degree, slotwise_product, stepwise_glue, stepwise_psi, stepwise_psi_ij
+from oracles import (
+    atomwise_psi_failures,
+    matrix_degree,
+    slotwise_product,
+    stepwise_glue,
+    stepwise_psi,
+    stepwise_psi_ij,
+)
 from tqps import classical_cpn, multipullback, order_lattice, tensor_gluing
 from tqps.circle_hopf import I, Scalar, collect
 from tqps.classical_cpn import classical_freeness, transition_agreement
@@ -833,26 +840,72 @@ def _units_to_shifts(real):
     return mutant
 
 
-def test_psi_check_reports_a_shifted_circle(monkeypatch):
-    # any reflection h -> c - h is an involution, so the mutant shifts
-    # instead: it adds 1 to the circle exponent of every term
-    def shifted(x):
-        k = x.circle_slot
-        return TensorElement(
-            x.n_slots,
-            k,
-            [
-                (atoms[: k - 1] + (("u", atoms[k - 1][1] + 1),) + atoms[k:], c)
-                for atoms, c in x.terms.items()
-            ],
-        )
+def _shifted_circle(x):
+    """A psi mutant: it adds 1 to the circle exponent of every term.  Any
+    reflection h -> c - h is an involution, so the mutant shifts instead."""
+    k = x.circle_slot
+    return TensorElement(
+        x.n_slots,
+        k,
+        [
+            (atoms[: k - 1] + (("u", atoms[k - 1][1] + 1),) + atoms[k:], c)
+            for atoms, c in x.terms.items()
+        ],
+    )
 
-    monkeypatch.setattr(tensor_gluing, "psi", shifted)
+
+def _psi_then_tails(moves):
+    """A psi mutant: psi, then every key whose last two atoms are a key of
+    moves gets those two replaced by its value, each coefficient kept and
+    merged keys summed.  Each tail here has degree 0 and the circle u^0, so
+    a key ending in one is fixed by psi when its other slots have degree 0."""
+
+    def mutant(x):
+        y = psi(x)
+        pairs = [(key[:-2] + moves.get(key[-2:], key[-2:]), c) for key, c in y.terms.items()]
+        return TensorElement(y.n_slots, y.circle_slot, pairs)
+
+    return mutant
+
+
+_ZERO_TAILS = [(atom, ("u", 0)) for atom in (("T", 0), ("E", 0, 0), ("E", 1, 1), ("E", 2, 2))]
+
+PSI_MUTANTS = {
+    "shifted circle": _shifted_circle,
+    # a 4-cycle after psi, so psi o psi exchanges the 1st and 3rd tails and
+    # the 2nd and 4th
+    "exchanged keys": _psi_then_tails(dict(zip(_ZERO_TAILS, _ZERO_TAILS[1:] + _ZERO_TAILS[:1]))),
+    # psi o psi sends the 1st tail onto the 2nd, which it keeps
+    "merged keys": _psi_then_tails({_ZERO_TAILS[0]: _ZERO_TAILS[1]}),
+    "doubled coefficients": lambda x: psi(x).scale(2),
+}
+
+
+def test_psi_check_reports_a_shifted_circle(monkeypatch):
+    monkeypatch.setattr(tensor_gluing, "psi", _shifted_circle)
     report = psi_involution_check(1, samples=0)
     # the seven circle atoms u^-3..u^3, each moved by two
     assert report["atoms_and_samples"] == 7
     assert len(report["failures"]) == 7
     assert report["passed"] is False
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("mutant", [None, *PSI_MUTANTS])
+def test_psi_sweep_fails_the_atoms_the_atomwise_sweep_fails(monkeypatch, n, mutant):
+    # the sweep checks one ranked batch per prefix and reruns a failing
+    # batch atom by atom; its failures are the atom-by-atom sweep's, in
+    # order, at HEAD and under psi mutants that move, merge or rescale
+    # terms within a batch
+    if mutant is not None:
+        monkeypatch.setattr(tensor_gluing, "psi", PSI_MUTANTS[mutant])
+    expected = atomwise_psi_failures(n)
+    assert psi_involution_check(n, samples=0)["failures"] == expected
+    if mutant is None:
+        assert expected == []
+    elif n > 1 or mutant in ("shifted circle", "doubled coefficients"):
+        # each mutant fails some atom wherever its tails occur
+        assert expected
 
 
 def test_kernel_image_check_reports_a_term_off_the_ideal(monkeypatch):
@@ -1058,8 +1111,18 @@ def test_psi_sweep_atoms_are_canonical(monkeypatch):
 
     monkeypatch.setattr(tensor_gluing, "psi", checked_psi)
     assert psi_involution_check(2, samples=5)["passed"]
-    assert len(seen) == 2 * (23 * 7 + 5)
+    # one batch at n = 2, through psi twice, then the samples
+    assert len(seen) == 2 * (1 + 5)
     assert all(x.shape == (2, 2) for x in seen)
+    # the first pass sees each of the 161 atom keys once, the second each
+    # of their images under psi once
+    b = tensor_gluing.RANDOM_BOUND
+    degrees = range(-b, b + 1)
+    atoms = [("T", a) for a in degrees] + [("E", j, k) for j in range(b + 1) for k in range(b + 1)]
+    keys = {(atom, ("u", h)) for atom in atoms for h in degrees}
+    assert len(keys) == 23 * 7
+    assert set(seen[0].terms) == keys
+    assert set(seen[1].terms) == {next(iter(psi(TensorElement.pure(key, 2)).terms)) for key in keys}
 
 
 @pytest.mark.parametrize(
@@ -1083,6 +1146,9 @@ def test_psi_sweep_atoms_are_canonical(monkeypatch):
         lambda: random_tensor_element(rng_for("bad-shape"), 2, compact_slots={True}),
         lambda: project_slots(TensorElement.one(2), ("1", 2)),
         lambda: project_slots(TensorElement.one(2), (True, 2)),
+        lambda: project_slots(TensorElement.one(2), (1, True)),
+        lambda: project_slots(TensorElement.one(2), (2, 2.0)),
+        lambda: random_tensor_element(rng_for("bad-shape"), 2, compact_slots=(1, True)),
         lambda: TensorElement.one("3"),
         lambda: TensorElement.one(2.5),
     ],
