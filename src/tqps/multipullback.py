@@ -173,16 +173,6 @@ def _components(family, n=None):
     return comps
 
 
-def _chart_collection(charts, what, kind=tuple):
-    """charts read by kind, tuple or frozenset; raises ValueError naming the
-    argument `what` when kind cannot read it (an int, or a list for a set)."""
-    try:
-        return kind(charts)
-    except TypeError:
-        message = "%s must be a collection of chart indices, got %r" % (what, charts)
-        raise ValueError(message) from None
-
-
 def compatibility_failures(components):
     """Violated gluing constraints among the given chart components.
 
@@ -281,7 +271,7 @@ def witness_xI(zero_charts, n, seed=DEFAULT_SEED):
     projection and in no other.
     """
     n = _index(n, "n", 1)
-    zero_charts = frozenset(_charts(n, *_chart_collection(zero_charts, "zero_charts")))
+    zero_charts = frozenset(_charts(n, zero_charts, "zero_charts"))
     rng = derived_rng(seed, "compact-witness", n, sorted(zero_charts))
     draws = _draws(rng, n, compact_slots=range(1, n + 1))
     x = next(draws)
@@ -307,8 +297,10 @@ def witness_TmI(m, charts, n):
     alive, and the symbol at sigma composed with the projection to chart m
     kills the kernel of every chart projection outside `charts`.
     """
-    m, *charts = _charts(_index(n, "n", 1), m, *_chart_collection(charts, "charts"))
-    charts = frozenset(charts)
+    n = _index(n, "n", 1)
+    charts, m = frozenset(_charts(n, charts)), _index(m, "chart index", 0, n)
+    if m in charts:
+        raise ValueError("chart %d must lie outside charts %s" % (m, sorted(charts)))
     atoms = []
     sigma_slots = set()
     # slot_for(m, k) increases with k, so the atoms come out in slot order
@@ -336,10 +328,7 @@ def _kernel_members(rng, n, charts):
     constraints there do, which each member checks.
     """
     n = _index(n, "n", 1)
-    charts = _chart_collection(charts, "charts", frozenset)
-    for c in charts:  # a set has no duplicate for _charts to refuse
-        if not (type(c) is int and 0 <= c <= n):
-            raise ValueError("chart index must be an integer between 0 and %d, got %r" % (n, c))
+    charts = frozenset(_charts(n, charts))
     free = sorted(set(range(n + 1)) - charts)
     if not free:
         while True:
@@ -375,9 +364,15 @@ def sample_kernel_intersection(rng, n, charts):
 
 def _generator_charts(n, generator_map):
     """Chart of each generator 0..n: generator i sits on chart i unless
-    generator_map reassigns it; an entry outside 0..n raises ValueError."""
+    generator_map reassigns it; a map dict() cannot read or an entry
+    outside 0..n raises ValueError."""
+    try:
+        entries = {} if generator_map is None else dict(generator_map)
+    except (TypeError, ValueError):
+        message = "generator_map must map generators to charts, got %r" % (generator_map,)
+        raise ValueError(message) from None
     gmap = list(range(n + 1))
-    for k, v in dict(generator_map or {}).items():
+    for k, v in entries.items():
         gmap[_index(k, "generator", 0, n)] = _index(v, "generator's chart", 0, n)
     return gmap
 

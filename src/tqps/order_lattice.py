@@ -73,13 +73,8 @@ class Poset:
     __slots__ = ("labels", "_index", "up")
 
     def __init__(self, labels, pairs=()):
-        try:
-            self.labels = list(labels)
-            self._index = {lab: i for i, lab in enumerate(self.labels)}
-        except TypeError:
-            raise LatticeError("labels are not a sequence of hashable values") from None
-        if len(self._index) != len(self.labels):
-            raise LatticeError("duplicate labels")
+        labels, self._index = _elements(labels)
+        self.labels = list(labels)
         n = len(self.labels)
         above = [[] for _ in range(n)]
         try:

@@ -427,7 +427,7 @@ def phi(x, i, j, k):
     the kernels of charts i and k, maps to its class over chart i.  Each
     class is its canonical tensor, x and the result projected at the two
     killed slots."""
-    i, j, k = _charts(x.shape[0], i, j, k)
+    i, j, k = _charts(x.shape[0], (i, j, k))
     y = transition_representative(project_slots(x, (slot_for(j, i), slot_for(j, k))), i, j)
     return project_slots(y, (slot_for(i, j), slot_for(i, k)))
 
@@ -595,7 +595,7 @@ def kernel_image_check(n, i, j, k, samples=50, seed=DEFAULT_SEED):
     lands elsewhere.
     """
     n = _index(n, "n", 2)
-    i, j, k = _charts(n, i, j, k)
+    i, j, k = _charts(n, (i, j, k))
     samples = _index(samples, "samples", 1)
     a, b = min(i, j), max(i, j)
     predicted_slot = slot_for(a, k)

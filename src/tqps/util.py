@@ -1,5 +1,5 @@
 """Shared runtime helpers: the default seed, canonical JSON, derived RNGs,
-and the one reader of integer arguments."""
+and the one reader of integer arguments and of chart collections."""
 
 import json
 import random
@@ -38,10 +38,16 @@ def _index(v, what, low=None, high=None):
     return v
 
 
-def _charts(n, *indices):
-    """The chart indices as ints, each in 0..n; raises ValueError unless
-    they are distinct."""
-    out = tuple(_index(c, "chart index", 0, n) for c in indices)
+def _charts(n, charts, what="charts"):
+    """The collection `charts` as a tuple of distinct chart indices, each
+    read by _index in 0..n; raises ValueError, "<what> must be a collection
+    of chart indices, got v" when tuple() cannot read it."""
+    try:
+        charts = tuple(charts)
+    except TypeError:
+        message = "%s must be a collection of chart indices, got %r" % (what, charts)
+        raise ValueError(message) from None
+    out = tuple(_index(c, "chart index", 0, n) for c in charts)
     if len(set(out)) != len(out):
         raise ValueError("chart indices must be distinct, got %r" % (out,))
     return out

@@ -102,6 +102,9 @@ def test_reflected_subtraction_and_division():
     assert 1 + Scalar(2) == Scalar(3) and 2 * Scalar(1) == Scalar(2)
     with pytest.raises(ZeroDivisionError):
         1 / ZERO
+    # and with the plain number on the right
+    assert Scalar(3) - 1 == Scalar(2)
+    assert Scalar(3) / 2 == Scalar(Fraction(3, 2))
 
 
 def test_scalar_hash_agrees_with_eq():
@@ -116,6 +119,12 @@ def test_a_scalar_equals_no_value_that_is_not_a_number():
     # __eq__ gives the other side its turn, which finds no match either
     assert Scalar(1).__eq__("1") is NotImplemented
     assert Scalar(1) != "1" and "1" != Scalar(1)
+
+
+def test_a_tensor_or_member_equals_no_value_of_another_type():
+    x, p = TensorElement.one(1), PullbackElement.unit(1)
+    assert x.__eq__(1) is NotImplemented and x != 1
+    assert p.__eq__(x) is NotImplemented and p != x and x != p
 
 
 def test_scalar_render():

@@ -201,6 +201,10 @@ def test_chart_points_compare_by_slot_and_coordinates():
     assert p != ChartPoint([1.0, 0.5], 1)
     assert p != ChartPoint([0.25, 1.0], 2)
     assert p.__eq__(p.coords) is NotImplemented and p != p.coords
+    # points of another circle slot or length are infinitely far
+    assert p.distance(ChartPoint([1.0, 0.5], 1)) == float("inf")
+    assert p.distance(ChartPoint([1.0], 1)) == float("inf")
+    assert p.distance(ChartPoint([0.5, 0.5, 1.0], 3)) == float("inf")
 
 
 def test_chart_maps_invert():

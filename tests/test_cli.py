@@ -326,6 +326,10 @@ def test_bad_arguments_exit_two(capsys):
         main(["fdl", "enumerate", "--generators", "0"])
     assert exc.value.code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"])  # a command without its subcommand
+    assert exc.value.code == 2
+    assert "missing subcommand for 'verify'" in capsys.readouterr().err
 
 
 _LIBRARY_WORDS = {

@@ -571,8 +571,8 @@ def test_irreducibility_witness_shape():
     assert T == TensorElement.pure((("E", 0, 0), ("T", 1)))
     assert sigma == frozenset({2})
     assert not project_slots(T, sigma).is_zero()
-    with pytest.raises(ValueError):
-        witness_TmI(1, {1}, 2)  # m inside the chart set
+    with pytest.raises(ValueError, match=r"^chart 1 must lie outside charts \[1\]$"):
+        witness_TmI(1, {1}, 2)
     with pytest.raises(ValueError, match="^charts must be a collection of chart indices, got 5$"):
         witness_TmI(0, 5, 2)
 
@@ -632,13 +632,14 @@ def test_one_member_stream_draws_what_one_call_per_member_draws():
     "n, charts, message",
     [
         (2.0, {0}, "^n must be an integer, got 2.0$"),
-        (2, {-1}, "^chart index must be an integer between 0 and 2, got -1$"),
-        (2, {3}, "^chart index must be an integer between 0 and 2, got 3$"),
-        (2, {True}, "^chart index must be an integer between 0 and 2, got True$"),
-        (2, {1.0}, "^chart index must be an integer between 0 and 2, got 1.0$"),
-        (2, {"0"}, "^chart index must be an integer between 0 and 2, got '0'$"),
+        (2, {-1}, "^chart index must be between 0 and 2, got -1$"),
+        (2, {3}, "^chart index must be between 0 and 2, got 3$"),
+        (2, {True}, "^chart index must be an integer, got True$"),
+        (2, {1.0}, "^chart index must be an integer, got 1.0$"),
+        (2, {"0"}, "^chart index must be an integer, got '0'$"),
         (2, 5, "^charts must be a collection of chart indices, got 5$"),
-        (2, [[0]], r"^charts must be a collection of chart indices, got \[\[0\]\]$"),
+        (2, [[0]], r"^chart index must be an integer, got \[0\]$"),
+        (2, [0, 0], r"^chart indices must be distinct, got \(0, 0\)$"),
     ],
 )
 def test_kernel_sample_reads_its_input_before_drawing(n, charts, message):

@@ -39,22 +39,24 @@ EXPECTED = {
     "c": dict.fromkeys(SUITES, 0),
     "s": {**dict.fromkeys(SUITES, 0), "cocycle": 1, "freeness": 1},
     "t": {**dict.fromkeys(SUITES, 0), "classical transitions": 1},
+    "u": {**dict.fromkeys(SUITES, 0), "cocycle": 1, "kernel-images": 1, "freeness": 1},
+    "m": {**dict.fromkeys(SUITES, 0), "kernel-images": 1, "freeness": 1},
+    "d": {**dict.fromkeys(SUITES, 0), "cocycle": 1, "freeness": 1},
 }
 
 # cells expected to refute that do not yet, and the item that closes each
 PENDING = {
-    ("s", "freeness"): "ROADMAP item 2: verify freeness crashes on (s), exit 3, as extend "
-    "raises ExtensionError; the orbit walk reports NOT_FREE instead",
+    (mutant, "freeness"): "ROADMAP item 2: verify freeness crashes on (%s), exit 3, as "
+    "extend raises ExtensionError; the orbit walk reports NOT_FREE instead" % mutant
+    for mutant in "sumd"
 }
 
 # suites that refute no mutant yet, and the item that closes each
 UNREFUTING = {
     "psi": "ROADMAP item 3: each mutated reflection is still an involution, so the "
     "sampled psi check passes every mutant; its proof must refute one",
-    "kernel-images": "ROADMAP item 3: the sampled kernel-image check passes every "
-    "mutant; its proof must refute one",
-    "freeness": "ROADMAP item 2: (s) crashes verify freeness with exit 3, and a crash is "
-    "no refutation",
+    "freeness": "ROADMAP item 2: (s), (u), (m) and (d) crash verify freeness with exit 3, "
+    "and a crash is no refutation",
 }
 
 # the degree mutants no suite refutes yet

@@ -624,12 +624,12 @@ def test_an_integral_that_is_no_int_reads_as_its_int():
 
 # Each call hands a poset or an index-set family an argument that is no
 # sequence of the right values, with the words that refuse it.
-_LABELS = "labels are not a sequence of hashable values"
 _PAIRS = "pairs are not a sequence of label pairs"
 _FAMILY = "family is not a sequence of index sets"
 SHAPES_REFUSED = [
-    pytest.param(lambda: Poset(5), _LABELS, id="Poset(5)"),
-    pytest.param(lambda: Poset([[0]]), _LABELS, id="Poset([[0]])"),
+    pytest.param(lambda: Poset(5), "elements are not a sequence", id="Poset(5)"),
+    pytest.param(lambda: Poset([[0]]), "element [0] is not hashable", id="Poset([[0]])"),
+    pytest.param(lambda: Poset([0, 0]), "duplicate element 0", id="Poset([0, 0])"),
     pytest.param(lambda: Poset(["a"], 5), _PAIRS, id="pairs 5"),
     pytest.param(lambda: Poset(["a"], [("a",)]), _PAIRS, id="pair ('a',)"),
     pytest.param(lambda: Poset(["a"], [("a", ["b"])]), _PAIRS, id="pair ('a', ['b'])"),
@@ -941,3 +941,5 @@ def test_poset_serialization():
     )
     chain = Poset(["c", "a", "b"], [("a", "b"), ("b", "c")])
     assert chain.to_json()["strict_pairs"] == [[1, 0], [1, 2], [2, 0]]
+    # tuple labels are written as lists, in their own order
+    assert Poset([(0, 1), (1, 0)]).to_json() == {"labels": [[0, 1], [1, 0]], "strict_pairs": []}

@@ -83,6 +83,18 @@ def test_no_second_term_map_class_returns():
     assert _files_naming("Terms", _library_tests_and_readme()) == []
 
 
+# util._charts is the one reader of chart collections: every entry point
+# that takes a set of charts reads it there, in its words, and no second
+# collection reader or second wording of its refusals comes back.
+
+
+def test_no_second_chart_reader_returns():
+    modules = list(SRC.glob("*.py"))
+    assert _files_naming("_chart_collection", modules) == []
+    assert _files_naming("chart index must be an integer between", modules) == []
+    assert _files_naming("must be a collection of chart indices", modules) == ["src/tqps/util.py"]
+
+
 # A private helper no one calls is a second path left beside the one in
 # use: every private function or class in src/tqps (one leading underscore,
 # no dunder) is named somewhere in src/tqps other than by its definition.

@@ -1,6 +1,7 @@
 """Checks for tensor slots and the gluing maps."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import prod
@@ -806,15 +807,9 @@ def test_cocycle_check_report():
 @pytest.mark.parametrize("n, failing", [(2, [(0, 1, 2)]), (3, [(0, 1, 2), (0, 1, 3)])])
 def test_only_spot_triples_glue_upward(monkeypatch, n, failing):
     # phi reads the module's glue through transition_representative; an
-    # ordered triple i < k < j never glues upward, so a mutant that doubles
-    # every upward move breaks the cocycle on spot triples only
-    real = tensor_gluing.glue
-
-    def doubled_upward(x, src, dst):
-        y = real(x, src, dst)
-        return y + y if src < dst else y
-
-    monkeypatch.setattr(tensor_gluing, "glue", doubled_upward)
+    # ordered triple i < k < j never glues upward, so (d), which doubles
+    # every upward move, breaks the cocycle on spot triples only
+    mutants.MUTANTS["d"](monkeypatch)
     report = cocycle_check(n, samples=5)
     spot = {tuple(t) for t in report["triples"][-tensor_gluing.COCYCLE_SPOT_TRIPLES :]}
     assert sorted({tuple(f["triple"]) for f in report["failures"]}) == failing
@@ -824,20 +819,6 @@ def test_only_spot_triples_glue_upward(monkeypatch, n, failing):
 
 # Mutants of the maps each sampled check reads: every check must report
 # the broken map, so none of them passes without doing work.
-
-
-def _units_to_shifts(real):
-    """glue, with every matrix unit of its output replaced by ("T", 0)."""
-
-    def mutant(x, src, dst):
-        y = real(x, src, dst)
-        pairs = [
-            (tuple(("T", 0) if a[0] == "E" else a for a in atoms), c)
-            for atoms, c in y.terms.items()
-        ]
-        return TensorElement(y.n_slots, y.circle_slot, pairs)
-
-    return mutant
 
 
 def _shifted_circle(x):
@@ -883,10 +864,16 @@ PSI_MUTANTS = {
 
 def test_psi_check_reports_a_shifted_circle(monkeypatch):
     monkeypatch.setattr(tensor_gluing, "psi", _shifted_circle)
-    report = psi_involution_check(1, samples=0)
-    # the seven circle atoms u^-3..u^3, each moved by two
-    assert report["atoms_and_samples"] == 7
-    assert len(report["failures"]) == 7
+    report = psi_involution_check(1, samples=3)
+    # the seven circle atoms u^-3..u^3, then the three samples, each moved by two
+    assert report["atoms_and_samples"] == 10
+    assert len(report["failures"]) == 10
+    assert report["failures"][:7] == [
+        TensorElement.pure([("u", h)], 1).to_json() for h in range(-3, 4)
+    ]
+    rng = derived_rng(DEFAULT_SEED, "psi", 1)
+    drawn = [random_tensor_element(rng, 1, circle_slot=1) for _ in range(3)]
+    assert report["failures"][7:] == [x.to_json() for x in drawn]
     assert report["passed"] is False
 
 
@@ -909,7 +896,7 @@ def test_psi_sweep_fails_the_atoms_the_atomwise_sweep_fails(monkeypatch, n, muta
 
 
 def test_kernel_image_check_reports_a_term_off_the_ideal(monkeypatch):
-    monkeypatch.setattr(tensor_gluing, "glue", _units_to_shifts(tensor_gluing.glue))
+    mutants.MUTANTS["u"](monkeypatch)
     report = kernel_image_check(2, 0, 1, 2, samples=2)
     assert report["passed"] is False
     assert report["failures"]
@@ -920,9 +907,7 @@ def test_kernel_image_check_reports_a_term_off_the_ideal(monkeypatch):
 
 
 def test_kernel_image_check_reports_a_misplaced_circle(monkeypatch):
-    monkeypatch.setattr(
-        tensor_gluing, "glue", lambda x, src, dst: slot_symbol(x, slot_for(src, dst))
-    )
+    mutants.MUTANTS["m"](monkeypatch)
     report = kernel_image_check(2, 0, 2, 1, samples=2)
     assert report["passed"] is False
     assert report["failures"] == [
@@ -931,7 +916,7 @@ def test_kernel_image_check_reports_a_misplaced_circle(monkeypatch):
 
 
 def test_cocycle_check_reports_representative_dependence(monkeypatch):
-    monkeypatch.setattr(tensor_gluing, "glue", _units_to_shifts(tensor_gluing.glue))
+    mutants.MUTANTS["u"](monkeypatch)
     report = cocycle_check(2, samples=3)
     assert report["passed"] is False
     assert report["failures"]
@@ -999,6 +984,23 @@ def _work(*args, **kwargs):
     raise AssertionError("work began before the arguments were read")
 
 
+def _forbid_work(monkeypatch):
+    """Patch in _work for the first step of each entry point's work."""
+    for module, name in [
+        (tensor_gluing, "derived_rng"),
+        (tensor_gluing, "psi"),
+        (tensor_gluing, "_move_circle"),
+        (multipullback, "derived_rng"),
+        (multipullback, "compatibility_failures"),
+        (multipullback, "check_freeness_criterion"),
+        (multipullback, "slot_for"),
+        (classical_cpn, "derived_rng"),
+        (classical_cpn, "covering_generators"),
+        (order_lattice, "_bits"),
+    ]:
+        monkeypatch.setattr(module, name, _work)
+
+
 _FRONT = TensorElement.pure((("u", 0), ("T", 1)), circle_slot=1)
 _BACK = TensorElement.pure((("T", 1), ("u", 0)), circle_slot=2)
 
@@ -1053,21 +1055,20 @@ _SHAPE_CHECKED = {"psi_involution_check n", "extend n", "witness_xI n", "verify_
     ids=repr,
 )
 def test_integer_arguments_are_read_before_any_work(monkeypatch, entry, value):
-    for module, name in [
-        (tensor_gluing, "derived_rng"),
-        (tensor_gluing, "psi"),
-        (tensor_gluing, "_move_circle"),
-        (multipullback, "derived_rng"),
-        (multipullback, "compatibility_failures"),
-        (multipullback, "check_freeness_criterion"),
-        (multipullback, "slot_for"),
-        (classical_cpn, "derived_rng"),
-        (classical_cpn, "covering_generators"),
-        (order_lattice, "_bits"),
-    ]:
-        monkeypatch.setattr(module, name, _work)
+    _forbid_work(monkeypatch)
     with pytest.raises(ValueError, match="must be an integer"):
         _ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("generator_map", [[1, 2], 5, "1=0"], ids=repr)
+def test_a_generator_map_that_is_no_mapping_is_refused_by_name(monkeypatch, generator_map):
+    # a ValueError naming the argument, not dict()'s TypeError or unnamed ValueError
+    _forbid_work(monkeypatch)
+    message = "^generator_map must map generators to charts, got %s$" % re.escape(
+        repr(generator_map)
+    )
+    with pytest.raises(ValueError, match=message):
+        verify_freeness(1, generator_map=generator_map)
 
 
 def test_random_tensor_element_shapes():
